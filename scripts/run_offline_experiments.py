@@ -18,7 +18,6 @@ oracle classifier the full study takes well under a minute; pass
 """
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -26,6 +25,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import qdtune as q
+from qdtune.fileio import write_json
 from qdtune.harness import (
     fitness_landscape,
     heatmap,
@@ -128,9 +128,7 @@ def main() -> int:
         "plateau_points": PLATEAU_POINTS,
         "policies": list(POLICIES),
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest, indent=2)
     print(f"done in {manifest['elapsed_s']}s -> {out}")
     return 0
 

@@ -14,7 +14,6 @@ seed 3. Takes a couple of minutes end to end.
 """
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -24,6 +23,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import qdtune as q
+from qdtune.fileio import write_json
 
 
 def split_indices(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -84,9 +84,7 @@ def main() -> int:
         "seeds": {"generation": args.gen_seed, "split": args.split_seed, "training": args.train_seed},
         "elapsed_s": round(time.time() - t0, 1),
     }
-    with open(out / "metrics.json", "w", encoding="utf-8") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "metrics.json", metrics, indent=2)
     return 0
 
 

@@ -15,10 +15,7 @@ ReLU, softmax) trained against the oracle's soft targets.
 
 from __future__ import annotations
 
-import base64
-import binascii
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +28,7 @@ from .errors import (
     ShapeError,
     TrainingDivergedError,
 )
+from .fileio import decode_blob, encode_blob, read_json, write_json
 from .grids import LabelGrid, ScanGrid, SINGLE_DOT_CODES, StateLabel
 from .preprocess import IMAGE_SIZE, ProcessedImage, process
 
@@ -52,7 +50,7 @@ class ProbabilityVector:
 
     def __post_init__(self):
         values = (self.p_none, self.p_sd, self.p_dd)
-        if any(v < 0.0 for v in values):
+        if not all(v >= 0.0 for v in values):
             raise ConfigurationError(f"probabilities must be non-negative, got {values}")
         total = sum(values)
         if abs(total - 1.0) > 1e-12:
@@ -344,23 +342,6 @@ class ModelClassifier:
 # --- file formats -----------------------------------------------------------
 
 
-def _encode(arr: np.ndarray, dtype: str) -> str:
-    return base64.b64encode(np.ascontiguousarray(arr).astype(dtype).tobytes()).decode("ascii")
-
-
-def _decode(name: str, text, dtype: str, expected: int) -> np.ndarray:
-    if not isinstance(text, str):
-        raise ScanFormatError(f"field {name!r} must be a base64 string")
-    try:
-        raw = base64.b64decode(text.encode("ascii"), validate=True)
-    except (binascii.Error, UnicodeEncodeError) as exc:
-        raise ScanFormatError(f"field {name!r} is not valid base64") from exc
-    itemsize = np.dtype(dtype).itemsize
-    if len(raw) != expected * itemsize:
-        raise ScanFormatError(f"field {name!r} holds {len(raw)} bytes, expected {expected * itemsize}")
-    return np.frombuffer(raw, dtype=dtype)
-
-
 def save_model(model: ClassifierModel, path) -> None:
     doc = {
         "format": "qdtune-model",
@@ -368,23 +349,15 @@ def save_model(model: ClassifierModel, path) -> None:
         "layer_sizes": list(model.layer_sizes),
         "activation": model.activation,
         "output": model.output,
-        "weights": [_encode(w, "<f8") for w in model.weights],
-        "biases": [_encode(b, "<f8") for b in model.biases],
+        "weights": [encode_blob(w, "<f8") for w in model.weights],
+        "biases": [encode_blob(b, "<f8") for b in model.biases],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_model(path) -> ClassifierModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ScanFormatError(f"cannot read model file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScanFormatError(f"model file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != "qdtune-model":
+    doc = read_json(path, "model")
+    if doc.get("format") != "qdtune-model":
         raise ScanFormatError("file is not a qdtune-model document")
     if doc.get("version") != MODEL_SCHEMA_VERSION:
         raise ScanVersionError(f"model version {doc.get('version')!r} not supported")
@@ -397,11 +370,11 @@ def load_model(path) -> ClassifierModel:
     if not isinstance(raw_w, list) or not isinstance(raw_b, list) or len(raw_w) != len(pairs) or len(raw_b) != len(pairs):
         raise ScanFormatError("fields 'weights'/'biases' must hold one blob per layer")
     weights = [
-        _decode(f"weights[{i}]", blob, "<f8", n_in * n_out).reshape(n_in, n_out)
+        decode_blob(f"weights[{i}]", blob, "<f8", n_in * n_out).reshape(n_in, n_out)
         for i, (blob, (n_in, n_out)) in enumerate(zip(raw_w, pairs))
     ]
     biases = [
-        _decode(f"biases[{i}]", blob, "<f8", n_out)
+        decode_blob(f"biases[{i}]", blob, "<f8", n_out)
         for i, (blob, (_, n_out)) in enumerate(zip(raw_b, pairs))
     ]
     return ClassifierModel(
@@ -423,26 +396,18 @@ def save_dataset(samples: list[LabeledSample], path) -> None:
         "version": DATASET_SCHEMA_VERSION,
         "count": len(samples),
         "image_shape": [IMAGE_SIZE, IMAGE_SIZE],
-        "images": _encode(x, "<f8"),
-        "targets": _encode(t, "<f8"),
-        "centers": _encode(centers, "<f8"),
-        "spans": _encode(spans, "<f8"),
-        "device_seeds": _encode(seeds, "<i8"),
+        "images": encode_blob(x, "<f8"),
+        "targets": encode_blob(t, "<f8"),
+        "centers": encode_blob(centers, "<f8"),
+        "spans": encode_blob(spans, "<f8"),
+        "device_seeds": encode_blob(seeds, "<i8"),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_dataset(path) -> list[LabeledSample]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ScanFormatError(f"cannot read dataset file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScanFormatError(f"dataset file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != "qdtune-dataset":
+    doc = read_json(path, "dataset")
+    if doc.get("format") != "qdtune-dataset":
         raise ScanFormatError("file is not a qdtune-dataset document")
     if doc.get("version") != DATASET_SCHEMA_VERSION:
         raise ScanVersionError(f"dataset version {doc.get('version')!r} not supported")
@@ -450,11 +415,11 @@ def load_dataset(path) -> list[LabeledSample]:
     if not isinstance(count, int) or count <= 0:
         raise ScanFormatError("field 'count' must be a positive integer")
     pixels = IMAGE_SIZE * IMAGE_SIZE
-    x = _decode("images", doc.get("images"), "<f8", count * pixels).reshape(count, pixels)
-    t = _decode("targets", doc.get("targets"), "<f8", count * 3).reshape(count, 3)
-    centers = _decode("centers", doc.get("centers"), "<f8", count * 2).reshape(count, 2)
-    spans = _decode("spans", doc.get("spans"), "<f8", count * 2).reshape(count, 2)
-    seeds = _decode("device_seeds", doc.get("device_seeds"), "<i8", count)
+    x = decode_blob("images", doc.get("images"), "<f8", count * pixels).reshape(count, pixels)
+    t = decode_blob("targets", doc.get("targets"), "<f8", count * 3).reshape(count, 3)
+    centers = decode_blob("centers", doc.get("centers"), "<f8", count * 2).reshape(count, 2)
+    spans = decode_blob("spans", doc.get("spans"), "<f8", count * 2).reshape(count, 2)
+    seeds = decode_blob("device_seeds", doc.get("device_seeds"), "<i8", count)
     return [
         LabeledSample(
             image=ProcessedImage(x[i].reshape(IMAGE_SIZE, IMAGE_SIZE)),

@@ -24,6 +24,7 @@ from . import harness as harness_mod
 from . import scans as scans_mod
 from . import tuner as tuner_mod
 from .errors import ConfigurationError, QdtuneError
+from .fileio import read_json, write_json
 
 
 def _load_config(path: str | None) -> dict:
@@ -114,7 +115,6 @@ def _build_sandbox(config: dict) -> scans_mod.Sandbox:
     return scans_mod.Sandbox(
         v1_range=tuple(sub.get("v1_range", device_mod.DOMAIN_MV)),
         v2_range=tuple(sub.get("v2_range", device_mod.DOMAIN_MV)),
-        blocked_fitness=float(sub.get("blocked_fitness", 2.0)),
     )
 
 
@@ -238,9 +238,7 @@ def _cmd_evaluate(args) -> int:
     }
     if args.out:
         out = _out_dir(args)
-        with open(out / "metrics.json", "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out / "metrics.json", doc, indent=2)
     print(json.dumps(doc, sort_keys=True))
     return 0
 
@@ -353,10 +351,7 @@ def _cmd_report(args) -> int:
     paths = sorted(run_dir.glob("report_*.json"))
     if not paths:
         raise ConfigurationError(f"no report_*.json files under {run_dir}")
-    reports = []
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            reports.append(harness_mod.ExperimentReport.from_json_dict(json.load(fh)))
+    reports = [harness_mod.ExperimentReport.from_json_dict(read_json(path, "report")) for path in paths]
     stats = harness_mod.iteration_stats(reports)
     out = _out_dir(args)
     harness_mod.write_success_csv(reports, out / "success_rates.csv")

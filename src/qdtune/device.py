@@ -32,13 +32,13 @@ of diagonal transition lines.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigurationError, DomainError, ScanFormatError, ScanVersionError
+from .fileio import read_json, write_json
 from .grids import LabelGrid, ScanGrid, ScanMeta, StateLabel
 
 #: Plunger-voltage domain of every simulated device, in millivolts.
@@ -341,19 +341,8 @@ def render_scan(
 
 
 def save_device(params: DeviceParams, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(params.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, params.to_json_dict(), indent=2)
 
 
 def load_device(path) -> DeviceParams:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ScanFormatError(f"cannot read device file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScanFormatError(f"device file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ScanFormatError("device file must contain a JSON object")
-    return DeviceParams.from_json_dict(doc)
+    return DeviceParams.from_json_dict(read_json(path, "device"))

@@ -18,14 +18,14 @@ worker count.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from multiprocessing import Pool
 
 import numpy as np
 
 from .classifier import OracleClassifier, ProbabilityVector, oracle_probability
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, ScanFormatError, ShapeError
+from .fileio import encode_blob, write_json
 from .grids import LabelGrid, ScanGrid, SINGLE_DOT_CODES, StateLabel
 from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, acquire_with_labels
 from .tuner import (
@@ -188,28 +188,32 @@ class ExperimentReport:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict(), indent=2)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentReport":
-        counts = doc["counts"]
-        iterations = doc["iterations"]
-        return cls(
-            point=tuple(doc["point"]),
-            policy_name=doc["policy"],
-            n_runs=int(doc["n_runs"]),
-            success_rate=float(doc["success_rate"]),
-            n_ideal=int(counts["ideal"]),
-            n_close=int(counts["close"]),
-            n_fail=int(counts["fail"]),
-            outcome_counts={k: int(v) for k, v in doc["outcomes"].items()},
-            iteration_mean=float(iterations["mean"]),
-            iteration_sd=float(iterations["sd"]),
-            iteration_counts=[int(n) for n in iterations["per_run"]],
-            run_summaries=list(doc["runs"]),
-        )
+        """Rebuild a report; a missing or mistyped field raises ScanFormatError."""
+        try:
+            counts = doc["counts"]
+            iterations = doc["iterations"]
+            return cls(
+                point=tuple(doc["point"]),
+                policy_name=doc["policy"],
+                n_runs=int(doc["n_runs"]),
+                success_rate=float(doc["success_rate"]),
+                n_ideal=int(counts["ideal"]),
+                n_close=int(counts["close"]),
+                n_fail=int(counts["fail"]),
+                outcome_counts={k: int(v) for k, v in doc["outcomes"].items()},
+                iteration_mean=float(iterations["mean"]),
+                iteration_sd=float(iterations["sd"]),
+                iteration_counts=[int(n) for n in iterations["per_run"]],
+                run_summaries=list(doc["runs"]),
+            )
+        except KeyError as exc:
+            raise ScanFormatError(f"report is missing field {exc.args[0]!r}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ScanFormatError(f"report field has the wrong type: {exc}") from exc
 
 
 def _aggregate(
@@ -281,10 +285,7 @@ def neighborhood_experiment(
         (float(point[0] + d1), float(point[1] + d2)) for d1 in offsets for d2 in offsets
     ]
     for start in starts:
-        if not (
-            sandbox.v1_range[0] <= start[0] <= sandbox.v1_range[1]
-            and sandbox.v2_range[0] <= start[1] <= sandbox.v2_range[1]
-        ):
+        if not sandbox.contains_point(start):
             raise ConfigurationError(
                 f"neighborhood start {start} lies outside the sandbox; nothing was run"
             )
@@ -326,9 +327,7 @@ class HeatmapResult:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict(), indent=2)
 
 
 def _coverage(source: MeasurementSource, sandbox: Sandbox) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -418,22 +417,16 @@ class LandscapeResult:
         return float(self.center_v1[i]), float(self.center_v2[j])
 
     def save_json(self, path) -> None:
-        import base64
-
         doc = {
             "format": "qdtune-landscape",
             "version": REPORT_SCHEMA_VERSION,
             "shape": list(self.values.shape),
             "window_px": list(self.window_px),
-            "center_v1": base64.b64encode(self.center_v1.astype("<f8").tobytes()).decode("ascii"),
-            "center_v2": base64.b64encode(self.center_v2.astype("<f8").tobytes()).decode("ascii"),
-            "values": base64.b64encode(
-                np.ascontiguousarray(self.values).astype("<f8").tobytes()
-            ).decode("ascii"),
+            "center_v1": encode_blob(self.center_v1, "<f8"),
+            "center_v2": encode_blob(self.center_v2, "<f8"),
+            "values": encode_blob(self.values, "<f8"),
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
+        write_json(path, doc)
 
 
 def _window_counts(mask: np.ndarray, w1: int, w2: int) -> np.ndarray:
@@ -490,8 +483,6 @@ def fitness_landscape(
                 )
                 values[i, j] = fitness(p, fitness_config)
         return LandscapeResult(values, center_v1, center_v2, (w1, w2))
-
-    from .grids import ScanMeta
 
     meta = source.scan.meta
     values = np.empty((n1 - w1 + 1, n2 - w2 + 1))

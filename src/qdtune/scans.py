@@ -12,9 +12,6 @@ in row-major order. Label codes follow :class:`~qdtune.grids.StateLabel`.
 
 from __future__ import annotations
 
-import base64
-import binascii
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +26,7 @@ from .errors import (
     ShapeError,
     UnsupportedResolutionError,
 )
+from .fileio import decode_blob, encode_blob, read_json, write_json
 from .grids import ACQUISITION_AXES, LabelGrid, ScanGrid, ScanMeta, StateLabel
 
 SCAN_SCHEMA_VERSION = "1"
@@ -41,14 +39,18 @@ class Sandbox:
 
     v1_range: tuple[float, float] = device_model.DOMAIN_MV
     v2_range: tuple[float, float] = device_model.DOMAIN_MV
-    blocked_fitness: float = 2.0
 
     def __post_init__(self):
         for name, (lo, hi) in (("v1_range", self.v1_range), ("v2_range", self.v2_range)):
             if not lo < hi:
                 raise ConfigurationError(f"sandbox {name} must have lo < hi, got ({lo}, {hi})")
-        if not self.blocked_fitness > 0:
-            raise ConfigurationError("blocked_fitness must be positive")
+
+    def contains_point(self, point: tuple[float, float]) -> bool:
+        """True when the voltage point lies inside the limits (edges included)."""
+        return (
+            self.v1_range[0] <= point[0] <= self.v1_range[1]
+            and self.v2_range[0] <= point[1] <= self.v2_range[1]
+        )
 
     def contains_window(self, center: tuple[float, float], span: tuple[float, float]) -> bool:
         """True when all four window corners are inside the limits."""
@@ -207,25 +209,6 @@ def inject_sensor_flip(scan: ScanGrid) -> ScanGrid:
 _LABEL_CODE_TABLE = {label.name: int(label) for label in StateLabel}
 
 
-def _encode(arr: np.ndarray, dtype: str) -> str:
-    return base64.b64encode(np.ascontiguousarray(arr).astype(dtype).tobytes()).decode("ascii")
-
-
-def _decode(field: str, text, dtype: str, expected: int) -> np.ndarray:
-    if not isinstance(text, str):
-        raise ScanFormatError(f"field {field!r} must be a base64 string")
-    try:
-        raw = base64.b64decode(text.encode("ascii"), validate=True)
-    except (binascii.Error, UnicodeEncodeError) as exc:
-        raise ScanFormatError(f"field {field!r} is not valid base64") from exc
-    itemsize = np.dtype(dtype).itemsize
-    if len(raw) != expected * itemsize:
-        raise ScanFormatError(
-            f"field {field!r} holds {len(raw)} bytes, expected {expected * itemsize}"
-        )
-    return np.frombuffer(raw, dtype=dtype)
-
-
 def save_scan(scan: ScanGrid, path, labels: LabelGrid | None = None) -> None:
     """Write a scan (and optional ground-truth labels) as one JSON document."""
     if labels is not None and labels.shape != scan.shape:
@@ -238,29 +221,19 @@ def save_scan(scan: ScanGrid, path, labels: LabelGrid | None = None) -> None:
         "shape": list(scan.shape),
         "origin_mv": [float(scan.v1_axis[0]), float(scan.v2_axis[0])],
         "units": {"axes": "mV", "values": "sensor signal (arb.)"},
-        "v1_axis": _encode(scan.v1_axis, "<f8"),
-        "v2_axis": _encode(scan.v2_axis, "<f8"),
-        "values": _encode(scan.values, "<f8"),
+        "v1_axis": encode_blob(scan.v1_axis, "<f8"),
+        "v2_axis": encode_blob(scan.v2_axis, "<f8"),
+        "values": encode_blob(scan.values, "<f8"),
     }
     if labels is not None:
-        doc["labels"] = _encode(labels.labels, "<i1")
+        doc["labels"] = encode_blob(labels.labels, "<i1")
         doc["label_codes"] = _LABEL_CODE_TABLE
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc, indent=2)
 
 
 def load_scan(path) -> tuple[ScanGrid, LabelGrid | None]:
     """Read a scan file written by :func:`save_scan`; bit-exact round trip."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ScanFormatError(f"cannot read scan file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScanFormatError(f"scan file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ScanFormatError("scan file must contain a JSON object")
+    doc = read_json(path, "scan")
     if doc.get("format") != "qdscan":
         raise ScanFormatError(f"field 'format' is {doc.get('format')!r}, expected 'qdscan'")
     version = doc.get("version")
@@ -288,9 +261,9 @@ def load_scan(path) -> tuple[ScanGrid, LabelGrid | None]:
     for field in ("v1_axis", "v2_axis", "values"):
         if field not in doc:
             raise ScanFormatError(f"scan file missing field {field!r}")
-    v1 = _decode("v1_axis", doc["v1_axis"], "<f8", n1)
-    v2 = _decode("v2_axis", doc["v2_axis"], "<f8", n2)
-    values = _decode("values", doc["values"], "<f8", n1 * n2).reshape(n1, n2)
+    v1 = decode_blob("v1_axis", doc["v1_axis"], "<f8", n1)
+    v2 = decode_blob("v2_axis", doc["v2_axis"], "<f8", n2)
+    values = decode_blob("values", doc["values"], "<f8", n1 * n2).reshape(n1, n2)
     meta = ScanMeta(resolution=float(resolution), acquisition_axis=axis_name)
     try:
         scan = ScanGrid(values, v1, v2, meta)
@@ -299,7 +272,7 @@ def load_scan(path) -> tuple[ScanGrid, LabelGrid | None]:
 
     labels = None
     if "labels" in doc:
-        codes = _decode("labels", doc["labels"], "<i1", n1 * n2).reshape(n1, n2)
+        codes = decode_blob("labels", doc["labels"], "<i1", n1 * n2).reshape(n1, n2)
         try:
             labels = LabelGrid(codes, v1, v2)
         except ShapeError as exc:

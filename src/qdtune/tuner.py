@@ -7,8 +7,8 @@ The tuning objective for a window centered at ``(V1, V2)`` is::
 where ``g`` is a shifted and scaled arctangent penalty with g(0) = 0,
 g(1) = 1, and its inflection point at 1/2, so the penalty climbs
 steepest once a window tips into being predominantly non-double-dot.
-The value is capped at the sandbox's blocked fitness, and windows the
-sandbox refuses score exactly that cap without ever reaching the
+The value is capped at ``FitnessConfig.blocked_fitness``, and windows
+the sandbox refuses score exactly that cap without ever reaching the
 classifier.
 
 The optimizer is a plain two-dimensional Nelder-Mead simplex search
@@ -22,7 +22,6 @@ runs out. One "iteration" is one window measurement.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -30,6 +29,7 @@ import numpy as np
 
 from .classifier import ProbabilityVector
 from .errors import ConfigurationError, DomainError, QdtuneError
+from .fileio import write_json
 from .scans import Blocked, MeasurementSource, Sandbox, acquire_with_labels
 
 TARGET_DOUBLE_DOT = ProbabilityVector(0.0, 0.0, 1.0)
@@ -316,9 +316,7 @@ class TuningRun:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict(), indent=2)
 
     def save_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -352,8 +350,8 @@ def autotune(
 ) -> TuningRun:
     """Run the measure/classify/optimize loop from one starting point.
 
-    Blocked windows are scored at the sandbox's blocked fitness without
-    invoking the classifier. Failures inside the acquisition backend or
+    Blocked windows are scored at ``fitness_config.blocked_fitness``
+    without invoking the classifier. Failures inside the acquisition backend or
     the classifier abort the run and are recorded as such.
     """
     fitness_config = fitness_config or FitnessConfig()
@@ -361,10 +359,7 @@ def autotune(
     term = term or TerminationConfig()
     sandbox = sandbox or Sandbox()
 
-    if not (
-        sandbox.v1_range[0] <= start[0] <= sandbox.v1_range[1]
-        and sandbox.v2_range[0] <= start[1] <= sandbox.v2_range[1]
-    ):
+    if not sandbox.contains_point(start):
         raise ConfigurationError(f"start point {start} lies outside the sandbox")
 
     steps: list[TuningStep] = []
@@ -372,7 +367,7 @@ def autotune(
     def objective(center: tuple[float, float]) -> float:
         result = acquire_with_labels(source, center, span, resolution, sandbox)
         if isinstance(result, Blocked):
-            value = sandbox.blocked_fitness
+            value = fitness_config.blocked_fitness
             steps.append(TuningStep(center, None, value, True))
             return value
         scan, labels = result

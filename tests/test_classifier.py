@@ -51,6 +51,8 @@ class TestProbabilityVector:
             q.ProbabilityVector(-0.1, 0.5, 0.6)
         with pytest.raises(q.ConfigurationError):
             q.ProbabilityVector(0.5, 0.5, 0.5)
+        with pytest.raises(q.ConfigurationError):
+            q.ProbabilityVector(float("nan"), 0.5, 0.5)
 
     def test_argmax_class(self):
         assert q.ProbabilityVector(0.7, 0.2, 0.1).argmax_class() == 0

@@ -157,6 +157,21 @@ class TestExperiments:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigurationError"
 
+    @pytest.mark.parametrize(
+        "text, cause",
+        [('{"point": [1, 2', "not valid JSON"), ('{"point": [1, 2]}', "'counts'")],
+        ids=["truncated", "missing_field"],
+    )
+    def test_malformed_report_is_machine_readable_error(self, tmp_path, capsys, text, cause):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "report_1_2_fixed75.json").write_text(text)
+        rc = main(["report", "--runs", str(runs), "--out", str(tmp_path / "tables")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScanFormatError"
+        assert cause in err["message"]
+
     def test_heatmap(self, tmp_path, scan_file):
         rc = main(
             [

@@ -17,6 +17,13 @@ class TestSandbox:
         assert not box.contains_window((20, 300), (60, 60))
         assert not box.contains_window((300, 580), (60, 60))
 
+    def test_contains_point_includes_edges(self):
+        box = Sandbox(v1_range=(100.0, 500.0), v2_range=(0.0, 600.0))
+        assert box.contains_point((100.0, 0.0))
+        assert box.contains_point((500.0, 600.0))
+        assert not box.contains_point((99.9, 300.0))
+        assert not box.contains_point((300.0, 600.1))
+
     def test_acquire_blocked_outside(self, reference_params):
         source = q.SimulatedDevice(reference_params)
         got = q.acquire(source, (10.0, 300.0), (60.0, 60.0), 2.0)

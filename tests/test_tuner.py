@@ -231,6 +231,15 @@ class TestAutotune:
         assert all(s.probabilities is None for s in blocked)
         assert spy.calls == len(clear)
 
+    def test_blocked_windows_score_the_fitness_config_cap(self, reference_params):
+        config = q.FitnessConfig(blocked_fitness=1.5)
+        source = q.SimulatedDevice(reference_params)
+        run = q.autotune(source, SpyClassifier(), (80.0, 450.0), fitness_config=config, policy=q.FixedSimplex(100.0))
+        blocked = [s for s in run.steps if s.blocked]
+        assert blocked, "expected at least one blocked acquisition"
+        assert all(s.fitness == 1.5 for s in blocked)
+        assert max(s.fitness for s in run.steps) == 1.5
+
     def test_start_outside_sandbox_rejected(self, reference_source, oracle):
         with pytest.raises(q.ConfigurationError):
             q.autotune(reference_source, oracle, (650.0, 300.0))
