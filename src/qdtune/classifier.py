@@ -29,7 +29,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .fileio import decode_blob, encode_blob, read_json, write_json
-from .grids import LabelGrid, ScanGrid, SINGLE_DOT_CODES, StateLabel
+from .grids import LabelGrid, MAX_STATE_CODE, ScanGrid, SINGLE_DOT_CODES, StateLabel
 from .preprocess import IMAGE_SIZE, ProcessedImage, process
 
 MODEL_SCHEMA_VERSION = "1"
@@ -77,8 +77,9 @@ def oracle_probability(labels: LabelGrid) -> ProbabilityVector:
     n = codes.size
     if n == 0:
         raise ShapeError("label raster is empty")
-    n_sd = int(np.isin(codes, SINGLE_DOT_CODES).sum())
-    n_dd = int((codes == int(StateLabel.DOUBLE_DOT)).sum())
+    counts = np.bincount(codes.ravel(), minlength=MAX_STATE_CODE + 1)
+    n_sd = int(counts[list(SINGLE_DOT_CODES)].sum())
+    n_dd = int(counts[StateLabel.DOUBLE_DOT])
     return ProbabilityVector((n - n_sd - n_dd) / n, n_sd / n, n_dd / n)
 
 
@@ -364,7 +365,9 @@ def load_model(path) -> ClassifierModel:
     sizes = doc.get("layer_sizes")
     if not isinstance(sizes, list) or len(sizes) < 2:
         raise ScanFormatError("field 'layer_sizes' must list at least two layers")
-    sizes = tuple(int(n) for n in sizes)
+    if not all(type(n) is int and n > 0 for n in sizes):
+        raise ScanFormatError(f"field 'layer_sizes' must hold positive integers, got {sizes}")
+    sizes = tuple(sizes)
     pairs = list(zip(sizes[:-1], sizes[1:]))
     raw_w, raw_b = doc.get("weights"), doc.get("biases")
     if not isinstance(raw_w, list) or not isinstance(raw_b, list) or len(raw_w) != len(pairs) or len(raw_b) != len(pairs):
@@ -420,10 +423,14 @@ def load_dataset(path) -> list[LabeledSample]:
     centers = decode_blob("centers", doc.get("centers"), "<f8", count * 2).reshape(count, 2)
     spans = decode_blob("spans", doc.get("spans"), "<f8", count * 2).reshape(count, 2)
     seeds = decode_blob("device_seeds", doc.get("device_seeds"), "<i8", count)
+    try:
+        targets = [ProbabilityVector.from_array(row) for row in t]
+    except ConfigurationError as exc:
+        raise ScanFormatError(f"field 'targets' holds a row that is not a probability vector: {exc}") from exc
     return [
         LabeledSample(
             image=ProcessedImage(x[i].reshape(IMAGE_SIZE, IMAGE_SIZE)),
-            target=ProbabilityVector.from_array(t[i]),
+            target=targets[i],
             center=(float(centers[i, 0]), float(centers[i, 1])),
             span=(float(spans[i, 0]), float(spans[i, 1])),
             device_seed=int(seeds[i]),

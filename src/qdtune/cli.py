@@ -35,11 +35,19 @@ def _load_config(path: str | None) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigurationError("config file must contain a JSON object")
     return doc
+
+
+def _section(config: dict, name: str) -> dict:
+    """One optional sub-object of the config; anything but an object is an error."""
+    sub = config.get(name, {})
+    if not isinstance(sub, dict):
+        raise ConfigurationError(f"config section {name!r} must be a JSON object")
+    return sub
 
 
 def _parse_pair(text: str, flag: str) -> tuple[float, float]:
@@ -89,7 +97,7 @@ def _build_policy(name: str):
 
 
 def _build_fitness(config: dict) -> tuner_mod.FitnessConfig:
-    sub = config.get("fitness", {})
+    sub = _section(config, "fitness")
     target = sub.get("p_target", [0.0, 0.0, 1.0])
     return tuner_mod.FitnessConfig(
         p_target=classifier_mod.ProbabilityVector.from_array(np.asarray(target, dtype=float)),
@@ -102,7 +110,7 @@ def _build_fitness(config: dict) -> tuner_mod.FitnessConfig:
 
 
 def _build_termination(config: dict) -> tuner_mod.TerminationConfig:
-    sub = config.get("termination", {})
+    sub = _section(config, "termination")
     return tuner_mod.TerminationConfig(
         fitness_tolerance=float(sub.get("fitness_tolerance", 0.02)),
         simplex_size_tolerance=float(sub.get("simplex_size_tolerance", 2.0)),
@@ -111,7 +119,7 @@ def _build_termination(config: dict) -> tuner_mod.TerminationConfig:
 
 
 def _build_sandbox(config: dict) -> scans_mod.Sandbox:
-    sub = config.get("sandbox", {})
+    sub = _section(config, "sandbox")
     return scans_mod.Sandbox(
         v1_range=tuple(sub.get("v1_range", device_mod.DOMAIN_MV)),
         v2_range=tuple(sub.get("v2_range", device_mod.DOMAIN_MV)),
@@ -119,7 +127,7 @@ def _build_sandbox(config: dict) -> scans_mod.Sandbox:
 
 
 def _build_regions(config: dict) -> harness_mod.SuccessRegions:
-    sub = config.get("success", {})
+    sub = _section(config, "success")
     return harness_mod.SuccessRegions(
         theta_ideal=float(sub.get("theta_ideal", 0.8)),
         theta_close=float(sub.get("theta_close", 0.4)),
@@ -205,7 +213,7 @@ def _cmd_gen_dataset(args) -> int:
 def _cmd_train(args) -> int:
     config = _load_config(args.config)
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    sub = config.get("training", {})
+    sub = _section(config, "training")
     training = classifier_mod.TrainingConfig(
         learning_rate=float(sub.get("learning_rate", 0.001)),
         steps=int(sub.get("steps", 5000)),

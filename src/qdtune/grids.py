@@ -1,8 +1,16 @@
-"""Raster containers shared by the simulator, scan IO, and preprocessing."""
+"""Raster containers shared by the simulator, scan IO, and preprocessing.
+
+Checks run where data enters: every ``ScanGrid`` and ``LabelGrid``
+built by a constructor (``render_scan``, ``load_scan``, premeasured
+crops, the CLI) validates its axes, spacing and codes. A grid derived
+with :meth:`ScanGrid.with_values` trusts the axes and metadata its
+parent already passed and checks only the shape of the new values.
+"""
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +42,11 @@ SINGLE_DOT_CODES = (
     int(StateLabel.SINGLE_RIGHT),
 )
 
+#: StateLabel codes are contiguous, so a label raster is valid when all
+#: its codes lie in ``[MIN_STATE_CODE, MAX_STATE_CODE]``.
+MIN_STATE_CODE = int(StateLabel.NO_DOT)
+MAX_STATE_CODE = int(StateLabel.DOUBLE_DOT)
+
 
 @dataclass(frozen=True)
 class ScanMeta:
@@ -43,8 +56,8 @@ class ScanMeta:
     acquisition_axis: str = "v1"
 
     def __post_init__(self):
-        if not self.resolution > 0:
-            raise ConfigurationError(f"resolution must be positive, got {self.resolution}")
+        if not (self.resolution > 0 and math.isfinite(self.resolution)):
+            raise ConfigurationError(f"resolution must be positive and finite, got {self.resolution}")
         if self.acquisition_axis not in ACQUISITION_AXES:
             raise ConfigurationError(
                 f"acquisition_axis must be one of {ACQUISITION_AXES}, got {self.acquisition_axis!r}"
@@ -59,7 +72,9 @@ def _check_axis(name: str, axis: np.ndarray, resolution: float) -> np.ndarray:
         steps = np.diff(axis)
         if not np.all(steps > 0):
             raise ShapeError(f"{name} must be strictly increasing")
-        if not np.allclose(steps, resolution, rtol=1e-9, atol=1e-9):
+        # np.allclose(steps, resolution, rtol=1e-9, atol=1e-9) for a finite
+        # resolution, without its per-call overhead.
+        if not (np.abs(steps - resolution) <= 1e-9 + 1e-9 * abs(resolution)).all():
             raise ShapeError(f"{name} spacing does not match resolution {resolution}")
     return axis
 
@@ -90,8 +105,16 @@ class ScanGrid:
         return self.values.shape
 
     def with_values(self, values: np.ndarray) -> "ScanGrid":
-        """Same axes and metadata, different sample values."""
-        return ScanGrid(values, self.v1_axis, self.v2_axis, self.meta)
+        """Same axes and metadata, different sample values of the same shape.
+
+        The axes and metadata are shared, not checked again.
+        """
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.values.shape:
+            raise ShapeError(f"values shape {values.shape} does not match the grid {self.values.shape}")
+        grid = object.__new__(ScanGrid)
+        grid.values, grid.v1_axis, grid.v2_axis, grid.meta = values, self.v1_axis, self.v2_axis, self.meta
+        return grid
 
 
 @dataclass(eq=False)
@@ -108,8 +131,9 @@ class LabelGrid:
             raise ShapeError(f"labels must be 2-d, got ndim={self.labels.ndim}")
         if not np.issubdtype(self.labels.dtype, np.integer):
             raise ShapeError("labels must be an integer array of StateLabel codes")
-        valid = [int(lab) for lab in StateLabel]
-        if self.labels.size and not np.isin(self.labels, valid).all():
+        if self.labels.size and (
+            self.labels.min() < MIN_STATE_CODE or self.labels.max() > MAX_STATE_CODE
+        ):
             raise ShapeError("labels contain codes outside the StateLabel table")
         self.v1_axis = np.asarray(self.v1_axis, dtype=float)
         self.v2_axis = np.asarray(self.v2_axis, dtype=float)

@@ -473,15 +473,16 @@ def fitness_landscape(
         n_px = w1 * w2
         sd = _window_counts(np.isin(codes, SINGLE_DOT_CODES), w1, w2)
         dd = _window_counts(codes == int(StateLabel.DOUBLE_DOT), w1, w2)
-        values = np.empty(sd.shape)
-        for i in range(sd.shape[0]):
-            for j in range(sd.shape[1]):
-                p = ProbabilityVector(
-                    (n_px - int(sd[i, j]) - int(dd[i, j])) / n_px,
-                    int(sd[i, j]) / n_px,
-                    int(dd[i, j]) / n_px,
-                )
-                values[i, j] = fitness(p, fitness_config)
+        # Windows share few (sd, dd) count pairs: score each distinct pair once.
+        keys, inverse = np.unique(sd * (n_px + 1) + dd, return_inverse=True)
+        n_sd, n_dd = np.divmod(keys, n_px + 1)
+        scores = np.array(
+            [
+                fitness(ProbabilityVector((n_px - s - d) / n_px, s / n_px, d / n_px), fitness_config)
+                for s, d in zip(n_sd.tolist(), n_dd.tolist())
+            ]
+        )
+        values = scores[inverse].reshape(sd.shape)
         return LandscapeResult(values, center_v1, center_v2, (w1, w2))
 
     meta = source.scan.meta

@@ -9,6 +9,7 @@ on sensor calibration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,8 +103,12 @@ def resize_to_30(values: np.ndarray) -> ProcessedImage:
     return ProcessedImage(np.clip(out, 0.0, 1.0))
 
 
+@lru_cache(maxsize=None)
 def _overlap_weights(n_src: int, n_dst: int = IMAGE_SIZE) -> np.ndarray:
-    """Row-stochastic matrix averaging n_src cells into n_dst cells."""
+    """Row-stochastic matrix averaging n_src cells into n_dst cells.
+
+    Built once per size and shared, so the returned array is read-only.
+    """
     w = np.zeros((n_dst, n_src))
     scale = n_src / n_dst
     for t in range(n_dst):
@@ -111,7 +116,9 @@ def _overlap_weights(n_src: int, n_dst: int = IMAGE_SIZE) -> np.ndarray:
         hi = lo + scale
         for s in range(int(np.floor(lo)), min(int(np.ceil(hi)), n_src)):
             w[t, s] = min(hi, s + 1.0) - max(lo, float(s))
-    return w / scale
+    w /= scale
+    w.flags.writeable = False
+    return w
 
 
 def process(scan: ScanGrid) -> ProcessedImage:

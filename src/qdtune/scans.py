@@ -12,6 +12,7 @@ in row-major order. Label codes follow :class:`~qdtune.grids.StateLabel`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,8 +253,8 @@ def load_scan(path) -> tuple[ScanGrid, LabelGrid | None]:
     n1, n2 = shape
 
     resolution = doc.get("resolution_mv")
-    if not isinstance(resolution, (int, float)) or not resolution > 0:
-        raise ScanFormatError("field 'resolution_mv' must be a positive number")
+    if not isinstance(resolution, (int, float)) or not 0 < resolution < math.inf:
+        raise ScanFormatError("field 'resolution_mv' must be a positive finite number")
     axis_name = doc.get("acquisition_axis")
     if axis_name not in ACQUISITION_AXES:
         raise ScanFormatError(f"field 'acquisition_axis' must be one of {ACQUISITION_AXES}")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 import qdtune as q
 from qdtune.classifier import CLASS_NAMES, LAYER_SIZES
+from qdtune.fileio import decode_blob, encode_blob
+from qdtune.grids import SINGLE_DOT_CODES
 
 
 def brute_force_probability(labels):
@@ -30,6 +34,27 @@ class TestOracleProbability:
         p = q.oracle_probability(labels)
         expect = brute_force_probability(labels)
         assert (p.p_none, p.p_sd, p.p_dd) == expect
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50)
+    def test_matches_isin_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        present = rng.choice(5, size=int(rng.integers(1, 6)), replace=False)
+        n1, n2 = (int(n) for n in rng.integers(1, 40, size=2))
+        codes = rng.choice(present, size=(n1, n2)).astype(np.int8)
+        labels = q.LabelGrid(codes, np.arange(n1, dtype=float), np.arange(n2, dtype=float))
+        n = codes.size
+        n_sd = int(np.isin(codes, SINGLE_DOT_CODES).sum())
+        n_dd = int((codes == int(q.StateLabel.DOUBLE_DOT)).sum())
+        p = q.oracle_probability(labels)
+        assert (p.p_none, p.p_sd, p.p_dd) == ((n - n_sd - n_dd) / n, n_sd / n, n_dd / n)
+
+    @pytest.mark.parametrize("code", [-1, 5])
+    def test_label_grid_rejects_codes_outside_the_table(self, code):
+        codes = np.zeros((3, 4), dtype=np.int8)
+        codes[1, 2] = code
+        with pytest.raises(q.ShapeError, match="StateLabel"):
+            q.LabelGrid(codes, np.arange(3.0), np.arange(4.0))
 
     def test_all_double_dot(self, label_grid_factory):
         rng = np.random.default_rng(0)
@@ -245,6 +270,30 @@ class TestModelIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(q.ScanFormatError):
             q.load_model(path)
+
+    @pytest.mark.parametrize("bad", ["abc", 128.7, 0, -64, True, None])
+    def test_layer_sizes_must_be_positive_integers(self, tmp_path, bad):
+        path = tmp_path / "model.json"
+        q.save_model(q.init_model(0), path)
+        doc = json.loads(path.read_text())
+        doc["layer_sizes"][1] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(q.ScanFormatError, match="layer_sizes"):
+            q.load_model(path)
+
+    @pytest.mark.parametrize(
+        "row", [[float("nan"), 0.5, 0.5], [-0.25, 0.5, 0.75], [0.5, 0.5, 0.5]], ids=["nan", "negative", "sum"]
+    )
+    def test_dataset_targets_must_be_probability_vectors(self, tmp_path, small_dataset, row):
+        path = tmp_path / "ds.json"
+        q.save_dataset(small_dataset, path)
+        doc = json.loads(path.read_text())
+        targets = decode_blob("targets", doc["targets"], "<f8", 3 * len(small_dataset)).reshape(-1, 3).copy()
+        targets[1] = row
+        doc["targets"] = encode_blob(targets, "<f8")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(q.ScanFormatError, match="targets"):
+            q.load_dataset(path)
 
     def test_dataset_round_trip(self, tmp_path, small_dataset):
         path = tmp_path / "ds.json"

@@ -126,6 +126,38 @@ class TestTune:
         assert err["error"] == "ConfigurationError"
 
 
+    @pytest.mark.parametrize(
+        "content, cause",
+        [(b'\xff\xfe{"policy": "fixed75"}', "not valid JSON")]
+        + [
+            (json.dumps({section: [1]}).encode(), f"'{section}'")
+            for section in ("fitness", "termination", "sandbox", "success")
+        ],
+        ids=["not_utf8", "fitness", "termination", "sandbox", "success"],
+    )
+    def test_malformed_config_is_machine_readable_error(self, tmp_path, capsys, content, cause):
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        rc = main(
+            ["tune", "--config", str(config), "--source", "sim", "--start", "300,300", "--out", str(tmp_path)]
+        )
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigurationError"
+        assert cause in err["message"]
+
+    def test_training_section_must_be_an_object(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"training": "fast"}))
+        rc = main(
+            ["train", "--config", str(config), "--dataset", str(tmp_path / "ds.json"), "--out", str(tmp_path)]
+        )
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigurationError"
+        assert "'training'" in err["message"]
+
+
 class TestExperiments:
     def test_neighborhood_and_report(self, tmp_path, scan_file, capsys):
         runs = tmp_path / "runs"

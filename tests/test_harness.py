@@ -3,8 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdtune as q
+from qdtune.grids import SINGLE_DOT_CODES
 from qdtune.harness import (
     NEIGHBORHOOD_SIDE,
     ExperimentReport,
@@ -175,6 +178,37 @@ class TestLandscape:
         fast = q.fitness_landscape(source, window_span=(30.0, 30.0))
         slow = q.fitness_landscape(source, PlainOracle(), window_span=(30.0, 30.0))
         np.testing.assert_array_equal(fast.values, slow.values)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_oracle_landscape_matches_per_window_loop(self, seed):
+        """Scoring each distinct (sd, dd) pair once gives the same bytes as
+        scoring every window."""
+        rng = np.random.default_rng(seed)
+        block = int(rng.integers(1, 5))
+        k1, k2 = (int(k) for k in rng.integers(1, 8, size=2))
+        codes = np.repeat(np.repeat(rng.integers(0, 5, size=(k1, k2)), block, 0), block, 1).astype(np.int8)
+        n1, n2 = codes.shape
+        w1, w2 = int(rng.integers(1, n1 + 1)), int(rng.integers(1, n2 + 1))
+        config = q.FitnessConfig(alpha=float(rng.uniform(0, 2)), cap=bool(rng.integers(2)))
+        res = 2.0
+        v1 = 100 + (np.arange(n1) + 0.5) * res
+        v2 = 200 + (np.arange(n2) + 0.5) * res
+        source = q.PremeasuredScan(
+            q.ScanGrid(np.zeros((n1, n2)), v1, v2, q.ScanMeta(res)), q.LabelGrid(codes, v1, v2)
+        )
+        got = q.fitness_landscape(source, window_span=(w1 * res, w2 * res), fitness_config=config)
+
+        n = w1 * w2
+        expect = np.empty((n1 - w1 + 1, n2 - w2 + 1))
+        for i in range(expect.shape[0]):
+            for j in range(expect.shape[1]):
+                window = codes[i : i + w1, j : j + w2]
+                n_sd = int(np.isin(window, SINGLE_DOT_CODES).sum())
+                n_dd = int((window == int(q.StateLabel.DOUBLE_DOT)).sum())
+                p = q.ProbabilityVector((n - n_sd - n_dd) / n, n_sd / n, n_dd / n)
+                expect[i, j] = q.fitness(p, config)
+        assert got.values.tobytes() == expect.tobytes()
 
     def test_requires_premeasured_source(self, reference_params, oracle):
         with pytest.raises(q.ConfigurationError):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdtune as q
+from qdtune.grids import _check_axis
 from qdtune.preprocess import IMAGE_SIZE, ProcessedImage, _overlap_weights
 
 
@@ -100,6 +101,65 @@ class TestResize:
             w = _overlap_weights(n)
             assert w.shape == (30, n)
             np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_overlap_weights_are_shared_and_read_only(self):
+        w = _overlap_weights(45)
+        assert _overlap_weights(45) is w
+        with pytest.raises(ValueError):
+            w[0, 0] = 1.0
+
+
+def _allclose_check(axis, resolution):
+    """Acceptance by the np.allclose spacing test the grid check used to run."""
+    steps = np.diff(axis)
+    return bool(np.all(steps > 0) and np.allclose(steps, resolution, rtol=1e-9, atol=1e-9))
+
+
+class TestGridChecks:
+    @given(
+        # Near 1e-9 mV the step and the tolerance share an ulp, so a step
+        # can land exactly on the tolerance edge.
+        resolution=st.one_of(st.floats(1e-6, 1e6), st.floats(5e-10, 2e-9)),
+        offsets=st.lists(
+            st.one_of(
+                st.floats(-3.0, 3.0),
+                st.sampled_from([-1.0, 1.0, np.nan, np.inf, -np.inf]),
+                st.floats(-1e12, 1e12),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        origin=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+    )
+    @settings(max_examples=300)
+    def test_spacing_test_matches_allclose(self, resolution, offsets, origin):
+        """Steps sit ``offset`` tolerances away from the resolution, so
+        offsets near +-1 probe the tolerance edge; a one-step axis from 0
+        keeps its step exact."""
+        tol = 1e-9 + 1e-9 * resolution
+        steps = resolution + np.array(offsets) * tol
+        with np.errstate(invalid="ignore"):  # inf - inf in cumsum and diff
+            axis = origin + np.concatenate([[0.0], np.cumsum(steps)])
+            try:
+                _check_axis("v1_axis", axis, resolution)
+                accepted = True
+            except q.ShapeError:
+                accepted = False
+            assert accepted == _allclose_check(axis, resolution)
+
+    def test_non_finite_resolution_rejected(self):
+        for resolution in (np.inf, np.nan, 0.0):
+            with pytest.raises(q.ConfigurationError):
+                q.ScanMeta(resolution=resolution)
+
+    def test_with_values_shares_axes_and_checks_shape(self):
+        scan = make_scan(np.zeros((4, 5)))
+        out = scan.with_values(np.ones((4, 5), dtype=int))
+        assert out.values.dtype == float
+        assert out.v1_axis is scan.v1_axis and out.v2_axis is scan.v2_axis and out.meta is scan.meta
+        for bad in (np.ones((5, 4)), np.ones(20), np.ones((4, 5, 1))):
+            with pytest.raises(q.ShapeError):
+                scan.with_values(bad)
 
 
 class TestProcess:

@@ -176,7 +176,9 @@ class TestScanFile:
         with pytest.raises(q.ScanVersionError):
             q.load_scan(path)
 
-    @pytest.mark.parametrize("mutate", ["drop_field", "bad_base64", "truncate_blob", "not_qdscan"])
+    @pytest.mark.parametrize(
+        "mutate", ["drop_field", "bad_base64", "truncate_blob", "not_qdscan", "infinite_resolution"]
+    )
     def test_corrupt_documents_rejected(self, tmp_path, reference_params, mutate):
         scan, _ = q.render_scan(reference_params, (300.0, 320.0), (20.0, 20.0), 2.0)
         path = tmp_path / f"bad{SCAN_SUFFIX}"
@@ -188,6 +190,8 @@ class TestScanFile:
             doc["values"] = "!!notbase64!!"
         elif mutate == "truncate_blob":
             doc["values"] = doc["values"][: len(doc["values"]) // 2 // 4 * 4]
+        elif mutate == "infinite_resolution":
+            doc["resolution_mv"] = float("inf")
         else:
             doc["format"] = "something-else"
         path.write_text(json.dumps(doc))
