@@ -427,9 +427,13 @@ def load_dataset(path) -> list[LabeledSample]:
         targets = [ProbabilityVector.from_array(row) for row in t]
     except ConfigurationError as exc:
         raise ScanFormatError(f"field 'targets' holds a row that is not a probability vector: {exc}") from exc
+    try:
+        images = [ProcessedImage(row.reshape(IMAGE_SIZE, IMAGE_SIZE)) for row in x]
+    except ShapeError as exc:
+        raise ScanFormatError(f"field 'images' holds an image that is not a processed image: {exc}") from exc
     return [
         LabeledSample(
-            image=ProcessedImage(x[i].reshape(IMAGE_SIZE, IMAGE_SIZE)),
+            image=images[i],
             target=targets[i],
             center=(float(centers[i, 0]), float(centers[i, 1])),
             span=(float(spans[i, 0]), float(spans[i, 1])),

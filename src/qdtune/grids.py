@@ -1,10 +1,12 @@
 """Raster containers shared by the simulator, scan IO, and preprocessing.
 
 Checks run where data enters: every ``ScanGrid`` and ``LabelGrid``
-built by a constructor (``render_scan``, ``load_scan``, premeasured
-crops, the CLI) validates its axes, spacing and codes. A grid derived
-with :meth:`ScanGrid.with_values` trusts the axes and metadata its
-parent already passed and checks only the shape of the new values.
+built by a constructor (``render_scan``, ``load_scan``, strided
+premeasured crops, the CLI) validates its axes, spacing and codes. A
+grid derived with :meth:`ScanGrid.with_values` trusts the axes and
+metadata its parent already passed and checks only the shape of the new
+values; a stride-1 :meth:`ScanGrid.crop` or :meth:`LabelGrid.crop` is a
+read-only view of its checked parent and checks nothing.
 """
 
 from __future__ import annotations
@@ -79,6 +81,16 @@ def _check_axis(name: str, axis: np.ndarray, resolution: float) -> np.ndarray:
     return axis
 
 
+def _check_unit_step(rows: slice, cols: slice) -> None:
+    if rows.step not in (None, 1) or cols.step not in (None, 1):
+        raise ShapeError("a trusted crop takes slices of step 1; a strided crop has a new spacing")
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(eq=False)
 class ScanGrid:
     """A charge-sensor raster: ``values[i, j]`` measured at ``(v1_axis[i], v2_axis[j])``."""
@@ -116,6 +128,21 @@ class ScanGrid:
         grid.values, grid.v1_axis, grid.v2_axis, grid.meta = values, self.v1_axis, self.v2_axis, self.meta
         return grid
 
+    def crop(self, rows: slice, cols: slice) -> "ScanGrid":
+        """The sub-raster ``values[rows, cols]`` as read-only views of this grid.
+
+        The slices must have step 1, so the crop keeps this grid's spacing
+        and shares its metadata; nothing is checked again. The caller keeps
+        the slices inside the raster and non-empty.
+        """
+        _check_unit_step(rows, cols)
+        grid = object.__new__(ScanGrid)
+        grid.values = _read_only(self.values[rows, cols])
+        grid.v1_axis = _read_only(self.v1_axis[rows])
+        grid.v2_axis = _read_only(self.v2_axis[cols])
+        grid.meta = self.meta
+        return grid
+
 
 @dataclass(eq=False)
 class LabelGrid:
@@ -146,3 +173,16 @@ class LabelGrid:
     @property
     def shape(self) -> tuple[int, int]:
         return self.labels.shape
+
+    def crop(self, rows: slice, cols: slice) -> "LabelGrid":
+        """The sub-raster ``labels[rows, cols]`` as read-only views of this grid.
+
+        Same contract as :meth:`ScanGrid.crop`: step-1 slices inside the
+        raster, nothing checked again.
+        """
+        _check_unit_step(rows, cols)
+        grid = object.__new__(LabelGrid)
+        grid.labels = _read_only(self.labels[rows, cols])
+        grid.v1_axis = _read_only(self.v1_axis[rows])
+        grid.v2_axis = _read_only(self.v2_axis[cols])
+        return grid

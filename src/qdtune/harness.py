@@ -26,7 +26,7 @@ import numpy as np
 from .classifier import OracleClassifier, ProbabilityVector, oracle_probability
 from .errors import ConfigurationError, ScanFormatError, ShapeError
 from .fileio import encode_blob, write_json
-from .grids import LabelGrid, ScanGrid, SINGLE_DOT_CODES, StateLabel
+from .grids import SINGLE_DOT_CODES, StateLabel
 from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, acquire_with_labels
 from .tuner import (
     DynamicSimplex,
@@ -485,23 +485,13 @@ def fitness_landscape(
         values = scores[inverse].reshape(sd.shape)
         return LandscapeResult(values, center_v1, center_v2, (w1, w2))
 
-    meta = source.scan.meta
     values = np.empty((n1 - w1 + 1, n2 - w2 + 1))
     for i in range(values.shape[0]):
+        rows = slice(i, i + w1)
         for j in range(values.shape[1]):
-            crop = ScanGrid(
-                source.scan.values[i : i + w1, j : j + w2],
-                source.scan.v1_axis[i : i + w1],
-                source.scan.v2_axis[j : j + w2],
-                meta,
-            )
-            labels = None
-            if source.labels is not None:
-                labels = LabelGrid(
-                    source.labels.labels[i : i + w1, j : j + w2],
-                    source.scan.v1_axis[i : i + w1],
-                    source.scan.v2_axis[j : j + w2],
-                )
+            cols = slice(j, j + w2)
+            crop = source.scan.crop(rows, cols)
+            labels = None if source.labels is None else source.labels.crop(rows, cols)
             values[i, j] = fitness(classifier.probabilities(crop, labels), fitness_config)
     return LandscapeResult(values, center_v1, center_v2, (w1, w2))
 

@@ -8,6 +8,7 @@ on sensor calibration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,7 +32,8 @@ class ProcessedImage:
             raise ShapeError(
                 f"processed image must be {IMAGE_SIZE}x{IMAGE_SIZE}, got {self.values.shape}"
             )
-        if (self.values < 0).any() or (self.values > 1).any():
+        # Written so that NaN fails: every comparison with NaN is false.
+        if not (self.values.min() >= 0.0 and self.values.max() <= 1.0):
             raise ShapeError("processed image values must lie in [0, 1]")
 
     def to_csv(self, path) -> None:
@@ -53,6 +55,50 @@ def gradient_along_measurement(scan: ScanGrid) -> ScanGrid:
     return scan.with_values(grad)
 
 
+def _quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` (linear method) from one partition.
+
+    Bit for bit: numpy's interpolation indices and weight (measured from
+    index -1 when the quantile reaches the last value), its ``_lerp``,
+    which interpolates down from the upper neighbour when the weight is
+    at least 1/2, and NaN when any value is NaN (NaN partitions last).
+    """
+    n = values.size
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        below = above = -1
+    else:
+        below = math.floor(virtual)
+        above = below + 1
+    weight = virtual - below
+    # Equal values (0.0 and -0.0) may land in either order, so partition
+    # at exactly the indices numpy does.
+    part = np.partition(values, sorted({0, -1, below, above}), axis=None)
+    if math.isnan(part[-1]):
+        return math.nan
+    a, b = float(part[below]), float(part[above])
+    diff = b - a
+    return b - diff * (1.0 - weight) if weight >= 0.5 else a + diff * weight
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median(values)`` from one partition, bit for bit.
+
+    numpy averages the middle values with ``mean``, whose sum starts at
+    0.0 (so a median of zeros is +0.0), partitions at the same indices,
+    and returns NaN when any value is NaN.
+    """
+    n = values.size
+    half = n // 2
+    kth = (half, -1) if n % 2 else (half - 1, half, -1)
+    part = np.partition(values, kth, axis=None)
+    if math.isnan(part[-1]):
+        return math.nan
+    if n % 2:
+        return 0.0 + float(part[half])
+    return (0.0 + float(part[half - 1]) + float(part[half])) / 2.0
+
+
 def flip_correct(grad: ScanGrid) -> ScanGrid:
     """Make charge-transition lines bright regardless of sensor polarity.
 
@@ -64,7 +110,7 @@ def flip_correct(grad: ScanGrid) -> ScanGrid:
     """
     values = grad.values
     magnitude = np.abs(values)
-    threshold = np.quantile(magnitude, 0.9)
+    threshold = _quantile(magnitude, 0.9)
     strongest = values[magnitude >= threshold]
     mean = strongest.mean() if strongest.size else 0.0
     if mean == 0.0:
@@ -80,7 +126,7 @@ def flip_correct(grad: ScanGrid) -> ScanGrid:
 def normalize_threshold(grad: ScanGrid) -> ScanGrid:
     """Clamp negatives, remove the median background floor, scale to max 1."""
     values = np.maximum(grad.values, 0.0)
-    values = np.maximum(values - np.median(values), 0.0)
+    values = np.maximum(values - _median(values), 0.0)
     peak = values.max()
     if peak > 0.0:
         values = values / peak

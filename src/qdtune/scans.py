@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedResolutionError,
 )
 from .fileio import decode_blob, encode_blob, read_json, write_json
-from .grids import ACQUISITION_AXES, LabelGrid, ScanGrid, ScanMeta, StateLabel
+from .grids import ACQUISITION_AXES, LabelGrid, ScanGrid, ScanMeta, StateLabel, _read_only
 
 SCAN_SCHEMA_VERSION = "1"
 SCAN_SUFFIX = ".qdscan.json"
@@ -54,9 +54,13 @@ class Sandbox:
         )
 
     def contains_window(self, center: tuple[float, float], span: tuple[float, float]) -> bool:
-        """True when all four window corners are inside the limits."""
+        """True when all four window corners are inside the limits.
+
+        Written so that any NaN comparison refuses: a NaN center or span,
+        or an infinite one, is never contained.
+        """
         for (lo, hi), c, s in zip((self.v1_range, self.v2_range), center, span):
-            if c - s / 2.0 < lo or c + s / 2.0 > hi:
+            if not (lo <= c - s / 2.0 and c + s / 2.0 <= hi):
                 return False
         return True
 
@@ -93,18 +97,31 @@ class PremeasuredScan:
 MeasurementSource = SimulatedDevice | PremeasuredScan
 
 
-def _crop_indices(axis: np.ndarray, center: float, count: int, stride: int) -> np.ndarray | None:
-    """Stored indices for a window of ``count`` pixels around ``center``.
+def _crop_start(axis: np.ndarray, resolution: float, center: float, count: int, stride: int) -> int | None:
+    """First stored index of a window of ``count`` pixels around ``center``.
 
-    The window center snaps to the nearest stored pixel center; there is
-    no resampling. Returns None when the window runs off the raster.
+    The window center snaps to the nearest stored pixel center, the first
+    one on a tie, as ``np.argmin(np.abs(axis - center))`` picks it; there
+    is no resampling. ``axis`` is a checked axis of spacing ``resolution``
+    and ``center`` is not NaN. Returns None when the window runs off the
+    raster.
     """
-    nearest = int(np.argmin(np.abs(axis - center)))
+    n = axis.size
+    guess = int(round(min(max((center - float(axis[0])) / resolution, 0.0), n - 1.0)))
+    lo, hi = max(guess - 2, 0), min(guess + 2, n - 1)
+    dist = [abs(a - center) for a in axis[lo : hi + 1].tolist()]
+    best = dist.index(min(dist))
+    # |axis - center| falls then rises along a strictly increasing axis, so a
+    # first minimum strictly below the candidates' outer neighbours is the
+    # global one; otherwise (a far-off guess on a tiny spacing) scan it all.
+    if (best == 0 and lo > 0) or (hi < n - 1 and dist[-1] <= dist[best]):
+        nearest = int(np.argmin(np.abs(axis - center)))
+    else:
+        nearest = lo + best
     start = nearest - (count * stride) // 2
-    idx = start + stride * np.arange(count)
-    if idx[0] < 0 or idx[-1] >= axis.size:
+    if start < 0 or start + stride * (count - 1) >= n:
         return None
-    return idx
+    return start
 
 
 def _acquire_with_labels(
@@ -115,6 +132,8 @@ def _acquire_with_labels(
     sandbox: Sandbox,
 ) -> tuple[ScanGrid, LabelGrid | None] | Blocked:
     if not sandbox.contains_window(center, span):
+        if not all(math.isfinite(v) for v in (*center, *span)):
+            return Blocked("window center or span is not finite")
         return Blocked("window crosses the sandbox limits")
 
     if isinstance(source, SimulatedDevice):
@@ -151,20 +170,29 @@ def _acquire_with_labels(
                 raise ConfigurationError(
                     f"span {extent} is not an integer number of {resolution} mV pixels"
                 )
+            if round(n) < 1:
+                raise ConfigurationError(f"span {extent} is below one {resolution} mV pixel")
             counts.append(int(round(n)))
 
-        i1 = _crop_indices(source.scan.v1_axis, center[0], counts[0], stride)
-        i2 = _crop_indices(source.scan.v2_axis, center[1], counts[1], stride)
-        if i1 is None or i2 is None:
+        s1 = _crop_start(source.scan.v1_axis, native, float(center[0]), counts[0], stride)
+        s2 = _crop_start(source.scan.v2_axis, native, float(center[1]), counts[1], stride)
+        if s1 is None or s2 is None:
             return Blocked("window falls outside the stored raster")
+        rows = slice(s1, s1 + stride * counts[0], stride)
+        cols = slice(s2, s2 + stride * counts[1], stride)
 
-        v1 = source.scan.v1_axis[i1]
-        v2 = source.scan.v2_axis[i2]
+        if stride == 1:
+            scan = source.scan.crop(rows, cols)
+            labels = None if source.labels is None else source.labels.crop(rows, cols)
+            return scan, labels
+        # A strided window has a new spacing, so it is checked like outside data.
+        v1 = _read_only(source.scan.v1_axis[rows])
+        v2 = _read_only(source.scan.v2_axis[cols])
         meta = ScanMeta(resolution=native * stride, acquisition_axis=source.scan.meta.acquisition_axis)
-        scan = ScanGrid(source.scan.values[np.ix_(i1, i2)], v1, v2, meta)
+        scan = ScanGrid(_read_only(source.scan.values[rows, cols]), v1, v2, meta)
         labels = None
         if source.labels is not None:
-            labels = LabelGrid(source.labels.labels[np.ix_(i1, i2)], v1, v2)
+            labels = LabelGrid(_read_only(source.labels.labels[rows, cols]), v1, v2)
         return scan, labels
 
     raise ConfigurationError(f"unknown measurement source type {type(source).__name__}")

@@ -295,6 +295,18 @@ class TestModelIO:
         with pytest.raises(q.ScanFormatError, match="targets"):
             q.load_dataset(path)
 
+    @pytest.mark.parametrize("pixel", [float("nan"), 1.5, -0.25], ids=["nan", "above", "below"])
+    def test_dataset_images_must_lie_in_unit_range(self, tmp_path, small_dataset, pixel):
+        path = tmp_path / "ds.json"
+        q.save_dataset(small_dataset, path)
+        doc = json.loads(path.read_text())
+        images = decode_blob("images", doc["images"], "<f8", 900 * len(small_dataset)).copy()
+        images[905] = pixel
+        doc["images"] = encode_blob(images, "<f8")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(q.ScanFormatError, match="images"):
+            q.load_dataset(path)
+
     def test_dataset_round_trip(self, tmp_path, small_dataset):
         path = tmp_path / "ds.json"
         q.save_dataset(small_dataset, path)

@@ -210,6 +210,29 @@ class TestLandscape:
                 expect[i, j] = q.fitness(p, config)
         assert got.values.tobytes() == expect.tobytes()
 
+    def test_model_landscape_matches_loop_over_validated_grids(self, reference_params, monkeypatch):
+        """Read-only crops score every window as the validated ScanGrid and
+        LabelGrid of the same pixels do, byte for byte, and build no grid."""
+        scan, labels = q.render_scan(reference_params, (340.0, 380.0), (80.0, 80.0), 2.0, with_noise=True)
+        source = q.PremeasuredScan(scan, labels)
+        classifier = q.ModelClassifier(q.init_model(5))
+        config = q.FitnessConfig()
+        w = 30
+        expect = np.empty((scan.shape[0] - w + 1, scan.shape[1] - w + 1))
+        for i in range(expect.shape[0]):
+            for j in range(expect.shape[1]):
+                v1, v2 = scan.v1_axis[i : i + w], scan.v2_axis[j : j + w]
+                window = q.ScanGrid(scan.values[i : i + w, j : j + w], v1, v2, scan.meta)
+                window_labels = q.LabelGrid(labels.labels[i : i + w, j : j + w], v1, v2)
+                expect[i, j] = q.fitness(classifier.probabilities(window, window_labels), config)
+
+        built = []
+        original = q.ScanGrid.__post_init__
+        monkeypatch.setattr(q.ScanGrid, "__post_init__", lambda grid: built.append(original(grid)))
+        got = q.fitness_landscape(source, classifier, window_span=(w * 2.0, w * 2.0), fitness_config=config)
+        assert got.values.tobytes() == expect.tobytes()
+        assert built == []
+
     def test_requires_premeasured_source(self, reference_params, oracle):
         with pytest.raises(q.ConfigurationError):
             q.fitness_landscape(q.SimulatedDevice(reference_params), oracle)

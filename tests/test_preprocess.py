@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import qdtune as q
 from qdtune.grids import _check_axis
-from qdtune.preprocess import IMAGE_SIZE, ProcessedImage, _overlap_weights
+from qdtune.preprocess import IMAGE_SIZE, ProcessedImage, _median, _overlap_weights, _quantile
 
 
 def make_scan(values, resolution=2.0, axis="v1"):
@@ -162,6 +162,44 @@ class TestGridChecks:
                 scan.with_values(bad)
 
 
+def _same_float(a, b):
+    """Equal bit for bit, or both NaN."""
+    a, b = np.float64(a), np.float64(b)
+    return bool(np.isnan(a) and np.isnan(b)) or a.tobytes() == b.tobytes()
+
+
+_STAT_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e-300, 1e-300),  # tiny magnitudes, subnormals included
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, float("nan")]),  # ties and signed zeros
+)
+
+
+class TestPartitionStatistics:
+    @given(
+        values=st.lists(_STAT_VALUES, min_size=1, max_size=120),
+        columns=st.integers(1, 3),
+        level=st.one_of(st.just(0.9), st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=500)
+    def test_match_numpy_bit_for_bit(self, values, columns, level):
+        values = np.array(values, dtype=float)
+        if values.size % columns == 0:
+            values = values.reshape(-1, columns)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert _same_float(_quantile(values, level), np.quantile(values, level))
+            assert _same_float(_median(values), np.median(values))
+
+    def test_nan_gives_nan(self):
+        values = np.array([[0.5, float("nan")], [0.25, 1.0]])
+        assert np.isnan(_quantile(values, 0.9)) and np.isnan(_median(values))
+
+    def test_input_left_unchanged(self):
+        values = np.array([[3.0, 1.0], [2.0, 0.0]])
+        _quantile(values, 0.9), _median(values)
+        np.testing.assert_array_equal(values, [[3.0, 1.0], [2.0, 0.0]])
+
+
 class TestProcess:
     def test_shape_and_range(self, reference_params):
         scan, _ = q.render_scan(reference_params, (300.0, 320.0), (60.0, 60.0), 2.0)
@@ -232,6 +270,8 @@ class TestProcessedImage:
             ProcessedImage(np.full((30, 30), 1.5))
         with pytest.raises(q.ShapeError):
             ProcessedImage(np.full((30, 30), -0.1))
+        with pytest.raises(q.ShapeError):
+            ProcessedImage(np.where(np.eye(30) > 0, np.nan, 0.5))
 
     def test_csv_round_trip(self, tmp_path, reference_params):
         scan, _ = q.render_scan(reference_params, (300.0, 320.0), (60.0, 60.0), 2.0)

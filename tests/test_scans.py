@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdtune as q
-from qdtune.scans import SCAN_SUFFIX, Blocked, Sandbox
+from qdtune.scans import SCAN_SUFFIX, Blocked, Sandbox, _crop_start
+
+NAN, INF = float("nan"), float("inf")
 
 
 class TestSandbox:
@@ -16,6 +18,19 @@ class TestSandbox:
         assert box.contains_window((30, 570), (60, 60))
         assert not box.contains_window((20, 300), (60, 60))
         assert not box.contains_window((300, 580), (60, 60))
+
+    @pytest.mark.parametrize(
+        "center, span",
+        [((NAN, 300.0), (60.0, 60.0)), ((300.0, NAN), (60.0, 60.0)), ((300.0, 300.0), (NAN, 60.0)),
+         ((INF, 300.0), (60.0, 60.0)), ((300.0, -INF), (60.0, 60.0)), ((300.0, 300.0), (60.0, INF))],
+        ids=["nan-v1", "nan-v2", "nan-span", "inf-v1", "-inf-v2", "inf-span"],
+    )
+    def test_non_finite_window_refused_for_both_sources(self, center, span, reference_source, reference_params):
+        assert not Sandbox().contains_window(center, span)
+        for source in (q.SimulatedDevice(reference_params), reference_source):
+            got = q.acquire_with_labels(source, center, span, 2.0)
+            assert isinstance(got, Blocked)
+            assert got.reason == "window center or span is not finite"
 
     def test_contains_point_includes_edges(self):
         box = Sandbox(v1_range=(100.0, 500.0), v2_range=(0.0, 600.0))
@@ -119,6 +134,123 @@ class TestPremeasuredCrop:
         assert not isinstance(got, Blocked)
         i0, j0 = i - w, j - w
         np.testing.assert_array_equal(got.values, scan.values[i0:i0 + 2 * w, j0:j0 + 2 * w])
+
+
+def _argmin_crop(source, center, span, resolution):
+    """The premeasured crop as it was first written: a full ``np.argmin``
+    scan for the nearest pixel and ``np.ix_`` fancy indexing, every grid
+    validated. None when the window runs off the raster."""
+    scan = source.scan
+    stride = int(round(resolution / scan.meta.resolution))
+    index = []
+    for axis, c, extent in zip((scan.v1_axis, scan.v2_axis), center, span):
+        count = int(round(extent / resolution))
+        nearest = int(np.argmin(np.abs(axis - c)))
+        idx = nearest - (count * stride) // 2 + stride * np.arange(count)
+        if idx[0] < 0 or idx[-1] >= axis.size:
+            return None
+        index.append(idx)
+    i1, i2 = index
+    v1, v2 = scan.v1_axis[i1], scan.v2_axis[i2]
+    meta = q.ScanMeta(resolution=scan.meta.resolution * stride, acquisition_axis=scan.meta.acquisition_axis)
+    return (
+        q.ScanGrid(scan.values[np.ix_(i1, i2)], v1, v2, meta),
+        q.LabelGrid(source.labels.labels[np.ix_(i1, i2)], v1, v2),
+    )
+
+
+def _center_coordinate(axis, kind, offset):
+    """A window-center coordinate of the given kind along a stored axis."""
+    res = float(axis[1] - axis[0])
+    k = int(offset * (axis.size - 1))
+    if kind == "pixel":
+        return float(axis[k])
+    if kind == "tie":  # exactly half way between two stored pixel centers
+        return float(axis[min(k, axis.size - 2)]) + res / 2.0
+    if kind == "off":  # anywhere, on or near the raster
+        return float(axis[0]) - 40.0 + offset * (float(axis[-1] - axis[0]) + 80.0)
+    return float(axis[0]) + (offset - 0.5) * 1e7  # far outside
+
+
+class TestCropEquivalence:
+    """Slice-view crops against the ``np.argmin``/``np.ix_`` crop they replace."""
+
+    @given(
+        kinds=st.tuples(*[st.sampled_from(["pixel", "tie", "off", "far"])] * 2),
+        offsets=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+        pixels=st.tuples(st.integers(1, 45), st.integers(1, 45)),
+        stride=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=400)
+    def test_same_window_axes_meta_and_refusals(self, kinds, offsets, pixels, stride, reference_source):
+        scan = reference_source.scan
+        resolution = scan.meta.resolution * stride
+        center = tuple(
+            _center_coordinate(axis, kind, offset)
+            for axis, kind, offset in zip((scan.v1_axis, scan.v2_axis), kinds, offsets)
+        )
+        span = (pixels[0] * resolution, pixels[1] * resolution)
+        everywhere = Sandbox(v1_range=(-1e9, 1e9), v2_range=(-1e9, 1e9))
+        got = q.acquire_with_labels(reference_source, center, span, resolution, everywhere)
+        expect = _argmin_crop(reference_source, center, span, resolution)
+        if expect is None:
+            assert got == Blocked("window falls outside the stored raster")
+            return
+        (g_scan, g_labels), (e_scan, e_labels) = got, expect
+        for a, b in ((g_scan.values, e_scan.values), (g_scan.v1_axis, e_scan.v1_axis),
+                     (g_scan.v2_axis, e_scan.v2_axis), (g_labels.labels, e_labels.labels),
+                     (g_labels.v1_axis, e_labels.v1_axis), (g_labels.v2_axis, e_labels.v2_axis)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert g_scan.meta == e_scan.meta
+
+    @given(
+        steps=st.lists(st.floats(1e-13, 1e-9), min_size=1, max_size=40),
+        position=st.floats(-0.2, 1.2),
+        count=st.integers(1, 4),
+    )
+    @settings(max_examples=300)
+    def test_nearest_pixel_on_uneven_tiny_spacing(self, steps, position, count):
+        """At a 1e-12 mV spacing the axis check lets each step lie anywhere
+        up to 1e-9 mV, so the arithmetic guess can be far off; the result
+        must still be ``np.argmin``'s first nearest pixel."""
+        axis = np.concatenate([[0.0], np.cumsum(steps)])
+        q.ScanGrid(np.zeros((axis.size, 1)), axis, np.zeros(1), q.ScanMeta(1e-12))
+        center = position * float(axis[-1])
+        start = _crop_start(axis, 1e-12, center, count, 1)
+        nearest = int(np.argmin(np.abs(axis - center)))
+        first = nearest - count // 2
+        assert start == (first if 0 <= first and first + count - 1 < axis.size else None)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_crops_are_read_only_views(self, stride, reference_source):
+        scan, labels = q.acquire_with_labels(reference_source, (301.0, 330.0), (40.0, 40.0), 2.0 * stride)
+        assert np.shares_memory(scan.values, reference_source.scan.values)
+        assert np.shares_memory(labels.labels, reference_source.labels.labels)
+        for array in (scan.values, scan.v1_axis, scan.v2_axis, labels.labels, labels.v1_axis, labels.v2_axis):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            scan.values[0, 0] = 1.0
+
+    def test_stride_one_crop_shares_metadata_and_skips_checks(self, reference_source, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a stride-1 crop validated a grid")
+
+        monkeypatch.setattr(q.ScanGrid, "__post_init__", refuse)
+        monkeypatch.setattr(q.LabelGrid, "__post_init__", refuse)
+        scan, labels = q.acquire_with_labels(reference_source, (301.0, 330.0), (40.0, 40.0), 2.0)
+        assert scan.meta is reference_source.scan.meta
+        assert scan.shape == labels.shape == (20, 20)
+
+    def test_trusted_crop_takes_unit_steps_only(self, reference_source):
+        with pytest.raises(q.ShapeError):
+            reference_source.scan.crop(slice(0, 10, 2), slice(0, 10))
+        with pytest.raises(q.ShapeError):
+            reference_source.labels.crop(slice(0, 10), slice(0, 10, 2))
+
+    @pytest.mark.parametrize("span", [(0.0, 60.0), (60.0, -60.0)], ids=["zero", "negative"])
+    def test_window_below_one_pixel_rejected(self, span, reference_source):
+        with pytest.raises(q.ConfigurationError, match="below one"):
+            q.acquire(reference_source, (300.0, 330.0), span, 2.0)
 
 
 class TestSensorFlip:

@@ -263,6 +263,16 @@ class TestAutotune:
         assert run.outcome.kind == "aborted"
         assert "UnsupportedResolutionError" in run.outcome.cause
 
+    def test_nan_window_aborts_at_the_processed_image(self, reference_scan):
+        scan, labels = reference_scan
+        values = scan.values.copy()
+        i = int(np.argmin(np.abs(scan.v1_axis - 350.0)))
+        values[i, :] = np.nan
+        source = q.PremeasuredScan(scan.with_values(values), labels)
+        run = q.autotune(source, q.ModelClassifier(q.init_model(0)), (350.0, 400.0))
+        assert run.outcome.kind == "aborted"
+        assert run.outcome.cause == "ShapeError: processed image values must lie in [0, 1]"
+
     def test_plateau_start_converges_to_cap(self, reference_source, oracle):
         run = q.autotune(reference_source, oracle, (500.0, 470.0))
         assert run.outcome.kind == "converged"
