@@ -62,7 +62,6 @@ def build_source(params, center, span, out_dir, name):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--classifier", default="oracle", help="oracle or model:PATH")
     parser.add_argument("--skip-heatmap", action="store_true")
     args = parser.parse_args()
@@ -84,9 +83,7 @@ def main() -> int:
     for tag, points in (("good", GOOD_POINTS), ("plateau", PLATEAU_POINTS)):
         for policy_name, policy in POLICIES.items():
             for point in points:
-                rep = neighborhood_experiment(
-                    source, classifier, point, policy, workers=args.workers
-                )
+                rep = neighborhood_experiment(source, classifier, point, policy)
                 rep.save_json(out / f"report_{tag}_{point[0]}_{point[1]}_{policy_name}.json")
                 reports.append(rep)
                 print(
@@ -106,7 +103,7 @@ def main() -> int:
     if not args.skip_heatmap:
         hm_source = build_source(params, *HEATMAP_SCAN, out, "heatmap_scan")
         for policy_name, policy in POLICIES.items():
-            hm = heatmap(hm_source, classifier, policy=policy, workers=args.workers)
+            hm = heatmap(hm_source, classifier, policy=policy)
             hm.save_json(out / f"heatmap_{policy_name}.json")
             print(
                 f"heatmap {policy_name}: {hm.weights.shape[0]}x{hm.weights.shape[1]} starts, "

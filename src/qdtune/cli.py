@@ -304,7 +304,6 @@ def _cmd_neighborhood(args) -> int:
         term=term,
         sandbox=sandbox,
         regions=regions,
-        workers=args.workers if args.workers is not None else int(config.get("workers", 1)),
     )
     out = _out_dir(args)
     point = report.point
@@ -327,7 +326,6 @@ def _cmd_heatmap(args) -> int:
         term=term,
         sandbox=sandbox,
         regions=regions,
-        workers=args.workers if args.workers is not None else int(config.get("workers", 1)),
     )
     out = _out_dir(args)
     path = out / "heatmap.json"
@@ -419,8 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--policy", choices=["fixed75", "fixed100", "dynamic"])
         p.add_argument("--span", help="window span 'S1,S2' in mV")
         p.add_argument("--resolution", type=float)
-        if name == "neighborhood":
-            p.add_argument("--workers", type=int)
         p.add_argument("--out", required=True)
 
     p = add("heatmap", _cmd_heatmap, "success heatmap over a full scan")
@@ -429,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=["fixed75", "fixed100", "dynamic"])
     p.add_argument("--grid-step", type=float, dest="grid_step")
     p.add_argument("--span", help="window span 'S1,S2' in mV")
-    p.add_argument("--workers", type=int)
     p.add_argument("--out", required=True)
 
     p = add("landscape", _cmd_landscape, "exhaustive fitness map of a stored scan")

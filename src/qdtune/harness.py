@@ -9,17 +9,15 @@ aggregate success rate weights them 1 and 1/2::
 
 The experiments mirror the offline protocol: 9x9-pixel neighborhoods of
 handpicked starting points (81 runs each), coarse start grids over a
-whole premeasured scan, and exhaustive fitness landscapes. Runs within
-an experiment are independent and may be farmed out to a process pool;
-results are aggregated in start order, so reports do not depend on the
-worker count.
+whole premeasured scan, and exhaustive fitness landscapes. An
+experiment runs its starts one after another, in start order; no run
+depends on the runs before it.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -115,21 +113,6 @@ def success_rate(
 # --- experiment plumbing -----------------------------------------------------
 
 
-def _run_one(args) -> TuningRun:
-    source, classifier, start, span, resolution, fitness_config, policy, term, sandbox = args
-    return autotune(
-        source,
-        classifier,
-        start,
-        span=span,
-        resolution=resolution,
-        fitness_config=fitness_config,
-        policy=policy,
-        term=term,
-        sandbox=sandbox,
-    )
-
-
 def _run_batch(
     starts,
     source,
@@ -140,16 +123,22 @@ def _run_batch(
     policy,
     term,
     sandbox,
-    workers: int,
 ) -> list[TuningRun]:
-    jobs = [
-        (source, classifier, start, span, resolution, fitness_config, policy, term, sandbox)
+    """One tuning run per start, in start order."""
+    return [
+        autotune(
+            source,
+            classifier,
+            start,
+            span=span,
+            resolution=resolution,
+            fitness_config=fitness_config,
+            policy=policy,
+            term=term,
+            sandbox=sandbox,
+        )
         for start in starts
     ]
-    if workers <= 1:
-        return [_run_one(job) for job in jobs]
-    with Pool(processes=workers) as pool:
-        return pool.map(_run_one, jobs)
 
 
 @dataclass(eq=False)
@@ -266,7 +255,6 @@ def neighborhood_experiment(
     term: TerminationConfig | None = None,
     sandbox: Sandbox | None = None,
     regions: SuccessRegions | None = None,
-    workers: int = 1,
 ) -> ExperimentReport:
     """Tune from every pixel of the 9x9 neighborhood around ``point``.
 
@@ -291,7 +279,7 @@ def neighborhood_experiment(
             )
 
     runs = _run_batch(
-        starts, source, classifier, span, resolution, fitness_config, policy, term, sandbox, workers
+        starts, source, classifier, span, resolution, fitness_config, policy, term, sandbox
     )
     weights = [run_weight(run, source, span, resolution, sandbox, regions) for run in runs]
     policy_name = runs[0].policy_name if runs else ""
@@ -357,7 +345,6 @@ def heatmap(
     term: TerminationConfig | None = None,
     sandbox: Sandbox | None = None,
     regions: SuccessRegions | None = None,
-    workers: int = 1,
 ) -> HeatmapResult:
     """One tuning run per start on a grid covering the whole source.
 
@@ -386,7 +373,7 @@ def heatmap(
 
     starts = [(float(a), float(b)) for a in v1_starts for b in v2_starts]
     runs = _run_batch(
-        starts, source, classifier, span, resolution, fitness_config, policy, term, sandbox, workers
+        starts, source, classifier, span, resolution, fitness_config, policy, term, sandbox
     )
     weights = np.array(
         [run_weight(run, source, span, resolution, sandbox, regions) for run in runs]

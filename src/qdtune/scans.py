@@ -1,9 +1,10 @@
 """Window acquisition with sandbox enforcement, plus scan file IO.
 
-Acquisition goes through one chokepoint, :func:`acquire`: every window a
-tuning run asks for is checked against the safety sandbox first, and
-windows the source cannot deliver come back as :class:`Blocked` instead
-of raising, so the optimizer can treat them as a fixed bad fitness.
+Acquisition goes through one chokepoint, :func:`acquire_with_labels`:
+every window a tuning run asks for is checked against the safety sandbox
+first, and windows the source cannot deliver come back as
+:class:`Blocked` instead of raising, so the optimizer can treat them as a
+fixed bad fitness.
 
 Scan files are a single JSON document: a self-describing header plus
 base64 blobs of little-endian float64 (values, axes) and int8 (labels)
@@ -124,14 +125,21 @@ def _crop_start(axis: np.ndarray, resolution: float, center: float, count: int, 
     return start
 
 
-def _acquire_with_labels(
+def acquire_with_labels(
     source: MeasurementSource,
     center: tuple[float, float],
     span: tuple[float, float],
     resolution: float,
-    sandbox: Sandbox,
+    sandbox: Sandbox | None = None,
 ) -> tuple[ScanGrid, LabelGrid | None] | Blocked:
-    if not sandbox.contains_window(center, span):
+    """Measure one window with its ground-truth labels, or refuse it.
+
+    The labels are None when the source has none. Returns Blocked when
+    any window corner leaves the sandbox, when a simulated window exceeds
+    the device domain, or when a premeasured window runs off the stored
+    raster.
+    """
+    if not (sandbox or Sandbox()).contains_window(center, span):
         if not all(math.isfinite(v) for v in (*center, *span)):
             return Blocked("window center or span is not finite")
         return Blocked("window crosses the sandbox limits")
@@ -205,27 +213,11 @@ def acquire(
     resolution: float,
     sandbox: Sandbox | None = None,
 ) -> ScanGrid | Blocked:
-    """Measure one window, or refuse it.
-
-    Returns Blocked when any window corner leaves the sandbox, when a
-    simulated window exceeds the device domain, or when a premeasured
-    window runs off the stored raster.
-    """
-    result = _acquire_with_labels(source, center, span, resolution, sandbox or Sandbox())
+    """Like :func:`acquire_with_labels` but returns the scan alone."""
+    result = acquire_with_labels(source, center, span, resolution, sandbox)
     if isinstance(result, Blocked):
         return result
     return result[0]
-
-
-def acquire_with_labels(
-    source: MeasurementSource,
-    center: tuple[float, float],
-    span: tuple[float, float],
-    resolution: float,
-    sandbox: Sandbox | None = None,
-) -> tuple[ScanGrid, LabelGrid | None] | Blocked:
-    """Like :func:`acquire` but keeps the ground-truth labels when the source has them."""
-    return _acquire_with_labels(source, center, span, resolution, sandbox or Sandbox())
 
 
 def inject_sensor_flip(scan: ScanGrid) -> ScanGrid:
@@ -293,6 +285,8 @@ def load_scan(path) -> tuple[ScanGrid, LabelGrid | None]:
     v1 = decode_blob("v1_axis", doc["v1_axis"], "<f8", n1)
     v2 = decode_blob("v2_axis", doc["v2_axis"], "<f8", n2)
     values = decode_blob("values", doc["values"], "<f8", n1 * n2).reshape(n1, n2)
+    if not np.isfinite(values).all():
+        raise ScanFormatError("field 'values' holds NaN or infinite sensor values")
     meta = ScanMeta(resolution=float(resolution), acquisition_axis=axis_name)
     try:
         scan = ScanGrid(values, v1, v2, meta)

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 import qdtune as q
+from qdtune.harness import NEIGHBORHOOD_SIDE
 
 settings.register_profile(
     "ci", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -57,6 +60,27 @@ def random_label_grid(rng, n1=None, n2=None):
 @pytest.fixture(scope="session")
 def label_grid_factory():
     return random_label_grid
+
+
+@pytest.fixture(scope="session")
+def fresh_runs_in_reverse():
+    """Fresh ``autotune`` runs from the 81 neighborhood starts of ``point``,
+    made in reverse start order, as JSON text keyed by start.
+
+    Make them before the experiment they are compared with: a run of that
+    experiment that depends on what ran before it in the same process then
+    differs from its fresh run.
+    """
+
+    def runs(source, classifier, point, make_policy) -> dict:
+        offsets = (np.arange(NEIGHBORHOOD_SIDE) - NEIGHBORHOOD_SIDE // 2) * source.scan.meta.resolution
+        starts = [(float(point[0] + d1), float(point[1] + d2)) for d1 in offsets for d2 in offsets]
+        return {
+            start: json.dumps(q.autotune(source, classifier, start, policy=make_policy()).to_json_dict())
+            for start in reversed(starts)
+        }
+
+    return runs
 
 
 ACCEPTANCE_LINES: list[str] = []

@@ -9,6 +9,7 @@ PASS or FAIL line; the slow ones (8 and 10) stay within their stated
 runtime budgets on a plain desktop CPU.
 """
 
+import json
 import math
 import time
 
@@ -36,11 +37,11 @@ def tuning_suite(reference_source, oracle):
     for policy_name, make in POLICY_TABLE.items():
         suite[policy_name] = {
             "good": [
-                neighborhood_experiment(reference_source, oracle, p, make(), workers=4)
+                neighborhood_experiment(reference_source, oracle, p, make())
                 for p in GOOD_POINTS
             ],
             "plateau": [
-                neighborhood_experiment(reference_source, oracle, p, make(), workers=4)
+                neighborhood_experiment(reference_source, oracle, p, make())
                 for p in PLATEAU_POINTS
             ],
         }
@@ -269,20 +270,25 @@ def test_criterion_12_landscape_geometry(acceptance, reference_source, reference
     )
 
 
-def test_criterion_13_end_to_end_determinism(acceptance, reference_source, oracle, tmp_path):
-    def render(workers):
-        report = neighborhood_experiment(
-            reference_source, oracle, (350.0, 415.0), q.DynamicSimplex(), workers=workers
-        )
-        path = tmp_path / f"report_w{workers}_{render.calls}.json"
-        render.calls += 1
-        report.save_json(path)
-        return path.read_bytes()
+def test_criterion_13_end_to_end_determinism(
+    acceptance, reference_source, oracle, fresh_runs_in_reverse, tmp_path
+):
+    point = (350.0, 415.0)
+    fresh = fresh_runs_in_reverse(reference_source, oracle, point, q.DynamicSimplex)
 
-    render.calls = 0
-    first = render(1)
-    again = render(1)
-    parallel2 = render(2)
-    parallel3 = render(3)
-    ok = first == again == parallel2 == parallel3
-    acceptance(13, ok, f"byte-identical reports across reruns and worker counts ({len(first)} bytes)")
+    def render(name):
+        report = neighborhood_experiment(reference_source, oracle, point, q.DynamicSimplex())
+        path = tmp_path / f"report_{name}.json"
+        report.save_json(path)
+        return report, path.read_bytes()
+
+    report, first = render("first")
+    _, again = render("again")
+    same_runs = [json.dumps(run.to_json_dict()) == fresh.get(run.start) for run in report.runs]
+    ok = first == again and len(same_runs) == 81 and all(same_runs)
+    acceptance(
+        13,
+        ok,
+        f"byte-identical reports across reruns, {sum(same_runs)} of 81 runs equal to fresh runs "
+        f"made before them in reverse order ({len(first)} bytes)",
+    )

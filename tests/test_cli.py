@@ -114,6 +114,17 @@ class TestTune:
         assert err["error"] == "ScanFormatError"
         assert "message" in err
 
+    def test_non_finite_scan_is_machine_readable_error(self, tmp_path, capsys, reference_source):
+        path = tmp_path / "nan.qdscan.json"
+        scan = reference_source.scan
+        q.save_scan(scan.with_values(np.full(scan.shape, np.nan)), path, reference_source.labels)
+        rc = main(["tune", "--source", f"scan:{path}", "--start", "350,400", "--out", str(tmp_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScanFormatError"
+        assert "'values'" in err["message"]
+        assert not (tmp_path / "run.json").exists()
+
     def test_bad_policy_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["tune", "--source", "sim", "--start", "300,300", "--policy", "fixed80", "--out", str(tmp_path)])
@@ -167,7 +178,6 @@ class TestExperiments:
                 "--source", f"scan:{scan_file}",
                 "--point", "330,350",
                 "--policy", "fixed75",
-                "--workers", "2",
                 "--out", str(runs),
             ]
         )
@@ -210,7 +220,6 @@ class TestExperiments:
                 "heatmap",
                 "--source", f"scan:{scan_file}",
                 "--grid-step", "40",
-                "--workers", "2",
                 "--out", str(tmp_path),
             ]
         )

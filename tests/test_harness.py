@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 
 import numpy as np
@@ -112,14 +113,13 @@ class TestNeighborhood:
 
 
 class TestDeterminism:
-    def test_worker_count_does_not_change_report(self, reference_source, oracle, tmp_path):
-        kwargs = dict(point=(350.0, 415.0), policy=q.FixedSimplex(100.0))
-        seq = q.neighborhood_experiment(reference_source, oracle, workers=1, **kwargs)
-        par = q.neighborhood_experiment(reference_source, oracle, workers=3, **kwargs)
-        p1, p2 = tmp_path / "seq.json", tmp_path / "par.json"
-        seq.save_json(p1)
-        par.save_json(p2)
-        assert p1.read_bytes() == p2.read_bytes()
+    def test_runs_match_fresh_runs_in_reverse_order(self, reference_source, oracle, fresh_runs_in_reverse):
+        make_policy = functools.partial(q.FixedSimplex, 100.0)
+        fresh = fresh_runs_in_reverse(reference_source, oracle, (350.0, 415.0), make_policy)
+        report = q.neighborhood_experiment(reference_source, oracle, (350.0, 415.0), make_policy())
+        assert len(report.runs) == 81
+        for run in report.runs:
+            assert json.dumps(run.to_json_dict()) == fresh.get(run.start), run.start
 
     def test_repeat_invocation_identical(self, reference_source, oracle, tmp_path):
         a = q.neighborhood_experiment(reference_source, oracle, (250.0, 400.0), q.DynamicSimplex())
@@ -136,7 +136,7 @@ class TestHeatmap:
         # keeps 115 mV clear on the low side and 15 mV on the high side
         scan, labels = q.render_scan(reference_params, (300.0, 350.0), (400.0, 400.0), 2.0)
         source = q.PremeasuredScan(scan, labels)
-        result = q.heatmap(source, oracle, workers=2)
+        result = q.heatmap(source, oracle)
         assert result.weights.shape == (28, 28)
         assert result.n_starts == 784
         assert result.v1_starts[0] == 215.0 and result.v1_starts[-1] == 485.0
@@ -149,7 +149,7 @@ class TestHeatmap:
         assert policy_reach(q.DynamicSimplex()) == 150.0
 
     def test_json_output(self, reference_source, oracle, tmp_path):
-        result = q.heatmap(reference_source, oracle, grid_step=60.0, workers=2)
+        result = q.heatmap(reference_source, oracle, grid_step=60.0)
         path = tmp_path / "hm.json"
         result.save_json(path)
         doc = json.loads(path.read_text())

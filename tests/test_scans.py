@@ -330,6 +330,17 @@ class TestScanFile:
         with pytest.raises(q.ScanFormatError):
             q.load_scan(path)
 
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    @pytest.mark.parametrize("everywhere", [True, False], ids=["all", "one_pixel"])
+    def test_non_finite_values_rejected(self, tmp_path, reference_params, bad, everywhere):
+        scan, labels = q.render_scan(reference_params, (300.0, 320.0), (20.0, 20.0), 2.0)
+        values = np.full(scan.shape, bad) if everywhere else scan.values.copy()
+        values[3, 4] = bad
+        path = tmp_path / f"bad{SCAN_SUFFIX}"
+        q.save_scan(scan.with_values(values), path, labels)
+        with pytest.raises(q.ScanFormatError, match="'values'"):
+            q.load_scan(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(q.ScanFormatError):
             q.load_scan(tmp_path / "nope.qdscan.json")
