@@ -7,7 +7,7 @@ deterministic and needs no live measurement:
 
 1. 9x9 neighborhood experiments (81 starts each) around seven starting
    points near the double-dot region, for all three simplex policies.
-2. The same experiments around four points deep in the single-central
+2. The same experiments around five points deep in the single-central
    plateau, where the capped fitness gives the optimizer no signal.
 3. A success heatmap over a second scan, one run per 10 mV grid cell.
 4. An exhaustive fitness landscape of the scan for a 60x60 mV window.

@@ -9,7 +9,6 @@ from .device import (
     render_scan,
     sample_device,
     save_device,
-    sensor_response,
     state_at,
 )
 from .classifier import (
@@ -55,7 +54,6 @@ from .harness import (
     heatmap,
     iteration_stats,
     neighborhood_experiment,
-    success_rate,
     write_iteration_csv,
     write_success_csv,
     write_summary_text,
@@ -75,7 +73,6 @@ from .scans import (
     PremeasuredScan,
     Sandbox,
     SimulatedDevice,
-    acquire,
     acquire_with_labels,
     inject_sensor_flip,
     load_scan,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import device as device_model
-from .device import DeviceParams, VariationConfig
+from .device import VariationConfig
 from .errors import (
     ConfigurationError,
     ScanFormatError,
@@ -174,8 +174,6 @@ class ClassifierModel:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     layer_sizes: tuple[int, ...] = LAYER_SIZES
-    activation: str = "relu"
-    output: str = "softmax"
 
     def __post_init__(self):
         expected = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
@@ -186,8 +184,6 @@ class ClassifierModel:
                 raise ShapeError(
                     f"layer expects W{(n_in, n_out)} b{(n_out,)}, got W{w.shape} b{b.shape}"
                 )
-        if self.activation != "relu" or self.output != "softmax":
-            raise ConfigurationError("only relu activations with a softmax output are supported")
 
 
 @dataclass(frozen=True)
@@ -348,8 +344,8 @@ def save_model(model: ClassifierModel, path) -> None:
         "format": "qdtune-model",
         "version": MODEL_SCHEMA_VERSION,
         "layer_sizes": list(model.layer_sizes),
-        "activation": model.activation,
-        "output": model.output,
+        "activation": "relu",
+        "output": "softmax",
         "weights": [encode_blob(w, "<f8") for w in model.weights],
         "biases": [encode_blob(b, "<f8") for b in model.biases],
     }
@@ -362,6 +358,8 @@ def load_model(path) -> ClassifierModel:
         raise ScanFormatError("file is not a qdtune-model document")
     if doc.get("version") != MODEL_SCHEMA_VERSION:
         raise ScanVersionError(f"model version {doc.get('version')!r} not supported")
+    if doc.get("activation", "relu") != "relu" or doc.get("output", "softmax") != "softmax":
+        raise ScanFormatError("only relu activations with a softmax output are supported")
     sizes = doc.get("layer_sizes")
     if not isinstance(sizes, list) or len(sizes) < 2:
         raise ScanFormatError("field 'layer_sizes' must list at least two layers")
@@ -380,13 +378,7 @@ def load_model(path) -> ClassifierModel:
         decode_blob(f"biases[{i}]", blob, "<f8", n_out)
         for i, (blob, (_, n_out)) in enumerate(zip(raw_b, pairs))
     ]
-    return ClassifierModel(
-        weights=weights,
-        biases=biases,
-        layer_sizes=sizes,
-        activation=doc.get("activation", "relu"),
-        output=doc.get("output", "softmax"),
-    )
+    return ClassifierModel(weights=weights, biases=biases, layer_sizes=sizes)
 
 
 def save_dataset(samples: list[LabeledSample], path) -> None:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Every command reads an optional JSON config file (``--config``) whose
-fields mirror the library dataclasses; individual flags override it.
+Every command but ``evaluate`` and ``report`` reads an optional JSON
+config file (``--config``) whose fields mirror the library dataclasses;
+individual flags override it.
 Measurement sources are spelled ``sim`` (the reference device),
 ``sim:SEED`` (a sampled device), or ``scan:PATH`` (a premeasured scan
 file); classifiers are ``oracle`` or ``model:PATH``. Errors exit
@@ -371,11 +372,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qdtune", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Each command takes --config and --seed only when it reads them.
+    reads_seed = {"sample-device", "render-scan", "gen-dataset", "train"}
+    reads_config = reads_seed | {"tune", "neighborhood", "heatmap", "landscape"}
+
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--config", help="JSON config file with default settings")
-        p.add_argument("--seed", type=int, help="random seed")
+        if name in reads_config:
+            p.add_argument("--config", help="JSON config file with default settings")
+        if name in reads_seed:
+            p.add_argument("--seed", type=int, help="random seed")
         return p
 
     p = add("sample-device", _cmd_sample_device, "draw a random device and save its parameters")

@@ -39,7 +39,7 @@ from scipy.special import expit
 
 from .errors import ConfigurationError, DomainError, ScanFormatError, ScanVersionError
 from .fileio import read_json, write_json
-from .grids import LabelGrid, ScanGrid, ScanMeta, StateLabel
+from .grids import LabelGrid, ScanGrid, ScanMeta, StateLabel, pixel_count
 
 #: Plunger-voltage domain of every simulated device, in millivolts.
 DOMAIN_MV = (0.0, 600.0)
@@ -272,21 +272,6 @@ def _sensor_grid(params: DeviceParams, v1: np.ndarray, v2: np.ndarray) -> np.nda
     return arm1 * n1 * w1 + arm2 * n2 * w2 + params.background_gradient * (v1 + v2)
 
 
-def sensor_response(
-    params: DeviceParams,
-    v1: float,
-    v2: float,
-    with_noise: bool = False,
-    noise_seed: int = 0,
-) -> float:
-    """Charge-sensor signal at one point, optionally with Gaussian noise."""
-    a1, a2 = _check_domain(v1, v2)
-    value = float(_sensor_grid(params, a1, a2))
-    if with_noise and params.noise_sigma > 0:
-        value += float(np.random.default_rng(noise_seed).normal(0.0, params.noise_sigma))
-    return value
-
-
 def render_scan(
     params: DeviceParams,
     center: tuple[float, float],
@@ -305,18 +290,7 @@ def render_scan(
         raise ConfigurationError(f"resolution must be positive, got {resolution}")
     c1, c2 = float(center[0]), float(center[1])
     s1, s2 = float(span[0]), float(span[1])
-    if s1 <= 0 or s2 <= 0:
-        raise ConfigurationError(f"span must be positive, got {span}")
-
-    counts = []
-    for name, extent in (("v1", s1), ("v2", s2)):
-        n = extent / resolution
-        if abs(n - round(n)) > 1e-9:
-            raise ConfigurationError(
-                f"{name} span {extent} is not an integer number of {resolution} mV pixels"
-            )
-        counts.append(int(round(n)))
-    n1, n2 = counts
+    n1, n2 = pixel_count(s1, resolution), pixel_count(s2, resolution)
 
     lo1, hi1 = c1 - s1 / 2.0, c1 + s1 / 2.0
     lo2, hi2 = c2 - s2 / 2.0, c2 + s2 / 2.0

@@ -81,6 +81,19 @@ def _check_axis(name: str, axis: np.ndarray, resolution: float) -> np.ndarray:
     return axis
 
 
+def pixel_count(extent: float, resolution: float) -> int:
+    """Number of ``resolution`` mV pixels across a window ``extent`` mV wide.
+
+    Raises ConfigurationError unless that is a whole number, at least one.
+    """
+    n = extent / resolution
+    if not (math.isfinite(n) and abs(n - round(n)) <= 1e-9):
+        raise ConfigurationError(f"span {extent} is not an integer number of {resolution} mV pixels")
+    if round(n) < 1:
+        raise ConfigurationError(f"span {extent} is below one {resolution} mV pixel")
+    return int(round(n))
+
+
 def _check_unit_step(rows: slice, cols: slice) -> None:
     if rows.step not in (None, 1) or cols.step not in (None, 1):
         raise ShapeError("a trusted crop takes slices of step 1; a strided crop has a new spacing")

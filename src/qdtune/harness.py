@@ -24,10 +24,9 @@ import numpy as np
 from .classifier import OracleClassifier, ProbabilityVector, oracle_probability
 from .errors import ConfigurationError, ScanFormatError, ShapeError
 from .fileio import encode_blob, write_json
-from .grids import SINGLE_DOT_CODES, StateLabel
+from .grids import SINGLE_DOT_CODES, StateLabel, pixel_count
 from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, acquire_with_labels
 from .tuner import (
-    DynamicSimplex,
     FitnessConfig,
     FixedSimplex,
     SimplexPolicy,
@@ -93,21 +92,6 @@ def run_weight(
     if center is None:
         return 0.0
     return regions.weight(ground_truth_dd_fraction(source, center, span, resolution, sandbox))
-
-
-def success_rate(
-    runs: list[TuningRun],
-    regions: SuccessRegions,
-    source: MeasurementSource,
-    span: tuple[float, float] = (60.0, 60.0),
-    resolution: float = 2.0,
-    sandbox: Sandbox | None = None,
-) -> float:
-    """Weighted success rate over a batch of completed runs."""
-    if not runs:
-        raise ConfigurationError("cannot compute a success rate over zero runs")
-    total = sum(run_weight(run, source, span, resolution, sandbox, regions) for run in runs)
-    return total / len(runs)
 
 
 # --- experiment plumbing -----------------------------------------------------
@@ -442,11 +426,8 @@ def fitness_landscape(
     fitness_config = fitness_config or FitnessConfig()
 
     native = source.scan.meta.resolution
-    w1 = int(round(window_span[0] / native))
-    w2 = int(round(window_span[1] / native))
+    w1, w2 = pixel_count(window_span[0], native), pixel_count(window_span[1], native)
     n1, n2 = source.scan.shape
-    if w1 < 1 or w2 < 1:
-        raise ConfigurationError(f"window span {window_span} is below one pixel")
     if w1 > n1 or w2 > n2:
         raise ShapeError(f"window {w1}x{w2} px exceeds the {n1}x{n2} px scan")
 

@@ -36,9 +36,6 @@ class ProcessedImage:
         if not (self.values.min() >= 0.0 and self.values.max() <= 1.0):
             raise ShapeError("processed image values must lie in [0, 1]")
 
-    def to_csv(self, path) -> None:
-        np.savetxt(path, self.values, delimiter=",")
-
 
 def gradient_along_measurement(scan: ScanGrid) -> ScanGrid:
     """Forward-difference derivative along the acquisition axis.

@@ -29,7 +29,15 @@ from .errors import (
     UnsupportedResolutionError,
 )
 from .fileio import decode_blob, encode_blob, read_json, write_json
-from .grids import ACQUISITION_AXES, LabelGrid, ScanGrid, ScanMeta, StateLabel, _read_only
+from .grids import (
+    ACQUISITION_AXES,
+    LabelGrid,
+    ScanGrid,
+    ScanMeta,
+    StateLabel,
+    _read_only,
+    pixel_count,
+)
 
 SCAN_SCHEMA_VERSION = "1"
 SCAN_SUFFIX = ".qdscan.json"
@@ -171,16 +179,7 @@ def acquire_with_labels(
             )
         stride = int(round(ratio))
 
-        counts = []
-        for extent in span:
-            n = extent / resolution
-            if abs(n - round(n)) > 1e-9:
-                raise ConfigurationError(
-                    f"span {extent} is not an integer number of {resolution} mV pixels"
-                )
-            if round(n) < 1:
-                raise ConfigurationError(f"span {extent} is below one {resolution} mV pixel")
-            counts.append(int(round(n)))
+        counts = [pixel_count(extent, resolution) for extent in span]
 
         s1 = _crop_start(source.scan.v1_axis, native, float(center[0]), counts[0], stride)
         s2 = _crop_start(source.scan.v2_axis, native, float(center[1]), counts[1], stride)
@@ -204,20 +203,6 @@ def acquire_with_labels(
         return scan, labels
 
     raise ConfigurationError(f"unknown measurement source type {type(source).__name__}")
-
-
-def acquire(
-    source: MeasurementSource,
-    center: tuple[float, float],
-    span: tuple[float, float],
-    resolution: float,
-    sandbox: Sandbox | None = None,
-) -> ScanGrid | Blocked:
-    """Like :func:`acquire_with_labels` but returns the scan alone."""
-    result = acquire_with_labels(source, center, span, resolution, sandbox)
-    if isinstance(result, Blocked):
-        return result
-    return result[0]
 
 
 def inject_sensor_flip(scan: ScanGrid) -> ScanGrid:

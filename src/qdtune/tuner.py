@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,8 +145,6 @@ class TerminationConfig:
 @dataclass(eq=False)
 class NelderMeadResult:
     best_vertex: tuple[float, float]
-    best_value: float
-    evaluations: list[tuple[tuple[float, float], float]]
     reason: str  # fitness_converged | simplex_converged | max_iterations
 
 
@@ -160,34 +158,25 @@ def nelder_mead(
     objective,
     simplex: np.ndarray,
     term: TerminationConfig | None = None,
-    preevaluated: dict[int, float] | None = None,
+    start_value: float | None = None,
 ) -> NelderMeadResult:
     """Minimize ``objective`` over the plane starting from a 3-vertex simplex.
 
-    ``preevaluated`` maps vertex indices to already-known objective
-    values (they still count against the evaluation budget). The
-    evaluation trace records every objective call this routine makes.
+    ``start_value`` is the already-known objective value at
+    ``simplex[0]``; it is not measured again but still counts against
+    the evaluation budget.
     """
     term = term or TerminationConfig()
     sim = np.array(simplex, dtype=float)
     if sim.shape != (3, 2):
         raise ConfigurationError(f"simplex must be 3 vertices in 2-d, got shape {sim.shape}")
 
-    evaluations: list[tuple[tuple[float, float], float]] = []
-    used = len(preevaluated) if preevaluated else 0
-
     def call(point: np.ndarray) -> float:
-        value = float(objective((float(point[0]), float(point[1]))))
-        evaluations.append(((float(point[0]), float(point[1])), value))
-        return value
+        return float(objective((float(point[0]), float(point[1]))))
 
-    fsim = np.empty(3)
-    for i in range(3):
-        if preevaluated and i in preevaluated:
-            fsim[i] = preevaluated[i]
-        else:
-            fsim[i] = call(sim[i])
-            used += 1
+    first = call(sim[0]) if start_value is None else float(start_value)
+    fsim = np.array([first, call(sim[1]), call(sim[2])])
+    used = 3
 
     reason = None
     while True:
@@ -247,12 +236,7 @@ def nelder_mead(
             break
 
     best = int(np.argmin(fsim))
-    return NelderMeadResult(
-        best_vertex=(float(sim[best, 0]), float(sim[best, 1])),
-        best_value=float(fsim[best]),
-        evaluations=evaluations,
-        reason=reason,
-    )
+    return NelderMeadResult(best_vertex=(float(sim[best, 0]), float(sim[best, 1])), reason=reason)
 
 
 # --- tuning runs -------------------------------------------------------------
@@ -379,21 +363,15 @@ def autotune(
     policy_name = (
         f"fixed{policy.delta:g}" if isinstance(policy, FixedSimplex) else "dynamic"
     )
+    run = TuningRun(
+        start=tuple(start), steps=steps, outcome=Outcome(kind="aborted"), policy_name=policy_name
+    )
     try:
-        if isinstance(policy, DynamicSimplex):
-            f0 = objective((float(start[0]), float(start[1])))
-            simplex = initial_simplex(start, policy, f0)
-            result = nelder_mead(objective, simplex, term, preevaluated={0: f0})
-        else:
-            simplex = initial_simplex(start, policy)
-            result = nelder_mead(objective, simplex, term)
+        f0 = objective((float(start[0]), float(start[1])))
+        result = nelder_mead(objective, initial_simplex(start, policy, f0), term, f0)
     except QdtuneError as exc:
-        outcome = Outcome(kind="aborted", cause=f"{type(exc).__name__}: {exc}")
-        return TuningRun(start=tuple(start), steps=steps, outcome=outcome, policy_name=policy_name)
-
-    best = min(steps, key=lambda s: s.fitness) if steps else None
-    if result.reason == "max_iterations":
-        outcome = Outcome(kind="max_iterations", center=best.center if best else None)
-    else:
-        outcome = Outcome(kind="converged", center=best.center if best else None)
-    return TuningRun(start=tuple(start), steps=steps, outcome=outcome, policy_name=policy_name)
+        run.outcome = Outcome(kind="aborted", cause=f"{type(exc).__name__}: {exc}")
+        return run
+    kind = "max_iterations" if result.reason == "max_iterations" else "converged"
+    run.outcome = Outcome(kind=kind, center=run.best_center())
+    return run

@@ -124,7 +124,7 @@ def test_criterion_05_sandbox_blocks_measurement(acceptance, reference_params):
     source = q.SimulatedDevice(reference_params)
     # windows crossing each of the four domain edges never measure
     for center in [(20.0, 300.0), (580.0, 300.0), (300.0, 20.0), (300.0, 580.0)]:
-        assert isinstance(q.acquire(source, center, (60.0, 60.0), 2.0), q.Blocked)
+        assert isinstance(q.acquire_with_labels(source, center, (60.0, 60.0), 2.0), q.Blocked)
 
     blocked_steps = 0
     clear_steps = 0
@@ -150,14 +150,15 @@ def test_criterion_06_optimizer_convergence_on_quadratics(acceptance):
     for _ in range(100):
         m = rng.uniform(100, 500, size=2)
         start = tuple(rng.uniform(100, 500, size=2))
-        f = lambda v: float((v[0] - m[0]) ** 2 + (v[1] - m[1]) ** 2)
+        calls = []
+        f = lambda v: calls.append(v) or float((v[0] - m[0]) ** 2 + (v[1] - m[1]) ** 2)
         res = nelder_mead(
             f,
             q.initial_simplex(start, q.FixedSimplex(75.0)),
             q.TerminationConfig(1e-15, 1e-6, 200),
         )
         worst_err = max(worst_err, float(np.linalg.norm(np.array(res.best_vertex) - m)))
-        worst_evals = max(worst_evals, len(res.evaluations))
+        worst_evals = max(worst_evals, len(calls))
     ok = worst_err < 1e-3 and worst_evals <= 200
     acceptance(6, ok, f"100 quadratics: worst error {worst_err:.1e} mV in <= {worst_evals} evaluations")
 

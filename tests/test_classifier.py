@@ -271,6 +271,17 @@ class TestModelIO:
         with pytest.raises(q.ScanFormatError):
             q.load_model(path)
 
+    @pytest.mark.parametrize("field, value", [("activation", "tanh"), ("output", "sigmoid")])
+    def test_only_relu_softmax_models_load(self, tmp_path, field, value):
+        path = tmp_path / "model.json"
+        q.save_model(q.init_model(0), path)
+        doc = json.loads(path.read_text())
+        assert (doc["activation"], doc["output"]) == ("relu", "softmax")
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(q.ScanFormatError, match="relu"):
+            q.load_model(path)
+
     @pytest.mark.parametrize("bad", ["abc", 128.7, 0, -64, True, None])
     def test_layer_sizes_must_be_positive_integers(self, tmp_path, bad):
         path = tmp_path / "model.json"

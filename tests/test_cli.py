@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qdtune as q
-from qdtune.cli import main
+from qdtune.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -238,3 +238,35 @@ class TestExperiments:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigurationError"
+
+    def test_landscape_span_off_the_raster_is_machine_readable_error(self, tmp_path, scan_file, capsys):
+        rc = main(["landscape", "--source", f"scan:{scan_file}", "--span", "61,61", "--out", str(tmp_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigurationError"
+        assert "61.0" in err["message"]
+        assert not (tmp_path / "landscape.json").exists()
+
+
+# Required arguments of each command that reads neither --seed nor --config.
+_BASE_ARGS = {
+    "evaluate": ["--model", "m.json", "--dataset", "d.json"],
+    "tune": ["--source", "sim", "--start", "300,300"],
+    "neighborhood": ["--source", "sim", "--point", "300,300"],
+    "heatmap": ["--source", "sim"],
+    "landscape": ["--source", "sim"],
+    "report": ["--runs", "r"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, "--seed") for command in ("evaluate", "tune", "neighborhood", "heatmap", "landscape", "report")]
+    + [("evaluate", "--config"), ("report", "--config")],
+)
+def test_unread_flag_is_usage_error(tmp_path, command, flag):
+    argv = [command, *_BASE_ARGS[command], "--out", str(tmp_path)]
+    build_parser().parse_args(argv)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, "1"])
+    assert exc.value.code == 2

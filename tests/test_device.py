@@ -62,32 +62,35 @@ class TestStateGeometry:
 class TestSensor:
     def test_deep_no_dot_response_is_pure_background(self, reference_params):
         p = reference_params
-        r1 = q.sensor_response(p, 20, 20)
-        r2 = q.sensor_response(p, 40, 20)
+        # pixel centers at v1 = 20, 22, ..., 40 mV and v2 = 20 mV
+        scan, _ = q.render_scan(p, (30.0, 20.0), (22.0, 2.0), 2.0)
+        r1, r2 = scan.values[0, 0], scan.values[-1, 0]
         slope = (r2 - r1) / 20
         assert slope == pytest.approx(p.background_gradient, rel=1e-6)
 
     def test_charge_transition_contrast(self, reference_params):
         # the sensor jump across the first addition line dwarfs the background
         p = reference_params
-        v2 = 100.0
-        v = np.linspace(150, 300, 1501)
-        r = np.array([q.sensor_response(p, x, v2) for x in v])
-        dr = np.abs(np.diff(r)) / (v[1] - v[0])
+        # pixel centers at v1 = 150.0, 150.1, ..., 300.0 mV and v2 = 100 mV
+        scan, _ = q.render_scan(p, (225.0, 100.0), (150.1, 0.1), 0.1)
+        r = scan.values[:, 0]
+        dr = np.abs(np.diff(r)) / scan.meta.resolution
         assert dr.max() / p.background_gradient >= 5
 
     def test_noise_reproducible_by_seed(self, reference_params):
         p = reference_params
-        a = q.sensor_response(p, 300, 320, with_noise=True, noise_seed=4)
-        b = q.sensor_response(p, 300, 320, with_noise=True, noise_seed=4)
-        c = q.sensor_response(p, 300, 320, with_noise=True, noise_seed=5)
+
+        def pixel(noise_seed):
+            scan, _ = q.render_scan(p, (300.0, 320.0), (2.0, 2.0), 2.0, with_noise=True, noise_seed=noise_seed)
+            return scan.values[0, 0]
+
+        a, b, c = pixel(4), pixel(4), pixel(5)
         assert a == b
         assert a != c
 
     def test_response_finite_everywhere(self, reference_params):
-        v = np.arange(10.0, 600, 25.0)
-        vals = np.array([[q.sensor_response(reference_params, a, b) for b in v] for a in v])
-        assert np.isfinite(vals).all()
+        scan, _ = q.render_scan(reference_params, (300.0, 300.0), (600.0, 600.0), 5.0)
+        assert np.isfinite(scan.values).all()
 
 
 class TestRenderScan:
@@ -110,6 +113,11 @@ class TestRenderScan:
     def test_non_integer_pixel_count_rejected(self, reference_params):
         with pytest.raises(q.ConfigurationError):
             q.render_scan(reference_params, (300.0, 300.0), (50.0, 50.0), 3.0)
+
+    @pytest.mark.parametrize("extent", [float("nan"), float("inf")])
+    def test_non_finite_span_rejected(self, reference_params, extent):
+        with pytest.raises(q.ConfigurationError, match="integer number"):
+            q.render_scan(reference_params, (300.0, 300.0), (extent, 60.0), 2.0)
 
     def test_window_outside_domain_rejected(self, reference_params):
         with pytest.raises(q.DomainError):

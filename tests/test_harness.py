@@ -13,6 +13,7 @@ from qdtune.harness import (
     NEIGHBORHOOD_SIDE,
     ExperimentReport,
     IterationStats,
+    _aggregate,
     policy_reach,
     run_weight,
 )
@@ -57,11 +58,8 @@ class TestSuccessScoring:
     def test_success_rate_averages(self, reference_source):
         regions = q.SuccessRegions()
         runs = [fake_run((300.0, 320.0)), fake_run((150.0, 170.0))]
-        assert q.success_rate(runs, regions, reference_source) == 0.5
-
-    def test_empty_run_list_rejected(self, reference_source):
-        with pytest.raises(q.ConfigurationError):
-            q.success_rate([], q.SuccessRegions(), reference_source)
+        weights = [run_weight(run, reference_source, (60.0, 60.0), 2.0, None, regions) for run in runs]
+        assert _aggregate((300.0, 320.0), "fixed75", runs, weights).success_rate == 0.5
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +230,18 @@ class TestLandscape:
         got = q.fitness_landscape(source, classifier, window_span=(w * 2.0, w * 2.0), fitness_config=config)
         assert got.values.tobytes() == expect.tobytes()
         assert built == []
+
+    @pytest.mark.parametrize("span", [59.0, 61.0])
+    def test_span_must_be_whole_pixels(self, reference_source, reference_params, span):
+        # rounding would turn either span into a 30 px window of the 2 mV raster;
+        # the landscape refuses it as acquisition and rendering do
+        window = (span, span)
+        with pytest.raises(q.ConfigurationError, match="integer number"):
+            q.fitness_landscape(reference_source, window_span=window)
+        with pytest.raises(q.ConfigurationError, match="integer number"):
+            q.acquire_with_labels(reference_source, (300.0, 330.0), window, 2.0)
+        with pytest.raises(q.ConfigurationError, match="integer number"):
+            q.render_scan(reference_params, (300.0, 330.0), window, 2.0)
 
     def test_requires_premeasured_source(self, reference_params, oracle):
         with pytest.raises(q.ConfigurationError):

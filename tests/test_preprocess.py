@@ -272,11 +272,3 @@ class TestProcessedImage:
             ProcessedImage(np.full((30, 30), -0.1))
         with pytest.raises(q.ShapeError):
             ProcessedImage(np.where(np.eye(30) > 0, np.nan, 0.5))
-
-    def test_csv_round_trip(self, tmp_path, reference_params):
-        scan, _ = q.render_scan(reference_params, (300.0, 320.0), (60.0, 60.0), 2.0)
-        img = q.process(scan)
-        path = tmp_path / "img.csv"
-        img.to_csv(path)
-        back = np.loadtxt(path, delimiter=",")
-        np.testing.assert_allclose(back, img.values, atol=1e-16)

@@ -41,7 +41,7 @@ class TestSandbox:
 
     def test_acquire_blocked_outside(self, reference_params):
         source = q.SimulatedDevice(reference_params)
-        got = q.acquire(source, (10.0, 300.0), (60.0, 60.0), 2.0)
+        got = q.acquire_with_labels(source, (10.0, 300.0), (60.0, 60.0), 2.0)
         assert isinstance(got, Blocked)
         assert got.reason
 
@@ -53,7 +53,7 @@ class TestSandbox:
     def test_blocked_iff_window_leaves_sandbox(self, c1, c2, reference_params):
         source = q.SimulatedDevice(reference_params)
         span = (60.0, 60.0)
-        got = q.acquire(source, (c1, c2), span, 2.0)
+        got = q.acquire_with_labels(source, (c1, c2), span, 2.0)
         inside = (
             0 <= c1 - 30 and c1 + 30 <= 600 and 0 <= c2 - 30 and c2 + 30 <= 600
         )
@@ -63,7 +63,7 @@ class TestSandbox:
 class TestSimulatedAcquire:
     def test_matches_render_scan(self, reference_params):
         source = q.SimulatedDevice(reference_params)
-        got = q.acquire(source, (300.0, 320.0), (40.0, 40.0), 2.0)
+        got, _ = q.acquire_with_labels(source, (300.0, 320.0), (40.0, 40.0), 2.0)
         direct, _ = q.render_scan(reference_params, (300.0, 320.0), (40.0, 40.0), 2.0)
         np.testing.assert_array_equal(got.values, direct.values)
 
@@ -72,8 +72,7 @@ class TestSimulatedAcquire:
         scan, labels = q.acquire_with_labels(source, (300.0, 320.0), (40.0, 40.0), 2.0)
         assert labels is not None
         assert labels.shape == scan.shape
-        # plain acquire drops them
-        assert isinstance(q.acquire(source, (300.0, 320.0), (40.0, 40.0), 2.0), q.ScanGrid)
+        assert isinstance(scan, q.ScanGrid)
 
 
 class TestPremeasuredCrop:
@@ -91,32 +90,32 @@ class TestPremeasuredCrop:
     def test_center_snaps_to_nearest_pixel(self, reference_scan):
         scan, labels = reference_scan
         source = q.PremeasuredScan(scan, labels)
-        a = q.acquire(source, (206.0, 230.0), (40.0, 40.0), 2.0)
-        b = q.acquire(source, (206.7, 229.4), (40.0, 40.0), 2.0)
+        a, _ = q.acquire_with_labels(source, (206.0, 230.0), (40.0, 40.0), 2.0)
+        b, _ = q.acquire_with_labels(source, (206.7, 229.4), (40.0, 40.0), 2.0)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_coarser_resolution_strides(self, reference_scan):
         scan, labels = reference_scan
         source = q.PremeasuredScan(scan, labels)
-        fine = q.acquire(source, (301.0, 330.0), (80.0, 80.0), 2.0)
-        coarse = q.acquire(source, (301.0, 330.0), (80.0, 80.0), 4.0)
+        fine, _ = q.acquire_with_labels(source, (301.0, 330.0), (80.0, 80.0), 2.0)
+        coarse, _ = q.acquire_with_labels(source, (301.0, 330.0), (80.0, 80.0), 4.0)
         assert coarse.shape == (20, 20)
         np.testing.assert_array_equal(coarse.values, fine.values[::2, ::2])
         assert coarse.meta.resolution == 4.0
 
     def test_finer_resolution_rejected(self, reference_source):
         with pytest.raises(q.UnsupportedResolutionError):
-            q.acquire(reference_source, (300.0, 330.0), (40.0, 40.0), 1.0)
+            q.acquire_with_labels(reference_source, (300.0, 330.0), (40.0, 40.0), 1.0)
 
     def test_non_integer_stride_rejected(self, reference_source):
         with pytest.raises(q.UnsupportedResolutionError):
-            q.acquire(reference_source, (300.0, 330.0), (60.0, 60.0), 3.0)
+            q.acquire_with_labels(reference_source, (300.0, 330.0), (60.0, 60.0), 3.0)
 
     def test_window_off_raster_blocked(self, reference_scan):
         scan, labels = reference_scan
         source = q.PremeasuredScan(scan, labels)
         # sandbox allows it, but the stored scan starts at 125 mV
-        got = q.acquire(source, (50.0, 300.0), (60.0, 60.0), 2.0)
+        got = q.acquire_with_labels(source, (50.0, 300.0), (60.0, 60.0), 2.0)
         assert isinstance(got, Blocked)
 
     @given(
@@ -130,8 +129,9 @@ class TestPremeasuredCrop:
         source = q.PremeasuredScan(scan, labels)
         center = (float(scan.v1_axis[i]), float(scan.v2_axis[j]))
         res = scan.meta.resolution
-        got = q.acquire(source, center, (2 * w * res, 2 * w * res), res)
+        got = q.acquire_with_labels(source, center, (2 * w * res, 2 * w * res), res)
         assert not isinstance(got, Blocked)
+        got, _ = got
         i0, j0 = i - w, j - w
         np.testing.assert_array_equal(got.values, scan.values[i0:i0 + 2 * w, j0:j0 + 2 * w])
 
@@ -250,7 +250,7 @@ class TestCropEquivalence:
     @pytest.mark.parametrize("span", [(0.0, 60.0), (60.0, -60.0)], ids=["zero", "negative"])
     def test_window_below_one_pixel_rejected(self, span, reference_source):
         with pytest.raises(q.ConfigurationError, match="below one"):
-            q.acquire(reference_source, (300.0, 330.0), span, 2.0)
+            q.acquire_with_labels(reference_source, (300.0, 330.0), span, 2.0)
 
 
 class TestSensorFlip:
