@@ -35,15 +35,10 @@ from qdtune.harness import (
     write_success_csv,
     write_summary_text,
 )
-from qdtune.tuner import DynamicSimplex, FixedSimplex
+from qdtune.tuner import POLICIES
 
 GOOD_POINTS = [(250, 400), (350, 400), (350, 415), (350, 425), (350, 450), (400, 350), (450, 350)]
 PLATEAU_POINTS = [(470, 470), (480, 470), (490, 460), (500, 470), (520, 480)]
-POLICIES = {
-    "fixed75": FixedSimplex(75.0),
-    "fixed100": FixedSimplex(100.0),
-    "dynamic": DynamicSimplex(),
-}
 
 # Window placement for the two stored scans, chosen so the double-dot
 # region sits off center and the neighborhood points keep margin.
@@ -95,7 +90,7 @@ def main() -> int:
     good = reports[: len(GOOD_POINTS) * len(POLICIES)]
     stats = iteration_stats(good)
     write_success_csv(reports, out / "success_rates.csv")
-    write_iteration_csv(stats, out / "iteration_stats.csv")
+    write_iteration_csv(good, stats, out / "iteration_stats.csv")
     write_summary_text(good, stats, out / "summary.txt")
     for policy_name, (mean, sd) in stats.pooled.items():
         print(f"pooled {policy_name}: {mean:.2f} iterations (s.d. {sd:.2f})")

@@ -23,7 +23,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import qdtune as q
-from qdtune.fileio import write_json
+from qdtune.fileio import write_csv, write_json
 
 
 def split_indices(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -66,8 +66,7 @@ def main() -> int:
     model, losses = q.train(train_set, config)
     print(f"trained {args.steps} steps in {time.time() - t1:.0f}s, final loss {losses[-1]:.4f}")
     q.save_model(model, out / "model.json")
-    np.savetxt(out / "loss.csv", np.column_stack([np.arange(len(losses)), losses]),
-               delimiter=",", header="step,loss", comments="")
+    write_csv(out / "loss.csv", ["step", "loss"], enumerate(losses))
 
     report = q.evaluate(model, test_set)
     print(f"held-out accuracy {report.accuracy:.4f} on {report.n_samples} samples")

@@ -39,6 +39,11 @@ LAYER_SIZES = (IMAGE_SIZE * IMAGE_SIZE, 128, 64, 3)
 
 CLASS_NAMES = ("none", "sd", "dd")
 
+# Adam's moment decay rates and denominator guard (Kingma and Ba's values).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class ProbabilityVector:
@@ -103,7 +108,7 @@ def generate_dataset(
     seed: int = 0,
     span: tuple[float, float] = (60.0, 60.0),
     resolution: float = 2.0,
-    variation: VariationConfig | None = None,
+    variation: VariationConfig = VariationConfig(),
     with_noise: bool = False,
     max_redraws: int = 200,
 ) -> list[LabeledSample]:
@@ -116,7 +121,6 @@ def generate_dataset(
     """
     if n_devices <= 0 or samples_per_device <= 0:
         raise ConfigurationError("n_devices and samples_per_device must be positive")
-    variation = variation or VariationConfig()
     lo, hi = device_model.DOMAIN_MV
     children = np.random.SeedSequence(seed).spawn(n_devices)
 
@@ -194,9 +198,6 @@ class TrainingConfig:
     steps: int = 5000
     batch_size: int = 50
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.steps <= 0 or self.batch_size <= 0:
@@ -249,10 +250,9 @@ def loss_and_gradients(
 
 def train(
     samples: list[LabeledSample] | tuple[np.ndarray, np.ndarray],
-    config: TrainingConfig | None = None,
+    config: TrainingConfig = TrainingConfig(),
 ) -> tuple[ClassifierModel, np.ndarray]:
     """Train the network; returns the final model and the per-step loss trace."""
-    config = config or TrainingConfig()
     x, t = samples if isinstance(samples, tuple) else dataset_arrays(samples)
     if x.ndim != 2 or x.shape[1] != LAYER_SIZES[0] or t.shape != (x.shape[0], 3):
         raise ShapeError(f"expected inputs ({x.shape[0]}, {LAYER_SIZES[0]}) and targets (N, 3)")
@@ -271,14 +271,14 @@ def train(
             raise TrainingDivergedError(step)
         losses[step] = loss
 
-        correction1 = 1.0 - config.beta1 ** (step + 1)
-        correction2 = 1.0 - config.beta2 ** (step + 1)
+        correction1 = 1.0 - ADAM_BETA1 ** (step + 1)
+        correction2 = 1.0 - ADAM_BETA2 ** (step + 1)
         for p, m, v, g in zip(params, first, second, grad_w + grad_b):
-            m *= config.beta1
-            m += (1.0 - config.beta1) * g
-            v *= config.beta2
-            v += (1.0 - config.beta2) * g * g
-            p -= config.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + config.epsilon)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p -= config.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPSILON)
     return model, losses
 
 

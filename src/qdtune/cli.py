@@ -1,8 +1,13 @@
 """Command-line front end.
 
 Every command but ``evaluate`` and ``report`` reads an optional JSON
-config file (``--config``) whose fields mirror the library dataclasses;
-individual flags override it.
+config file (``--config``). Its sections ``fitness``, ``termination``,
+``sandbox``, ``success`` and ``training`` each build one library
+settings object from the fields they set; its top-level keys are
+``seed``, ``span_mv``, ``resolution_mv``, ``grid_step_mv``, ``policy``,
+``noise`` and ``noise_seed``. Flags override the file, a setting neither
+gives keeps the library's default, and an unknown key or a value of the
+wrong type is a ``ConfigurationError`` that names it.
 Measurement sources are spelled ``sim`` (the reference device),
 ``sim:SEED`` (a sampled device), or ``scan:PATH`` (a premeasured scan
 file); classifiers are ``oracle`` or ``model:PATH``. Errors exit
@@ -12,12 +17,11 @@ nonzero with a one-line JSON object on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import classifier as classifier_mod
 from . import device as device_mod
@@ -25,57 +29,155 @@ from . import harness as harness_mod
 from . import scans as scans_mod
 from . import tuner as tuner_mod
 from .errors import ConfigurationError, QdtuneError
-from .fileio import read_json, write_json
+from .fileio import read_json, write_csv, write_json
+
+# Config sections and the settings class each builds; ``seed`` is only ever top-level.
+_SECTIONS = {
+    "fitness": tuner_mod.FitnessConfig,
+    "termination": tuner_mod.TerminationConfig,
+    "sandbox": scans_mod.Sandbox,
+    "success": harness_mod.SuccessRegions,
+    "training": classifier_mod.TrainingConfig,
+}
+
+# Top-level config keys and the kind of value each holds (see _checked).
+_TOP_LEVEL = {
+    "seed": int,
+    "span_mv": 2,
+    "resolution_mv": float,
+    "grid_step_mv": float,
+    "policy": str,
+    "noise": bool,
+    "noise_seed": int,
+}
+
+
+def _checked(key: str, value, kind):
+    """``value`` if it is of ``kind``, else a ConfigurationError naming ``key``.
+
+    ``kind`` is ``bool``, ``int``, ``float``, ``str``, or a count ``n`` for a
+    list of ``n`` numbers (returned as a tuple of floats). An int passes as
+    a float; a bool passes only as a bool. Numbers must be finite: the JSON
+    reader accepts ``NaN`` and ``Infinity``.
+    """
+
+    def number(v) -> bool:
+        return type(v) in (int, float) and math.isfinite(v)
+
+    if kind is float and number(value):
+        return float(value)
+    if kind in (bool, int, str) and type(value) is kind:
+        return value
+    if type(kind) is int and isinstance(value, list) and len(value) == kind and all(map(number, value)):
+        return tuple(float(v) for v in value)
+    names = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+    expected = names.get(kind, f"a list of {kind} finite numbers")
+    raise ConfigurationError(f"config key {key!r} must be {expected}, got {value!r}")
+
+
+def _section(name: str, cls, doc):
+    """``cls`` built from the keys that config section ``name`` sets."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"config section {name!r} must be a JSON object")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls) if f.name != "seed"}
+    kwargs = {}
+    for key, value in doc.items():
+        where = f"{name}.{key}"
+        if key not in defaults:
+            raise ConfigurationError(f"unknown config key {where!r}; {name!r} takes {', '.join(defaults)}")
+        default = defaults[key]
+        if isinstance(default, classifier_mod.ProbabilityVector):
+            kwargs[key] = classifier_mod.ProbabilityVector(*_checked(where, value, 3))
+        else:
+            kind = len(default) if isinstance(default, tuple) else type(default)
+            kwargs[key] = _checked(where, value, kind)
+    return cls(**kwargs)
 
 
 def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config file: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-        raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigurationError("config file must contain a JSON object")
-    return doc
+    """The checked config file: the top-level keys it sets, plus one settings object per section.
+
+    Every section is built, whether the command uses it or not, so the
+    whole file is checked here once.
+    """
+    doc = {}
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read config file: {exc}") from exc
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigurationError("config file must contain a JSON object")
+    config = {}
+    for key, value in doc.items():
+        if key in _SECTIONS:
+            continue
+        if key not in _TOP_LEVEL:
+            known = ", ".join([*_TOP_LEVEL, *_SECTIONS])
+            raise ConfigurationError(f"unknown config key {key!r}; the file takes {known}")
+        config[key] = _checked(key, value, _TOP_LEVEL[key])
+    if "policy" in config and config["policy"] not in tuner_mod.POLICIES:
+        names = ", ".join(tuner_mod.POLICIES)
+        raise ConfigurationError(f"config key 'policy' must be one of {names}, got {config['policy']!r}")
+    for name, cls in _SECTIONS.items():
+        config[name] = _section(name, cls, doc.get(name, {}))
+    return config
 
 
-def _section(config: dict, name: str) -> dict:
-    """One optional sub-object of the config; anything but an object is an error."""
-    sub = config.get(name, {})
-    if not isinstance(sub, dict):
-        raise ConfigurationError(f"config section {name!r} must be a JSON object")
-    return sub
+def _settings(args, config: dict, **params: str) -> dict:
+    """Keyword arguments ``param=value`` for each ``param=key`` that a flag or the file sets.
+
+    The flag named like the config key without its ``_mv`` suffix wins
+    over the file. A setting neither gives is left out, so the library's
+    own default applies.
+    """
+    kwargs = {}
+    for param, key in params.items():
+        flag = getattr(args, key.removesuffix("_mv"), None)
+        if flag is not None:
+            kwargs[param] = flag
+        elif key in config:
+            kwargs[param] = config[key]
+    if "policy" in kwargs:
+        kwargs["policy"] = tuner_mod.POLICIES[kwargs["policy"]]
+    return kwargs
 
 
-def _parse_pair(text: str, flag: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigurationError(f"{flag} expects 'A,B', got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ConfigurationError(f"{flag} expects two numbers, got {text!r}") from exc
+def _pair(flag: str):
+    """argparse type of a flag that takes 'A,B'; a malformed value raises ConfigurationError."""
+
+    def parse(text: str) -> tuple[float, float]:
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise ConfigurationError(f"{flag} expects 'A,B', got {text!r}")
+        try:
+            return float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise ConfigurationError(f"{flag} expects two numbers, got {text!r}") from exc
+
+    return parse
 
 
-def _build_source(spec: str, config: dict):
+def _build_source(args, config: dict):
+    spec = args.source
     if spec == "sim":
         params = device_mod.reference_device()
     elif spec.startswith("sim:"):
-        params = device_mod.sample_device(int(spec[4:]))
+        try:
+            seed = int(spec[4:])
+        except ValueError as exc:
+            raise ConfigurationError(f"source {spec!r} needs an integer seed after 'sim:'") from exc
+        params = device_mod.sample_device(seed)
     elif spec.startswith("scan:"):
         scan, labels = scans_mod.load_scan(spec[5:])
         return scans_mod.PremeasuredScan(scan, labels)
     else:
         raise ConfigurationError(f"unknown source {spec!r}; use sim, sim:SEED, or scan:PATH")
-    return scans_mod.SimulatedDevice(
-        params,
-        with_noise=bool(config.get("noise", False)),
-        noise_seed=int(config.get("noise_seed", 0)),
-    )
+    noise = _settings(args, config, with_noise="noise", noise_seed="noise_seed")
+    return scans_mod.SimulatedDevice(params, **noise)
 
 
 def _build_classifier(spec: str):
@@ -84,68 +186,6 @@ def _build_classifier(spec: str):
     if spec.startswith("model:"):
         return classifier_mod.ModelClassifier(classifier_mod.load_model(spec[6:]))
     raise ConfigurationError(f"unknown classifier {spec!r}; use oracle or model:PATH")
-
-
-def _build_policy(name: str):
-    table = {
-        "fixed75": tuner_mod.FixedSimplex(75.0),
-        "fixed100": tuner_mod.FixedSimplex(100.0),
-        "dynamic": tuner_mod.DynamicSimplex(),
-    }
-    if name not in table:
-        raise ConfigurationError(f"unknown policy {name!r}; use fixed75, fixed100, or dynamic")
-    return table[name]
-
-
-def _build_fitness(config: dict) -> tuner_mod.FitnessConfig:
-    sub = _section(config, "fitness")
-    target = sub.get("p_target", [0.0, 0.0, 1.0])
-    return tuner_mod.FitnessConfig(
-        p_target=classifier_mod.ProbabilityVector.from_array(np.asarray(target, dtype=float)),
-        alpha=float(sub.get("alpha", 1.0)),
-        beta=float(sub.get("beta", 1.0)),
-        steepness=float(sub.get("steepness", 10.0)),
-        blocked_fitness=float(sub.get("blocked_fitness", 2.0)),
-        cap=bool(sub.get("cap", True)),
-    )
-
-
-def _build_termination(config: dict) -> tuner_mod.TerminationConfig:
-    sub = _section(config, "termination")
-    return tuner_mod.TerminationConfig(
-        fitness_tolerance=float(sub.get("fitness_tolerance", 0.02)),
-        simplex_size_tolerance=float(sub.get("simplex_size_tolerance", 2.0)),
-        max_iterations=int(sub.get("max_iterations", 50)),
-    )
-
-
-def _build_sandbox(config: dict) -> scans_mod.Sandbox:
-    sub = _section(config, "sandbox")
-    return scans_mod.Sandbox(
-        v1_range=tuple(sub.get("v1_range", device_mod.DOMAIN_MV)),
-        v2_range=tuple(sub.get("v2_range", device_mod.DOMAIN_MV)),
-    )
-
-
-def _build_regions(config: dict) -> harness_mod.SuccessRegions:
-    sub = _section(config, "success")
-    return harness_mod.SuccessRegions(
-        theta_ideal=float(sub.get("theta_ideal", 0.8)),
-        theta_close=float(sub.get("theta_close", 0.4)),
-    )
-
-
-def _span(args, config) -> tuple[float, float]:
-    if getattr(args, "span", None):
-        return _parse_pair(args.span, "--span")
-    pair = config.get("span_mv", [60.0, 60.0])
-    return float(pair[0]), float(pair[1])
-
-
-def _resolution(args, config) -> float:
-    if getattr(args, "resolution", None) is not None:
-        return args.resolution
-    return float(config.get("resolution_mv", 2.0))
 
 
 def _out_dir(args) -> Path:
@@ -159,7 +199,7 @@ def _out_dir(args) -> Path:
 
 def _cmd_sample_device(args) -> int:
     config = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = _settings(args, config, seed="seed").get("seed", 0)
     params = device_mod.sample_device(seed)
     out = _out_dir(args)
     path = out / f"device_{seed}.json"
@@ -176,18 +216,17 @@ def _cmd_render_scan(args) -> int:
         params = device_mod.sample_device(args.seed)
     else:
         params = device_mod.reference_device()
-    center = _parse_pair(args.center, "--center")
-    span = _span(args, config)
+    window = _settings(args, config, span="span_mv", resolution="resolution_mv")
     scan, labels = device_mod.render_scan(
         params,
-        center,
-        span,
-        _resolution(args, config),
+        args.center,
+        window.get("span", (60.0, 60.0)),
+        window.get("resolution", 2.0),
         with_noise=args.noise,
         noise_seed=args.noise_seed,
     )
     out = _out_dir(args)
-    path = out / f"scan_{center[0]:g}_{center[1]:g}{scans_mod.SCAN_SUFFIX}"
+    path = out / f"scan_{args.center[0]:g}_{args.center[1]:g}{scans_mod.SCAN_SUFFIX}"
     scans_mod.save_scan(scan, path, labels)
     print(path)
     return 0
@@ -195,14 +234,12 @@ def _cmd_render_scan(args) -> int:
 
 def _cmd_gen_dataset(args) -> int:
     config = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     samples = classifier_mod.generate_dataset(
         args.devices,
         args.samples,
-        seed=seed,
-        span=_span(args, config),
-        resolution=_resolution(args, config),
-        with_noise=bool(config.get("noise", False)),
+        **_settings(
+            args, config, seed="seed", span="span_mv", resolution="resolution_mv", with_noise="noise"
+        ),
     )
     out = _out_dir(args)
     path = out / "dataset.json"
@@ -213,24 +250,13 @@ def _cmd_gen_dataset(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    sub = _section(config, "training")
-    training = classifier_mod.TrainingConfig(
-        learning_rate=float(sub.get("learning_rate", 0.001)),
-        steps=int(sub.get("steps", 5000)),
-        batch_size=int(sub.get("batch_size", 50)),
-        seed=seed,
-    )
+    training = dataclasses.replace(config["training"], **_settings(args, config, seed="seed"))
     samples = classifier_mod.load_dataset(args.dataset)
     model, losses = classifier_mod.train(samples, training)
     out = _out_dir(args)
     model_path = out / "model.json"
     classifier_mod.save_model(model, model_path)
-    with open(out / "loss.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss"])
-        for i, loss in enumerate(losses):
-            writer.writerow([i, repr(float(loss))])
+    write_csv(out / "loss.csv", ["step", "loss"], enumerate(losses))
     print(f"{model_path} (final loss {losses[-1]:.4f})")
     return 0
 
@@ -252,32 +278,16 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _common_tuning_pieces(args, config):
-    return (
-        _build_source(args.source, config),
-        _build_classifier(args.classifier),
-        _build_fitness(config),
-        _build_termination(config),
-        _build_sandbox(config),
-        _build_regions(config),
-    )
-
-
 def _cmd_tune(args) -> int:
     config = _load_config(args.config)
-    source, classifier, fit_cfg, term, sandbox, _ = _common_tuning_pieces(args, config)
-    policy = _build_policy(args.policy or config.get("policy", "fixed75"))
-    start = _parse_pair(args.start, "--start")
     run = tuner_mod.autotune(
-        source,
-        classifier,
-        start,
-        span=_span(args, config),
-        resolution=_resolution(args, config),
-        fitness_config=fit_cfg,
-        policy=policy,
-        term=term,
-        sandbox=sandbox,
+        _build_source(args, config),
+        _build_classifier(args.classifier),
+        args.start,
+        fitness_config=config["fitness"],
+        term=config["termination"],
+        sandbox=config["sandbox"],
+        **_settings(args, config, span="span_mv", resolution="resolution_mv", policy="policy"),
     )
     out = _out_dir(args)
     run.save_json(out / "run.json")
@@ -292,19 +302,15 @@ def _cmd_tune(args) -> int:
 
 def _cmd_neighborhood(args) -> int:
     config = _load_config(args.config)
-    source, classifier, fit_cfg, term, sandbox, regions = _common_tuning_pieces(args, config)
-    policy_name = args.policy or config.get("policy", "fixed75")
     report = harness_mod.neighborhood_experiment(
-        source,
-        classifier,
-        _parse_pair(args.point, "--point"),
-        _build_policy(policy_name),
-        span=_span(args, config),
-        resolution=_resolution(args, config),
-        fitness_config=fit_cfg,
-        term=term,
-        sandbox=sandbox,
-        regions=regions,
+        _build_source(args, config),
+        _build_classifier(args.classifier),
+        args.point,
+        fitness_config=config["fitness"],
+        term=config["termination"],
+        sandbox=config["sandbox"],
+        regions=config["success"],
+        **_settings(args, config, span="span_mv", resolution="resolution_mv", policy="policy"),
     )
     out = _out_dir(args)
     point = report.point
@@ -316,17 +322,14 @@ def _cmd_neighborhood(args) -> int:
 
 def _cmd_heatmap(args) -> int:
     config = _load_config(args.config)
-    source, classifier, fit_cfg, term, sandbox, regions = _common_tuning_pieces(args, config)
     result = harness_mod.heatmap(
-        source,
-        classifier,
-        policy=_build_policy(args.policy or config.get("policy", "fixed100")),
-        grid_step=args.grid_step if args.grid_step is not None else float(config.get("grid_step_mv", 10.0)),
-        span=_span(args, config) if (args.span or "span_mv" in config) else (30.0, 30.0),
-        fitness_config=fit_cfg,
-        term=term,
-        sandbox=sandbox,
-        regions=regions,
+        _build_source(args, config),
+        _build_classifier(args.classifier),
+        fitness_config=config["fitness"],
+        term=config["termination"],
+        sandbox=config["sandbox"],
+        regions=config["success"],
+        **_settings(args, config, policy="policy", grid_step="grid_step_mv", span="span_mv"),
     )
     out = _out_dir(args)
     path = out / "heatmap.json"
@@ -337,13 +340,11 @@ def _cmd_heatmap(args) -> int:
 
 def _cmd_landscape(args) -> int:
     config = _load_config(args.config)
-    source = _build_source(args.source, config)
-    classifier = _build_classifier(args.classifier)
     result = harness_mod.fitness_landscape(
-        source,
-        classifier,
-        window_span=_span(args, config),
-        fitness_config=_build_fitness(config),
+        _build_source(args, config),
+        _build_classifier(args.classifier),
+        fitness_config=config["fitness"],
+        **_settings(args, config, window_span="span_mv"),
     )
     out = _out_dir(args)
     path = out / "landscape.json"
@@ -362,7 +363,7 @@ def _cmd_report(args) -> int:
     stats = harness_mod.iteration_stats(reports)
     out = _out_dir(args)
     harness_mod.write_success_csv(reports, out / "success_rates.csv")
-    harness_mod.write_iteration_csv(stats, out / "iteration_stats.csv")
+    harness_mod.write_iteration_csv(reports, stats, out / "iteration_stats.csv")
     harness_mod.write_summary_text(reports, stats, out / "summary.txt")
     print(out / "summary.txt")
     return 0
@@ -390,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("render-scan", _cmd_render_scan, "measure a window of a simulated device")
     p.add_argument("--device", help="device JSON file (default: reference device or --seed)")
-    p.add_argument("--center", required=True, help="window center 'V1,V2' in mV")
-    p.add_argument("--span", help="window span 'S1,S2' in mV")
+    p.add_argument("--center", type=_pair("--center"), required=True, help="window center 'V1,V2' in mV")
+    p.add_argument("--span", type=_pair("--span"), help="window span 'S1,S2' in mV")
     p.add_argument("--resolution", type=float, help="pixel size in mV")
     p.add_argument("--noise", action="store_true")
     p.add_argument("--noise-seed", type=int, default=0)
@@ -400,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("gen-dataset", _cmd_gen_dataset, "generate a labeled training dataset")
     p.add_argument("--devices", type=int, default=1001)
     p.add_argument("--samples", type=int, default=10, help="windows per device")
-    p.add_argument("--span", help="window span 'S1,S2' in mV")
+    p.add_argument("--span", type=_pair("--span"), help="window span 'S1,S2' in mV")
     p.add_argument("--resolution", type=float)
     p.add_argument("--out", required=True)
 
@@ -420,24 +421,26 @@ def build_parser() -> argparse.ArgumentParser:
         p = add(name, func, f"run the autotuner ({name})")
         p.add_argument("--source", required=True, help="sim, sim:SEED, or scan:PATH")
         p.add_argument("--classifier", default="oracle", help="oracle or model:PATH")
-        p.add_argument(point_flag, dest=point_flag.lstrip("-"), required=True, help="'V1,V2' in mV")
-        p.add_argument("--policy", choices=["fixed75", "fixed100", "dynamic"])
-        p.add_argument("--span", help="window span 'S1,S2' in mV")
+        p.add_argument(
+            point_flag, dest=point_flag.lstrip("-"), type=_pair(point_flag), required=True, help="'V1,V2' in mV"
+        )
+        p.add_argument("--policy", choices=list(tuner_mod.POLICIES))
+        p.add_argument("--span", type=_pair("--span"), help="window span 'S1,S2' in mV")
         p.add_argument("--resolution", type=float)
         p.add_argument("--out", required=True)
 
     p = add("heatmap", _cmd_heatmap, "success heatmap over a full scan")
     p.add_argument("--source", required=True)
     p.add_argument("--classifier", default="oracle")
-    p.add_argument("--policy", choices=["fixed75", "fixed100", "dynamic"])
+    p.add_argument("--policy", choices=list(tuner_mod.POLICIES))
     p.add_argument("--grid-step", type=float, dest="grid_step")
-    p.add_argument("--span", help="window span 'S1,S2' in mV")
+    p.add_argument("--span", type=_pair("--span"), help="window span 'S1,S2' in mV")
     p.add_argument("--out", required=True)
 
     p = add("landscape", _cmd_landscape, "exhaustive fitness map of a stored scan")
     p.add_argument("--source", required=True, help="scan:PATH")
     p.add_argument("--classifier", default="oracle")
-    p.add_argument("--span", help="window span 'S1,S2' in mV")
+    p.add_argument("--span", type=_pair("--span"), help="window span 'S1,S2' in mV")
     p.add_argument("--out", required=True)
 
     p = add("report", _cmd_report, "aggregate saved neighborhood reports into tables")
@@ -449,8 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # Pair flags are parsed by argparse, so their errors are raised here.
+        args = parser.parse_args(argv)
         return args.func(args)
     except QdtuneError as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)

@@ -139,9 +139,8 @@ class VariationConfig:
                 raise ConfigurationError(f"variation range {name} has lower bound above upper")
 
 
-def sample_device(seed: int, variation: VariationConfig | None = None) -> DeviceParams:
+def sample_device(seed: int, variation: VariationConfig = VariationConfig()) -> DeviceParams:
     """Draw one device realization, deterministic in ``seed``."""
-    variation = variation or VariationConfig()
     rng = np.random.default_rng(seed)
 
     def draw(bounds):

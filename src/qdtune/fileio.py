@@ -1,6 +1,6 @@
-"""The one JSON file codec shared by every on-disk format.
+"""The file codecs shared by every on-disk format: one for JSON, one for CSV.
 
-Documents are written with sorted keys and a trailing newline, so equal
+JSON documents are written with sorted keys and a trailing newline, so equal
 content gives equal bytes. Arrays travel as base64 strings of their raw
 little-endian bytes in row-major order, so round trips are bit-exact.
 Each format keeps its own header and field checks; this module only
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import csv
 import json
 
 import numpy as np
@@ -56,3 +57,13 @@ def write_json(path, doc: dict, indent: int | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=indent, sort_keys=True)
         fh.write("\n")
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a header and rows of cells; floats are written with repr() so they reparse exactly."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            # repr of a numpy 2 scalar spells its type (np.float64(1.0)), so go through float.
+            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])

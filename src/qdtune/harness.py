@@ -16,14 +16,13 @@ depends on the runs before it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classifier import OracleClassifier, ProbabilityVector, oracle_probability
 from .errors import ConfigurationError, ScanFormatError, ShapeError
-from .fileio import encode_blob, write_json
+from .fileio import encode_blob, write_csv, write_json
 from .grids import SINGLE_DOT_CODES, StateLabel, pixel_count
 from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, acquire_with_labels
 from .tuner import (
@@ -68,10 +67,10 @@ def ground_truth_dd_fraction(
     center: tuple[float, float],
     span: tuple[float, float],
     resolution: float,
-    sandbox: Sandbox | None = None,
+    sandbox: Sandbox = Sandbox(),
 ) -> float | None:
     """Double-dot pixel fraction of one window, or None if it cannot be measured."""
-    result = acquire_with_labels(source, center, span, resolution, sandbox or Sandbox())
+    result = acquire_with_labels(source, center, span, resolution, sandbox)
     if isinstance(result, Blocked):
         return None
     _, labels = result
@@ -85,7 +84,7 @@ def run_weight(
     source: MeasurementSource,
     span: tuple[float, float],
     resolution: float,
-    sandbox: Sandbox | None,
+    sandbox: Sandbox,
     regions: SuccessRegions,
 ) -> float:
     center = run.best_center()
@@ -232,13 +231,13 @@ def neighborhood_experiment(
     source: MeasurementSource,
     classifier,
     point: tuple[float, float],
-    policy: SimplexPolicy,
+    policy: SimplexPolicy = FixedSimplex(75.0),
     span: tuple[float, float] = (60.0, 60.0),
     resolution: float = 2.0,
-    fitness_config: FitnessConfig | None = None,
-    term: TerminationConfig | None = None,
-    sandbox: Sandbox | None = None,
-    regions: SuccessRegions | None = None,
+    fitness_config: FitnessConfig = FitnessConfig(),
+    term: TerminationConfig = TerminationConfig(),
+    sandbox: Sandbox = Sandbox(),
+    regions: SuccessRegions = SuccessRegions(),
 ) -> ExperimentReport:
     """Tune from every pixel of the 9x9 neighborhood around ``point``.
 
@@ -246,11 +245,6 @@ def neighborhood_experiment(
     neighborhood must lie inside the sandbox; that is checked before any
     run starts.
     """
-    sandbox = sandbox or Sandbox()
-    regions = regions or SuccessRegions()
-    fitness_config = fitness_config or FitnessConfig()
-    term = term or TerminationConfig()
-
     native = source.scan.meta.resolution if isinstance(source, PremeasuredScan) else resolution
     offsets = (np.arange(NEIGHBORHOOD_SIDE) - NEIGHBORHOOD_SIDE // 2) * native
     starts = [
@@ -266,8 +260,7 @@ def neighborhood_experiment(
         starts, source, classifier, span, resolution, fitness_config, policy, term, sandbox
     )
     weights = [run_weight(run, source, span, resolution, sandbox, regions) for run in runs]
-    policy_name = runs[0].policy_name if runs else ""
-    return _aggregate(point, policy_name, runs, weights)
+    return _aggregate(point, policy.name, runs, weights)
 
 
 # --- heatmap -----------------------------------------------------------------
@@ -313,22 +306,17 @@ def _coverage(source: MeasurementSource, sandbox: Sandbox) -> tuple[tuple[float,
     return sandbox.v1_range, sandbox.v2_range
 
 
-def policy_reach(policy: SimplexPolicy) -> float:
-    """Largest initial-simplex step the policy can take."""
-    return policy.delta if isinstance(policy, FixedSimplex) else policy.delta_max
-
-
 def heatmap(
     source: MeasurementSource,
     classifier,
-    policy: SimplexPolicy | None = None,
+    policy: SimplexPolicy = FixedSimplex(100.0),
     grid_step: float = 10.0,
     span: tuple[float, float] = (30.0, 30.0),
     resolution: float | None = None,
-    fitness_config: FitnessConfig | None = None,
-    term: TerminationConfig | None = None,
-    sandbox: Sandbox | None = None,
-    regions: SuccessRegions | None = None,
+    fitness_config: FitnessConfig = FitnessConfig(),
+    term: TerminationConfig = TerminationConfig(),
+    sandbox: Sandbox = Sandbox(),
+    regions: SuccessRegions = SuccessRegions(),
 ) -> HeatmapResult:
     """One tuning run per start on a grid covering the whole source.
 
@@ -336,16 +324,11 @@ def heatmap(
     simplex vertex stays on the raster: the low edge keeps the policy's
     largest step plus half a window clear, the high edge half a window.
     """
-    policy = policy or FixedSimplex(100.0)
-    sandbox = sandbox or Sandbox()
-    regions = regions or SuccessRegions()
-    fitness_config = fitness_config or FitnessConfig()
-    term = term or TerminationConfig()
     if resolution is None:
         resolution = source.scan.meta.resolution if isinstance(source, PremeasuredScan) else 2.0
 
     (lo1, hi1), (lo2, hi2) = _coverage(source, sandbox)
-    reach = policy_reach(policy)
+    reach = policy.reach
     axes = []
     for lo, hi, half in ((lo1, hi1, span[0] / 2.0), (lo2, hi2, span[1] / 2.0)):
         first = lo + reach + half
@@ -366,7 +349,7 @@ def heatmap(
         v1_starts=v1_starts,
         v2_starts=v2_starts,
         weights=weights,
-        policy_name=runs[0].policy_name if runs else "",
+        policy_name=policy.name,
         grid_step=grid_step,
     )
 
@@ -410,9 +393,9 @@ def _window_counts(mask: np.ndarray, w1: int, w2: int) -> np.ndarray:
 
 def fitness_landscape(
     source: PremeasuredScan,
-    classifier=None,
+    classifier=OracleClassifier(),
     window_span: tuple[float, float] = (60.0, 60.0),
-    fitness_config: FitnessConfig | None = None,
+    fitness_config: FitnessConfig = FitnessConfig(),
 ) -> LandscapeResult:
     """Exhaustive fitness map of a stored scan for one window size.
 
@@ -422,8 +405,6 @@ def fitness_landscape(
     """
     if not isinstance(source, PremeasuredScan):
         raise ConfigurationError("fitness_landscape needs a premeasured full-range scan")
-    classifier = classifier or OracleClassifier()
-    fitness_config = fitness_config or FitnessConfig()
 
     native = source.scan.meta.resolution
     w1, w2 = pixel_count(window_span[0], native), pixel_count(window_span[1], native)
@@ -467,97 +448,48 @@ def fitness_landscape(
 # --- iteration statistics ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IterationRow:
-    point: tuple[float, float]
-    policy_name: str
-    n_runs: int
-    mean: float
-    sd: float
-
-
 @dataclass(eq=False)
 class IterationStats:
-    rows: list[IterationRow]
     pooled: dict[str, tuple[float, float]]  # policy -> (mean, pooled sd)
 
 
 def iteration_stats(reports: list[ExperimentReport]) -> IterationStats:
-    """Per-point means and s.d. plus per-policy pooled statistics.
+    """Per-policy pooled iteration statistics.
 
     The pooled s.d. combines within-point variances weighted by their
     degrees of freedom; the pooled mean averages over every run.
     """
     if not reports:
         raise ConfigurationError("no reports to summarize")
-    rows = [
-        IterationRow(
-            point=report.point,
-            policy_name=report.policy_name,
-            n_runs=report.n_runs,
-            mean=report.iteration_mean,
-            sd=report.iteration_sd,
-        )
-        for report in reports
-    ]
     pooled: dict[str, tuple[float, float]] = {}
     for policy_name in sorted({r.policy_name for r in reports}):
-        counts = np.concatenate(
-            [np.asarray(r.iteration_counts, dtype=float) for r in reports if r.policy_name == policy_name]
-        )
         groups = [r for r in reports if r.policy_name == policy_name]
+        counts = np.concatenate([np.asarray(r.iteration_counts, dtype=float) for r in groups])
         dof = sum(r.n_runs - 1 for r in groups)
-        if dof > 0:
-            pooled_var = (
-                sum((r.n_runs - 1) * r.iteration_sd**2 for r in groups) / dof
-            )
-        else:
-            pooled_var = 0.0
+        pooled_var = sum((r.n_runs - 1) * r.iteration_sd**2 for r in groups) / dof if dof > 0 else 0.0
         pooled[policy_name] = (float(counts.mean()), float(np.sqrt(pooled_var)))
-    return IterationStats(rows=rows, pooled=pooled)
+    return IterationStats(pooled=pooled)
 
 
 # --- tabular report writers --------------------------------------------------
 
 
 def write_success_csv(reports: list[ExperimentReport], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["point_v1", "point_v2", "policy", "n_runs", "success_rate", "n_ideal", "n_close", "n_fail"]
-        )
-        for r in reports:
-            writer.writerow(
-                [
-                    repr(r.point[0]),
-                    repr(r.point[1]),
-                    r.policy_name,
-                    r.n_runs,
-                    repr(r.success_rate),
-                    r.n_ideal,
-                    r.n_close,
-                    r.n_fail,
-                ]
-            )
+    write_csv(
+        path,
+        ["point_v1", "point_v2", "policy", "n_runs", "success_rate", "n_ideal", "n_close", "n_fail"],
+        (
+            [*r.point, r.policy_name, r.n_runs, r.success_rate, r.n_ideal, r.n_close, r.n_fail]
+            for r in reports
+        ),
+    )
 
 
-def write_iteration_csv(stats: IterationStats, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["point_v1", "point_v2", "policy", "n_runs", "iter_mean", "iter_sd"])
-        for row in stats.rows:
-            writer.writerow(
-                [
-                    repr(row.point[0]),
-                    repr(row.point[1]),
-                    row.policy_name,
-                    row.n_runs,
-                    repr(row.mean),
-                    repr(row.sd),
-                ]
-            )
-        for policy_name, (mean, sd) in stats.pooled.items():
-            writer.writerow(["pooled", "pooled", policy_name, "", repr(mean), repr(sd)])
+def write_iteration_csv(reports: list[ExperimentReport], stats: IterationStats, path) -> None:
+    """Per-report iteration mean and s.d., then one pooled row per policy."""
+    rows = [[*r.point, r.policy_name, r.n_runs, r.iteration_mean, r.iteration_sd] for r in reports]
+    rows += [["pooled", "pooled", name, "", mean, sd] for name, (mean, sd) in stats.pooled.items()]
+    write_csv(path, ["point_v1", "point_v2", "policy", "n_runs", "iter_mean", "iter_sd"], rows)
 
 
 def write_summary_text(reports: list[ExperimentReport], stats: IterationStats, path) -> None:

@@ -138,7 +138,7 @@ def acquire_with_labels(
     center: tuple[float, float],
     span: tuple[float, float],
     resolution: float,
-    sandbox: Sandbox | None = None,
+    sandbox: Sandbox = Sandbox(),
 ) -> tuple[ScanGrid, LabelGrid | None] | Blocked:
     """Measure one window with its ground-truth labels, or refuse it.
 
@@ -147,7 +147,7 @@ def acquire_with_labels(
     the device domain, or when a premeasured window runs off the stored
     raster.
     """
-    if not (sandbox or Sandbox()).contains_window(center, span):
+    if not sandbox.contains_window(center, span):
         if not all(math.isfinite(v) for v in (*center, *span)):
             return Blocked("window center or span is not finite")
         return Blocked("window crosses the sandbox limits")

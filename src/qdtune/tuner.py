@@ -21,7 +21,6 @@ runs out. One "iteration" is one window measurement.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from .classifier import ProbabilityVector
 from .errors import ConfigurationError, DomainError, QdtuneError
-from .fileio import write_json
+from .fileio import write_csv, write_json
 from .scans import Blocked, MeasurementSource, Sandbox, acquire_with_labels
 
 TARGET_DOUBLE_DOT = ProbabilityVector(0.0, 0.0, 1.0)
@@ -65,9 +64,8 @@ def penalty_g(x: float, steepness: float = 10.0) -> float:
     return (math.atan(steepness * (x - 0.5)) + half) / (2.0 * half)
 
 
-def fitness(p: ProbabilityVector, config: FitnessConfig | None = None) -> float:
+def fitness(p: ProbabilityVector, config: FitnessConfig = FitnessConfig()) -> float:
     """Tuning objective for one probability vector (lower is better)."""
-    config = config or FitnessConfig()
     delta = float(np.linalg.norm(config.p_target.as_array() - p.as_array()))
     delta += config.alpha * penalty_g(p.p_none, config.steepness)
     delta += config.beta * penalty_g(p.p_sd, config.steepness)
@@ -89,6 +87,18 @@ class FixedSimplex:
         if self.delta <= 0:
             raise ConfigurationError("simplex step must be positive")
 
+    @property
+    def name(self) -> str:
+        return f"fixed{self.delta:g}"
+
+    @property
+    def reach(self) -> float:
+        """Largest initial-simplex step the policy can take."""
+        return self.delta
+
+    def step(self, start_fitness: float | None = None) -> float:
+        return self.delta
+
 
 @dataclass(frozen=True)
 class DynamicSimplex:
@@ -101,11 +111,27 @@ class DynamicSimplex:
         if not 0 < self.delta_min < self.delta_max:
             raise ConfigurationError("need 0 < delta_min < delta_max")
 
-    def step(self, start_fitness: float) -> float:
+    @property
+    def name(self) -> str:
+        return "dynamic"
+
+    @property
+    def reach(self) -> float:
+        """Largest initial-simplex step the policy can take."""
+        return self.delta_max
+
+    def step(self, start_fitness: float | None) -> float:
+        if start_fitness is None:
+            raise ConfigurationError("dynamic simplex policy needs the starting fitness")
         return min(max(self.delta_min * (1.0 + start_fitness), self.delta_min), self.delta_max)
 
 
 SimplexPolicy = FixedSimplex | DynamicSimplex
+
+# The policies the command line and the offline study offer, by name.
+POLICIES: dict[str, SimplexPolicy] = {
+    policy.name: policy for policy in (FixedSimplex(75.0), FixedSimplex(100.0), DynamicSimplex())
+}
 
 
 def initial_simplex(
@@ -114,14 +140,7 @@ def initial_simplex(
     start_fitness: float | None = None,
 ) -> np.ndarray:
     """Vertices ``{start, start - (d, 0), start - (0, d)}`` as a (3, 2) array."""
-    if isinstance(policy, FixedSimplex):
-        delta = policy.delta
-    elif isinstance(policy, DynamicSimplex):
-        if start_fitness is None:
-            raise ConfigurationError("dynamic simplex policy needs the starting fitness")
-        delta = policy.step(start_fitness)
-    else:
-        raise ConfigurationError(f"unknown simplex policy {type(policy).__name__}")
+    delta = policy.step(start_fitness)
     x0, y0 = float(start[0]), float(start[1])
     return np.array([[x0, y0], [x0 - delta, y0], [x0, y0 - delta]])
 
@@ -157,7 +176,7 @@ _SHRINK = 0.5
 def nelder_mead(
     objective,
     simplex: np.ndarray,
-    term: TerminationConfig | None = None,
+    term: TerminationConfig = TerminationConfig(),
     start_value: float | None = None,
 ) -> NelderMeadResult:
     """Minimize ``objective`` over the plane starting from a 3-vertex simplex.
@@ -166,7 +185,6 @@ def nelder_mead(
     ``simplex[0]``; it is not measured again but still counts against
     the evaluation budget.
     """
-    term = term or TerminationConfig()
     sim = np.array(simplex, dtype=float)
     if sim.shape != (3, 2):
         raise ConfigurationError(f"simplex must be 3 vertices in 2-d, got shape {sim.shape}")
@@ -303,22 +321,14 @@ class TuningRun:
         write_json(path, self.to_json_dict(), indent=2)
 
     def save_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "v1", "v2", "p_none", "p_sd", "p_dd", "fitness"])
-            for i, s in enumerate(self.steps):
-                p = s.probabilities
-                writer.writerow(
-                    [
-                        i,
-                        repr(s.center[0]),
-                        repr(s.center[1]),
-                        repr(p.p_none) if p else "",
-                        repr(p.p_sd) if p else "",
-                        repr(p.p_dd) if p else "",
-                        repr(s.fitness),
-                    ]
-                )
+        write_csv(
+            path,
+            ["step", "v1", "v2", "p_none", "p_sd", "p_dd", "fitness"],
+            (
+                [i, *s.center, *(s.probabilities.as_array() if s.probabilities else ("", "", "")), s.fitness]
+                for i, s in enumerate(self.steps)
+            ),
+        )
 
 
 def autotune(
@@ -327,10 +337,10 @@ def autotune(
     start: tuple[float, float],
     span: tuple[float, float] = (60.0, 60.0),
     resolution: float = 2.0,
-    fitness_config: FitnessConfig | None = None,
-    policy: SimplexPolicy | None = None,
-    term: TerminationConfig | None = None,
-    sandbox: Sandbox | None = None,
+    fitness_config: FitnessConfig = FitnessConfig(),
+    policy: SimplexPolicy = FixedSimplex(75.0),
+    term: TerminationConfig = TerminationConfig(),
+    sandbox: Sandbox = Sandbox(),
 ) -> TuningRun:
     """Run the measure/classify/optimize loop from one starting point.
 
@@ -338,11 +348,6 @@ def autotune(
     without invoking the classifier. Failures inside the acquisition backend or
     the classifier abort the run and are recorded as such.
     """
-    fitness_config = fitness_config or FitnessConfig()
-    policy = policy or FixedSimplex(75.0)
-    term = term or TerminationConfig()
-    sandbox = sandbox or Sandbox()
-
     if not sandbox.contains_point(start):
         raise ConfigurationError(f"start point {start} lies outside the sandbox")
 
@@ -360,11 +365,8 @@ def autotune(
         steps.append(TuningStep(center, p, value, False))
         return value
 
-    policy_name = (
-        f"fixed{policy.delta:g}" if isinstance(policy, FixedSimplex) else "dynamic"
-    )
     run = TuningRun(
-        start=tuple(start), steps=steps, outcome=Outcome(kind="aborted"), policy_name=policy_name
+        start=tuple(start), steps=steps, outcome=Outcome(kind="aborted"), policy_name=policy.name
     )
     try:
         f0 = objective((float(start[0]), float(start[1])))

@@ -1,10 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import qdtune as q
-from qdtune.cli import build_parser, main
+from qdtune import classifier as classifier_mod
+from qdtune import harness as harness_mod
+from qdtune import tuner as tuner_mod
+from qdtune.cli import _load_config, build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +161,47 @@ class TestTune:
         assert err["error"] == "ConfigurationError"
         assert cause in err["message"]
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"fitness": {"alpha": "abc"}}, "fitness.alpha"),
+            ({"fitness": {"alpha": True}}, "fitness.alpha"),
+            ({"fitness": {"alpha": float("nan")}}, "fitness.alpha"),
+            ({"span_mv": [60, float("inf")]}, "span_mv"),
+            ({"fitness": {"cap": "false"}}, "fitness.cap"),
+            ({"termination": {"max_iterations": "x"}}, "termination.max_iterations"),
+            ({"termination": {"max_iterations": 3.0}}, "termination.max_iterations"),
+            ({"termination": {"max_iteration": 3}}, "termination.max_iteration"),
+            ({"span_mv": 5}, "span_mv"),
+            ({"sandbox": {"v1_range": [1]}}, "sandbox.v1_range"),
+            ({"sandbox": {"blocked_fitness": 2.0}}, "sandbox.blocked_fitness"),
+            ({"noise_seed": "x"}, "noise_seed"),
+            ({"resolution_mv": None}, "resolution_mv"),
+            ({"policy": "fixed80"}, "fixed80"),
+            ({"workers": 2}, "workers"),
+            ({"training": {"beta1": 0.5}}, "training.beta1"),
+            ({"training": {"seed": 1}}, "training.seed"),
+        ],
+    )
+    def test_bad_config_key_is_machine_readable_error(self, tmp_path, capsys, doc, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        rc = main(
+            ["tune", "--config", str(config), "--source", "sim", "--start", "300,300", "--out", str(tmp_path)]
+        )
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigurationError"
+        assert f"'{key}'" in err["message"]
+        assert not (tmp_path / "run.json").exists()
+
+    def test_non_integer_sim_seed_is_machine_readable_error(self, tmp_path, capsys):
+        rc = main(["tune", "--source", "sim:abc", "--start", "300,300", "--out", str(tmp_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigurationError"
+        assert "'sim:abc'" in err["message"]
+
     def test_training_section_must_be_an_object(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"training": "fast"}))
@@ -246,6 +291,143 @@ class TestExperiments:
         assert err["error"] == "ConfigurationError"
         assert "61.0" in err["message"]
         assert not (tmp_path / "landscape.json").exists()
+
+
+# Every accepted config key, each set to a value other than the library default.
+FULL_CONFIG = {
+    "seed": 4,
+    "span_mv": [64, 64],
+    "resolution_mv": 2.5,
+    "grid_step_mv": 50,
+    "policy": "dynamic",
+    "noise": True,
+    "noise_seed": 3,
+    "fitness": {
+        "p_target": [0.1, 0.1, 0.8],
+        "alpha": 1.5,
+        "beta": 0.5,
+        "steepness": 8,
+        "blocked_fitness": 2.5,
+        "cap": False,
+    },
+    "termination": {"fitness_tolerance": 0.05, "simplex_size_tolerance": 3, "max_iterations": 30},
+    "sandbox": {"v1_range": [10, 590], "v2_range": [20, 580]},
+    "success": {"theta_ideal": 0.7, "theta_close": 0.3},
+    "training": {"learning_rate": 0.002, "steps": 30, "batch_size": 10},
+}
+
+SECTION_CLASSES = {
+    "fitness": q.FitnessConfig,
+    "termination": q.TerminationConfig,
+    "sandbox": q.Sandbox,
+    "success": q.SuccessRegions,
+    "training": q.TrainingConfig,
+}
+
+
+class _Called(Exception):
+    """Raised by a stand-in library function once it has recorded its arguments."""
+
+
+def _capture(monkeypatch, module, name):
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise _Called
+
+    monkeypatch.setattr(module, name, record)
+    return calls
+
+
+class TestConfigReachesLibrary:
+    """The CLI builds library objects from the config file and restates no default."""
+
+    def test_empty_config_gives_library_defaults(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("{}")
+        for config in (_load_config(None), _load_config(str(path))):
+            assert config == {name: cls() for name, cls in SECTION_CLASSES.items()}
+
+    def test_every_section_key_reaches_its_object(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(FULL_CONFIG))
+        config = _load_config(str(path))
+        for name, cls in SECTION_CLASSES.items():
+            assert set(FULL_CONFIG[name]) == {f.name for f in dataclasses.fields(cls)} - {"seed"}
+            default = cls()
+            for key, value in FULL_CONFIG[name].items():
+                got = getattr(config[name], key)
+                expected = q.ProbabilityVector(*value) if key == "p_target" else value
+                assert got == (tuple(expected) if isinstance(expected, list) else expected), (name, key)
+                assert got != getattr(default, key), (name, key)
+
+    def test_empty_config_leaves_window_and_policy_to_the_library(self, tmp_path, monkeypatch):
+        path = tmp_path / "config.json"
+        path.write_text("{}")
+        calls = _capture(monkeypatch, tuner_mod, "autotune")
+        with pytest.raises(_Called):
+            main(["tune", "--config", str(path), "--source", "sim", "--start", "300,300", "--out", str(tmp_path)])
+        (source, _, start), kwargs = calls[0]
+        assert source == q.SimulatedDevice(q.reference_device())
+        assert start == (300.0, 300.0)
+        assert kwargs == {
+            "fitness_config": q.FitnessConfig(),
+            "term": q.TerminationConfig(),
+            "sandbox": q.Sandbox(),
+        }
+
+    def test_every_top_level_key_reaches_the_library(self, tmp_path, monkeypatch):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(FULL_CONFIG))
+        config = ["--config", str(path), "--out", str(tmp_path)]
+        window = {"span": (64.0, 64.0), "resolution": 2.5}
+
+        calls = _capture(monkeypatch, tuner_mod, "autotune")
+        with pytest.raises(_Called):
+            main(["tune", "--source", "sim:7", "--start", "300,300", *config])
+        (source, _, _), kwargs = calls[0]
+        assert source == q.SimulatedDevice(q.sample_device(7), with_noise=True, noise_seed=3)
+        assert kwargs["policy"] == q.DynamicSimplex()
+        assert {k: kwargs[k] for k in window} == window
+
+        calls = _capture(monkeypatch, harness_mod, "heatmap")
+        with pytest.raises(_Called):
+            main(["heatmap", "--source", "sim", *config])
+        _, kwargs = calls[0]
+        assert kwargs["grid_step"] == 50.0 and kwargs["span"] == (64.0, 64.0)
+        assert kwargs["regions"] == q.SuccessRegions(0.7, 0.3)
+
+        calls = _capture(monkeypatch, classifier_mod, "generate_dataset")
+        with pytest.raises(_Called):
+            main(["gen-dataset", "--devices", "2", "--samples", "1", *config])
+        _, kwargs = calls[0]
+        assert kwargs == {"seed": 4, "with_noise": True, **window}
+
+        monkeypatch.setattr(classifier_mod, "load_dataset", lambda path: [])
+        calls = _capture(monkeypatch, classifier_mod, "train")
+        with pytest.raises(_Called):
+            main(["train", "--dataset", "d.json", *config])
+        (_, training), _ = calls[0]
+        assert training == q.TrainingConfig(learning_rate=0.002, steps=30, batch_size=10, seed=4)
+
+        assert main(["sample-device", *config]) == 0
+        assert (tmp_path / "device_4.json").exists()
+
+    def test_flags_override_the_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(FULL_CONFIG))
+        calls = _capture(monkeypatch, tuner_mod, "autotune")
+        with pytest.raises(_Called):
+            main(
+                [
+                    "tune", "--config", str(path), "--source", "sim", "--start", "300,300",
+                    "--policy", "fixed75", "--span", "50,50", "--resolution", "2", "--out", str(tmp_path),
+                ]
+            )
+        _, kwargs = calls[0]
+        assert kwargs["policy"] == q.FixedSimplex(75.0)
+        assert kwargs["span"] == (50.0, 50.0) and kwargs["resolution"] == 2.0
 
 
 # Required arguments of each command that reads neither --seed nor --config.

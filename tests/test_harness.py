@@ -14,7 +14,6 @@ from qdtune.harness import (
     ExperimentReport,
     IterationStats,
     _aggregate,
-    policy_reach,
     run_weight,
 )
 from qdtune.tuner import TuningRun, TuningStep, Outcome
@@ -52,13 +51,13 @@ class TestSuccessScoring:
         regions = q.SuccessRegions()
         good = fake_run((300.0, 320.0))
         bad = fake_run((150.0, 170.0))
-        assert run_weight(good, reference_source, (60.0, 60.0), 2.0, None, regions) == 1.0
-        assert run_weight(bad, reference_source, (60.0, 60.0), 2.0, None, regions) == 0.0
+        assert run_weight(good, reference_source, (60.0, 60.0), 2.0, q.Sandbox(), regions) == 1.0
+        assert run_weight(bad, reference_source, (60.0, 60.0), 2.0, q.Sandbox(), regions) == 0.0
 
     def test_success_rate_averages(self, reference_source):
         regions = q.SuccessRegions()
         runs = [fake_run((300.0, 320.0)), fake_run((150.0, 170.0))]
-        weights = [run_weight(run, reference_source, (60.0, 60.0), 2.0, None, regions) for run in runs]
+        weights = [run_weight(run, reference_source, (60.0, 60.0), 2.0, q.Sandbox(), regions) for run in runs]
         assert _aggregate((300.0, 320.0), "fixed75", runs, weights).success_rate == 0.5
 
 
@@ -143,8 +142,8 @@ class TestHeatmap:
         assert ((result.weights == 0) | (result.weights == 0.5) | (result.weights == 1)).all()
 
     def test_policy_reach(self):
-        assert policy_reach(q.FixedSimplex(75.0)) == 75.0
-        assert policy_reach(q.DynamicSimplex()) == 150.0
+        assert q.FixedSimplex(75.0).reach == 75.0
+        assert q.DynamicSimplex().reach == 150.0
 
     def test_json_output(self, reference_source, oracle, tmp_path):
         result = q.heatmap(reference_source, oracle, grid_step=60.0)
@@ -323,7 +322,7 @@ class TestReportTables:
 
     def test_iteration_csv_includes_pooled_rows(self, reports, tmp_path):
         path = tmp_path / "iters.csv"
-        q.write_iteration_csv(q.iteration_stats(reports), path)
+        q.write_iteration_csv(reports, q.iteration_stats(reports), path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert any(row[0] == "pooled" for row in rows[1:])
