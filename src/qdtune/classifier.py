@@ -327,7 +327,13 @@ class OracleClassifier:
 
 
 class ModelClassifier:
-    """Runs the preprocessing pipeline and the trained network."""
+    """Runs the preprocessing pipeline and the trained network.
+
+    It never reads ground-truth labels, and says so, so that the tuner
+    does not ask a simulated source to compute them.
+    """
+
+    reads_labels = False
 
     def __init__(self, model: ClassifierModel):
         self.model = model

@@ -210,10 +210,11 @@ def _cmd_sample_device(args) -> int:
 
 def _cmd_render_scan(args) -> int:
     config = _load_config(args.config)
+    seed = _settings(args, config, seed="seed").get("seed")
     if args.device:
         params = device_mod.load_device(args.device)
-    elif args.seed is not None:
-        params = device_mod.sample_device(args.seed)
+    elif seed is not None:
+        params = device_mod.sample_device(seed)
     else:
         params = device_mod.reference_device()
     window = _settings(args, config, span="span_mv", resolution="resolution_mv")
@@ -222,8 +223,7 @@ def _cmd_render_scan(args) -> int:
         args.center,
         window.get("span", (60.0, 60.0)),
         window.get("resolution", 2.0),
-        with_noise=args.noise,
-        noise_seed=args.noise_seed,
+        **_settings(args, config, with_noise="noise", noise_seed="noise_seed"),
     )
     out = _out_dir(args)
     path = out / f"scan_{args.center[0]:g}_{args.center[1]:g}{scans_mod.SCAN_SUFFIX}"
@@ -394,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", type=_pair("--center"), required=True, help="window center 'V1,V2' in mV")
     p.add_argument("--span", type=_pair("--span"), help="window span 'S1,S2' in mV")
     p.add_argument("--resolution", type=float, help="pixel size in mV")
-    p.add_argument("--noise", action="store_true")
-    p.add_argument("--noise-seed", type=int, default=0)
+    p.add_argument("--noise", action="store_true", default=None)
+    p.add_argument("--noise-seed", type=int)
     p.add_argument("--out", required=True)
 
     p = add("gen-dataset", _cmd_gen_dataset, "generate a labeled training dataset")

@@ -28,6 +28,16 @@ other dot's occupation (``interdot_coupling``), which produces the
 honeycomb anticrossings, and the two potentials are blended into a common
 one above the merge threshold so the merged region shows a single family
 of diagonal transition lines.
+
+Rendering skips work without changing a bit of its output. scipy's
+``expit`` returns exactly 1.0 once ``exp(-x)`` falls below half an ulp of
+1, and every step of the level sum is monotone in ``mu``, so the leading
+levels whose step is 1.0 at a window's smallest ``mu`` are 1.0 at every
+pixel. Added in order from 0.0 they sum to exactly their count, so
+:func:`_occupation` starts there and evaluates only the other levels.
+:func:`render_scan` computes on broadcast axes instead of meshgrids,
+which gives the same value per element because every operation is
+elementwise, and computes ground-truth labels only when asked for them.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigurationError, DomainError, ScanFormatError, ScanVersionError
+from .errors import ConfigurationError, DomainError, ScanFormatError, ScanVersionError, ShapeError
 from .fileio import read_json, write_json
 from .grids import LabelGrid, ScanGrid, ScanMeta, StateLabel, pixel_count
 
@@ -182,10 +192,12 @@ def reference_device() -> DeviceParams:
 
 
 def _check_domain(v1, v2):
+    """Both voltage arrays as floats; DomainError unless every value lies in
+    ``DOMAIN_MV``. Written so that any NaN comparison refuses."""
     lo, hi = DOMAIN_MV
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
-    if (v1 < lo).any() or (v1 > hi).any() or (v2 < lo).any() or (v2 > hi).any():
+    if not ((lo <= v1) & (v1 <= hi) & (lo <= v2) & (v2 <= hi)).all():
         raise DomainError(f"plunger voltages outside device domain [{lo}, {hi}] mV")
     return v1, v2
 
@@ -224,12 +236,24 @@ def state_at(params: DeviceParams, v1: float, v2: float) -> StateLabel:
 
 
 def _occupation(mu: np.ndarray, spacing: float) -> np.ndarray:
-    """Electron count for a dot: broadened steps at mu = (k + 1/2) * spacing."""
+    """Electron count for a dot: broadened steps at mu = (k + 1/2) * spacing.
+
+    The first ``k0`` levels, whose step is exactly 1.0 at ``min(mu)``, are
+    exactly 1.0 everywhere and are counted, not evaluated (module docstring).
+    """
     top = float(np.max(mu, initial=0.0))
     n_levels = max(1, int(np.ceil(top / spacing)) + 2)
-    occ = np.zeros_like(mu)
-    for k in range(n_levels):
-        occ += expit((mu - (k + 0.5) * spacing) / THERMAL_WIDTH_MV)
+    low = float(np.min(mu))
+    k0 = 0
+    while k0 < n_levels and expit((low - (k0 + 0.5) * spacing) / THERMAL_WIDTH_MV) == 1.0:
+        k0 += 1
+    occ = np.full_like(mu, float(k0))
+    step = np.empty_like(mu)
+    for k in range(k0, n_levels):
+        np.subtract(mu, (k + 0.5) * spacing, out=step)
+        np.divide(step, THERMAL_WIDTH_MV, out=step)
+        expit(step, out=step)
+        occ += step
     return occ
 
 
@@ -278,12 +302,15 @@ def render_scan(
     resolution: float,
     with_noise: bool = False,
     noise_seed: int = 0,
-) -> tuple[ScanGrid, LabelGrid]:
+    with_labels: bool = True,
+) -> tuple[ScanGrid, LabelGrid | None]:
     """Measure a rectangular window and return the raster plus ground truth.
 
     Pixel centers sit at ``lo + (i + 1/2) * resolution`` so the requested
     window edges bound the raster. The whole window must lie inside
-    ``DOMAIN_MV``; anything else raises DomainError.
+    ``DOMAIN_MV``; anything else, a non-finite center included, raises
+    DomainError. With ``with_labels=False`` the labels are not computed
+    and come back as None.
     """
     if not resolution > 0:
         raise ConfigurationError(f"resolution must be positive, got {resolution}")
@@ -294,23 +321,34 @@ def render_scan(
     lo1, hi1 = c1 - s1 / 2.0, c1 + s1 / 2.0
     lo2, hi2 = c2 - s2 / 2.0, c2 + s2 / 2.0
     dlo, dhi = DOMAIN_MV
-    if lo1 < dlo or hi1 > dhi or lo2 < dlo or hi2 > dhi:
+    # Written so that any NaN comparison refuses.
+    if not (dlo <= lo1 and hi1 <= dhi and dlo <= lo2 and hi2 <= dhi):
         raise DomainError(
             f"window ({lo1}, {hi1}) x ({lo2}, {hi2}) mV exceeds device domain [{dlo}, {dhi}]"
         )
 
     v1_axis = lo1 + (np.arange(n1) + 0.5) * resolution
     v2_axis = lo2 + (np.arange(n2) + 0.5) * resolution
-    g1, g2 = np.meshgrid(v1_axis, v2_axis, indexing="ij")
+    # The axes are built here, so the only check of ScanGrid's that can fail
+    # is strict increase: a resolution below the float spacing of the voltages.
+    for name, axis in (("v1_axis", v1_axis), ("v2_axis", v2_axis)):
+        if not (axis[1:] > axis[:-1]).all():
+            raise ShapeError(f"{name} must be strictly increasing: {resolution} mV is below float spacing")
+    g1, g2 = v1_axis[:, None], v2_axis[None, :]
 
     values = _sensor_grid(params, g1, g2)
     if with_noise and params.noise_sigma > 0:
         rng = np.random.default_rng(noise_seed)
         values = values + rng.normal(0.0, params.noise_sigma, size=values.shape)
-    labels = _state_codes(params, g1, g2)
 
-    meta = ScanMeta(resolution=resolution, acquisition_axis="v1")
-    return ScanGrid(values, v1_axis, v2_axis, meta), LabelGrid(labels, v1_axis, v2_axis)
+    scan = object.__new__(ScanGrid)
+    scan.values, scan.v1_axis, scan.v2_axis = values, v1_axis, v2_axis
+    scan.meta = ScanMeta(resolution=resolution, acquisition_axis="v1")
+    if not with_labels:
+        return scan, None
+    labels = object.__new__(LabelGrid)
+    labels.labels, labels.v1_axis, labels.v2_axis = _state_codes(params, g1, g2), v1_axis, v2_axis
+    return scan, labels
 
 
 def save_device(params: DeviceParams, path) -> None:

@@ -1,8 +1,9 @@
 """Raster containers shared by the simulator, scan IO, and preprocessing.
 
 Checks run where data enters: every ``ScanGrid`` and ``LabelGrid``
-built by a constructor (``render_scan``, ``load_scan``, strided
-premeasured crops, the CLI) validates its axes, spacing and codes. A
+built by a constructor (``load_scan``, strided premeasured crops, the
+CLI) validates its axes, spacing and codes. ``render_scan`` builds its
+axes and codes itself and checks only that the axes strictly increase. A
 grid derived with :meth:`ScanGrid.with_values` trusts the axes and
 metadata its parent already passed and checks only the shape of the new
 values; a stride-1 :meth:`ScanGrid.crop` or :meth:`LabelGrid.crop` is a

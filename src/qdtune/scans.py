@@ -139,10 +139,13 @@ def acquire_with_labels(
     span: tuple[float, float],
     resolution: float,
     sandbox: Sandbox = Sandbox(),
+    with_labels: bool = True,
 ) -> tuple[ScanGrid, LabelGrid | None] | Blocked:
     """Measure one window with its ground-truth labels, or refuse it.
 
-    The labels are None when the source has none. Returns Blocked when
+    The labels are None when the source has none, and from a simulated
+    source when ``with_labels`` is False; a premeasured source returns the
+    crop of its stored labels either way. Returns Blocked when
     any window corner leaves the sandbox, when a simulated window exceeds
     the device domain, or when a premeasured window runs off the stored
     raster.
@@ -161,6 +164,7 @@ def acquire_with_labels(
                 resolution,
                 with_noise=source.with_noise,
                 noise_seed=source.noise_seed,
+                with_labels=with_labels,
             )
         except DomainError:
             return Blocked("window exceeds the device domain")

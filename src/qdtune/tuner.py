@@ -346,15 +346,19 @@ def autotune(
 
     Blocked windows are scored at ``fitness_config.blocked_fitness``
     without invoking the classifier. Failures inside the acquisition backend or
-    the classifier abort the run and are recorded as such.
+    the classifier abort the run and are recorded as such. A classifier
+    whose ``reads_labels`` attribute is False gets no labels from a
+    simulated source, which then skips computing them; any other classifier
+    gets them.
     """
     if not sandbox.contains_point(start):
         raise ConfigurationError(f"start point {start} lies outside the sandbox")
 
     steps: list[TuningStep] = []
+    with_labels = getattr(classifier, "reads_labels", True)
 
     def objective(center: tuple[float, float]) -> float:
-        result = acquire_with_labels(source, center, span, resolution, sandbox)
+        result = acquire_with_labels(source, center, span, resolution, sandbox, with_labels=with_labels)
         if isinstance(result, Blocked):
             value = fitness_config.blocked_fitness
             steps.append(TuningStep(center, None, value, True))

@@ -51,6 +51,35 @@ class TestDevicePipeline:
         np.testing.assert_array_equal(scan.values, direct.values)
 
 
+    @pytest.mark.parametrize("center", ["nan,300", "300,nan", "inf,300", "300,-inf"])
+    def test_render_scan_non_finite_center_is_machine_readable_error(self, tmp_path, capsys, center):
+        assert main(["render-scan", "--center", center, "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DomainError"
+        assert not list(tmp_path.iterdir())
+
+    def test_render_scan_reads_seed_and_noise_from_the_config(self, tmp_path):
+        window = ["--center", "300,330", "--span", "20,20"]
+
+        def render(name, *argv, doc=None):
+            out = tmp_path / name
+            if doc is not None:
+                (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+                argv = (*argv, "--config", str(tmp_path / f"{name}.json"))
+            assert main(["render-scan", *window, *argv, "--out", str(out)]) == 0
+            return (out / "scan_300_330.qdscan.json").read_bytes()
+
+        noisy = {"seed": 5, "noise": True, "noise_seed": 3}
+        by_flags = render("flags", "--seed", "5", "--noise", "--noise-seed", "3")
+        assert render("file", doc=noisy) == by_flags
+        assert by_flags != render("reference") != render("seed5", "--seed", "5")
+        # Flags override the file; a device file overrides any seed.
+        assert render("override", "--seed", "5", "--noise-seed", "3", doc={"seed": 9, "noise": True}) == by_flags
+        device = tmp_path / "device_5.json"
+        q.save_device(q.sample_device(5), device)
+        assert render("device", "--device", str(device), doc={**noisy, "seed": 9}) == by_flags
+
+
 class TestTrainingPipeline:
     def test_dataset_train_evaluate(self, tmp_path, capsys):
         ds_dir = tmp_path / "ds"

@@ -23,6 +23,14 @@ class TestStateGeometry:
         with pytest.raises(q.DomainError):
             q.state_at(reference_params, 300, 600.5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_state_at_non_finite_voltage_raises(self, reference_params, bad, axis):
+        point = [300.0, 300.0]
+        point[axis] = bad
+        with pytest.raises(q.DomainError):
+            q.state_at(reference_params, *point)
+
     def test_no_dot_below_both_formation_thresholds(self, reference_params):
         v1_on, v2_on = reference_params.formation_thresholds
         v = np.linspace(0, min(v1_on, v2_on) - 1, 25)
@@ -122,6 +130,15 @@ class TestRenderScan:
     def test_window_outside_domain_rejected(self, reference_params):
         with pytest.raises(q.DomainError):
             q.render_scan(reference_params, (590.0, 300.0), (60.0, 60.0), 2.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_center_rejected(self, reference_params, bad, axis):
+        center = [300.0, 300.0]
+        center[axis] = bad
+        for with_labels in (True, False):
+            with pytest.raises(q.DomainError):
+                q.render_scan(reference_params, center, (60.0, 60.0), 2.0, with_labels=with_labels)
 
     def test_noise_seed_controls_values(self, reference_params):
         a, _ = q.render_scan(reference_params, (300, 300), (20, 20), 2.0, with_noise=True, noise_seed=1)
