@@ -3,7 +3,6 @@
 from .device import (
     DOMAIN_MV,
     DeviceParams,
-    VariationConfig,
     load_device,
     reference_device,
     render_scan,

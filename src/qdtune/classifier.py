@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import device as device_model
-from .device import VariationConfig
 from .errors import (
     ConfigurationError,
     ScanFormatError,
@@ -29,15 +28,30 @@ from .errors import (
     TrainingDivergedError,
 )
 from .fileio import decode_blob, encode_blob, read_json, write_json
-from .grids import LabelGrid, MAX_STATE_CODE, ScanGrid, SINGLE_DOT_CODES, StateLabel
+from .grids import (
+    DEFAULT_RESOLUTION_MV,
+    DEFAULT_SPAN_MV,
+    LabelGrid,
+    MAX_STATE_CODE,
+    ScanGrid,
+    SINGLE_DOT_CODES,
+    StateLabel,
+)
 from .preprocess import IMAGE_SIZE, ProcessedImage, process
+from .scans import Sandbox
 
 MODEL_SCHEMA_VERSION = "1"
 DATASET_SCHEMA_VERSION = "1"
 
 LAYER_SIZES = (IMAGE_SIZE * IMAGE_SIZE, 128, 64, 3)
+# (fan-in, fan-out) of each weight matrix.
+LAYER_SHAPES = tuple(zip(LAYER_SIZES[:-1], LAYER_SIZES[1:]))
 
 CLASS_NAMES = ("none", "sd", "dd")
+
+# Redraws of a dataset window center that sticks out of the device domain
+# before generate_dataset gives up.
+MAX_WINDOW_REDRAWS = 200
 
 # Adam's moment decay rates and denominator guard (Kingma and Ba's values).
 ADAM_BETA1 = 0.9
@@ -106,42 +120,36 @@ def generate_dataset(
     n_devices: int,
     samples_per_device: int,
     seed: int = 0,
-    span: tuple[float, float] = (60.0, 60.0),
-    resolution: float = 2.0,
-    variation: VariationConfig = VariationConfig(),
+    span: tuple[float, float] = DEFAULT_SPAN_MV,
+    resolution: float = DEFAULT_RESOLUTION_MV,
     with_noise: bool = False,
-    max_redraws: int = 200,
 ) -> list[LabeledSample]:
     """Sample random devices and random in-domain windows from each.
 
     Window centers are drawn uniformly over the device domain; windows
-    that stick out are redrawn (up to ``max_redraws`` times each). Every
-    sample pairs the processed image with the oracle probability vector
-    of the same window.
+    that stick out are redrawn (up to ``MAX_WINDOW_REDRAWS`` times each).
+    Every sample pairs the processed image with the oracle probability
+    vector of the same window.
     """
     if n_devices <= 0 or samples_per_device <= 0:
         raise ConfigurationError("n_devices and samples_per_device must be positive")
     lo, hi = device_model.DOMAIN_MV
+    domain = Sandbox(device_model.DOMAIN_MV, device_model.DOMAIN_MV)
     children = np.random.SeedSequence(seed).spawn(n_devices)
 
     samples: list[LabeledSample] = []
     for child in children:
         rng = np.random.default_rng(child)
-        params = device_model.sample_device(int(rng.integers(2**31 - 1)), variation)
+        params = device_model.sample_device(int(rng.integers(2**31 - 1)))
         for _ in range(samples_per_device):
-            for attempt in range(max_redraws + 1):
+            for attempt in range(MAX_WINDOW_REDRAWS + 1):
                 c1 = float(rng.uniform(lo, hi))
                 c2 = float(rng.uniform(lo, hi))
-                if (
-                    c1 - span[0] / 2.0 >= lo
-                    and c1 + span[0] / 2.0 <= hi
-                    and c2 - span[1] / 2.0 >= lo
-                    and c2 + span[1] / 2.0 <= hi
-                ):
+                if domain.contains_window((c1, c2), span):
                     break
             else:
                 raise ConfigurationError(
-                    f"could not draw an in-domain window after {max_redraws} redraws"
+                    f"could not draw an in-domain window after {MAX_WINDOW_REDRAWS} redraws"
                 )
             noise_seed = int(rng.integers(2**31 - 1))
             scan, labels = device_model.render_scan(
@@ -177,13 +185,11 @@ class ClassifierModel:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    layer_sizes: tuple[int, ...] = LAYER_SIZES
 
     def __post_init__(self):
-        expected = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
-        if len(self.weights) != len(expected) or len(self.biases) != len(expected):
-            raise ShapeError("weight/bias count does not match layer_sizes")
-        for (n_in, n_out), w, b in zip(expected, self.weights, self.biases):
+        if len(self.weights) != len(LAYER_SHAPES) or len(self.biases) != len(LAYER_SHAPES):
+            raise ShapeError("weight/bias count does not match LAYER_SIZES")
+        for (n_in, n_out), w, b in zip(LAYER_SHAPES, self.weights, self.biases):
             if w.shape != (n_in, n_out) or b.shape != (n_out,):
                 raise ShapeError(
                     f"layer expects W{(n_in, n_out)} b{(n_out,)}, got W{w.shape} b{b.shape}"
@@ -204,15 +210,15 @@ class TrainingConfig:
             raise ConfigurationError("learning_rate, steps, and batch_size must be positive")
 
 
-def init_model(seed: int, layer_sizes: tuple[int, ...] = LAYER_SIZES) -> ClassifierModel:
+def init_model(seed: int) -> ClassifierModel:
     """Symmetric uniform init scaled by fan-in, deterministic in ``seed``."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []
-    for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+    for n_in, n_out in LAYER_SHAPES:
         bound = 1.0 / np.sqrt(n_in)
         weights.append(rng.uniform(-bound, bound, size=(n_in, n_out)))
         biases.append(np.zeros(n_out))
-    return ClassifierModel(weights=weights, biases=biases, layer_sizes=tuple(layer_sizes))
+    return ClassifierModel(weights=weights, biases=biases)
 
 
 def _forward(model: ClassifierModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -249,13 +255,10 @@ def loss_and_gradients(
 
 
 def train(
-    samples: list[LabeledSample] | tuple[np.ndarray, np.ndarray],
-    config: TrainingConfig = TrainingConfig(),
+    samples: list[LabeledSample], config: TrainingConfig = TrainingConfig()
 ) -> tuple[ClassifierModel, np.ndarray]:
     """Train the network; returns the final model and the per-step loss trace."""
-    x, t = samples if isinstance(samples, tuple) else dataset_arrays(samples)
-    if x.ndim != 2 or x.shape[1] != LAYER_SIZES[0] or t.shape != (x.shape[0], 3):
-        raise ShapeError(f"expected inputs ({x.shape[0]}, {LAYER_SIZES[0]}) and targets (N, 3)")
+    x, t = dataset_arrays(samples)
 
     rng = np.random.default_rng(config.seed)
     model = init_model(int(rng.integers(2**31 - 1)))
@@ -338,7 +341,7 @@ class ModelClassifier:
     def __init__(self, model: ClassifierModel):
         self.model = model
 
-    def probabilities(self, scan: ScanGrid, labels: LabelGrid | None = None) -> ProbabilityVector:
+    def probabilities(self, scan: ScanGrid, labels: LabelGrid | None) -> ProbabilityVector:
         return classify(self.model, process(scan))
 
 
@@ -349,7 +352,7 @@ def save_model(model: ClassifierModel, path) -> None:
     doc = {
         "format": "qdtune-model",
         "version": MODEL_SCHEMA_VERSION,
-        "layer_sizes": list(model.layer_sizes),
+        "layer_sizes": list(LAYER_SIZES),
         "activation": "relu",
         "output": "softmax",
         "weights": [encode_blob(w, "<f8") for w in model.weights],
@@ -367,24 +370,20 @@ def load_model(path) -> ClassifierModel:
     if doc.get("activation", "relu") != "relu" or doc.get("output", "softmax") != "softmax":
         raise ScanFormatError("only relu activations with a softmax output are supported")
     sizes = doc.get("layer_sizes")
-    if not isinstance(sizes, list) or len(sizes) < 2:
-        raise ScanFormatError("field 'layer_sizes' must list at least two layers")
-    if not all(type(n) is int and n > 0 for n in sizes):
-        raise ScanFormatError(f"field 'layer_sizes' must hold positive integers, got {sizes}")
-    sizes = tuple(sizes)
-    pairs = list(zip(sizes[:-1], sizes[1:]))
+    if sizes != list(LAYER_SIZES):
+        raise ScanFormatError(f"field 'layer_sizes' must be {list(LAYER_SIZES)}, got {sizes!r}")
     raw_w, raw_b = doc.get("weights"), doc.get("biases")
-    if not isinstance(raw_w, list) or not isinstance(raw_b, list) or len(raw_w) != len(pairs) or len(raw_b) != len(pairs):
+    if not (isinstance(raw_w, list) and isinstance(raw_b, list) and len(raw_w) == len(raw_b) == len(LAYER_SHAPES)):
         raise ScanFormatError("fields 'weights'/'biases' must hold one blob per layer")
     weights = [
         decode_blob(f"weights[{i}]", blob, "<f8", n_in * n_out).reshape(n_in, n_out)
-        for i, (blob, (n_in, n_out)) in enumerate(zip(raw_w, pairs))
+        for i, (blob, (n_in, n_out)) in enumerate(zip(raw_w, LAYER_SHAPES))
     ]
     biases = [
         decode_blob(f"biases[{i}]", blob, "<f8", n_out)
-        for i, (blob, (_, n_out)) in enumerate(zip(raw_b, pairs))
+        for i, (blob, (_, n_out)) in enumerate(zip(raw_b, LAYER_SHAPES))
     ]
-    return ClassifierModel(weights=weights, biases=biases, layer_sizes=sizes)
+    return ClassifierModel(weights=weights, biases=biases)
 
 
 def save_dataset(samples: list[LabeledSample], path) -> None:

@@ -218,13 +218,8 @@ def _cmd_render_scan(args) -> int:
     else:
         params = device_mod.reference_device()
     window = _settings(args, config, span="span_mv", resolution="resolution_mv")
-    scan, labels = device_mod.render_scan(
-        params,
-        args.center,
-        window.get("span", (60.0, 60.0)),
-        window.get("resolution", 2.0),
-        **_settings(args, config, with_noise="noise", noise_seed="noise_seed"),
-    )
+    noise = _settings(args, config, with_noise="noise", noise_seed="noise_seed")
+    scan, labels = device_mod.render_scan(params, args.center, **window, **noise)
     out = _out_dir(args)
     path = out / f"scan_{args.center[0]:g}_{args.center[1]:g}{scans_mod.SCAN_SUFFIX}"
     scans_mod.save_scan(scan, path, labels)

@@ -49,7 +49,15 @@ from scipy.special import expit
 
 from .errors import ConfigurationError, DomainError, ScanFormatError, ScanVersionError, ShapeError
 from .fileio import read_json, write_json
-from .grids import LabelGrid, ScanGrid, ScanMeta, StateLabel, pixel_count
+from .grids import (
+    DEFAULT_RESOLUTION_MV,
+    DEFAULT_SPAN_MV,
+    LabelGrid,
+    ScanGrid,
+    ScanMeta,
+    StateLabel,
+    pixel_count,
+)
 
 #: Plunger-voltage domain of every simulated device, in millivolts.
 DOMAIN_MV = (0.0, 600.0)
@@ -123,51 +131,42 @@ class DeviceParams:
             raise ScanFormatError(f"device document missing field {exc.args[0]!r}") from exc
 
 
-@dataclass(frozen=True)
-class VariationConfig:
-    """Uniform sampling ranges for each device parameter.
-
-    A zero-width range pins the parameter to that value, so a config of
-    midpoints reproduces one fixed device for any seed.
-    """
-
-    v1_on: tuple[float, float] = (170.0, 250.0)
-    v2_on: tuple[float, float] = (190.0, 270.0)
-    merge_threshold: tuple[float, float] = (355.0, 415.0)
-    dd_band_lower: tuple[float, float] = (-125.0, -80.0)
-    dd_band_upper: tuple[float, float] = (80.0, 125.0)
-    lever_arm: tuple[float, float] = (0.8, 1.2)
-    line_spacing: tuple[float, float] = (18.0, 28.0)
-    line_slope: tuple[float, float] = (0.08, 0.22)
-    interdot_coupling: tuple[float, float] = (4.0, 12.0)
-    noise_sigma: tuple[float, float] = (0.005, 0.02)
-    background_gradient: tuple[float, float] = (0.0005, 0.002)
-
-    def __post_init__(self):
-        for name, (lo, hi) in asdict(self).items():
-            if lo > hi:
-                raise ConfigurationError(f"variation range {name} has lower bound above upper")
+#: Uniform sampling range ``(lo, hi)`` of each parameter :func:`sample_device`
+#: draws, in mV except for the lever arms, slopes and noise (arb.).
+VARIATION_RANGES = {
+    "v1_on": (170.0, 250.0),
+    "v2_on": (190.0, 270.0),
+    "merge_threshold": (355.0, 415.0),
+    "dd_band_lower": (-125.0, -80.0),
+    "dd_band_upper": (80.0, 125.0),
+    "lever_arm": (0.8, 1.2),
+    "line_spacing": (18.0, 28.0),
+    "line_slope": (0.08, 0.22),
+    "interdot_coupling": (4.0, 12.0),
+    "noise_sigma": (0.005, 0.02),
+    "background_gradient": (0.0005, 0.002),
+}
 
 
-def sample_device(seed: int, variation: VariationConfig = VariationConfig()) -> DeviceParams:
+def sample_device(seed: int) -> DeviceParams:
     """Draw one device realization, deterministic in ``seed``."""
     rng = np.random.default_rng(seed)
 
-    def draw(bounds):
-        lo, hi = bounds
-        return float(rng.uniform(lo, hi)) if hi > lo else float(lo)
+    def draw(name):
+        lo, hi = VARIATION_RANGES[name]
+        return float(rng.uniform(lo, hi))
 
     return DeviceParams(
         seed=int(seed),
-        formation_thresholds=(draw(variation.v1_on), draw(variation.v2_on)),
-        merge_threshold=draw(variation.merge_threshold),
-        dd_band=(draw(variation.dd_band_lower), draw(variation.dd_band_upper)),
-        lever_arms=(draw(variation.lever_arm), draw(variation.lever_arm)),
-        line_spacing=draw(variation.line_spacing),
-        line_slopes=(draw(variation.line_slope), draw(variation.line_slope)),
-        interdot_coupling=draw(variation.interdot_coupling),
-        noise_sigma=draw(variation.noise_sigma),
-        background_gradient=draw(variation.background_gradient),
+        formation_thresholds=(draw("v1_on"), draw("v2_on")),
+        merge_threshold=draw("merge_threshold"),
+        dd_band=(draw("dd_band_lower"), draw("dd_band_upper")),
+        lever_arms=(draw("lever_arm"), draw("lever_arm")),
+        line_spacing=draw("line_spacing"),
+        line_slopes=(draw("line_slope"), draw("line_slope")),
+        interdot_coupling=draw("interdot_coupling"),
+        noise_sigma=draw("noise_sigma"),
+        background_gradient=draw("background_gradient"),
     )
 
 
@@ -298,8 +297,8 @@ def _sensor_grid(params: DeviceParams, v1: np.ndarray, v2: np.ndarray) -> np.nda
 def render_scan(
     params: DeviceParams,
     center: tuple[float, float],
-    span: tuple[float, float],
-    resolution: float,
+    span: tuple[float, float] = DEFAULT_SPAN_MV,
+    resolution: float = DEFAULT_RESOLUTION_MV,
     with_noise: bool = False,
     noise_seed: int = 0,
     with_labels: bool = True,

@@ -82,6 +82,12 @@ def _check_axis(name: str, axis: np.ndarray, resolution: float) -> np.ndarray:
     return axis
 
 
+#: The window a tuning run, a dataset sample or a rendered scan measures
+#: unless told otherwise: 60 x 60 mV at 2 mV per pixel.
+DEFAULT_SPAN_MV = (60.0, 60.0)
+DEFAULT_RESOLUTION_MV = 2.0
+
+
 def pixel_count(extent: float, resolution: float) -> int:
     """Number of ``resolution`` mV pixels across a window ``extent`` mV wide.
 

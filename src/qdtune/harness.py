@@ -16,6 +16,7 @@ depends on the runs before it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .classifier import OracleClassifier, ProbabilityVector, oracle_probability
 from .errors import ConfigurationError, ScanFormatError, ShapeError
 from .fileio import encode_blob, write_csv, write_json
-from .grids import SINGLE_DOT_CODES, StateLabel, pixel_count
+from .grids import DEFAULT_RESOLUTION_MV, DEFAULT_SPAN_MV, SINGLE_DOT_CODES, StateLabel, pixel_count
 from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, acquire_with_labels
 from .tuner import (
     FitnessConfig,
@@ -232,8 +233,8 @@ def neighborhood_experiment(
     classifier,
     point: tuple[float, float],
     policy: SimplexPolicy = FixedSimplex(75.0),
-    span: tuple[float, float] = (60.0, 60.0),
-    resolution: float = 2.0,
+    span: tuple[float, float] = DEFAULT_SPAN_MV,
+    resolution: float = DEFAULT_RESOLUTION_MV,
     fitness_config: FitnessConfig = FitnessConfig(),
     term: TerminationConfig = TerminationConfig(),
     sandbox: Sandbox = Sandbox(),
@@ -323,9 +324,16 @@ def heatmap(
     The grid leaves a margin so that every window of every initial
     simplex vertex stays on the raster: the low edge keeps the policy's
     largest step plus half a window clear, the high edge half a window.
+    A grid step that is not a positive finite number, or a span that is not
+    a whole number of pixels, raises ConfigurationError before any run.
     """
     if resolution is None:
-        resolution = source.scan.meta.resolution if isinstance(source, PremeasuredScan) else 2.0
+        premeasured = isinstance(source, PremeasuredScan)
+        resolution = source.scan.meta.resolution if premeasured else DEFAULT_RESOLUTION_MV
+    if not 0.0 < grid_step < math.inf:
+        raise ConfigurationError(f"grid_step must be a positive finite number of mV, got {grid_step}")
+    for extent in span:
+        pixel_count(extent, resolution)
 
     (lo1, hi1), (lo2, hi2) = _coverage(source, sandbox)
     reach = policy.reach
@@ -394,7 +402,7 @@ def _window_counts(mask: np.ndarray, w1: int, w2: int) -> np.ndarray:
 def fitness_landscape(
     source: PremeasuredScan,
     classifier=OracleClassifier(),
-    window_span: tuple[float, float] = (60.0, 60.0),
+    window_span: tuple[float, float] = DEFAULT_SPAN_MV,
     fitness_config: FitnessConfig = FitnessConfig(),
 ) -> LandscapeResult:
     """Exhaustive fitness map of a stored scan for one window size.

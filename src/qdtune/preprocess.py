@@ -147,14 +147,14 @@ def resize_to_30(values: np.ndarray) -> ProcessedImage:
 
 
 @lru_cache(maxsize=None)
-def _overlap_weights(n_src: int, n_dst: int = IMAGE_SIZE) -> np.ndarray:
-    """Row-stochastic matrix averaging n_src cells into n_dst cells.
+def _overlap_weights(n_src: int) -> np.ndarray:
+    """Row-stochastic matrix averaging n_src cells into IMAGE_SIZE cells.
 
     Built once per size and shared, so the returned array is read-only.
     """
-    w = np.zeros((n_dst, n_src))
-    scale = n_src / n_dst
-    for t in range(n_dst):
+    w = np.zeros((IMAGE_SIZE, n_src))
+    scale = n_src / IMAGE_SIZE
+    for t in range(IMAGE_SIZE):
         lo = t * scale
         hi = lo + scale
         for s in range(int(np.floor(lo)), min(int(np.ceil(hi)), n_src)):

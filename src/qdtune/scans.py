@@ -78,7 +78,7 @@ class Sandbox:
 class Blocked:
     """Signal that a window was refused; carries the reason for logs."""
 
-    reason: str = "sandbox"
+    reason: str
 
 
 @dataclass(frozen=True)
@@ -172,6 +172,8 @@ def acquire_with_labels(
 
     if isinstance(source, PremeasuredScan):
         native = source.scan.meta.resolution
+        if not math.isfinite(resolution):
+            raise UnsupportedResolutionError(f"requested resolution {resolution} mV/px is not finite")
         if resolution < native * (1.0 - 1e-9):
             raise UnsupportedResolutionError(
                 f"requested {resolution} mV/px is finer than the stored raster ({native} mV/px)"

@@ -29,6 +29,7 @@ import numpy as np
 from .classifier import ProbabilityVector
 from .errors import ConfigurationError, DomainError, QdtuneError
 from .fileio import write_csv, write_json
+from .grids import DEFAULT_RESOLUTION_MV, DEFAULT_SPAN_MV
 from .scans import Blocked, MeasurementSource, Sandbox, acquire_with_labels
 
 TARGET_DOUBLE_DOT = ProbabilityVector(0.0, 0.0, 1.0)
@@ -56,7 +57,7 @@ class FitnessConfig:
             raise ConfigurationError("blocked_fitness must be positive")
 
 
-def penalty_g(x: float, steepness: float = 10.0) -> float:
+def penalty_g(x: float, steepness: float = FitnessConfig.steepness) -> float:
     """Arctangent penalty on [0, 1] with g(0)=0, g(1)=1, inflection at 1/2."""
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"penalty argument must lie in [0, 1], got {x}")
@@ -100,16 +101,14 @@ class FixedSimplex:
         return self.delta
 
 
+# Smallest and largest initial-simplex step of DynamicSimplex, in mV.
+DYNAMIC_STEP_MIN_MV = 50.0
+DYNAMIC_STEP_MAX_MV = 150.0
+
+
 @dataclass(frozen=True)
 class DynamicSimplex:
     """Scale the step with the starting fitness: worse start, wider simplex."""
-
-    delta_min: float = 50.0
-    delta_max: float = 150.0
-
-    def __post_init__(self):
-        if not 0 < self.delta_min < self.delta_max:
-            raise ConfigurationError("need 0 < delta_min < delta_max")
 
     @property
     def name(self) -> str:
@@ -118,12 +117,13 @@ class DynamicSimplex:
     @property
     def reach(self) -> float:
         """Largest initial-simplex step the policy can take."""
-        return self.delta_max
+        return DYNAMIC_STEP_MAX_MV
 
     def step(self, start_fitness: float | None) -> float:
         if start_fitness is None:
             raise ConfigurationError("dynamic simplex policy needs the starting fitness")
-        return min(max(self.delta_min * (1.0 + start_fitness), self.delta_min), self.delta_max)
+        step = DYNAMIC_STEP_MIN_MV * (1.0 + start_fitness)
+        return min(max(step, DYNAMIC_STEP_MIN_MV), DYNAMIC_STEP_MAX_MV)
 
 
 SimplexPolicy = FixedSimplex | DynamicSimplex
@@ -282,7 +282,7 @@ class TuningRun:
     start: tuple[float, float]
     steps: list[TuningStep]
     outcome: Outcome
-    policy_name: str = ""
+    policy_name: str
 
     @property
     def iteration_count(self) -> int:
@@ -335,8 +335,8 @@ def autotune(
     source: MeasurementSource,
     classifier,
     start: tuple[float, float],
-    span: tuple[float, float] = (60.0, 60.0),
-    resolution: float = 2.0,
+    span: tuple[float, float] = DEFAULT_SPAN_MV,
+    resolution: float = DEFAULT_RESOLUTION_MV,
     fitness_config: FitnessConfig = FitnessConfig(),
     policy: SimplexPolicy = FixedSimplex(75.0),
     term: TerminationConfig = TerminationConfig(),

@@ -301,6 +301,23 @@ class TestExperiments:
         doc = json.loads((tmp_path / "heatmap.json").read_text())
         assert doc["policy"] == "fixed100"
 
+    @pytest.mark.parametrize(
+        "flags, value",
+        [
+            (["--grid-step", "0"], "0.0"),
+            (["--grid-step", "nan"], "nan"),
+            (["--grid-step", "-10"], "-10.0"),
+            (["--span=nan,30"], "nan"),
+        ],
+    )
+    def test_heatmap_bad_grid_is_refused_before_any_run(self, tmp_path, scan_file, capsys, flags, value):
+        rc = main(["heatmap", "--source", f"scan:{scan_file}", *flags, "--out", str(tmp_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigurationError"
+        assert value in err["message"]
+        assert not (tmp_path / "heatmap.json").exists()
+
     def test_landscape(self, tmp_path, scan_file):
         rc = main(["landscape", "--source", f"scan:{scan_file}", "--out", str(tmp_path)])
         assert rc == 0

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdtune as q
-from qdtune.device import _state_codes
+from qdtune.device import VARIATION_RANGES, _state_codes
 from qdtune.grids import StateLabel
 
 
@@ -56,6 +56,12 @@ class TestStateGeometry:
         v = np.arange(5.0, 600, 10.0)
         codes = _state_codes(reference_params, *np.meshgrid(v, v, indexing="ij"))
         assert set(np.unique(codes)) == {0, 1, 2, 3, 4}
+
+    def test_variation_ranges_are_ordered(self):
+        # sample_device draws uniformly from each range; a pinned (zero-width)
+        # range would still spend a draw.
+        unordered = [name for name, (lo, hi) in VARIATION_RANGES.items() if not lo < hi]
+        assert not unordered
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25)

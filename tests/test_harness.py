@@ -99,6 +99,12 @@ class TestNeighborhood:
                 reference_source, oracle, (595.0, 300.0), q.FixedSimplex(75.0)
             )
 
+    @pytest.mark.parametrize("resolution", [float("nan"), float("inf")])
+    def test_non_finite_resolution_aborts_every_run(self, reference_source, oracle, resolution):
+        report = q.neighborhood_experiment(reference_source, oracle, (300.0, 330.0), resolution=resolution)
+        assert report.outcome_counts == {"aborted": 81}
+        assert {run.outcome.cause.split(":")[0] for run in report.runs} == {"UnsupportedResolutionError"}
+
     def test_report_json_round_trip(self, report, tmp_path):
         path = tmp_path / "report.json"
         report.save_json(path)

@@ -23,3 +23,23 @@ def test_offline_experiments_without_heatmap(tmp_path):
         "pooled fixed75: 11.42 iterations",
     ):
         assert line in done.stdout
+
+
+def test_train_classifier_small_run(tmp_path):
+    out = tmp_path / "classifier"
+    done = subprocess.run(
+        [
+            sys.executable,
+            str(SCRIPTS / "train_classifier.py"),
+            "--out", str(out),
+            "--devices", "4",
+            "--samples", "2",
+            "--steps", "5",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    for name in ("dataset.json", "model.json", "loss.csv", "metrics.json"):
+        assert (out / name).is_file(), name
