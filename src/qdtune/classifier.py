@@ -23,11 +23,10 @@ from . import device as device_model
 from .errors import (
     ConfigurationError,
     ScanFormatError,
-    ScanVersionError,
     ShapeError,
     TrainingDivergedError,
 )
-from .fileio import decode_blob, encode_blob, read_json, write_json
+from .fileio import check_header, checked, decode_blob, encode_blob, read_json, write_json
 from .grids import (
     DEFAULT_RESOLUTION_MV,
     DEFAULT_SPAN_MV,
@@ -36,12 +35,14 @@ from .grids import (
     ScanGrid,
     SINGLE_DOT_CODES,
     StateLabel,
+    pixel_count,
 )
 from .preprocess import IMAGE_SIZE, ProcessedImage, process
 from .scans import Sandbox
 
-MODEL_SCHEMA_VERSION = "1"
-DATASET_SCHEMA_VERSION = "1"
+# The headers of model and dataset files; their loaders refuse any other.
+MODEL_HEADER = {"format": "qdtune-model", "version": "1"}
+DATASET_HEADER = {"format": "qdtune-dataset", "version": "1"}
 
 LAYER_SIZES = (IMAGE_SIZE * IMAGE_SIZE, 128, 64, 3)
 # (fan-in, fan-out) of each weight matrix.
@@ -129,11 +130,16 @@ def generate_dataset(
     Window centers are drawn uniformly over the device domain; windows
     that stick out are redrawn (up to ``MAX_WINDOW_REDRAWS`` times each).
     Every sample pairs the processed image with the oracle probability
-    vector of the same window.
+    vector of the same window. A span that is not a whole number of pixels,
+    or not narrower than the domain, raises ConfigurationError before any draw.
     """
     if n_devices <= 0 or samples_per_device <= 0:
         raise ConfigurationError("n_devices and samples_per_device must be positive")
     lo, hi = device_model.DOMAIN_MV
+    for extent in span:
+        pixel_count(extent, resolution)
+        if not extent < hi - lo:
+            raise ConfigurationError(f"span {extent} mV is not narrower than the {hi - lo:g} mV device domain")
     domain = Sandbox(device_model.DOMAIN_MV, device_model.DOMAIN_MV)
     children = np.random.SeedSequence(seed).spawn(n_devices)
 
@@ -350,8 +356,7 @@ class ModelClassifier:
 
 def save_model(model: ClassifierModel, path) -> None:
     doc = {
-        "format": "qdtune-model",
-        "version": MODEL_SCHEMA_VERSION,
+        **MODEL_HEADER,
         "layer_sizes": list(LAYER_SIZES),
         "activation": "relu",
         "output": "softmax",
@@ -363,17 +368,15 @@ def save_model(model: ClassifierModel, path) -> None:
 
 def load_model(path) -> ClassifierModel:
     doc = read_json(path, "model")
-    if doc.get("format") != "qdtune-model":
-        raise ScanFormatError("file is not a qdtune-model document")
-    if doc.get("version") != MODEL_SCHEMA_VERSION:
-        raise ScanVersionError(f"model version {doc.get('version')!r} not supported")
+    check_header(doc, "model", MODEL_HEADER)
     if doc.get("activation", "relu") != "relu" or doc.get("output", "softmax") != "softmax":
         raise ScanFormatError("only relu activations with a softmax output are supported")
     sizes = doc.get("layer_sizes")
     if sizes != list(LAYER_SIZES):
         raise ScanFormatError(f"field 'layer_sizes' must be {list(LAYER_SIZES)}, got {sizes!r}")
-    raw_w, raw_b = doc.get("weights"), doc.get("biases")
-    if not (isinstance(raw_w, list) and isinstance(raw_b, list) and len(raw_w) == len(raw_b) == len(LAYER_SHAPES)):
+    raw_w = checked("field 'weights'", doc.get("weights"), list, ScanFormatError)
+    raw_b = checked("field 'biases'", doc.get("biases"), list, ScanFormatError)
+    if not len(raw_w) == len(raw_b) == len(LAYER_SHAPES):
         raise ScanFormatError("fields 'weights'/'biases' must hold one blob per layer")
     weights = [
         decode_blob(f"weights[{i}]", blob, "<f8", n_in * n_out).reshape(n_in, n_out)
@@ -392,8 +395,7 @@ def save_dataset(samples: list[LabeledSample], path) -> None:
     spans = np.array([s.span for s in samples])
     seeds = np.array([s.device_seed for s in samples], dtype=np.int64)
     doc = {
-        "format": "qdtune-dataset",
-        "version": DATASET_SCHEMA_VERSION,
+        **DATASET_HEADER,
         "count": len(samples),
         "image_shape": [IMAGE_SIZE, IMAGE_SIZE],
         "images": encode_blob(x, "<f8"),
@@ -407,12 +409,9 @@ def save_dataset(samples: list[LabeledSample], path) -> None:
 
 def load_dataset(path) -> list[LabeledSample]:
     doc = read_json(path, "dataset")
-    if doc.get("format") != "qdtune-dataset":
-        raise ScanFormatError("file is not a qdtune-dataset document")
-    if doc.get("version") != DATASET_SCHEMA_VERSION:
-        raise ScanVersionError(f"dataset version {doc.get('version')!r} not supported")
-    count = doc.get("count")
-    if not isinstance(count, int) or count <= 0:
+    check_header(doc, "dataset", DATASET_HEADER)
+    count = checked("field 'count'", doc.get("count"), int, ScanFormatError)
+    if count <= 0:
         raise ScanFormatError("field 'count' must be a positive integer")
     pixels = IMAGE_SIZE * IMAGE_SIZE
     x = decode_blob("images", doc.get("images"), "<f8", count * pixels).reshape(count, pixels)

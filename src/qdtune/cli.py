@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -28,8 +27,8 @@ from . import device as device_mod
 from . import harness as harness_mod
 from . import scans as scans_mod
 from . import tuner as tuner_mod
-from .errors import ConfigurationError, QdtuneError
-from .fileio import read_json, write_csv, write_json
+from .errors import ConfigurationError, QdtuneError, ScanFormatError
+from .fileio import checked, kind_of, read_json, write_csv, write_json
 
 # Config sections and the settings class each builds; ``seed`` is only ever top-level.
 _SECTIONS = {
@@ -40,7 +39,7 @@ _SECTIONS = {
     "training": classifier_mod.TrainingConfig,
 }
 
-# Top-level config keys and the kind of value each holds (see _checked).
+# Top-level config keys and the kind of value each holds (see fileio.checked).
 _TOP_LEVEL = {
     "seed": int,
     "span_mv": 2,
@@ -52,45 +51,19 @@ _TOP_LEVEL = {
 }
 
 
-def _checked(key: str, value, kind):
-    """``value`` if it is of ``kind``, else a ConfigurationError naming ``key``.
-
-    ``kind`` is ``bool``, ``int``, ``float``, ``str``, or a count ``n`` for a
-    list of ``n`` numbers (returned as a tuple of floats). An int passes as
-    a float; a bool passes only as a bool. Numbers must be finite: the JSON
-    reader accepts ``NaN`` and ``Infinity``.
-    """
-
-    def number(v) -> bool:
-        return type(v) in (int, float) and math.isfinite(v)
-
-    if kind is float and number(value):
-        return float(value)
-    if kind in (bool, int, str) and type(value) is kind:
-        return value
-    if type(kind) is int and isinstance(value, list) and len(value) == kind and all(map(number, value)):
-        return tuple(float(v) for v in value)
-    names = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
-    expected = names.get(kind, f"a list of {kind} finite numbers")
-    raise ConfigurationError(f"config key {key!r} must be {expected}, got {value!r}")
-
-
 def _section(name: str, cls, doc):
     """``cls`` built from the keys that config section ``name`` sets."""
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"config section {name!r} must be a JSON object")
+    checked(f"config section {name!r}", doc, dict, ConfigurationError)
     defaults = {f.name: f.default for f in dataclasses.fields(cls) if f.name != "seed"}
     kwargs = {}
     for key, value in doc.items():
         where = f"{name}.{key}"
         if key not in defaults:
             raise ConfigurationError(f"unknown config key {where!r}; {name!r} takes {', '.join(defaults)}")
-        default = defaults[key]
-        if isinstance(default, classifier_mod.ProbabilityVector):
-            kwargs[key] = classifier_mod.ProbabilityVector(*_checked(where, value, 3))
-        else:
-            kind = len(default) if isinstance(default, tuple) else type(default)
-            kwargs[key] = _checked(where, value, kind)
+        vector = isinstance(defaults[key], classifier_mod.ProbabilityVector)
+        kind = 3 if vector else kind_of(defaults[key])
+        value = checked(f"config key {where!r}", value, kind, ConfigurationError)
+        kwargs[key] = classifier_mod.ProbabilityVector(*value) if vector else value
     return cls(**kwargs)
 
 
@@ -103,14 +76,9 @@ def _load_config(path: str | None) -> dict:
     doc = {}
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read config file: {exc}") from exc
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-            raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigurationError("config file must contain a JSON object")
+            doc = read_json(path, "config")
+        except ScanFormatError as exc:
+            raise ConfigurationError(str(exc)) from exc
     config = {}
     for key, value in doc.items():
         if key in _SECTIONS:
@@ -118,7 +86,7 @@ def _load_config(path: str | None) -> dict:
         if key not in _TOP_LEVEL:
             known = ", ".join([*_TOP_LEVEL, *_SECTIONS])
             raise ConfigurationError(f"unknown config key {key!r}; the file takes {known}")
-        config[key] = _checked(key, value, _TOP_LEVEL[key])
+        config[key] = checked(f"config key {key!r}", value, _TOP_LEVEL[key], ConfigurationError)
     if "policy" in config and config["policy"] not in tuner_mod.POLICIES:
         names = ", ".join(tuner_mod.POLICIES)
         raise ConfigurationError(f"config key 'policy' must be one of {names}, got {config['policy']!r}")

@@ -47,8 +47,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigurationError, DomainError, ScanFormatError, ScanVersionError, ShapeError
-from .fileio import read_json, write_json
+from .errors import ConfigurationError, DomainError, ScanFormatError, ShapeError
+from .fileio import check_header, checked, kind_of, read_json, write_json
 from .grids import (
     DEFAULT_RESOLUTION_MV,
     DEFAULT_SPAN_MV,
@@ -71,7 +71,8 @@ BAND_EDGE_WIDTH_MV = 10.0
 #: Width of the crossover between separate-dot and merged-dot potentials.
 MERGE_BLEND_WIDTH_MV = 4.0
 
-DEVICE_SCHEMA_VERSION = "1"
+# The header of a device file; load_device refuses any other.
+DEVICE_HEADER = {"schema_version": "1"}
 
 
 @dataclass(frozen=True)
@@ -102,33 +103,22 @@ class DeviceParams:
             raise ConfigurationError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
 
     def to_json_dict(self) -> dict:
-        doc = asdict(self)
-        doc["schema_version"] = DEVICE_SCHEMA_VERSION
-        return doc
+        return {**asdict(self), **DEVICE_HEADER}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DeviceParams":
-        doc = dict(doc)
-        version = doc.pop("schema_version", None)
-        if version != DEVICE_SCHEMA_VERSION:
-            raise ScanVersionError(
-                f"device schema_version {version!r} not supported (expected {DEVICE_SCHEMA_VERSION!r})"
-            )
-        try:
-            return cls(
-                seed=int(doc["seed"]),
-                formation_thresholds=tuple(float(x) for x in doc["formation_thresholds"]),
-                merge_threshold=float(doc["merge_threshold"]),
-                dd_band=tuple(float(x) for x in doc["dd_band"]),
-                lever_arms=tuple(float(x) for x in doc["lever_arms"]),
-                line_spacing=float(doc["line_spacing"]),
-                line_slopes=tuple(float(x) for x in doc["line_slopes"]),
-                interdot_coupling=float(doc["interdot_coupling"]),
-                noise_sigma=float(doc["noise_sigma"]),
-                background_gradient=float(doc["background_gradient"]),
-            )
-        except KeyError as exc:
-            raise ScanFormatError(f"device document missing field {exc.args[0]!r}") from exc
+        """Read each field with the kind the reference device's value has.
+
+        A wrong header, a missing field or a value of the wrong kind raises
+        ScanFormatError naming the field.
+        """
+        check_header(doc, "device", DEVICE_HEADER)
+        kwargs = {}
+        for name, example in asdict(reference_device()).items():
+            if name not in doc:
+                raise ScanFormatError(f"device file is missing field {name!r}")
+            kwargs[name] = checked(f"device field {name!r}", doc[name], kind_of(example), ScanFormatError)
+        return cls(**kwargs)
 
 
 #: Uniform sampling range ``(lo, hi)`` of each parameter :func:`sample_device`
@@ -311,8 +301,6 @@ def render_scan(
     DomainError. With ``with_labels=False`` the labels are not computed
     and come back as None.
     """
-    if not resolution > 0:
-        raise ConfigurationError(f"resolution must be positive, got {resolution}")
     c1, c2 = float(center[0]), float(center[1])
     s1, s2 = float(span[0]), float(span[1])
     n1, n2 = pixel_count(s1, resolution), pixel_count(s2, resolution)

@@ -3,8 +3,9 @@
 JSON documents are written with sorted keys and a trailing newline, so equal
 content gives equal bytes. Arrays travel as base64 strings of their raw
 little-endian bytes in row-major order, so round trips are bit-exact.
-Each format keeps its own header and field checks; this module only
-turns unreadable files and broken blobs into :class:`ScanFormatError`.
+Every reader checks its header with :func:`check_header` and each JSON
+value it takes with :func:`checked`, the same check that config files go
+through, so a malformed file fails with an error that names the field.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ import base64
 import binascii
 import csv
 import json
+import math
 
 import numpy as np
 
-from .errors import ScanFormatError
+from .errors import ScanFormatError, ScanVersionError
 
 
 def encode_blob(arr: np.ndarray, dtype: str) -> str:
@@ -50,6 +52,47 @@ def read_json(path, kind: str) -> dict:
     if not isinstance(doc, dict):
         raise ScanFormatError(f"{kind} file must contain a JSON object")
     return doc
+
+
+def check_header(doc: dict, kind: str, header: dict) -> None:
+    """Refuse ``doc`` unless it holds every ``header`` field with its value.
+
+    A wrong ``format`` raises ScanFormatError, a wrong version field
+    ScanVersionError; ``kind`` names the format in the message.
+    """
+    for key, expected in header.items():
+        if doc.get(key) != expected:
+            error = ScanFormatError if key == "format" else ScanVersionError
+            raise error(f"{kind} field {key!r} is {doc.get(key)!r}, expected {expected!r}")
+
+
+def checked(where: str, value, kind, error: type[Exception]):
+    """``value`` if it is of ``kind``, else ``error`` whose message starts with ``where``.
+
+    ``where`` names the value, as in ``"field 'count'"``. ``kind`` is ``bool``, ``int``, ``float``, ``str``, ``list``, ``dict``, or
+    a count ``n`` for a list of ``n`` numbers (returned as a tuple of
+    floats). An int passes as a float; a bool passes only as a bool.
+    Numbers must be finite: the JSON reader accepts ``NaN`` and ``Infinity``.
+    """
+
+    def number(v) -> bool:
+        return type(v) in (int, float) and math.isfinite(v)
+
+    if kind is float and number(value):
+        return float(value)
+    if kind in (bool, int, str, list, dict) and type(value) is kind:
+        return value
+    if type(kind) is int and type(value) is list and len(value) == kind and all(map(number, value)):
+        return tuple(float(v) for v in value)
+    names = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string",
+             list: "a list", dict: "an object"}
+    expected = names.get(kind, f"a list of {kind} finite numbers")
+    raise error(f"{where} must be {expected}, got {value!r}")
+
+
+def kind_of(example):
+    """The :func:`checked` kind of values like ``example``: a tuple's length, else its type."""
+    return len(example) if isinstance(example, tuple) else type(example)
 
 
 def write_json(path, doc: dict, indent: int | None = None) -> None:

@@ -91,8 +91,11 @@ DEFAULT_RESOLUTION_MV = 2.0
 def pixel_count(extent: float, resolution: float) -> int:
     """Number of ``resolution`` mV pixels across a window ``extent`` mV wide.
 
-    Raises ConfigurationError unless that is a whole number, at least one.
+    Raises ConfigurationError unless that is a whole number, at least one,
+    of pixels of a positive size.
     """
+    if not resolution > 0:
+        raise ConfigurationError(f"resolution must be positive, got {resolution}")
     n = extent / resolution
     if not (math.isfinite(n) and abs(n - round(n)) <= 1e-9):
         raise ConfigurationError(f"span {extent} is not an integer number of {resolution} mV pixels")

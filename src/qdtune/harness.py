@@ -23,7 +23,7 @@ import numpy as np
 
 from .classifier import OracleClassifier, ProbabilityVector, oracle_probability
 from .errors import ConfigurationError, ScanFormatError, ShapeError
-from .fileio import encode_blob, write_csv, write_json
+from .fileio import check_header, checked, encode_blob, write_csv, write_json
 from .grids import DEFAULT_RESOLUTION_MV, DEFAULT_SPAN_MV, SINGLE_DOT_CODES, StateLabel, pixel_count
 from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, acquire_with_labels
 from .tuner import (
@@ -165,28 +165,37 @@ class ExperimentReport:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentReport":
-        """Rebuild a report; a missing or mistyped field raises ScanFormatError."""
+        """Rebuild a report; a wrong header, or a field that is missing or of
+        the wrong kind, raises ScanFormatError naming it."""
+        check_header(doc, "report", {"schema_version": REPORT_SCHEMA_VERSION})
+
+        def read(where: str, value, kind):
+            return checked(f"report field {where!r}", value, kind, ScanFormatError)
+
         try:
-            counts = doc["counts"]
-            iterations = doc["iterations"]
-            return cls(
-                point=tuple(doc["point"]),
-                policy_name=doc["policy"],
-                n_runs=int(doc["n_runs"]),
-                success_rate=float(doc["success_rate"]),
-                n_ideal=int(counts["ideal"]),
-                n_close=int(counts["close"]),
-                n_fail=int(counts["fail"]),
-                outcome_counts={k: int(v) for k, v in doc["outcomes"].items()},
-                iteration_mean=float(iterations["mean"]),
-                iteration_sd=float(iterations["sd"]),
-                iteration_counts=[int(n) for n in iterations["per_run"]],
-                run_summaries=list(doc["runs"]),
+            counts = read("counts", doc["counts"], dict)
+            iterations = read("iterations", doc["iterations"], dict)
+            outcomes = read("outcomes", doc["outcomes"], dict)
+            per_run = read("iterations.per_run", iterations["per_run"], list)
+            report = cls(
+                point=read("point", doc["point"], 2),
+                policy_name=read("policy", doc["policy"], str),
+                n_runs=read("n_runs", doc["n_runs"], int),
+                success_rate=read("success_rate", doc["success_rate"], float),
+                n_ideal=read("counts.ideal", counts["ideal"], int),
+                n_close=read("counts.close", counts["close"], int),
+                n_fail=read("counts.fail", counts["fail"], int),
+                outcome_counts={k: read(f"outcomes.{k}", v, int) for k, v in outcomes.items()},
+                iteration_mean=read("iterations.mean", iterations["mean"], float),
+                iteration_sd=read("iterations.sd", iterations["sd"], float),
+                iteration_counts=[read("iterations.per_run", n, int) for n in per_run],
+                run_summaries=read("runs", doc["runs"], list),
             )
         except KeyError as exc:
             raise ScanFormatError(f"report is missing field {exc.args[0]!r}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ScanFormatError(f"report field has the wrong type: {exc}") from exc
+        if report.n_runs < 1:
+            raise ScanFormatError(f"report field 'n_runs' must be positive, got {report.n_runs}")
+        return report
 
 
 def _aggregate(
@@ -242,11 +251,14 @@ def neighborhood_experiment(
 ) -> ExperimentReport:
     """Tune from every pixel of the 9x9 neighborhood around ``point``.
 
-    Start spacing follows the native raster of the source. The whole
-    neighborhood must lie inside the sandbox; that is checked before any
-    run starts.
+    Start spacing follows the native raster of the source, which on a
+    simulated device is ``resolution``. It must be a positive finite number
+    and the whole neighborhood must lie inside the sandbox; both are
+    checked before any run starts.
     """
     native = source.scan.meta.resolution if isinstance(source, PremeasuredScan) else resolution
+    if not 0.0 < native < math.inf:
+        raise ConfigurationError(f"resolution must be a positive finite number of mV, got {resolution}")
     offsets = (np.arange(NEIGHBORHOOD_SIDE) - NEIGHBORHOOD_SIDE // 2) * native
     starts = [
         (float(point[0] + d1), float(point[1] + d2)) for d1 in offsets for d2 in offsets
@@ -313,7 +325,6 @@ def heatmap(
     policy: SimplexPolicy = FixedSimplex(100.0),
     grid_step: float = 10.0,
     span: tuple[float, float] = (30.0, 30.0),
-    resolution: float | None = None,
     fitness_config: FitnessConfig = FitnessConfig(),
     term: TerminationConfig = TerminationConfig(),
     sandbox: Sandbox = Sandbox(),
@@ -324,12 +335,12 @@ def heatmap(
     The grid leaves a margin so that every window of every initial
     simplex vertex stays on the raster: the low edge keeps the policy's
     largest step plus half a window clear, the high edge half a window.
-    A grid step that is not a positive finite number, or a span that is not
-    a whole number of pixels, raises ConfigurationError before any run.
+    Windows are measured at the stored raster's resolution on a scan and
+    at ``DEFAULT_RESOLUTION_MV`` on a simulated device. A grid step that is
+    not a positive finite number, or a span that is not a whole number of
+    pixels, raises ConfigurationError before any run.
     """
-    if resolution is None:
-        premeasured = isinstance(source, PremeasuredScan)
-        resolution = source.scan.meta.resolution if premeasured else DEFAULT_RESOLUTION_MV
+    resolution = source.scan.meta.resolution if isinstance(source, PremeasuredScan) else DEFAULT_RESOLUTION_MV
     if not 0.0 < grid_step < math.inf:
         raise ConfigurationError(f"grid_step must be a positive finite number of mV, got {grid_step}")
     for extent in span:

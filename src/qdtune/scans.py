@@ -24,11 +24,10 @@ from .errors import (
     ConfigurationError,
     DomainError,
     ScanFormatError,
-    ScanVersionError,
     ShapeError,
     UnsupportedResolutionError,
 )
-from .fileio import decode_blob, encode_blob, read_json, write_json
+from .fileio import check_header, checked, decode_blob, encode_blob, read_json, write_json
 from .grids import (
     ACQUISITION_AXES,
     LabelGrid,
@@ -39,7 +38,8 @@ from .grids import (
     pixel_count,
 )
 
-SCAN_SCHEMA_VERSION = "1"
+# The header every scan file starts with; load_scan refuses any other.
+SCAN_HEADER = {"format": "qdscan", "version": "1"}
 SCAN_SUFFIX = ".qdscan.json"
 
 
@@ -226,8 +226,7 @@ def save_scan(scan: ScanGrid, path, labels: LabelGrid | None = None) -> None:
     if labels is not None and labels.shape != scan.shape:
         raise ShapeError("label raster shape does not match the scan")
     doc = {
-        "format": "qdscan",
-        "version": SCAN_SCHEMA_VERSION,
+        **SCAN_HEADER,
         "resolution_mv": scan.meta.resolution,
         "acquisition_axis": scan.meta.acquisition_axis,
         "shape": list(scan.shape),
@@ -246,39 +245,27 @@ def save_scan(scan: ScanGrid, path, labels: LabelGrid | None = None) -> None:
 def load_scan(path) -> tuple[ScanGrid, LabelGrid | None]:
     """Read a scan file written by :func:`save_scan`; bit-exact round trip."""
     doc = read_json(path, "scan")
-    if doc.get("format") != "qdscan":
-        raise ScanFormatError(f"field 'format' is {doc.get('format')!r}, expected 'qdscan'")
-    version = doc.get("version")
-    if version != SCAN_SCHEMA_VERSION:
-        raise ScanVersionError(
-            f"scan version {version!r} not supported (expected {SCAN_SCHEMA_VERSION!r})"
-        )
+    check_header(doc, "scan", SCAN_HEADER)
 
-    shape = doc.get("shape")
-    if (
-        not isinstance(shape, list)
-        or len(shape) != 2
-        or not all(isinstance(n, int) and n > 0 for n in shape)
-    ):
+    shape = checked("field 'shape'", doc.get("shape"), list, ScanFormatError)
+    shape = [checked("field 'shape'", n, int, ScanFormatError) for n in shape]
+    if len(shape) != 2 or min(shape) < 1:
         raise ScanFormatError("field 'shape' must be a pair of positive integers")
     n1, n2 = shape
 
-    resolution = doc.get("resolution_mv")
-    if not isinstance(resolution, (int, float)) or not 0 < resolution < math.inf:
+    resolution = checked("field 'resolution_mv'", doc.get("resolution_mv"), float, ScanFormatError)
+    if not resolution > 0:
         raise ScanFormatError("field 'resolution_mv' must be a positive finite number")
-    axis_name = doc.get("acquisition_axis")
+    axis_name = checked("field 'acquisition_axis'", doc.get("acquisition_axis"), str, ScanFormatError)
     if axis_name not in ACQUISITION_AXES:
         raise ScanFormatError(f"field 'acquisition_axis' must be one of {ACQUISITION_AXES}")
 
-    for field in ("v1_axis", "v2_axis", "values"):
-        if field not in doc:
-            raise ScanFormatError(f"scan file missing field {field!r}")
-    v1 = decode_blob("v1_axis", doc["v1_axis"], "<f8", n1)
-    v2 = decode_blob("v2_axis", doc["v2_axis"], "<f8", n2)
-    values = decode_blob("values", doc["values"], "<f8", n1 * n2).reshape(n1, n2)
+    v1 = decode_blob("v1_axis", doc.get("v1_axis"), "<f8", n1)
+    v2 = decode_blob("v2_axis", doc.get("v2_axis"), "<f8", n2)
+    values = decode_blob("values", doc.get("values"), "<f8", n1 * n2).reshape(n1, n2)
     if not np.isfinite(values).all():
         raise ScanFormatError("field 'values' holds NaN or infinite sensor values")
-    meta = ScanMeta(resolution=float(resolution), acquisition_axis=axis_name)
+    meta = ScanMeta(resolution=resolution, acquisition_axis=axis_name)
     try:
         scan = ScanGrid(values, v1, v2, meta)
     except ShapeError as exc:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdtune as q
+from qdtune import classifier as classifier_mod
 from qdtune.classifier import CLASS_NAMES, LAYER_SIZES
 from qdtune.fileio import decode_blob, encode_blob
 from qdtune.grids import SINGLE_DOT_CODES
@@ -119,6 +120,19 @@ class TestDataset:
             assert s.span == (60.0, 60.0)
             assert 0 <= s.center[0] - 30 and s.center[0] + 30 <= 600
             assert 0 <= s.center[1] - 30 and s.center[1] + 30 <= 600
+
+    @pytest.mark.parametrize(
+        "span, named",
+        [((float("nan"), 60.0), "span nan"), ((700.0, 60.0), "span 700"), ((60.0, 600.0), "span 600"),
+         ((59.0, 60.0), "span 59")],
+    )
+    def test_bad_span_is_refused_before_any_draw(self, monkeypatch, span, named):
+        def no_draw(seed):
+            raise AssertionError("a device was drawn")
+
+        monkeypatch.setattr(classifier_mod.device_model, "sample_device", no_draw)
+        with pytest.raises(q.ConfigurationError, match=named):
+            q.generate_dataset(1, 1, span=span)
 
     def test_all_single_dot_variants_appear(self):
         """The sampled population covers left, central, and right dots."""

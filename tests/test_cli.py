@@ -58,6 +58,16 @@ class TestDevicePipeline:
         assert err["error"] == "DomainError"
         assert not list(tmp_path.iterdir())
 
+    def test_render_scan_malformed_device_file_is_machine_readable_error(self, tmp_path, capsys):
+        device = tmp_path / "device.json"
+        device.write_text(json.dumps({**q.reference_device().to_json_dict(), "lever_arms": [1.0]}))
+        out = tmp_path / "out"
+        assert main(["render-scan", "--device", str(device), "--center", "300,300", "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScanFormatError"
+        assert "'lever_arms'" in err["message"]
+        assert not out.exists()
+
     def test_render_scan_reads_seed_and_noise_from_the_config(self, tmp_path):
         window = ["--center", "300,330", "--span", "20,20"]
 
@@ -275,7 +285,7 @@ class TestExperiments:
 
     @pytest.mark.parametrize(
         "text, cause",
-        [('{"point": [1, 2', "not valid JSON"), ('{"point": [1, 2]}', "'counts'")],
+        [('{"point": [1, 2', "not valid JSON"), ('{"schema_version": "1", "point": [1, 2]}', "'counts'")],
         ids=["truncated", "missing_field"],
     )
     def test_malformed_report_is_machine_readable_error(self, tmp_path, capsys, text, cause):
@@ -287,6 +297,57 @@ class TestExperiments:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ScanFormatError"
         assert cause in err["message"]
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("point", "ab", "ScanFormatError"),
+            ("n_runs", 2.5, "ScanFormatError"),
+            ("success_rate", float("nan"), "ScanFormatError"),
+            ("schema_version", "9", "ScanVersionError"),
+        ],
+    )
+    def test_one_malformed_report_writes_no_table(self, tmp_path, capsys, field, value, error):
+        good = harness_mod.ExperimentReport(
+            point=(1.0, 2.0),
+            policy_name="fixed75",
+            n_runs=2,
+            success_rate=0.5,
+            n_ideal=1,
+            n_close=0,
+            n_fail=1,
+            outcome_counts={"converged": 2},
+            iteration_mean=3.0,
+            iteration_sd=1.0,
+            iteration_counts=[2, 4],
+            run_summaries=[],
+        )
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        good.save_json(runs / "report_1_2_fixed75.json")
+        (runs / "report_3_4_fixed75.json").write_text(json.dumps({**good.to_json_dict(), field: value}))
+        rc = main(["report", "--runs", str(runs), "--out", str(tmp_path / "tables")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == error
+        assert f"'{field}'" in err["message"]
+        assert not (tmp_path / "tables").exists()
+
+    def test_neighborhood_on_sim_refuses_zero_resolution(self, tmp_path, capsys):
+        argv = ["neighborhood", "--source", "sim", "--point", "300,300", "--resolution", "0", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigurationError"
+        assert "resolution" in err["message"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("span", ["nan,60", "700,60"])
+    def test_gen_dataset_refuses_span_before_drawing(self, tmp_path, capsys, span):
+        argv = ["gen-dataset", "--devices", "1", "--samples", "1", "--span", span, "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigurationError"
+        assert f"span {span.split(',')[0]}" in err["message"]
 
     def test_heatmap(self, tmp_path, scan_file):
         rc = main(

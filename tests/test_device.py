@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,6 +166,43 @@ class TestDeviceIO:
     def test_missing_file_raises_format_error(self, tmp_path):
         with pytest.raises(q.ScanFormatError):
             q.load_device(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", "abc"),
+            ("formation_thresholds", 5),
+            ("merge_threshold", float("nan")),
+            ("lever_arms", [1.0]),
+            ("lever_arms", [1, 2, 3]),
+            ("interdot_coupling", "x"),
+        ],
+    )
+    def test_mistyped_field_is_format_error_naming_it(self, tmp_path, field, value):
+        path = tmp_path / "dev.json"
+        path.write_text(json.dumps({**q.reference_device().to_json_dict(), field: value}))
+        with pytest.raises(q.ScanFormatError, match=f"'{field}'"):
+            q.load_device(path)
+
+    def test_missing_field_is_format_error_naming_it(self, tmp_path):
+        doc = q.reference_device().to_json_dict()
+        del doc["dd_band"]
+        path = tmp_path / "dev.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(q.ScanFormatError, match="missing field 'dd_band'"):
+            q.load_device(path)
+
+    @pytest.mark.parametrize("version", ["9", 1, None])
+    def test_other_schema_version_is_version_error(self, tmp_path, version):
+        path = tmp_path / "dev.json"
+        path.write_text(json.dumps({**q.reference_device().to_json_dict(), "schema_version": version}))
+        with pytest.raises(q.ScanVersionError, match="schema_version"):
+            q.load_device(path)
+
+    def test_integers_are_read_as_numbers(self, tmp_path):
+        path = tmp_path / "dev.json"
+        path.write_text(json.dumps({**q.reference_device().to_json_dict(), "merge_threshold": 375, "dd_band": [-90, 90]}))
+        assert q.load_device(path) == q.reference_device()
 
     @pytest.mark.parametrize(
         "override",

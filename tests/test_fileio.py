@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qdtune as q
-from qdtune.fileio import decode_blob, encode_blob, read_json, write_json
+from qdtune.fileio import check_header, checked, decode_blob, encode_blob, read_json, write_json
 
 
 class TestBlobs:
@@ -48,6 +48,44 @@ class TestReadJson:
             path.write_bytes(content)
         with pytest.raises(q.ScanFormatError, match=message):
             read_json(path, "thing")
+
+
+class TestChecked:
+    @pytest.mark.parametrize(
+        "value, kind, expect",
+        [(3, int, 3), (3, float, 3.0), (True, bool, True), ("a", str, "a"), ([1, 2.5], 2, (1.0, 2.5)),
+         ([], list, []), ({}, dict, {})],
+    )
+    def test_accepts_its_kind(self, value, kind, expect):
+        got = checked("field 'x'", value, kind, q.ScanFormatError)
+        assert got == expect and type(got) is type(expect)
+
+    @pytest.mark.parametrize(
+        "value, kind",
+        [(True, int), (2.0, int), (True, float), (float("nan"), float), (float("inf"), float), ("1", float),
+         (1, bool), (None, str), ("ab", 2), ([1.0], 2), ([1.0, float("nan")], 2), ((1.0, 2.0), 2),
+         ("[]", list), ([], dict)],
+    )
+    def test_refuses_other_values_with_the_given_error(self, value, kind):
+        with pytest.raises(q.ConfigurationError, match=r"^config key 'x' must be "):
+            checked("config key 'x'", value, kind, q.ConfigurationError)
+
+
+class TestCheckHeader:
+    HEADER = {"format": "thing", "version": "1"}
+
+    def test_matching_header_passes(self):
+        check_header({**self.HEADER, "data": 1}, "thing", self.HEADER)
+
+    @pytest.mark.parametrize(
+        "doc, error",
+        [({"version": "1"}, q.ScanFormatError), ({"format": "other", "version": "1"}, q.ScanFormatError),
+         ({"format": "thing"}, q.ScanVersionError), ({"format": "thing", "version": 1}, q.ScanVersionError)],
+    )
+    def test_wrong_field_names_it(self, doc, error):
+        with pytest.raises(error, match="thing field '(format|version)'") as exc:
+            check_header(doc, "thing", self.HEADER)
+        assert type(exc.value) is error
 
 
 class TestWriteJson:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdtune as q
+from qdtune import harness as harness_mod
 from qdtune.grids import SINGLE_DOT_CODES
 from qdtune.harness import (
     NEIGHBORHOOD_SIDE,
@@ -105,6 +106,17 @@ class TestNeighborhood:
         assert report.outcome_counts == {"aborted": 81}
         assert {run.outcome.cause.split(":")[0] for run in report.runs} == {"UnsupportedResolutionError"}
 
+    @pytest.mark.parametrize("resolution", [0.0, -2.0, float("nan"), float("inf")])
+    def test_simulated_source_refuses_bad_resolution_before_any_run(
+        self, reference_params, oracle, monkeypatch, resolution
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run was started")
+
+        monkeypatch.setattr(harness_mod, "autotune", no_run)
+        with pytest.raises(q.ConfigurationError, match=f"got {resolution}"):
+            q.neighborhood_experiment(q.SimulatedDevice(reference_params), oracle, (300.0, 300.0), resolution=resolution)
+
     def test_report_json_round_trip(self, report, tmp_path):
         path = tmp_path / "report.json"
         report.save_json(path)
@@ -113,6 +125,39 @@ class TestNeighborhood:
         assert back.success_rate == report.success_rate
         assert back.iteration_counts == report.iteration_counts
         assert back.outcome_counts == report.outcome_counts
+
+
+class TestReportFile:
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda doc: doc.update(point="ab"), "'point'"),
+            (lambda doc: doc.update(n_runs=81.5), "'n_runs'"),
+            (lambda doc: doc.update(n_runs=0), "'n_runs'"),
+            (lambda doc: doc.update(success_rate=float("nan")), "'success_rate'"),
+            (lambda doc: doc.update(policy=75), "'policy'"),
+            (lambda doc: doc["counts"].update(ideal=True), "'counts.ideal'"),
+            (lambda doc: doc["iterations"].update(per_run="12"), "'iterations.per_run'"),
+            (lambda doc: doc["iterations"]["per_run"].append(1.5), "'iterations.per_run'"),
+            (lambda doc: doc["outcomes"].update(stalled=None), "'outcomes.stalled'"),
+            (lambda doc: doc.update(runs={}), "'runs'"),
+            (lambda doc: doc.pop("counts"), "missing field 'counts'"),
+        ],
+        ids=["point", "fractional_n_runs", "zero_n_runs", "nan_success_rate", "policy", "bool_count",
+             "string_per_run", "fractional_per_run", "null_outcome", "runs", "missing_counts"],
+    )
+    def test_malformed_field_is_format_error_naming_it(self, report, mutate, field):
+        doc = json.loads(json.dumps(report.to_json_dict()))
+        mutate(doc)
+        with pytest.raises(q.ScanFormatError, match=field) as exc:
+            ExperimentReport.from_json_dict(doc)
+        assert type(exc.value) is q.ScanFormatError
+
+    @pytest.mark.parametrize("version", ["9", 1, None])
+    def test_other_schema_version_is_version_error(self, report, version):
+        doc = {**report.to_json_dict(), "schema_version": version}
+        with pytest.raises(q.ScanVersionError, match="schema_version"):
+            ExperimentReport.from_json_dict(doc)
 
 
 class TestDeterminism:
