@@ -11,10 +11,19 @@ and |DD| counts double-dot pixels. The oracle computes this directly
 from ground-truth labels; the model estimates it from the processed
 30x30 gradient image with a small fully connected network (900-128-64-3,
 ReLU, softmax) trained against the oracle's soft targets.
+
+Inference takes a stack of images shaped (N, 1, 900), and one image
+classified alone is the N = 1 case. Each layer's product is then one
+(1, 900) @ W product per row, for which numpy calls BLAS gemv with the
+arguments a lone image gives, so a row's probabilities are bit for bit
+those of the image classified alone. A 2-d (N, 900) @ W product would be
+one gemm, whose blocking makes each row's last bits depend on N. Training
+keeps its 2-d mini-batches.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +156,7 @@ def generate_dataset(
     for child in children:
         rng = np.random.default_rng(child)
         params = device_model.sample_device(int(rng.integers(2**31 - 1)))
+        scans, targets, centers = [], [], []
         for _ in range(samples_per_device):
             for attempt in range(MAX_WINDOW_REDRAWS + 1):
                 c1 = float(rng.uniform(lo, hi))
@@ -161,11 +171,16 @@ def generate_dataset(
             scan, labels = device_model.render_scan(
                 params, (c1, c2), span, resolution, with_noise=with_noise, noise_seed=noise_seed
             )
+            scans.append(scan)
+            targets.append(oracle_probability(labels))
+            centers.append((c1, c2))
+        # One stack per device: its windows share a shape and metadata.
+        for image, target, center in zip(process(scans), targets, centers):
             samples.append(
                 LabeledSample(
-                    image=process(scan),
-                    target=oracle_probability(labels),
-                    center=(c1, c2),
+                    image=ProcessedImage(image),
+                    target=target,
+                    center=center,
                     span=(float(span[0]), float(span[1])),
                     device_seed=params.seed,
                 )
@@ -228,15 +243,19 @@ def init_model(seed: int) -> ClassifierModel:
 
 
 def _forward(model: ClassifierModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Log-softmax outputs plus the post-ReLU activations for backprop."""
+    """Log-softmax outputs plus the post-ReLU activations for backprop.
+
+    ``x`` is a (B, 900) training batch or an (N, 1, 900) inference stack
+    (module docstring); the softmax runs over the last axis.
+    """
     hidden = [x]
     a = x
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         a = np.maximum(a @ w + b, 0.0)
         hidden.append(a)
     z = a @ model.weights[-1] + model.biases[-1]
-    z = z - z.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z = z - z.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     return logp, hidden
 
 
@@ -291,11 +310,18 @@ def train(
     return model, losses
 
 
+def _probabilities(model: ClassifierModel, images: np.ndarray) -> list[ProbabilityVector]:
+    """Probability vector of each image of an (N, 30, 30) stack, from one
+    forward pass (module docstring)."""
+    logp, _ = _forward(model, images.reshape(len(images), 1, -1))
+    p = np.exp(logp[:, 0])
+    p /= p.sum(axis=1, keepdims=True)
+    return [ProbabilityVector(*row) for row in p.tolist()]
+
+
 def classify(model: ClassifierModel, image: ProcessedImage) -> ProbabilityVector:
     """Model probability vector for one processed image."""
-    logp, _ = _forward(model, image.values.reshape(1, -1))
-    p = np.exp(logp[0])
-    return ProbabilityVector.from_array(p / p.sum())
+    return _probabilities(model, image.values[None])[0]
 
 
 @dataclass(eq=False)
@@ -308,17 +334,19 @@ class EvalReport:
 def evaluate(model, samples: list[LabeledSample]) -> EvalReport:
     """Argmax-class accuracy and 3x3 confusion matrix over a sample list.
 
-    ``model`` may be a ClassifierModel or any callable mapping a
-    ProcessedImage to a ProbabilityVector.
+    ``model`` may be a ClassifierModel, which scores the whole list in one
+    stacked forward pass, or any callable mapping a ProcessedImage to a
+    ProbabilityVector.
     """
     if not samples:
         raise ConfigurationError("evaluation set is empty")
-    predict = model if callable(model) else (lambda image: classify(model, image))
+    if callable(model):
+        predicted = [model(sample.image) for sample in samples]
+    else:
+        predicted = _probabilities(model, np.stack([sample.image.values for sample in samples]))
     confusion = np.zeros((3, 3), dtype=int)
-    for sample in samples:
-        true = sample.target.argmax_class()
-        pred = predict(sample.image).argmax_class()
-        confusion[true, pred] += 1
+    for sample, p in zip(samples, predicted):
+        confusion[sample.target.argmax_class(), p.argmax_class()] += 1
     accuracy = float(np.trace(confusion) / len(samples))
     return EvalReport(accuracy=accuracy, confusion=confusion, n_samples=len(samples))
 
@@ -349,6 +377,12 @@ class ModelClassifier:
 
     def probabilities(self, scan: ScanGrid, labels: LabelGrid | None) -> ProbabilityVector:
         return classify(self.model, process(scan))
+
+    def stack_probabilities(self, windows: Sequence[ScanGrid]) -> list[ProbabilityVector]:
+        """The probability vector of each window of a stack of one shape and
+        metadata, from one ``process`` call and one forward pass; each equals
+        what :meth:`probabilities` gives the window alone, bit for bit."""
+        return _probabilities(self.model, process(windows))
 
 
 # --- file formats -----------------------------------------------------------

@@ -94,13 +94,15 @@ class DeviceParams:
         lo, hi = DOMAIN_MV
         for name, value in zip(("v1_on", "v2_on"), self.formation_thresholds):
             if not lo < value < hi:
-                raise ConfigurationError(f"{name}={value} outside open domain ({lo}, {hi})")
+                raise ConfigurationError(
+                    f"field 'formation_thresholds': {name}={value} outside open domain ({lo}, {hi})"
+                )
         if not self.dd_band[0] < self.dd_band[1]:
-            raise ConfigurationError(f"dd_band lower bound must be below upper, got {self.dd_band}")
+            raise ConfigurationError(f"field 'dd_band': lower bound must be below upper, got {self.dd_band}")
         if not self.line_spacing > 0:
-            raise ConfigurationError(f"line_spacing must be positive, got {self.line_spacing}")
+            raise ConfigurationError(f"field 'line_spacing' must be positive, got {self.line_spacing}")
         if self.noise_sigma < 0:
-            raise ConfigurationError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
+            raise ConfigurationError(f"field 'noise_sigma' must be non-negative, got {self.noise_sigma}")
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), **DEVICE_HEADER}
@@ -109,16 +111,23 @@ class DeviceParams:
     def from_json_dict(cls, doc: dict) -> "DeviceParams":
         """Read each field with the kind the reference device's value has.
 
-        A wrong header, a missing field or a value of the wrong kind raises
-        ScanFormatError naming the field.
+        A wrong header, a missing or unknown field, a value of the wrong kind
+        or one out of range raises ScanFormatError naming the field.
         """
         check_header(doc, "device", DEVICE_HEADER)
+        fields = asdict(reference_device())
+        for name in doc:
+            if name not in fields and name not in DEVICE_HEADER:
+                raise ScanFormatError(f"device file has unknown field {name!r}; it takes {', '.join(fields)}")
         kwargs = {}
-        for name, example in asdict(reference_device()).items():
+        for name, example in fields.items():
             if name not in doc:
                 raise ScanFormatError(f"device file is missing field {name!r}")
             kwargs[name] = checked(f"device field {name!r}", doc[name], kind_of(example), ScanFormatError)
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except ConfigurationError as exc:
+            raise ScanFormatError(f"device {exc}") from exc
 
 
 #: Uniform sampling range ``(lo, hi)`` of each parameter :func:`sample_device`
@@ -284,22 +293,14 @@ def _sensor_grid(params: DeviceParams, v1: np.ndarray, v2: np.ndarray) -> np.nda
     return arm1 * n1 * w1 + arm2 * n2 * w2 + params.background_gradient * (v1 + v2)
 
 
-def render_scan(
-    params: DeviceParams,
-    center: tuple[float, float],
-    span: tuple[float, float] = DEFAULT_SPAN_MV,
-    resolution: float = DEFAULT_RESOLUTION_MV,
-    with_noise: bool = False,
-    noise_seed: int = 0,
-    with_labels: bool = True,
-) -> tuple[ScanGrid, LabelGrid | None]:
-    """Measure a rectangular window and return the raster plus ground truth.
+def _window_axes(
+    center: tuple[float, float], span: tuple[float, float], resolution: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel-center axes of a window, ``lo + (i + 1/2) * resolution``.
 
-    Pixel centers sit at ``lo + (i + 1/2) * resolution`` so the requested
-    window edges bound the raster. The whole window must lie inside
-    ``DOMAIN_MV``; anything else, a non-finite center included, raises
-    DomainError. With ``with_labels=False`` the labels are not computed
-    and come back as None.
+    Raises DomainError unless the whole window lies inside ``DOMAIN_MV``
+    (a non-finite center included), and ShapeError when the resolution is
+    below the float spacing of the voltages.
     """
     c1, c2 = float(center[0]), float(center[1])
     s1, s2 = float(span[0]), float(span[1])
@@ -321,9 +322,35 @@ def render_scan(
     for name, axis in (("v1_axis", v1_axis), ("v2_axis", v2_axis)):
         if not (axis[1:] > axis[:-1]).all():
             raise ShapeError(f"{name} must be strictly increasing: {resolution} mV is below float spacing")
-    g1, g2 = v1_axis[:, None], v2_axis[None, :]
+    return v1_axis, v2_axis
 
-    values = _sensor_grid(params, g1, g2)
+
+def _label_grid(params: DeviceParams, v1_axis: np.ndarray, v2_axis: np.ndarray) -> LabelGrid:
+    labels = object.__new__(LabelGrid)
+    labels.labels = _state_codes(params, v1_axis[:, None], v2_axis[None, :])
+    labels.v1_axis, labels.v2_axis = v1_axis, v2_axis
+    return labels
+
+
+def render_scan(
+    params: DeviceParams,
+    center: tuple[float, float],
+    span: tuple[float, float] = DEFAULT_SPAN_MV,
+    resolution: float = DEFAULT_RESOLUTION_MV,
+    with_noise: bool = False,
+    noise_seed: int = 0,
+    with_labels: bool = True,
+) -> tuple[ScanGrid, LabelGrid | None]:
+    """Measure a rectangular window and return the raster plus ground truth.
+
+    Pixel centers sit at ``lo + (i + 1/2) * resolution`` so the requested
+    window edges bound the raster. The whole window must lie inside
+    ``DOMAIN_MV``; anything else, a non-finite center included, raises
+    DomainError. With ``with_labels=False`` the labels are not computed
+    and come back as None.
+    """
+    v1_axis, v2_axis = _window_axes(center, span, resolution)
+    values = _sensor_grid(params, v1_axis[:, None], v2_axis[None, :])
     if with_noise and params.noise_sigma > 0:
         rng = np.random.default_rng(noise_seed)
         values = values + rng.normal(0.0, params.noise_sigma, size=values.shape)
@@ -331,11 +358,18 @@ def render_scan(
     scan = object.__new__(ScanGrid)
     scan.values, scan.v1_axis, scan.v2_axis = values, v1_axis, v2_axis
     scan.meta = ScanMeta(resolution=resolution, acquisition_axis="v1")
-    if not with_labels:
-        return scan, None
-    labels = object.__new__(LabelGrid)
-    labels.labels, labels.v1_axis, labels.v2_axis = _state_codes(params, g1, g2), v1_axis, v2_axis
-    return scan, labels
+    return scan, _label_grid(params, v1_axis, v2_axis) if with_labels else None
+
+
+def render_labels(
+    params: DeviceParams,
+    center: tuple[float, float],
+    span: tuple[float, float] = DEFAULT_SPAN_MV,
+    resolution: float = DEFAULT_RESOLUTION_MV,
+) -> LabelGrid:
+    """The ground-truth labels ``render_scan`` gives the same window, without
+    computing its sensor values; it refuses the same windows."""
+    return _label_grid(params, *_window_axes(center, span, resolution))
 
 
 def save_device(params: DeviceParams, path) -> None:

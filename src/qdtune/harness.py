@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import OracleClassifier, ProbabilityVector, oracle_probability
-from .errors import ConfigurationError, ScanFormatError, ShapeError
+from . import device as device_model
+from .classifier import ModelClassifier, OracleClassifier, ProbabilityVector, oracle_probability
+from .errors import ConfigurationError, DomainError, ScanFormatError, ShapeError
 from .fileio import check_header, checked, encode_blob, write_csv, write_json
 from .grids import DEFAULT_RESOLUTION_MV, DEFAULT_SPAN_MV, SINGLE_DOT_CODES, StateLabel, pixel_count
-from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, acquire_with_labels
+from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, SimulatedDevice, acquire_with_labels
 from .tuner import (
     FitnessConfig,
     FixedSimplex,
@@ -70,13 +71,25 @@ def ground_truth_dd_fraction(
     resolution: float,
     sandbox: Sandbox = Sandbox(),
 ) -> float | None:
-    """Double-dot pixel fraction of one window, or None if it cannot be measured."""
-    result = acquire_with_labels(source, center, span, resolution, sandbox)
-    if isinstance(result, Blocked):
-        return None
-    _, labels = result
-    if labels is None:
-        raise ConfigurationError("success scoring needs a source with ground-truth labels")
+    """Double-dot pixel fraction of one window, or None if it cannot be measured.
+
+    A simulated device gives the window's labels alone, without its sensor
+    values; it refuses the windows ``acquire_with_labels`` refuses.
+    """
+    if isinstance(source, SimulatedDevice):
+        if not sandbox.contains_window(center, span):
+            return None
+        try:
+            labels = device_model.render_labels(source.params, center, span, resolution)
+        except DomainError:
+            return None
+    else:
+        result = acquire_with_labels(source, center, span, resolution, sandbox)
+        if isinstance(result, Blocked):
+            return None
+        _, labels = result
+        if labels is None:
+            raise ConfigurationError("success scoring needs a source with ground-truth labels")
     return oracle_probability(labels).p_dd
 
 
@@ -419,8 +432,9 @@ def fitness_landscape(
     """Exhaustive fitness map of a stored scan for one window size.
 
     With the default oracle classifier the probability vectors come from
-    exact pixel counts over ground-truth labels; any other classifier is
-    evaluated window by window.
+    exact pixel counts over ground-truth labels. A ModelClassifier scores
+    each row of window starts as one stack, with the same bytes as window
+    by window; any other classifier is evaluated window by window.
     """
     if not isinstance(source, PremeasuredScan):
         raise ConfigurationError("fitness_landscape needs a premeasured full-range scan")
@@ -456,11 +470,16 @@ def fitness_landscape(
     values = np.empty((n1 - w1 + 1, n2 - w2 + 1))
     for i in range(values.shape[0]):
         rows = slice(i, i + w1)
-        for j in range(values.shape[1]):
-            cols = slice(j, j + w2)
-            crop = source.scan.crop(rows, cols)
-            labels = None if source.labels is None else source.labels.crop(rows, cols)
-            values[i, j] = fitness(classifier.probabilities(crop, labels), fitness_config)
+        if isinstance(classifier, ModelClassifier):
+            # One row of window starts per stack keeps its arrays cache-sized.
+            windows = [source.scan.crop(rows, slice(j, j + w2)) for j in range(values.shape[1])]
+            values[i] = [fitness(p, fitness_config) for p in classifier.stack_probabilities(windows)]
+        else:
+            for j in range(values.shape[1]):
+                cols = slice(j, j + w2)
+                crop = source.scan.crop(rows, cols)
+                labels = None if source.labels is None else source.labels.crop(rows, cols)
+                values[i, j] = fitness(classifier.probabilities(crop, labels), fitness_config)
     return LandscapeResult(values, center_v1, center_v2, (w1, w2))
 
 

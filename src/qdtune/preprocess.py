@@ -1,23 +1,48 @@
-"""Turn a raw charge-sensor raster into a normalized 30x30 gradient image.
+"""Turn charge-sensor rasters into normalized 30x30 gradient images.
 
 The pipeline is gradient -> flip correction -> normalize/threshold ->
 resize. It is invariant under sensor sign flips and under positive
 affine rescaling of the raw signal, so classifier inputs do not depend
 on sensor calibration.
+
+Stacks. :func:`process` takes one window or a sequence of windows of one
+shape and one metadata, and every step works on the (N, n, m) stack of
+their values; a window processed alone is the N = 1 case of the same code.
+A window's image does not depend on the other windows of its stack, bit for
+bit, because each step either works element by element or hands each window
+to the same numpy call a lone window gets:
+
+- the two quantiles are one ``np.partition(..., axis=1)`` of the flattened
+  windows, which selects within each row at the indices a lone window uses;
+- the flip decision sums each window's strongest pixels with a reduction of
+  its own, as ``np.mean`` does for a lone window; a masked sum over the stack
+  or ``np.add.reduceat`` adds in another order and is not equal;
+- the resize is one ``_overlap_weights`` product over the stack, for which
+  numpy calls BLAS once per window with the arguments a lone window gives;
+- per-window peaks are maxima, which are exact.
+
+Sensor values that are not finite are refused on entry with a ShapeError.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ShapeError
-from .grids import ScanGrid
+from .grids import ScanGrid, ScanMeta
 
 IMAGE_SIZE = 30
+
+
+def _check_range(values: np.ndarray) -> None:
+    # Written so that NaN fails: every comparison with NaN is false.
+    if not (values.min() >= 0.0 and values.max() <= 1.0):
+        raise ShapeError("processed image values must lie in [0, 1]")
 
 
 @dataclass(eq=False)
@@ -32,35 +57,36 @@ class ProcessedImage:
             raise ShapeError(
                 f"processed image must be {IMAGE_SIZE}x{IMAGE_SIZE}, got {self.values.shape}"
             )
-        # Written so that NaN fails: every comparison with NaN is false.
-        if not (self.values.min() >= 0.0 and self.values.max() <= 1.0):
-            raise ShapeError("processed image values must lie in [0, 1]")
+        _check_range(self.values)
 
 
-def gradient_along_measurement(scan: ScanGrid) -> ScanGrid:
-    """Forward-difference derivative along the acquisition axis.
+# --- the steps, on (N, n, m) stacks --------------------------------------------
 
-    The last row (or column) is replicated so the output keeps the input
-    dimensions.
-    """
-    axis = 0 if scan.meta.acquisition_axis == "v1" else 1
-    if scan.values.shape[axis] < 2:
+
+def _gradient(stack: np.ndarray, meta: ScanMeta) -> np.ndarray:
+    """Forward difference of each window along the acquisition axis, into a
+    new C-contiguous stack; the last row (or column) is replicated."""
+    axis = 1 if meta.acquisition_axis == "v1" else 2
+    if stack.shape[axis] < 2:
         raise ShapeError("need at least 2 pixels along the acquisition axis to differentiate")
-    grad = np.diff(scan.values, axis=axis) / scan.meta.resolution
-    last = grad[-1:, :] if axis == 0 else grad[:, -1:]
-    grad = np.concatenate([grad, last], axis=axis)
-    return scan.with_values(grad)
+    grad = np.empty(stack.shape)
+    head = (slice(None),) * axis
+    lead, lag = head + (slice(1, None),), head + (slice(None, -1),)
+    np.subtract(stack[lead], stack[lag], out=grad[lag])
+    grad[lag] /= meta.resolution
+    grad[head + (-1,)] = grad[head + (-2,)]
+    return grad
 
 
-def _quantile(values: np.ndarray, q: float) -> float:
-    """``np.quantile(values, q)`` (linear method) from one partition.
+def _quantile(rows: np.ndarray, q: float) -> list[float]:
+    """``np.quantile(row, q)`` (linear method) of each row, from one partition.
 
     Bit for bit: numpy's interpolation indices and weight (measured from
     index -1 when the quantile reaches the last value), its ``_lerp``,
     which interpolates down from the upper neighbour when the weight is
     at least 1/2, and NaN when any value is NaN (NaN partitions last).
     """
-    n = values.size
+    n = rows.shape[1]
     virtual = (n - 1) * q
     if virtual >= n - 1:
         below = above = -1
@@ -70,80 +96,77 @@ def _quantile(values: np.ndarray, q: float) -> float:
     weight = virtual - below
     # Equal values (0.0 and -0.0) may land in either order, so partition
     # at exactly the indices numpy does.
-    part = np.partition(values, sorted({0, -1, below, above}), axis=None)
-    if math.isnan(part[-1]):
-        return math.nan
-    a, b = float(part[below]), float(part[above])
-    diff = b - a
-    return b - diff * (1.0 - weight) if weight >= 0.5 else a + diff * weight
+    part = np.partition(rows, sorted({0, -1, below, above}), axis=1)
+    out = []
+    for a, b, last in zip(part[:, below].tolist(), part[:, above].tolist(), part[:, -1].tolist()):
+        diff = b - a
+        if math.isnan(last):
+            out.append(math.nan)
+        else:
+            out.append(b - diff * (1.0 - weight) if weight >= 0.5 else a + diff * weight)
+    return out
 
 
-def _median(values: np.ndarray) -> float:
-    """``np.median(values)`` from one partition, bit for bit.
+def _median(rows: np.ndarray) -> list[float]:
+    """``np.median(row)`` of each row, from one partition, bit for bit.
 
     numpy averages the middle values with ``mean``, whose sum starts at
     0.0 (so a median of zeros is +0.0), partitions at the same indices,
     and returns NaN when any value is NaN.
     """
-    n = values.size
+    n = rows.shape[1]
     half = n // 2
     kth = (half, -1) if n % 2 else (half - 1, half, -1)
-    part = np.partition(values, kth, axis=None)
-    if math.isnan(part[-1]):
-        return math.nan
-    if n % 2:
-        return 0.0 + float(part[half])
-    return (0.0 + float(part[half - 1]) + float(part[half])) / 2.0
+    part = np.partition(rows, kth, axis=1)
+    out = []
+    for a, b, last in zip(part[:, half - 1].tolist(), part[:, half].tolist(), part[:, -1].tolist()):
+        if math.isnan(last):
+            out.append(math.nan)
+        else:
+            out.append(0.0 + b if n % 2 else (0.0 + a + b) / 2.0)
+    return out
 
 
-def flip_correct(grad: ScanGrid) -> ScanGrid:
-    """Make charge-transition lines bright regardless of sensor polarity.
-
-    Looks at the pixels whose magnitude reaches the top decile; if their
-    mean is negative the whole grid is negated. A zero mean (possible
-    only for contrived symmetric inputs) falls back to the sign of the
-    first nonzero pixel so that a grid and its negation always map to
-    the same output.
-    """
-    values = grad.values
-    magnitude = np.abs(values)
-    threshold = _quantile(magnitude, 0.9)
-    strongest = values[magnitude >= threshold]
-    mean = strongest.mean() if strongest.size else 0.0
-    if mean == 0.0:
-        nonzero = values[values != 0.0]
-        if nonzero.size == 0:
-            return grad
-        mean = nonzero.flat[0]
-    if mean < 0.0:
-        return grad.with_values(-values)
+def _flip_correct(grad: np.ndarray) -> np.ndarray:
+    """Negate, in place, each window whose strongest pixels have a negative
+    mean, ``np.mean``'s: their sum over their count (see ``flip_correct``)."""
+    flat = grad.reshape(len(grad), -1)
+    magnitude = np.abs(flat)
+    strong = magnitude >= np.array(_quantile(magnitude, 0.9))[:, None]
+    for window, row, mask in zip(grad, flat, strong):
+        selected = row[mask]
+        mean = float(np.add.reduce(selected)) / selected.size if selected.size else 0.0
+        if mean == 0.0:
+            nonzero = row[row != 0.0]
+            mean = float(nonzero[0]) if nonzero.size else 0.0
+        if mean < 0.0:
+            np.negative(window, out=window)
     return grad
 
 
-def normalize_threshold(grad: ScanGrid) -> ScanGrid:
-    """Clamp negatives, remove the median background floor, scale to max 1."""
-    values = np.maximum(grad.values, 0.0)
-    values = np.maximum(values - _median(values), 0.0)
-    peak = values.max()
-    if peak > 0.0:
-        values = values / peak
-    return grad.with_values(values)
+def _divide_by_peak(stack: np.ndarray) -> np.ndarray:
+    """Divide each window, in place, by its maximum when that is positive."""
+    for window, peak in zip(stack, stack.reshape(len(stack), -1).max(axis=1).tolist()):
+        if peak > 0.0:
+            window /= peak
+    return stack
 
 
-def resize_to_30(values: np.ndarray) -> ProcessedImage:
-    """Block-mean downsample to 30x30 with fractional-area weighting."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise ShapeError(f"expected a 2-d grid, got ndim={values.ndim}")
-    n, m = values.shape
+def _normalize_threshold(grad: np.ndarray) -> np.ndarray:
+    values = np.maximum(grad, 0.0)
+    flat = values.reshape(len(values), -1)
+    flat -= np.array(_median(flat))[:, None]
+    np.maximum(values, 0.0, out=values)
+    return _divide_by_peak(values)
+
+
+def _resize(stack: np.ndarray) -> np.ndarray:
+    n, m = stack.shape[1:]
     if n < IMAGE_SIZE or m < IMAGE_SIZE:
-        raise ShapeError(f"grid {values.shape} is smaller than {IMAGE_SIZE}x{IMAGE_SIZE}")
-    out = _overlap_weights(n) @ values @ _overlap_weights(m).T
-    out = np.clip(out, 0.0, 1.0)
-    peak = out.max()
-    if peak > 0.0:
-        out = out / peak
-    return ProcessedImage(np.clip(out, 0.0, 1.0))
+        raise ShapeError(f"grid {(n, m)} is smaller than {IMAGE_SIZE}x{IMAGE_SIZE}")
+    out = _overlap_weights(n) @ stack @ _overlap_weights(m).T
+    out.clip(0.0, 1.0, out=out)
+    return _divide_by_peak(out).clip(0.0, 1.0, out=out)
 
 
 @lru_cache(maxsize=None)
@@ -164,9 +187,68 @@ def _overlap_weights(n_src: int) -> np.ndarray:
     return w
 
 
-def process(scan: ScanGrid) -> ProcessedImage:
-    """Full pipeline: gradient, flip correction, normalization, resize."""
-    grad = gradient_along_measurement(scan)
-    grad = flip_correct(grad)
-    grad = normalize_threshold(grad)
-    return resize_to_30(grad.values)
+def _process_stack(stack: np.ndarray, meta: ScanMeta) -> np.ndarray:
+    if not np.isfinite(stack).all():
+        where = ""
+        if len(stack) > 1:
+            where = f" in window {int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))} of {len(stack)}"
+        raise ShapeError(f"sensor values are not finite: NaN or infinite pixels{where}")
+    grad = _flip_correct(_gradient(stack, meta))
+    return _resize(_normalize_threshold(grad))
+
+
+# --- one window at a time: the N = 1 case --------------------------------------
+
+
+def gradient_along_measurement(scan: ScanGrid) -> ScanGrid:
+    """Forward-difference derivative along the acquisition axis.
+
+    The last row (or column) is replicated so the output keeps the input
+    dimensions.
+    """
+    return scan.with_values(_gradient(scan.values[None], scan.meta)[0])
+
+
+def flip_correct(grad: ScanGrid) -> ScanGrid:
+    """Make charge-transition lines bright regardless of sensor polarity.
+
+    Looks at the pixels whose magnitude reaches the top decile; if their
+    mean is negative the whole grid is negated. A zero mean (possible
+    only for contrived symmetric inputs) falls back to the sign of the
+    first nonzero pixel so that a grid and its negation always map to
+    the same output.
+    """
+    return grad.with_values(_flip_correct(np.array(grad.values[None], dtype=float))[0])
+
+
+def normalize_threshold(grad: ScanGrid) -> ScanGrid:
+    """Clamp negatives, remove the median background floor, scale to max 1."""
+    return grad.with_values(_normalize_threshold(grad.values[None])[0])
+
+
+def resize_to_30(values: np.ndarray) -> ProcessedImage:
+    """Block-mean downsample to 30x30 with fractional-area weighting."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ShapeError(f"expected a 2-d grid, got ndim={values.ndim}")
+    return ProcessedImage(_resize(values[None])[0])
+
+
+def process(windows: ScanGrid | Sequence[ScanGrid]) -> ProcessedImage | np.ndarray:
+    """Full pipeline: gradient, flip correction, normalization, resize.
+
+    One window gives its ProcessedImage. A sequence of windows with one
+    shape and one metadata gives their (N, 30, 30) images, each equal bit
+    for bit to the window's own ProcessedImage (module docstring).
+    """
+    if isinstance(windows, ScanGrid):
+        return ProcessedImage(_process_stack(windows.values[None], windows.meta)[0])
+    if not windows:
+        raise ShapeError("no windows to process")
+    shape, meta = windows[0].values.shape, windows[0].meta
+    for window in windows:
+        if window.values.shape != shape or not (window.meta is meta or window.meta == meta):
+            raise ShapeError("the windows of a stack must share one shape and one metadata")
+    images = _process_stack(np.stack([window.values for window in windows]), meta)
+    _check_range(images)
+    return images

@@ -360,3 +360,51 @@ class TestModelIO:
 
     def test_class_names_order(self):
         assert CLASS_NAMES == ("none", "sd", "dd")
+
+
+def _classify_batch_one(model, values):
+    """classify() as it was: a 2-d (1, 900) batch, log-softmax, then p / sum(p)."""
+    a = values.reshape(1, -1)
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        a = np.maximum(a @ w + b, 0.0)
+    z = a @ model.weights[-1] + model.biases[-1]
+    z = z - z.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    p = np.exp(logp[0])
+    return logp[0], p / p.sum()
+
+
+class TestStackedInference:
+    @pytest.mark.parametrize("count", [1, 2, 17, 441])
+    def test_each_row_equals_batch_one_classify(self, count):
+        rng = np.random.default_rng(count)
+        images = rng.random((count, 30, 30))
+        images[::3] *= rng.random((len(images[::3]), 1, 1))  # dimmer images too
+        for seed in (0, 7):
+            model = q.init_model(seed)
+            logp, _ = classifier_mod._forward(model, images.reshape(count, 1, -1))
+            stacked = classifier_mod._probabilities(model, images)
+            for k in range(count):
+                expect_logp, expect_p = _classify_batch_one(model, images[k])
+                assert logp[k, 0].tobytes() == expect_logp.tobytes()
+                assert stacked[k].as_array().tobytes() == expect_p.tobytes()
+                alone = q.classify(model, q.ProcessedImage(images[k]))
+                assert alone.as_array().tobytes() == expect_p.tobytes()
+
+    def test_evaluate_equals_the_per_image_loop(self, small_dataset):
+        model, _ = q.train(small_dataset, q.TrainingConfig(steps=50, seed=1))
+        samples = q.generate_dataset(10, 3, seed=8)
+        stacked = q.evaluate(model, samples)
+        looped = q.evaluate(lambda image: q.classify(model, image), samples)
+        assert stacked.confusion.tobytes() == looped.confusion.tobytes()
+        assert stacked.accuracy == looped.accuracy
+
+    def test_stack_probabilities_equal_window_by_window(self, reference_params):
+        clf = q.ModelClassifier(q.init_model(4))
+        windows = [
+            q.render_scan(reference_params, (280.0 + 9.0 * k, 330.0 - 4.0 * k), (60.0, 60.0), 2.0, with_noise=True)[0]
+            for k in range(6)
+        ]
+        stacked = clf.stack_probabilities(windows)
+        for window, p in zip(windows, stacked):
+            assert p.as_array().tobytes() == clf.probabilities(window, None).as_array().tobytes()

@@ -199,6 +199,22 @@ class TestDeviceIO:
         with pytest.raises(q.ScanVersionError, match="schema_version"):
             q.load_device(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dd_band", [90.0, -90.0]), ("formation_thresholds", [700.0, 220.0])],
+    )
+    def test_out_of_range_field_is_format_error_naming_it(self, tmp_path, field, value):
+        path = tmp_path / "dev.json"
+        path.write_text(json.dumps({**q.reference_device().to_json_dict(), field: value}))
+        with pytest.raises(q.ScanFormatError, match=f"'{field}'"):
+            q.load_device(path)
+
+    def test_unknown_field_is_format_error_naming_it(self, tmp_path):
+        path = tmp_path / "dev.json"
+        path.write_text(json.dumps({**q.reference_device().to_json_dict(), "bogus": 1}))
+        with pytest.raises(q.ScanFormatError, match="unknown field 'bogus'"):
+            q.load_device(path)
+
     def test_integers_are_read_as_numbers(self, tmp_path):
         path = tmp_path / "dev.json"
         path.write_text(json.dumps({**q.reference_device().to_json_dict(), "merge_threshold": 375, "dd_band": [-90, 90]}))

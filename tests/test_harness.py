@@ -36,6 +36,45 @@ class TestSuccessScoring:
         frac = q.ground_truth_dd_fraction(reference_source, (10.0, 10.0), (60.0, 60.0), 2.0)
         assert frac is None
 
+    @given(
+        seed=st.integers(0, 10_000),
+        center=st.tuples(st.floats(-50.0, 650.0), st.floats(-50.0, 650.0)),
+        pixels=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        resolution=st.sampled_from([1.0, 2.0, 2.5]),
+    )
+    @settings(max_examples=80)
+    def test_simulated_labels_equal_the_rendered_ones(self, seed, center, pixels, resolution):
+        """Labels-only scoring reads the labels render_scan gives the same
+        window, and refuses what acquisition refuses; the widest sandbox lets
+        windows reach the device domain's own refusal."""
+        params = q.sample_device(seed)
+        source = q.SimulatedDevice(params)
+        span = (pixels[0] * resolution, pixels[1] * resolution)
+        for sandbox in (q.Sandbox((-100.0, 700.0), (-100.0, 700.0)), q.Sandbox(), q.Sandbox((150.0, 450.0), (200.0, 500.0))):
+            acquired = q.acquire_with_labels(source, center, span, resolution, sandbox)
+            frac = q.ground_truth_dd_fraction(source, center, span, resolution, sandbox)
+            if isinstance(acquired, q.Blocked):
+                assert frac is None
+                continue
+            rendered = acquired[1]
+            labels = q.device.render_labels(params, center, span, resolution)
+            assert labels.labels.tobytes() == rendered.labels.tobytes()
+            assert labels.v1_axis.tobytes() == rendered.v1_axis.tobytes()
+            assert labels.v2_axis.tobytes() == rendered.v2_axis.tobytes()
+            assert frac == q.oracle_probability(rendered).p_dd
+
+    def test_simulated_scoring_computes_no_sensor_values(self, reference_params, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("success scoring computed sensor values")
+
+        monkeypatch.setattr(q.device, "_sensor_grid", refuse)
+        source = q.SimulatedDevice(reference_params)
+        assert q.ground_truth_dd_fraction(source, (300.0, 320.0), (30.0, 30.0), 2.0) == 1.0
+        for center in ((float("nan"), 300.0), (10.0, 10.0), (590.0, 300.0)):
+            assert q.ground_truth_dd_fraction(source, center, (60.0, 60.0), 2.0) is None
+        wide = q.Sandbox((-100.0, 700.0), (-100.0, 700.0))
+        assert q.ground_truth_dd_fraction(source, (590.0, 300.0), (60.0, 60.0), 2.0, wide) is None
+
     def test_weights(self):
         regions = q.SuccessRegions()
         assert regions.weight(0.95) == 1.0
@@ -280,6 +319,14 @@ class TestLandscape:
         got = q.fitness_landscape(source, classifier, window_span=(w * 2.0, w * 2.0), fitness_config=config)
         assert got.values.tobytes() == expect.tobytes()
         assert built == []
+
+    def test_model_landscape_refuses_a_non_finite_pixel(self, reference_params):
+        scan, labels = q.render_scan(reference_params, (340.0, 380.0), (70.0, 70.0), 2.0)
+        values = scan.values.copy()
+        values[3, 4] = np.inf  # inside windows 0..3 of the first row of starts
+        source = q.PremeasuredScan(scan.with_values(values), labels)
+        with pytest.raises(q.ShapeError, match="not finite: NaN or infinite pixels in window 0 of 6"):
+            q.fitness_landscape(source, q.ModelClassifier(q.init_model(5)))
 
     @pytest.mark.parametrize("span", [59.0, 61.0])
     def test_span_must_be_whole_pixels(self, reference_source, reference_params, span):

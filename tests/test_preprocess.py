@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,13 +188,16 @@ class TestPartitionStatistics:
         values = np.array(values, dtype=float)
         if values.size % columns == 0:
             values = values.reshape(-1, columns)
+        # The statistics work on rows; one row holding every value is np.quantile's input.
+        row = values.reshape(1, -1)
         with np.errstate(invalid="ignore", over="ignore"):
-            assert _same_float(_quantile(values, level), np.quantile(values, level))
-            assert _same_float(_median(values), np.median(values))
+            assert _same_float(_quantile(row, level)[0], np.quantile(values, level))
+            assert _same_float(_median(row)[0], np.median(values))
 
     def test_nan_gives_nan(self):
         values = np.array([[0.5, float("nan")], [0.25, 1.0]])
-        assert np.isnan(_quantile(values, 0.9)) and np.isnan(_median(values))
+        row = values.reshape(1, -1)
+        assert np.isnan(_quantile(row, 0.9)[0]) and np.isnan(_median(row)[0])
 
     def test_input_left_unchanged(self):
         values = np.array([[3.0, 1.0], [2.0, 0.0]])
@@ -272,3 +277,151 @@ class TestProcessedImage:
             ProcessedImage(np.full((30, 30), -0.1))
         with pytest.raises(q.ShapeError):
             ProcessedImage(np.where(np.eye(30) > 0, np.nan, 0.5))
+
+
+# --- the per-window pipeline before stacks, kept as the reference ----------------
+
+
+def _reference_quantile(values, q):
+    n = values.size
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        below = above = -1
+    else:
+        below = math.floor(virtual)
+        above = below + 1
+    weight = virtual - below
+    part = np.partition(values, sorted({0, -1, below, above}), axis=None)
+    if math.isnan(part[-1]):
+        return math.nan
+    a, b = float(part[below]), float(part[above])
+    diff = b - a
+    return b - diff * (1.0 - weight) if weight >= 0.5 else a + diff * weight
+
+
+def _reference_median(values):
+    n = values.size
+    half = n // 2
+    kth = (half, -1) if n % 2 else (half - 1, half, -1)
+    part = np.partition(values, kth, axis=None)
+    if math.isnan(part[-1]):
+        return math.nan
+    if n % 2:
+        return 0.0 + float(part[half])
+    return (0.0 + float(part[half - 1]) + float(part[half])) / 2.0
+
+
+def _reference_process(scan):
+    """gradient -> flip -> normalize -> resize on one 2-d window, as
+    ``process`` computed it one window at a time."""
+    axis = 0 if scan.meta.acquisition_axis == "v1" else 1
+    grad = np.diff(scan.values, axis=axis) / scan.meta.resolution
+    last = grad[-1:, :] if axis == 0 else grad[:, -1:]
+    grad = np.concatenate([grad, last], axis=axis)
+
+    magnitude = np.abs(grad)
+    strongest = grad[magnitude >= _reference_quantile(magnitude, 0.9)]
+    mean = strongest.mean() if strongest.size else 0.0
+    if mean == 0.0:
+        nonzero = grad[grad != 0.0]
+        mean = nonzero.flat[0] if nonzero.size else 0.0
+    if mean < 0.0:
+        grad = -grad
+
+    values = np.maximum(grad, 0.0)
+    values = np.maximum(values - _reference_median(values), 0.0)
+    peak = values.max()
+    if peak > 0.0:
+        values = values / peak
+
+    n, m = values.shape
+    out = _overlap_weights(n) @ values @ _overlap_weights(m).T
+    out = np.clip(out, 0.0, 1.0)
+    peak = out.max()
+    if peak > 0.0:
+        out = out / peak
+    return np.clip(out, 0.0, 1.0)
+
+
+def _window(kind, rng, shape, seed):
+    """Raw values of one test window of the given kind."""
+    n, m = shape
+    if kind == "device":
+        params = q.sample_device(seed)
+        center = tuple(rng.uniform(100.0, 500.0, size=2))
+        scan, _ = q.render_scan(params, center, (2.0 * n, 2.0 * m), 2.0, with_noise=True, noise_seed=seed)
+        return scan.values
+    if kind == "random":
+        return rng.normal(0.0, 1.0, size=shape) * 2.0 ** int(rng.integers(-20, 20))
+    if kind == "constant":
+        return np.full(shape, float(rng.choice([0.0, -0.0, 1.5, -3.25])))
+    # Symmetric: the right half mirrors the left half's negation in small
+    # integers, so the strongest gradients sum to exactly zero and the flip
+    # falls back to the sign of the first nonzero pixel.
+    left = rng.integers(-4, 5, size=(n, m // 2)).astype(float)
+    return np.concatenate([left, -left, np.zeros((n, m % 2))], axis=1)
+
+
+_KINDS = ("device", "random", "constant", "symmetric")
+
+
+class TestStackedProcess:
+    @given(
+        count=st.sampled_from([1, 2, 17]),
+        shape=st.sampled_from([(30, 30), (31, 31), (33, 47), (45, 30), (60, 60), (61, 75)]),
+        axis=st.sampled_from(["v1", "v2"]),
+        seed=st.integers(0, 2**31 - 1),
+        kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=4),
+    )
+    @settings(max_examples=60)
+    def test_matches_the_per_window_pipeline_byte_for_byte(self, count, shape, axis, seed, kinds):
+        rng = np.random.default_rng(seed)
+        windows = []
+        for k in range(count):
+            values = _window(kinds[k % len(kinds)], rng, shape, seed + k)
+            if rng.integers(2):
+                values = -values  # a sensor of the other polarity
+            windows.append(make_scan(values, resolution=2.0, axis=axis))
+        images = q.process(windows)
+        assert images.shape == (count, IMAGE_SIZE, IMAGE_SIZE)
+        for window, image in zip(windows, images):
+            expect = _reference_process(window).tobytes()
+            assert image.tobytes() == expect
+            assert q.process(window).values.tobytes() == expect
+
+    def test_symmetric_windows_reach_the_first_pixel_fallback(self):
+        """The strategy above does exercise flip_correct's zero-mean branch."""
+        values = _window("symmetric", np.random.default_rng(0), (40, 40), 0)
+        grad = q.gradient_along_measurement(make_scan(values)).values
+        magnitude = np.abs(grad)
+        assert grad[magnitude >= np.quantile(magnitude, 0.9)].mean() == 0.0
+        assert q.process(make_scan(values)).values.tobytes() == _reference_process(make_scan(values)).tobytes()
+
+    def test_windows_of_other_shape_or_metadata_are_refused(self):
+        a = make_scan(np.zeros((30, 30)))
+        with pytest.raises(q.ShapeError, match="one shape and one metadata"):
+            q.process([a, make_scan(np.zeros((31, 30)))])
+        with pytest.raises(q.ShapeError, match="one shape and one metadata"):
+            q.process([a, make_scan(np.zeros((30, 30)), axis="v2")])
+        with pytest.raises(q.ShapeError, match="no windows"):
+            q.process([])
+
+
+class TestNonFinitePixels:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_window_is_refused_on_entry(self, bad, reference_params):
+        scan, _ = q.render_scan(reference_params, (300.0, 320.0), (60.0, 60.0), 2.0)
+        values = scan.values.copy()
+        values[7, 11] = bad
+        with pytest.raises(q.ShapeError, match="sensor values are not finite"):
+            q.process(scan.with_values(values))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_window_of_a_stack_is_named(self, bad):
+        rng = np.random.default_rng(1)
+        windows = [make_scan(rng.normal(size=(30, 30))) for _ in range(5)]
+        values = windows[3].values.copy()
+        values[0, 29] = bad
+        windows[3] = windows[3].with_values(values)
+        with pytest.raises(q.ShapeError, match="not finite: NaN or infinite pixels in window 3 of 5"):
+            q.process(windows)

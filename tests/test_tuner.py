@@ -274,7 +274,21 @@ class TestAutotune:
         source = q.PremeasuredScan(scan.with_values(values), labels)
         run = q.autotune(source, q.ModelClassifier(q.init_model(0)), (350.0, 400.0))
         assert run.outcome.kind == "aborted"
-        assert run.outcome.cause == "ShapeError: processed image values must lie in [0, 1]"
+        # process refuses the window on entry, before any arithmetic on NaN.
+        assert run.outcome.cause == "ShapeError: sensor values are not finite: NaN or infinite pixels"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_aborts_naming_the_cause(self, reference_scan, bad):
+        scan, labels = reference_scan
+        values = scan.values.copy()
+        i = int(np.argmin(np.abs(scan.v1_axis - 350.0)))
+        j = int(np.argmin(np.abs(scan.v2_axis - 400.0)))
+        values[i, j] = bad
+        source = q.PremeasuredScan(scan.with_values(values), labels)
+        run = q.autotune(source, q.ModelClassifier(q.init_model(0)), (350.0, 400.0))
+        assert run.outcome.kind == "aborted"
+        assert run.outcome.cause == "ShapeError: sensor values are not finite: NaN or infinite pixels"
+        assert run.iteration_count == 0
 
     def test_plateau_start_converges_to_cap(self, reference_source, oracle):
         run = q.autotune(reference_source, oracle, (500.0, 470.0))
