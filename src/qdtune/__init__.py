@@ -73,7 +73,6 @@ from .scans import (
     Sandbox,
     SimulatedDevice,
     acquire_with_labels,
-    inject_sensor_flip,
     load_scan,
     save_scan,
 )

@@ -40,6 +40,7 @@ from .grids import (
     DEFAULT_RESOLUTION_MV,
     DEFAULT_SPAN_MV,
     LabelGrid,
+    LabelTally,
     MAX_STATE_CODE,
     ScanGrid,
     SINGLE_DOT_CODES,
@@ -95,21 +96,45 @@ class ProbabilityVector:
             raise ShapeError(f"probability vector must have 3 entries, got shape {arr.shape}")
         return cls(float(arr[0]), float(arr[1]), float(arr[2]))
 
+    @classmethod
+    def from_counts(cls, n: int, n_sd: int, n_dd: int) -> "ProbabilityVector":
+        """Pixel fractions of a window of ``n`` pixels, ``n_sd`` of them single dot and ``n_dd`` double dot."""
+        return cls((n - n_sd - n_dd) / n, n_sd / n, n_dd / n)
+
     def argmax_class(self) -> int:
         """0 = none, 1 = single dot, 2 = double dot."""
         return int(np.argmax(self.as_array()))
 
 
 def oracle_probability(labels: LabelGrid) -> ProbabilityVector:
-    """Exact probability vector from a ground-truth label raster."""
+    """Exact probability vector from a ground-truth label raster.
+
+    A stride-1 crop reads its counts off the tally of the raster it was cut
+    from and shares one vector per count triple with that raster's other
+    windows; any other grid counts its codes. Both give the same integers,
+    so the same floats.
+    """
     codes = labels.labels
     n = codes.size
     if n == 0:
         raise ShapeError("label raster is empty")
+    if labels.is_crop:
+        tally, row, col = labels.tally()
+        return tally_probability(tally, n, *tally.counts(row, col, *codes.shape))
     counts = np.bincount(codes.ravel(), minlength=MAX_STATE_CODE + 1)
     n_sd = int(counts[list(SINGLE_DOT_CODES)].sum())
     n_dd = int(counts[StateLabel.DOUBLE_DOT])
-    return ProbabilityVector((n - n_sd - n_dd) / n, n_sd / n, n_dd / n)
+    return ProbabilityVector.from_counts(n, n_sd, n_dd)
+
+
+def tally_probability(tally: LabelTally, n: int, n_sd: int, n_dd: int) -> ProbabilityVector:
+    """The oracle's vector of a window of ``n`` pixels, ``n_sd`` of them single
+    dot and ``n_dd`` double dot, built once per count triple of ``tally``'s raster."""
+    key = (n, n_sd, n_dd)
+    vector = tally.vectors.get(key)
+    if vector is None:
+        vector = tally.vectors[key] = ProbabilityVector.from_counts(n, n_sd, n_dd)
+    return vector
 
 
 # --- dataset ---------------------------------------------------------------

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import device as device_model
-from .classifier import ModelClassifier, OracleClassifier, ProbabilityVector, oracle_probability
+from .classifier import ModelClassifier, OracleClassifier, oracle_probability, tally_probability
 from .errors import ConfigurationError, DomainError, ScanFormatError, ShapeError
 from .fileio import check_header, checked, encode_blob, write_csv, write_json
-from .grids import DEFAULT_RESOLUTION_MV, DEFAULT_SPAN_MV, SINGLE_DOT_CODES, StateLabel, pixel_count
+from .grids import DEFAULT_RESOLUTION_MV, DEFAULT_SPAN_MV, pixel_count
 from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, SimulatedDevice, acquire_with_labels
 from .tuner import (
     FitnessConfig,
@@ -415,14 +415,6 @@ class LandscapeResult:
         write_json(path, doc)
 
 
-def _window_counts(mask: np.ndarray, w1: int, w2: int) -> np.ndarray:
-    """Sliding-window sums of a boolean mask via an integral image (exact)."""
-    n1, n2 = mask.shape
-    ii = np.zeros((n1 + 1, n2 + 1), dtype=np.int64)
-    ii[1:, 1:] = mask.astype(np.int64).cumsum(axis=0).cumsum(axis=1)
-    return ii[w1:, w2:] - ii[:-w1, w2:] - ii[w1:, :-w2] + ii[:-w1, :-w2]
-
-
 def fitness_landscape(
     source: PremeasuredScan,
     classifier=OracleClassifier(),
@@ -451,16 +443,15 @@ def fitness_landscape(
     if isinstance(classifier, OracleClassifier):
         if source.labels is None:
             raise ConfigurationError("oracle landscape needs ground-truth labels")
-        codes = source.labels.labels
+        tally, row, col = source.labels.tally()
         n_px = w1 * w2
-        sd = _window_counts(np.isin(codes, SINGLE_DOT_CODES), w1, w2)
-        dd = _window_counts(codes == int(StateLabel.DOUBLE_DOT), w1, w2)
+        sd, dd = tally.window_counts(row, col, n1, n2, w1, w2)
         # Windows share few (sd, dd) count pairs: score each distinct pair once.
         keys, inverse = np.unique(sd * (n_px + 1) + dd, return_inverse=True)
         n_sd, n_dd = np.divmod(keys, n_px + 1)
         scores = np.array(
             [
-                fitness(ProbabilityVector((n_px - s - d) / n_px, s / n_px, d / n_px), fitness_config)
+                fitness(tally_probability(tally, n_px, s, d), fitness_config)
                 for s, d in zip(n_sd.tolist(), n_dd.tolist())
             ]
         )

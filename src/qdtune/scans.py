@@ -211,11 +211,6 @@ def acquire_with_labels(
     raise ConfigurationError(f"unknown measurement source type {type(source).__name__}")
 
 
-def inject_sensor_flip(scan: ScanGrid) -> ScanGrid:
-    """Return the scan with the sensor sign inverted (axes unchanged)."""
-    return scan.with_values(-scan.values)
-
-
 # --- file format ----------------------------------------------------------
 
 _LABEL_CODE_TABLE = {label.name: int(label) for label in StateLabel}

@@ -20,6 +20,8 @@ import qdtune as q
 from qdtune.harness import iteration_stats, neighborhood_experiment
 from qdtune.tuner import nelder_mead
 
+from faults import inject_sensor_flip
+
 GOOD_POINTS = [(250, 400), (350, 400), (350, 415), (350, 425), (350, 450), (400, 350), (450, 350)]
 PLATEAU_POINTS = [(470, 470), (480, 470), (490, 460), (500, 470), (520, 480)]
 POLICY_TABLE = {
@@ -171,7 +173,7 @@ def test_criterion_07_preprocessing_flip_invariance(acceptance):
         center = tuple(rng.uniform(200, 400, size=2))
         scan, _ = q.render_scan(params, center, (60.0, 60.0), 2.0, with_noise=True, noise_seed=checked)
         a = q.process(scan)
-        b = q.process(q.inject_sensor_flip(scan))
+        b = q.process(inject_sensor_flip(scan))
         assert np.array_equal(a.values, b.values)
         checked += 1
     acceptance(7, checked == 100, "process(-S) == process(S) bit-exact on 100 random scans")

@@ -9,6 +9,8 @@ import qdtune as q
 from qdtune.grids import _check_axis
 from qdtune.preprocess import IMAGE_SIZE, ProcessedImage, _median, _overlap_weights, _quantile
 
+from faults import inject_sensor_flip
+
 
 def make_scan(values, resolution=2.0, axis="v1"):
     values = np.asarray(values, dtype=float)
@@ -218,7 +220,7 @@ class TestProcess:
             reference_params, (310.0, 330.0), (60.0, 60.0), 2.0, with_noise=True, noise_seed=7
         )
         a = q.process(scan)
-        b = q.process(q.inject_sensor_flip(scan))
+        b = q.process(inject_sensor_flip(scan))
         np.testing.assert_array_equal(a.values, b.values)
 
     @given(seed=st.integers(0, 10_000), c1=st.integers(10, 50), c2=st.integers(10, 50))
@@ -227,7 +229,7 @@ class TestProcess:
         params = q.sample_device(seed)
         scan, _ = q.render_scan(params, (250 + c1, 250 + c2), (60.0, 60.0), 2.0)
         a = q.process(scan)
-        b = q.process(q.inject_sensor_flip(scan))
+        b = q.process(inject_sensor_flip(scan))
         np.testing.assert_array_equal(a.values, b.values)
 
     @given(k=st.integers(-6, 6))

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import qdtune as q
 from qdtune.scans import SCAN_SUFFIX, Blocked, Sandbox, _crop_start
 
+from faults import inject_sensor_flip
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -256,9 +258,9 @@ class TestCropEquivalence:
 class TestSensorFlip:
     def test_negates_values_and_is_involutive(self, reference_scan):
         scan, _ = reference_scan
-        flipped = q.inject_sensor_flip(scan)
+        flipped = inject_sensor_flip(scan)
         np.testing.assert_array_equal(flipped.values, -scan.values)
-        back = q.inject_sensor_flip(flipped)
+        back = inject_sensor_flip(flipped)
         np.testing.assert_array_equal(back.values, scan.values)
         np.testing.assert_array_equal(flipped.v1_axis, scan.v1_axis)
 
