@@ -60,11 +60,7 @@ from .harness import (
 from .preprocess import (
     IMAGE_SIZE,
     ProcessedImage,
-    flip_correct,
-    gradient_along_measurement,
-    normalize_threshold,
     process,
-    resize_to_30,
 )
 from .scans import (
     SCAN_SUFFIX,

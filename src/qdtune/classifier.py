@@ -109,17 +109,17 @@ class ProbabilityVector:
 def oracle_probability(labels: LabelGrid) -> ProbabilityVector:
     """Exact probability vector from a ground-truth label raster.
 
-    A stride-1 crop reads its counts off the tally of the raster it was cut
-    from and shares one vector per count triple with that raster's other
-    windows; any other grid counts its codes. Both give the same integers,
-    so the same floats.
+    A stride-1 window of a stored scan reads its counts off the stored
+    codes' tally and shares one vector per count triple with that scan's
+    other windows; any other grid counts its codes. Both give the same
+    integers, so the same floats.
     """
     codes = labels.labels
     n = codes.size
     if n == 0:
         raise ShapeError("label raster is empty")
-    if labels.is_crop:
-        tally, row, col = labels.tally()
+    if labels.stored_at is not None:
+        tally, row, col = labels.stored_at
         return tally_probability(tally, n, *tally.counts(row, col, *codes.shape))
     counts = np.bincount(codes.ravel(), minlength=MAX_STATE_CODE + 1)
     n_sd = int(counts[list(SINGLE_DOT_CODES)].sum())

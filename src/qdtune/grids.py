@@ -9,9 +9,11 @@ metadata its parent already passed and checks only the shape of the new
 values; a stride-1 :meth:`ScanGrid.crop` or :meth:`LabelGrid.crop` is a
 read-only view of its checked parent and checks nothing.
 
-A stride-1 label crop also remembers where it lies in the raster it was
-cut from, so the oracle reads its counts off that raster's
-:class:`LabelTally` in four lookups per class instead of counting codes.
+A :class:`LabelTally` holds the summed-area tables of one label raster.
+``scans.PremeasuredScan`` owns the tally of its stored codes, and a label
+window it hands out records where it lies in them (``LabelGrid.stored_at``),
+so the oracle reads that window's counts in four lookups per class. Any
+other label grid, a crop of a stored window included, counts its own codes.
 """
 
 from __future__ import annotations
@@ -203,15 +205,12 @@ class LabelTally:
             dd(r1, c1) - dd(row, c1) - dd(r1, col) + dd(row, col),
         )
 
-    def window_counts(
-        self, row: int, col: int, n1: int, n2: int, w1: int, w2: int
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def window_counts(self, w1: int, w2: int) -> tuple[np.ndarray, np.ndarray]:
         """Single-dot and double-dot counts of every ``w1 x w2`` window of the
-        ``n1 x n2`` region at ``(row, col)``, one per window start."""
+        raster, one per window start."""
 
         def windows(table: np.ndarray) -> np.ndarray:
-            t = table[row : row + n1 + 1, col : col + n2 + 1]
-            return t[w1:, w2:] - t[:-w1, w2:] - t[w1:, :-w2] + t[:-w1, :-w2]
+            return table[w1:, w2:] - table[:-w1, w2:] - table[w1:, :-w2] + table[:-w1, :-w2]
 
         return windows(self.sd), windows(self.dd)
 
@@ -224,12 +223,11 @@ class LabelGrid:
     v1_axis: np.ndarray
     v2_axis: np.ndarray
 
-    # Not arguments, and class defaults too, so grids built with
-    # ``object.__new__`` have them. A stride-1 crop's (raster it was cut
-    # from, first row, first column):
-    _window: tuple[LabelGrid, int, int] | None = field(default=None, init=False, repr=False)
-    # this raster's own tally, built the first time it is needed.
-    _tally: LabelTally | None = field(default=None, init=False, repr=False)
+    # Not an argument, and a class default too, so grids built with
+    # ``object.__new__`` have it: for a stride-1 window of a stored raster,
+    # (that raster's tally, first row, first column). Only
+    # ``scans.acquire_with_labels`` sets it.
+    stored_at: tuple[LabelTally, int, int] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels)
@@ -253,43 +251,19 @@ class LabelGrid:
     def shape(self) -> tuple[int, int]:
         return self.labels.shape
 
-    @property
-    def is_crop(self) -> bool:
-        """True for a stride-1 crop, whose windows the tally of the raster it
-        was cut from counts; False for a grid any constructor built."""
-        return self._window is not None
-
-    def tally(self) -> tuple[LabelTally, int, int]:
-        """The tally that counts this grid's windows, with this grid's first
-        row and column in it.
-
-        A crop reads the tally of the raster it was cut from; any other grid
-        tallies its own codes the first time. Tallying makes those codes
-        read-only, after copying them if the array does not own its data,
-        so that no write can leave the tally stale.
-        """
-        if self._window is not None:
-            parent, row, col = self._window
-            return parent.tally()[0], row, col
-        if self._tally is None:
-            codes = self.labels if self.labels.flags.owndata else self.labels.copy()
-            self.labels = _read_only(codes)
-            self._tally = LabelTally(codes)
-        return self._tally, 0, 0
-
     def crop(self, rows: slice, cols: slice) -> "LabelGrid":
         """The sub-raster ``labels[rows, cols]`` as read-only views of this grid.
 
         Same contract as :meth:`ScanGrid.crop`: step-1 slices inside the
-        raster, nothing checked again. The crop records where it lies in the
-        raster this grid was cut from (this grid itself if it is no crop).
+        raster, nothing checked again. The crop counts its own codes.
         """
         _check_unit_step(rows, cols)
-        grid = object.__new__(LabelGrid)
-        grid.labels = _read_only(self.labels[rows, cols])
-        grid.v1_axis = _read_only(self.v1_axis[rows])
-        grid.v2_axis = _read_only(self.v2_axis[cols])
-        n1, n2 = self.labels.shape
-        parent, row, col = self._window or (self, 0, 0)
-        grid._window = (parent, row + rows.indices(n1)[0], col + cols.indices(n2)[0])
-        return grid
+        codes = _read_only(self.labels[rows, cols])
+        return _label_grid(codes, _read_only(self.v1_axis[rows]), _read_only(self.v2_axis[cols]))
+
+
+def _label_grid(codes: np.ndarray, v1_axis: np.ndarray, v2_axis: np.ndarray) -> LabelGrid:
+    """A LabelGrid of codes and axes that were checked already; nothing is checked again."""
+    grid = object.__new__(LabelGrid)
+    grid.labels, grid.v1_axis, grid.v2_axis = codes, v1_axis, v2_axis
+    return grid

@@ -426,10 +426,14 @@ def fitness_landscape(
     With the default oracle classifier the probability vectors come from
     exact pixel counts over ground-truth labels. A ModelClassifier scores
     each row of window starts as one stack, with the same bytes as window
-    by window; any other classifier is evaluated window by window.
+    by window. Any other classifier is refused.
     """
     if not isinstance(source, PremeasuredScan):
         raise ConfigurationError("fitness_landscape needs a premeasured full-range scan")
+    if not isinstance(classifier, (OracleClassifier, ModelClassifier)):
+        raise ConfigurationError(
+            f"fitness_landscape takes an OracleClassifier or ModelClassifier, not {type(classifier).__name__}"
+        )
 
     native = source.scan.meta.resolution
     w1, w2 = pixel_count(window_span[0], native), pixel_count(window_span[1], native)
@@ -443,9 +447,9 @@ def fitness_landscape(
     if isinstance(classifier, OracleClassifier):
         if source.labels is None:
             raise ConfigurationError("oracle landscape needs ground-truth labels")
-        tally, row, col = source.labels.tally()
+        tally = source.tally
         n_px = w1 * w2
-        sd, dd = tally.window_counts(row, col, n1, n2, w1, w2)
+        sd, dd = tally.window_counts(w1, w2)
         # Windows share few (sd, dd) count pairs: score each distinct pair once.
         keys, inverse = np.unique(sd * (n_px + 1) + dd, return_inverse=True)
         n_sd, n_dd = np.divmod(keys, n_px + 1)
@@ -460,17 +464,9 @@ def fitness_landscape(
 
     values = np.empty((n1 - w1 + 1, n2 - w2 + 1))
     for i in range(values.shape[0]):
-        rows = slice(i, i + w1)
-        if isinstance(classifier, ModelClassifier):
-            # One row of window starts per stack keeps its arrays cache-sized.
-            windows = [source.scan.crop(rows, slice(j, j + w2)) for j in range(values.shape[1])]
-            values[i] = [fitness(p, fitness_config) for p in classifier.stack_probabilities(windows)]
-        else:
-            for j in range(values.shape[1]):
-                cols = slice(j, j + w2)
-                crop = source.scan.crop(rows, cols)
-                labels = None if source.labels is None else source.labels.crop(rows, cols)
-                values[i, j] = fitness(classifier.probabilities(crop, labels), fitness_config)
+        # One row of window starts per stack keeps its arrays cache-sized.
+        windows = [source.scan.crop(slice(i, i + w1), slice(j, j + w2)) for j in range(values.shape[1])]
+        values[i] = [fitness(p, fitness_config) for p in classifier.stack_probabilities(windows)]
     return LandscapeResult(values, center_v1, center_v2, (w1, w2))
 
 

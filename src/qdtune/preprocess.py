@@ -128,8 +128,14 @@ def _median(rows: np.ndarray) -> list[float]:
 
 
 def _flip_correct(grad: np.ndarray) -> np.ndarray:
-    """Negate, in place, each window whose strongest pixels have a negative
-    mean, ``np.mean``'s: their sum over their count (see ``flip_correct``)."""
+    """Make charge-transition lines bright regardless of sensor polarity.
+
+    Negates, in place, each window whose strongest pixels (magnitude in its
+    top decile) have a negative mean, ``np.mean``'s: their sum over their
+    count. A zero mean (possible only for contrived symmetric inputs) falls
+    back to the sign of the first nonzero pixel, so that a window and its
+    negation always map to the same output.
+    """
     flat = grad.reshape(len(grad), -1)
     magnitude = np.abs(flat)
     strong = magnitude >= np.array(_quantile(magnitude, 0.9))[:, None]
@@ -195,43 +201,6 @@ def _process_stack(stack: np.ndarray, meta: ScanMeta) -> np.ndarray:
         raise ShapeError(f"sensor values are not finite: NaN or infinite pixels{where}")
     grad = _flip_correct(_gradient(stack, meta))
     return _resize(_normalize_threshold(grad))
-
-
-# --- one window at a time: the N = 1 case --------------------------------------
-
-
-def gradient_along_measurement(scan: ScanGrid) -> ScanGrid:
-    """Forward-difference derivative along the acquisition axis.
-
-    The last row (or column) is replicated so the output keeps the input
-    dimensions.
-    """
-    return scan.with_values(_gradient(scan.values[None], scan.meta)[0])
-
-
-def flip_correct(grad: ScanGrid) -> ScanGrid:
-    """Make charge-transition lines bright regardless of sensor polarity.
-
-    Looks at the pixels whose magnitude reaches the top decile; if their
-    mean is negative the whole grid is negated. A zero mean (possible
-    only for contrived symmetric inputs) falls back to the sign of the
-    first nonzero pixel so that a grid and its negation always map to
-    the same output.
-    """
-    return grad.with_values(_flip_correct(np.array(grad.values[None], dtype=float))[0])
-
-
-def normalize_threshold(grad: ScanGrid) -> ScanGrid:
-    """Clamp negatives, remove the median background floor, scale to max 1."""
-    return grad.with_values(_normalize_threshold(grad.values[None])[0])
-
-
-def resize_to_30(values: np.ndarray) -> ProcessedImage:
-    """Block-mean downsample to 30x30 with fractional-area weighting."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise ShapeError(f"expected a 2-d grid, got ndim={values.ndim}")
-    return ProcessedImage(_resize(values[None])[0])
 
 
 def process(windows: ScanGrid | Sequence[ScanGrid]) -> ProcessedImage | np.ndarray:

@@ -6,6 +6,11 @@ first, and windows the source cannot deliver come back as
 :class:`Blocked` instead of raising, so the optimizer can treat them as a
 fixed bad fitness.
 
+A :class:`PremeasuredScan` owns its stored ground truth: a read-only copy
+of the label codes on the scan's own axes and their summed-area tally. Its
+stride-1 label windows are read-only views of those codes that record where
+they lie in the tally, so the oracle counts them in four lookups per class.
+
 Scan files are a single JSON document: a self-describing header plus
 base64 blobs of little-endian float64 (values, axes) and int8 (labels)
 in row-major order. Label codes follow :class:`~qdtune.grids.StateLabel`.
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,9 +37,11 @@ from .fileio import check_header, checked, decode_blob, encode_blob, read_json, 
 from .grids import (
     ACQUISITION_AXES,
     LabelGrid,
+    LabelTally,
     ScanGrid,
     ScanMeta,
     StateLabel,
+    _label_grid,
     _read_only,
     pixel_count,
 )
@@ -92,7 +100,13 @@ class SimulatedDevice:
 
 @dataclass(eq=False)
 class PremeasuredScan:
-    """Measurement source backed by one full-range stored raster."""
+    """Measurement source backed by one full-range stored raster.
+
+    The source owns its ground truth. It keeps a read-only copy of the label
+    codes on the scan's own axes, so no later write through the caller's
+    arrays reaches them, and it tallies them the first time :attr:`tally`
+    is read.
+    """
 
     scan: ScanGrid
     labels: LabelGrid | None = None
@@ -101,6 +115,16 @@ class PremeasuredScan:
         if self.labels is not None:
             if self.labels.shape != self.scan.shape:
                 raise ShapeError("label raster shape does not match the scan")
+            for name in ("v1_axis", "v2_axis"):
+                if not np.array_equal(getattr(self.labels, name), getattr(self.scan, name)):
+                    raise ShapeError(f"label raster {name} does not match the scan's {name}")
+            codes = _read_only(self.labels.labels.copy())
+            self.labels = _label_grid(codes, self.scan.v1_axis, self.scan.v2_axis)
+
+    @cached_property
+    def tally(self) -> LabelTally:
+        """Summed-area tables of the stored label codes."""
+        return LabelTally(self.labels.labels)
 
 
 MeasurementSource = SimulatedDevice | PremeasuredScan
@@ -196,16 +220,20 @@ def acquire_with_labels(
 
         if stride == 1:
             scan = source.scan.crop(rows, cols)
-            labels = None if source.labels is None else source.labels.crop(rows, cols)
+            labels = None
+            if source.labels is not None:
+                labels = source.labels.crop(rows, cols)
+                labels.stored_at = (source.tally, s1, s2)
             return scan, labels
-        # A strided window has a new spacing, so it is checked like outside data.
+        # A strided window has a new spacing, so its scan is checked like outside
+        # data; its labels are a view of the read-only stored codes on those axes.
         v1 = _read_only(source.scan.v1_axis[rows])
         v2 = _read_only(source.scan.v2_axis[cols])
         meta = ScanMeta(resolution=native * stride, acquisition_axis=source.scan.meta.acquisition_axis)
         scan = ScanGrid(_read_only(source.scan.values[rows, cols]), v1, v2, meta)
         labels = None
         if source.labels is not None:
-            labels = LabelGrid(_read_only(source.labels.labels[rows, cols]), v1, v2)
+            labels = _label_grid(source.labels.labels[rows, cols], scan.v1_axis, scan.v2_axis)
         return scan, labels
 
     raise ConfigurationError(f"unknown measurement source type {type(source).__name__}")

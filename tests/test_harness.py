@@ -254,17 +254,13 @@ class TestLandscape:
         best = result.argmin_center()
         assert q.state_at(reference_params, *best) == q.StateLabel.DOUBLE_DOT
 
-    def test_oracle_fast_path_matches_generic_loop(self, reference_params):
-        scan, labels = q.render_scan(reference_params, (310.0, 330.0), (80.0, 80.0), 2.0)
-        source = q.PremeasuredScan(scan, labels)
-
+    def test_other_classifiers_are_refused(self, reference_source):
         class PlainOracle:
             def probabilities(self, scan, labels):
                 return q.oracle_probability(labels)
 
-        fast = q.fitness_landscape(source, window_span=(30.0, 30.0))
-        slow = q.fitness_landscape(source, PlainOracle(), window_span=(30.0, 30.0))
-        np.testing.assert_array_equal(fast.values, slow.values)
+        with pytest.raises(q.ConfigurationError, match="not PlainOracle"):
+            q.fitness_landscape(reference_source, PlainOracle())
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40)

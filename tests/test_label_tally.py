@@ -1,6 +1,6 @@
-"""The oracle's two paths give the same bits: a stride-1 crop reads its
-counts off the summed-area tally of the raster it was cut from, and any
-other grid counts its codes."""
+"""The oracle's two paths give the same bits: a stride-1 window of a stored
+scan reads its counts off the tally its source keeps of the stored codes,
+and any other grid counts its codes."""
 
 import numpy as np
 import pytest
@@ -10,10 +10,30 @@ from hypothesis import strategies as st
 import qdtune as q
 from qdtune.grids import LabelTally
 
+RES = 2.0
+
 
 def _label_grid(codes):
     n1, n2 = codes.shape
-    return q.LabelGrid(codes, 100 + (np.arange(n1) + 0.5) * 2.0, 200 + (np.arange(n2) + 0.5) * 2.0)
+    return q.LabelGrid(codes, 100 + (np.arange(n1) + 0.5) * RES, 200 + (np.arange(n2) + 0.5) * RES)
+
+
+def _source(codes):
+    """A stored scan of the label codes ``codes``, with zero sensor values."""
+    labels = _label_grid(codes)
+    scan = q.ScanGrid(np.zeros(labels.shape), labels.v1_axis, labels.v2_axis, q.ScanMeta(RES))
+    return q.PremeasuredScan(scan, labels)
+
+
+def _stored_window(source, rows, cols):
+    """The label window ``rows x cols`` (step-1 slices inside the raster) as
+    ``acquire_with_labels`` measures it: centered on the pixel at index
+    ``count // 2`` of the window."""
+    n1, n2 = rows.stop - rows.start, cols.stop - cols.start
+    center = (source.scan.v1_axis[rows.start + n1 // 2], source.scan.v2_axis[cols.start + n2 // 2])
+    _, labels = q.acquire_with_labels(source, (float(center[0]), float(center[1])), (n1 * RES, n2 * RES), RES)
+    np.testing.assert_array_equal(labels.labels, source.labels.labels[rows, cols])
+    return labels
 
 
 def _all_codes_raster(rng, n1, n2):
@@ -27,7 +47,7 @@ def _all_codes_raster(rng, n1, n2):
 def _counted(labels):
     """The counting path's vector for the same codes, from a fresh grid."""
     fresh = q.LabelGrid(np.array(labels.labels), labels.v1_axis.copy(), labels.v2_axis.copy())
-    assert not fresh.is_crop
+    assert fresh.stored_at is None
     return q.oracle_probability(fresh)
 
 
@@ -57,34 +77,36 @@ class TestTalliedOracle:
     @settings(max_examples=200)
     def test_crop_matches_counting_bit_for_bit(self, case):
         codes, window, _ = case
-        crop = _label_grid(codes).crop(*window)
-        assert crop.is_crop
-        assert _same_bits(q.oracle_probability(crop), _counted(crop))
+        stored = _stored_window(_source(codes), *window)
+        assert stored.stored_at is not None
+        assert _same_bits(q.oracle_probability(stored), _counted(stored))
 
     @given(case=_raster_and_windows())
     @settings(max_examples=200)
     def test_crop_of_crop_matches_counting_and_the_direct_crop(self, case):
+        """A crop of a stored window is a plain view: it counts its own codes
+        and gives the bits of the stored window at the same place."""
         codes, outer, inner = case
-        root = _label_grid(codes)
-        nested = root.crop(*outer).crop(*inner)
+        source = _source(codes)
+        nested = _stored_window(source, *outer).crop(*inner)
+        assert nested.stored_at is None
         rows = slice(outer[0].start + inner[0].start, outer[0].start + inner[0].stop)
         cols = slice(outer[1].start + inner[1].start, outer[1].start + inner[1].stop)
-        direct = root.crop(rows, cols)
+        direct = _stored_window(source, rows, cols)
         assert nested.labels.tobytes() == direct.labels.tobytes()
         p = q.oracle_probability(nested)
         assert _same_bits(p, _counted(nested))
-        assert q.oracle_probability(direct) is p
+        assert _same_bits(q.oracle_probability(direct), p)
 
     def test_every_window_of_a_small_raster(self):
         """All 1x1 to full-raster windows, the border ones included."""
-        codes = _all_codes_raster(np.random.default_rng(3), 6, 5)
-        root = _label_grid(codes)
+        source = _source(_all_codes_raster(np.random.default_rng(3), 6, 5))
         for r0 in range(6):
             for r1 in range(r0 + 1, 7):
                 for c0 in range(5):
                     for c1 in range(c0 + 1, 6):
-                        crop = root.crop(slice(r0, r1), slice(c0, c1))
-                        assert _same_bits(q.oracle_probability(crop), _counted(crop))
+                        stored = _stored_window(source, slice(r0, r1), slice(c0, c1))
+                        assert _same_bits(q.oracle_probability(stored), _counted(stored))
 
     @pytest.mark.parametrize(
         "rows, cols",
@@ -101,10 +123,9 @@ class TestTalliedOracle:
         assert _same_bits(q.oracle_probability(crop), _counted(crop))
 
     def test_windows_with_equal_counts_share_one_vector(self):
-        codes = np.full((8, 8), int(q.StateLabel.DOUBLE_DOT), dtype=np.int8)
-        root = _label_grid(codes)
-        a = q.oracle_probability(root.crop(slice(0, 3), slice(0, 3)))
-        b = q.oracle_probability(root.crop(slice(5, 8), slice(4, 7)))
+        source = _source(np.full((8, 8), int(q.StateLabel.DOUBLE_DOT), dtype=np.int8))
+        a = q.oracle_probability(_stored_window(source, slice(0, 3), slice(0, 3)))
+        b = q.oracle_probability(_stored_window(source, slice(5, 8), slice(4, 7)))
         assert a is b
         assert (a.p_none, a.p_sd, a.p_dd) == (0.0, 0.0, 1.0)
 
@@ -123,34 +144,51 @@ class TestTalliedOracle:
         assert _same_bits(q.oracle_probability(again), expect)
 
     def test_strided_window_stays_on_the_counting_path(self, reference_scan):
-        scan, labels = reference_scan
-        stored = q.LabelGrid(labels.labels.copy(), labels.v1_axis, labels.v2_axis)
-        source = q.PremeasuredScan(scan, stored)
+        source = q.PremeasuredScan(*reference_scan)
         _, strided = q.acquire_with_labels(source, (301.0, 330.0), (60.0, 60.0), 4.0)
-        assert not strided.is_crop
+        assert strided.stored_at is None
         p = q.oracle_probability(strided)
-        assert stored._tally is None
+        assert "tally" not in vars(source)  # never built
         assert _same_bits(p, _counted(strided))
 
     def test_write_after_tallying_raises(self):
-        root = _label_grid(_all_codes_raster(np.random.default_rng(5), 10, 10))
-        root.labels[0, 0] = 1  # writable until tallied
-        q.oracle_probability(root.crop(slice(0, 4), slice(0, 4)))
+        """The stored codes a tally counts cannot be written, so no write can
+        leave it stale."""
+        source = _source(_all_codes_raster(np.random.default_rng(5), 10, 10))
+        q.oracle_probability(_stored_window(source, slice(0, 4), slice(0, 4)))
         with pytest.raises(ValueError):
-            root.labels[0, 0] = 2
+            source.labels.labels[0, 0] = 2
 
-    def test_tallying_copies_codes_it_does_not_own(self):
-        """A write through the array the grid was built on cannot reach the
-        tallied codes."""
+    def test_a_write_through_the_callers_array_reaches_no_stored_window(self):
+        """The source copies the codes it is given: a later write through the
+        caller's array changes neither the codes of a window measured before
+        it or after it nor their oracle vector."""
         base = _all_codes_raster(np.random.default_rng(6), 10, 12)
-        root = _label_grid(base[:, :])
-        assert not root.labels.flags.owndata
-        window = (slice(0, 5), slice(0, 6))
-        before = q.oracle_probability(root.crop(*window))
+        n1, n2 = base.shape
+        axes = 100 + (np.arange(n1) + 0.5) * RES, 200 + (np.arange(n2) + 0.5) * RES
+        scan = q.ScanGrid(np.zeros(base.shape), *axes, q.ScanMeta(RES))
+        source = q.PremeasuredScan(scan, q.LabelGrid(base[:, :], *axes))  # codes it does not own
+        center, span = (float(axes[0][5]), float(axes[1][6])), (10 * RES, 12 * RES)
+        first = q.acquire_with_labels(source, center, span, RES)[1]
+        codes = first.labels.copy()
+        before = q.oracle_probability(first)
         base[:5, :6] = int(q.StateLabel.DOUBLE_DOT)
-        after = root.crop(*window)
-        assert _same_bits(q.oracle_probability(after), before)
-        assert _same_bits(q.oracle_probability(after), _counted(after))
+        again = q.acquire_with_labels(source, center, span, RES)[1]
+        for window in (first, again):
+            np.testing.assert_array_equal(window.labels, codes)
+            assert _same_bits(q.oracle_probability(window), before)
+            assert _same_bits(q.oracle_probability(window), _counted(window))
+
+    def test_callers_array_stays_writable_after_scoring(self):
+        base = _all_codes_raster(np.random.default_rng(7), 10, 10)
+        axes = 100 + (np.arange(10) + 0.5) * RES, 200 + (np.arange(10) + 0.5) * RES
+        scan = q.ScanGrid(np.zeros(base.shape), *axes, q.ScanMeta(RES))
+        source = q.PremeasuredScan(scan, q.LabelGrid(base, *axes))
+        window = q.acquire_with_labels(source, (float(axes[0][5]), float(axes[1][5])), (20.0, 20.0), RES)[1]
+        q.oracle_probability(window)
+        assert base.flags.writeable
+        base[0, 0] = 2
+        assert base[0, 0] == 2
 
     def test_tally_tables_are_read_only(self):
         tally = LabelTally(np.zeros((3, 4), dtype=np.int8))
@@ -164,17 +202,15 @@ class TestLandscapeReadsTheTally:
     @given(case=_raster_and_windows(), w=st.tuples(st.integers(1, 4), st.integers(1, 4)))
     @settings(max_examples=60)
     def test_cropped_source_matches_a_copied_one(self, case, w):
-        """The landscape of a stored crop reads the parent's tally at the crop's
-        offset and gives the bytes of a landscape over a copy of its codes."""
+        """A source built on a crop view of a caller's raster, whose codes it
+        does not own, gives the landscape bytes of one built on a copy."""
         codes, outer, _ = case
-        root = _label_grid(codes)
-        labels = root.crop(*outer)
+        labels = _label_grid(codes).crop(*outer)
         n1, n2 = labels.shape
         w1, w2 = min(w[0], n1), min(w[1], n2)
-        scan = q.ScanGrid(np.zeros(labels.shape), labels.v1_axis, labels.v2_axis, q.ScanMeta(2.0))
-        span = (w1 * 2.0, w2 * 2.0)
-        copied = _label_grid(np.array(labels.labels))
+        scan = q.ScanGrid(np.zeros(labels.shape), labels.v1_axis, labels.v2_axis, q.ScanMeta(RES))
+        span = (w1 * RES, w2 * RES)
+        copied = q.LabelGrid(np.array(labels.labels), labels.v1_axis, labels.v2_axis)
         got = q.fitness_landscape(q.PremeasuredScan(scan, labels), window_span=span)
         expect = q.fitness_landscape(q.PremeasuredScan(scan, copied), window_span=span)
         assert got.values.tobytes() == expect.values.tobytes()
-        assert root._tally is not None

@@ -7,7 +7,17 @@ from hypothesis import strategies as st
 
 import qdtune as q
 from qdtune.grids import _check_axis
-from qdtune.preprocess import IMAGE_SIZE, ProcessedImage, _median, _overlap_weights, _quantile
+from qdtune.preprocess import (
+    IMAGE_SIZE,
+    ProcessedImage,
+    _flip_correct,
+    _gradient,
+    _median,
+    _normalize_threshold,
+    _overlap_weights,
+    _quantile,
+    _resize,
+)
 
 from faults import inject_sensor_flip
 
@@ -20,85 +30,101 @@ def make_scan(values, resolution=2.0, axis="v1"):
     return q.ScanGrid(values, v1, v2, q.ScanMeta(resolution=resolution, acquisition_axis=axis))
 
 
+def gradient(scan):
+    """The gradient step on the one-window stack of ``scan``."""
+    return _gradient(scan.values[None], scan.meta)[0]
+
+
+def flip_correct(values):
+    """The flip-correction step on a one-window stack of a copy of ``values``."""
+    return _flip_correct(np.array(values, dtype=float)[None])[0]
+
+
+def normalize_threshold(values):
+    return _normalize_threshold(np.asarray(values, dtype=float)[None])[0]
+
+
+def resize(values):
+    return _resize(np.asarray(values, dtype=float)[None])[0]
+
+
 class TestGradient:
     def test_linear_ramp_gives_constant_slope(self):
         n = 40
         vals = np.outer(np.arange(n) * 0.5, np.ones(n))
-        grad = q.gradient_along_measurement(make_scan(vals, resolution=2.0))
-        np.testing.assert_allclose(grad.values, 0.25)
+        grad = gradient(make_scan(vals, resolution=2.0))
+        np.testing.assert_allclose(grad, 0.25)
 
     def test_matches_finite_difference(self, reference_params):
         scan, _ = q.render_scan(reference_params, (300.0, 320.0), (60.0, 60.0), 2.0)
-        grad = q.gradient_along_measurement(scan)
+        grad = gradient(scan)
         expect = np.diff(scan.values, axis=0) / 2.0
-        np.testing.assert_array_equal(grad.values[:-1], expect)
-        np.testing.assert_array_equal(grad.values[-1], expect[-1])
+        np.testing.assert_array_equal(grad[:-1], expect)
+        np.testing.assert_array_equal(grad[-1], expect[-1])
 
     def test_axis_v2(self):
         vals = np.outer(np.ones(35), np.arange(35) * 1.5)
-        grad = q.gradient_along_measurement(make_scan(vals, resolution=3.0, axis="v2"))
-        np.testing.assert_allclose(grad.values, 0.5)
+        grad = gradient(make_scan(vals, resolution=3.0, axis="v2"))
+        np.testing.assert_allclose(grad, 0.5)
 
     def test_too_thin_rejected(self):
         with pytest.raises(q.ShapeError):
-            q.gradient_along_measurement(make_scan(np.zeros((1, 10))))
+            gradient(make_scan(np.zeros((1, 10))))
 
 
 class TestFlipCorrect:
     def test_positive_input_untouched(self):
         rng = np.random.default_rng(0)
         vals = rng.uniform(0.1, 1.0, size=(30, 30))
-        scan = make_scan(vals)
-        out = q.flip_correct(scan)
-        np.testing.assert_array_equal(out.values, vals)
+        out = flip_correct(vals)
+        np.testing.assert_array_equal(out, vals)
 
     def test_negated_lines_restored(self):
         rng = np.random.default_rng(1)
         vals = rng.uniform(0.0, 0.05, size=(40, 40))
         vals[10] = 0.9  # one strong bright line
-        scan = make_scan(-vals)
-        out = q.flip_correct(scan)
-        np.testing.assert_array_equal(out.values, vals)
+        out = flip_correct(-vals)
+        np.testing.assert_array_equal(out, vals)
 
 
 class TestNormalize:
     def test_output_in_unit_range_with_max_one(self, reference_params):
         scan, _ = q.render_scan(reference_params, (300.0, 320.0), (60.0, 60.0), 2.0)
-        out = q.normalize_threshold(q.flip_correct(q.gradient_along_measurement(scan)))
-        assert out.values.min() >= 0.0
-        assert out.values.max() == 1.0
+        out = normalize_threshold(flip_correct(gradient(scan)))
+        assert out.min() >= 0.0
+        assert out.max() == 1.0
 
     def test_constant_input_maps_to_zero(self):
-        out = q.normalize_threshold(make_scan(np.full((32, 32), 0.7)))
-        np.testing.assert_array_equal(out.values, 0.0)
+        out = normalize_threshold(np.full((32, 32), 0.7))
+        np.testing.assert_array_equal(out, 0.0)
 
 
 class TestResize:
     def test_block_mean_exact_for_integer_factor(self):
         rng = np.random.default_rng(2)
         vals = rng.uniform(0, 1, size=(60, 60))
-        img = q.resize_to_30(vals)
+        img = resize(vals)
         expect = vals.reshape(30, 2, 30, 2).mean(axis=(1, 3))
-        np.testing.assert_allclose(img.values, expect / expect.max(), atol=1e-12)
+        np.testing.assert_allclose(img, expect / expect.max(), atol=1e-12)
 
     def test_native_size_is_identity_up_to_renormalization(self):
         rng = np.random.default_rng(3)
         vals = rng.uniform(0, 1, size=(30, 30))
-        img = q.resize_to_30(vals)
-        np.testing.assert_allclose(img.values, vals / vals.max(), atol=1e-12)
+        img = resize(vals)
+        np.testing.assert_allclose(img, vals / vals.max(), atol=1e-12)
 
     def test_fractional_factor_preserves_mean(self):
         rng = np.random.default_rng(4)
         vals = rng.uniform(0, 1, size=(47, 53))
-        img = q.resize_to_30(vals)
+        img = resize(vals)
         # row-stochastic weights leave the global mean intact pre-normalization
-        assert img.values.shape == (30, 30)
-        assert img.values.min() >= 0.0
-        assert img.values.max() <= 1.0
+        assert img.shape == (30, 30)
+        assert img.min() >= 0.0
+        assert img.max() <= 1.0
 
     def test_too_small_rejected(self):
         with pytest.raises(q.ShapeError):
-            q.resize_to_30(np.zeros((29, 40)))
+            resize(np.zeros((29, 40)))
 
     def test_overlap_weights_are_row_stochastic(self):
         for n in (30, 31, 45, 60, 200):
@@ -392,9 +418,9 @@ class TestStackedProcess:
             assert q.process(window).values.tobytes() == expect
 
     def test_symmetric_windows_reach_the_first_pixel_fallback(self):
-        """The strategy above does exercise flip_correct's zero-mean branch."""
+        """The strategy above does exercise _flip_correct's zero-mean branch."""
         values = _window("symmetric", np.random.default_rng(0), (40, 40), 0)
-        grad = q.gradient_along_measurement(make_scan(values)).values
+        grad = gradient(make_scan(values))
         magnitude = np.abs(grad)
         assert grad[magnitude >= np.quantile(magnitude, 0.9)].mean() == 0.0
         assert q.process(make_scan(values)).values.tobytes() == _reference_process(make_scan(values)).tobytes()

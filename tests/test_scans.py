@@ -243,6 +243,25 @@ class TestCropEquivalence:
         assert scan.meta is reference_source.scan.meta
         assert scan.shape == labels.shape == (20, 20)
 
+    def test_strided_labels_are_not_checked_again(self, reference_source, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a strided window checked the stored codes")
+
+        _, fine = q.acquire_with_labels(reference_source, (301.0, 330.0), (40.0, 40.0), 2.0)
+        monkeypatch.setattr(q.LabelGrid, "__post_init__", refuse)
+        scan, labels = q.acquire_with_labels(reference_source, (301.0, 330.0), (40.0, 40.0), 4.0)
+        assert labels.v1_axis is scan.v1_axis and labels.v2_axis is scan.v2_axis
+        np.testing.assert_array_equal(labels.labels, fine.labels[::2, ::2])
+
+    @pytest.mark.parametrize("axis", ["v1_axis", "v2_axis"])
+    def test_labels_on_other_axes_refused(self, axis, reference_scan):
+        """Labels 300 mV away from the scan would score every window at the wrong voltages."""
+        scan, labels = reference_scan
+        axes = {"v1_axis": labels.v1_axis, "v2_axis": labels.v2_axis}
+        axes[axis] = axes[axis] + 300.0
+        with pytest.raises(q.ShapeError, match=axis):
+            q.PremeasuredScan(scan, q.LabelGrid(labels.labels, **axes))
+
     def test_trusted_crop_takes_unit_steps_only(self, reference_source):
         with pytest.raises(q.ShapeError):
             reference_source.scan.crop(slice(0, 10, 2), slice(0, 10))

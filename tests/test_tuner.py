@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import qdtune as q
 from qdtune.tuner import TARGET_DOUBLE_DOT, nelder_mead
 
+import faults
+
 probability_vectors = st.tuples(
     st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)
 ).map(lambda t: (np.array(t) / max(sum(t), 1e-9)) if sum(t) > 0 else np.array([1.0, 0.0, 0.0]))
@@ -289,6 +291,33 @@ class TestAutotune:
         assert run.outcome.kind == "aborted"
         assert run.outcome.cause == "ShapeError: sensor values are not finite: NaN or infinite pixels"
         assert run.iteration_count == 0
+
+    @pytest.mark.parametrize(
+        "inject, aborts",
+        [
+            pytest.param(faults.inject_stuck_rows, False, id="stuck_rows"),
+            pytest.param(faults.inject_saturation, False, id="saturation"),
+            pytest.param(faults.inject_constant, False, id="constant"),
+            pytest.param(faults.inject_affine_drift, False, id="affine_drift"),
+            pytest.param(lambda scan: faults.inject_non_finite(scan, np.nan), True, id="nan"),
+            pytest.param(lambda scan: faults.inject_non_finite(scan, np.inf), True, id="inf"),
+            pytest.param(lambda scan: faults.inject_non_finite(scan, -np.inf), True, id="-inf"),
+        ],
+    )
+    def test_sensor_fault_ends_in_a_recorded_outcome(self, reference_scan, inject, aborts):
+        """A model-classified run on a stored scan with a sensor fault never
+        raises: it aborts with the typed cause on NaN or infinite pixels and
+        otherwise ends as a normal run."""
+        scan, labels = reference_scan
+        source = q.PremeasuredScan(inject(scan), labels)
+        run = q.autotune(source, q.ModelClassifier(q.init_model(0)), (350.0, 400.0))
+        if aborts:
+            assert run.outcome.kind == "aborted"
+            assert run.outcome.cause == "ShapeError: sensor values are not finite: NaN or infinite pixels"
+        else:
+            assert run.outcome.kind in ("converged", "max_iterations")
+            assert run.outcome.center == run.best_center() is not None
+        assert json.loads(json.dumps(run.to_json_dict()))["outcome"]["kind"] == run.outcome.kind
 
     def test_plateau_start_converges_to_cap(self, reference_source, oracle):
         run = q.autotune(reference_source, oracle, (500.0, 470.0))
