@@ -23,7 +23,6 @@ keeps its 2-d mini-batches.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +42,7 @@ from .grids import (
     LabelTally,
     MAX_STATE_CODE,
     ScanGrid,
+    ScanMeta,
     SINGLE_DOT_CODES,
     StateLabel,
     pixel_count,
@@ -181,7 +181,7 @@ def generate_dataset(
     for child in children:
         rng = np.random.default_rng(child)
         params = device_model.sample_device(int(rng.integers(2**31 - 1)))
-        scans, targets, centers = [], [], []
+        values, targets, centers = [], [], []
         for _ in range(samples_per_device):
             for attempt in range(MAX_WINDOW_REDRAWS + 1):
                 c1 = float(rng.uniform(lo, hi))
@@ -196,11 +196,11 @@ def generate_dataset(
             scan, labels = device_model.render_scan(
                 params, (c1, c2), span, resolution, with_noise=with_noise, noise_seed=noise_seed
             )
-            scans.append(scan)
+            values.append(scan.values)
             targets.append(oracle_probability(labels))
             centers.append((c1, c2))
         # One stack per device: its windows share a shape and metadata.
-        for image, target, center in zip(process(scans), targets, centers):
+        for image, target, center in zip(process(np.stack(values), scan.meta), targets, centers):
             samples.append(
                 LabeledSample(
                     image=ProcessedImage(image),
@@ -401,13 +401,13 @@ class ModelClassifier:
         self.model = model
 
     def probabilities(self, scan: ScanGrid, labels: LabelGrid | None) -> ProbabilityVector:
-        return classify(self.model, process(scan))
+        return self.stack_probabilities(scan.values[None], scan.meta)[0]
 
-    def stack_probabilities(self, windows: Sequence[ScanGrid]) -> list[ProbabilityVector]:
-        """The probability vector of each window of a stack of one shape and
-        metadata, from one ``process`` call and one forward pass; each equals
-        what :meth:`probabilities` gives the window alone, bit for bit."""
-        return _probabilities(self.model, process(windows))
+    def stack_probabilities(self, stack: np.ndarray, meta: ScanMeta) -> list[ProbabilityVector]:
+        """The probability vector of each window of an (N, n, m) stack of sensor
+        values measured with ``meta``, from one ``process`` call and one forward
+        pass; each equals what the window gets alone, bit for bit."""
+        return _probabilities(self.model, process(stack, meta))
 
 
 # --- file formats -----------------------------------------------------------

@@ -56,6 +56,8 @@ from .grids import (
     ScanGrid,
     ScanMeta,
     StateLabel,
+    _label_grid,
+    _scan_grid,
     pixel_count,
 )
 
@@ -325,11 +327,8 @@ def _window_axes(
     return v1_axis, v2_axis
 
 
-def _label_grid(params: DeviceParams, v1_axis: np.ndarray, v2_axis: np.ndarray) -> LabelGrid:
-    labels = object.__new__(LabelGrid)
-    labels.labels = _state_codes(params, v1_axis[:, None], v2_axis[None, :])
-    labels.v1_axis, labels.v2_axis = v1_axis, v2_axis
-    return labels
+def _labels(params: DeviceParams, v1_axis: np.ndarray, v2_axis: np.ndarray) -> LabelGrid:
+    return _label_grid(_state_codes(params, v1_axis[:, None], v2_axis[None, :]), v1_axis, v2_axis)
 
 
 def render_scan(
@@ -355,10 +354,8 @@ def render_scan(
         rng = np.random.default_rng(noise_seed)
         values = values + rng.normal(0.0, params.noise_sigma, size=values.shape)
 
-    scan = object.__new__(ScanGrid)
-    scan.values, scan.v1_axis, scan.v2_axis = values, v1_axis, v2_axis
-    scan.meta = ScanMeta(resolution=resolution, acquisition_axis="v1")
-    return scan, _label_grid(params, v1_axis, v2_axis) if with_labels else None
+    scan = _scan_grid(values, v1_axis, v2_axis, ScanMeta(resolution=resolution, acquisition_axis="v1"))
+    return scan, _labels(params, v1_axis, v2_axis) if with_labels else None
 
 
 def render_labels(
@@ -369,7 +366,7 @@ def render_labels(
 ) -> LabelGrid:
     """The ground-truth labels ``render_scan`` gives the same window, without
     computing its sensor values; it refuses the same windows."""
-    return _label_grid(params, *_window_axes(center, span, resolution))
+    return _labels(params, *_window_axes(center, span, resolution))
 
 
 def save_device(params: DeviceParams, path) -> None:

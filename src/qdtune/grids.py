@@ -2,12 +2,13 @@
 
 Checks run where data enters: every ``ScanGrid`` and ``LabelGrid``
 built by a constructor (``load_scan``, strided premeasured crops, the
-CLI) validates its axes, spacing and codes. ``render_scan`` builds its
-axes and codes itself and checks only that the axes strictly increase. A
-grid derived with :meth:`ScanGrid.with_values` trusts the axes and
-metadata its parent already passed and checks only the shape of the new
-values; a stride-1 :meth:`ScanGrid.crop` or :meth:`LabelGrid.crop` is a
-read-only view of its checked parent and checks nothing.
+CLI) validates its axes, spacing and codes. Data checked already goes
+through the trusted constructors :func:`_scan_grid` and :func:`_label_grid`,
+which check nothing: ``render_scan``, which builds its axes and codes
+itself and checks only that the axes strictly increase;
+:meth:`ScanGrid.with_values`, which checks only the shape of the new values;
+the read-only views of a stride-1 :meth:`ScanGrid.crop` or
+:meth:`LabelGrid.crop`; and the copies a ``scans.PremeasuredScan`` keeps.
 
 A :class:`LabelTally` holds the summed-area tables of one label raster.
 ``scans.PremeasuredScan`` owns the tally of its stored codes, and a label
@@ -153,9 +154,7 @@ class ScanGrid:
         values = np.asarray(values, dtype=float)
         if values.shape != self.values.shape:
             raise ShapeError(f"values shape {values.shape} does not match the grid {self.values.shape}")
-        grid = object.__new__(ScanGrid)
-        grid.values, grid.v1_axis, grid.v2_axis, grid.meta = values, self.v1_axis, self.v2_axis, self.meta
-        return grid
+        return _scan_grid(values, self.v1_axis, self.v2_axis, self.meta)
 
     def crop(self, rows: slice, cols: slice) -> "ScanGrid":
         """The sub-raster ``values[rows, cols]`` as read-only views of this grid.
@@ -165,12 +164,15 @@ class ScanGrid:
         the slices inside the raster and non-empty.
         """
         _check_unit_step(rows, cols)
-        grid = object.__new__(ScanGrid)
-        grid.values = _read_only(self.values[rows, cols])
-        grid.v1_axis = _read_only(self.v1_axis[rows])
-        grid.v2_axis = _read_only(self.v2_axis[cols])
-        grid.meta = self.meta
-        return grid
+        values = _read_only(self.values[rows, cols])
+        return _scan_grid(values, _read_only(self.v1_axis[rows]), _read_only(self.v2_axis[cols]), self.meta)
+
+
+def _scan_grid(values: np.ndarray, v1_axis: np.ndarray, v2_axis: np.ndarray, meta: ScanMeta) -> ScanGrid:
+    """A ScanGrid of values, axes and metadata that were checked already; nothing is checked again."""
+    grid = object.__new__(ScanGrid)
+    grid.values, grid.v1_axis, grid.v2_axis, grid.meta = values, v1_axis, v2_axis, meta
+    return grid
 
 
 def _summed_area(mask: np.ndarray) -> np.ndarray:

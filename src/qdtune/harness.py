@@ -425,8 +425,9 @@ def fitness_landscape(
 
     With the default oracle classifier the probability vectors come from
     exact pixel counts over ground-truth labels. A ModelClassifier scores
-    each row of window starts as one stack, with the same bytes as window
-    by window. Any other classifier is refused.
+    each row of window starts as one stack of sliding-window views of the
+    stored values, with the same bytes as window by window. Any other
+    classifier is refused.
     """
     if not isinstance(source, PremeasuredScan):
         raise ConfigurationError("fitness_landscape needs a premeasured full-range scan")
@@ -462,11 +463,12 @@ def fitness_landscape(
         values = scores[inverse].reshape(sd.shape)
         return LandscapeResult(values, center_v1, center_v2, (w1, w2))
 
-    values = np.empty((n1 - w1 + 1, n2 - w2 + 1))
-    for i in range(values.shape[0]):
+    # windows[i, j] is the w1 x w2 window starting at pixel (i, j), a view.
+    windows = np.lib.stride_tricks.sliding_window_view(source.scan.values, (w1, w2))
+    values = np.empty(windows.shape[:2])
+    for i, row in enumerate(windows):
         # One row of window starts per stack keeps its arrays cache-sized.
-        windows = [source.scan.crop(slice(i, i + w1), slice(j, j + w2)) for j in range(values.shape[1])]
-        values[i] = [fitness(p, fitness_config) for p in classifier.stack_probabilities(windows)]
+        values[i] = [fitness(p, fitness_config) for p in classifier.stack_probabilities(row, source.scan.meta)]
     return LandscapeResult(values, center_v1, center_v2, (w1, w2))
 
 

@@ -5,12 +5,13 @@ resize. It is invariant under sensor sign flips and under positive
 affine rescaling of the raw signal, so classifier inputs do not depend
 on sensor calibration.
 
-Stacks. :func:`process` takes one window or a sequence of windows of one
-shape and one metadata, and every step works on the (N, n, m) stack of
-their values; a window processed alone is the N = 1 case of the same code.
-A window's image does not depend on the other windows of its stack, bit for
-bit, because each step either works element by element or hands each window
-to the same numpy call a lone window gets:
+Stacks. :func:`process` takes an (N, n, m) array of sensor values, of any
+memory layout, measured with one :class:`ScanMeta`, and every step works on
+that stack; a window processed alone is the N = 1 stack ``values[None]``.
+A window's image does not depend on the other windows of its stack, nor on
+the stack's layout, bit for bit, because each step either works element by
+element, reads the fresh C-contiguous stack ``_gradient`` returns, or hands
+each window to the same numpy call a lone window gets:
 
 - the two quantiles are one ``np.partition(..., axis=1)`` of the flattened
   windows, which selects within each row at the indices a lone window uses;
@@ -27,14 +28,13 @@ Sensor values that are not finite are refused on entry with a ShapeError.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ShapeError
-from .grids import ScanGrid, ScanMeta
+from .grids import ScanMeta
 
 IMAGE_SIZE = 30
 
@@ -193,31 +193,20 @@ def _overlap_weights(n_src: int) -> np.ndarray:
     return w
 
 
-def _process_stack(stack: np.ndarray, meta: ScanMeta) -> np.ndarray:
+def process(stack: np.ndarray, meta: ScanMeta) -> np.ndarray:
+    """Full pipeline: gradient, flip correction, normalization, resize.
+
+    ``stack`` holds N windows of one shape measured with ``meta``; the
+    result is their (N, 30, 30) images, each equal bit for bit to the
+    window's image processed alone (module docstring).
+    """
+    if stack.ndim != 3 or not len(stack):
+        raise ShapeError(f"process takes an (N, n, m) stack of at least one window, got shape {stack.shape}")
     if not np.isfinite(stack).all():
         where = ""
         if len(stack) > 1:
             where = f" in window {int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))} of {len(stack)}"
         raise ShapeError(f"sensor values are not finite: NaN or infinite pixels{where}")
-    grad = _flip_correct(_gradient(stack, meta))
-    return _resize(_normalize_threshold(grad))
-
-
-def process(windows: ScanGrid | Sequence[ScanGrid]) -> ProcessedImage | np.ndarray:
-    """Full pipeline: gradient, flip correction, normalization, resize.
-
-    One window gives its ProcessedImage. A sequence of windows with one
-    shape and one metadata gives their (N, 30, 30) images, each equal bit
-    for bit to the window's own ProcessedImage (module docstring).
-    """
-    if isinstance(windows, ScanGrid):
-        return ProcessedImage(_process_stack(windows.values[None], windows.meta)[0])
-    if not windows:
-        raise ShapeError("no windows to process")
-    shape, meta = windows[0].values.shape, windows[0].meta
-    for window in windows:
-        if window.values.shape != shape or not (window.meta is meta or window.meta == meta):
-            raise ShapeError("the windows of a stack must share one shape and one metadata")
-    images = _process_stack(np.stack([window.values for window in windows]), meta)
+    images = _resize(_normalize_threshold(_flip_correct(_gradient(stack, meta))))
     _check_range(images)
     return images

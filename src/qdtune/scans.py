@@ -6,10 +6,11 @@ first, and windows the source cannot deliver come back as
 :class:`Blocked` instead of raising, so the optimizer can treat them as a
 fixed bad fitness.
 
-A :class:`PremeasuredScan` owns its stored ground truth: a read-only copy
-of the label codes on the scan's own axes and their summed-area tally. Its
-stride-1 label windows are read-only views of those codes that record where
-they lie in the tally, so the oracle counts them in four lookups per class.
+A :class:`PremeasuredScan` owns what it stores: read-only copies of the
+sensor values, the axes and the label codes, and the codes' summed-area
+tally. Its stride-1 windows are read-only views of those copies; a label
+window records where it lies in the tally, so the oracle counts it in four
+lookups per class.
 
 Scan files are a single JSON document: a self-describing header plus
 base64 blobs of little-endian float64 (values, axes) and int8 (labels)
@@ -43,6 +44,7 @@ from .grids import (
     StateLabel,
     _label_grid,
     _read_only,
+    _scan_grid,
     pixel_count,
 )
 
@@ -102,16 +104,19 @@ class SimulatedDevice:
 class PremeasuredScan:
     """Measurement source backed by one full-range stored raster.
 
-    The source owns its ground truth. It keeps a read-only copy of the label
-    codes on the scan's own axes, so no later write through the caller's
-    arrays reaches them, and it tallies them the first time :attr:`tally`
-    is read.
+    The source owns what it stores. It keeps read-only copies, not checked
+    again, of the sensor values, the axes and the label codes, the codes on
+    the scan's own axes, so no later write through the caller's arrays
+    reaches a window it gives. It tallies the codes the first time
+    :attr:`tally` is read.
     """
 
     scan: ScanGrid
     labels: LabelGrid | None = None
 
     def __post_init__(self):
+        scan = self.scan
+        self.scan = _scan_grid(*(_read_only(a.copy()) for a in (scan.values, scan.v1_axis, scan.v2_axis)), scan.meta)
         if self.labels is not None:
             if self.labels.shape != self.scan.shape:
                 raise ShapeError("label raster shape does not match the scan")

@@ -1,11 +1,12 @@
 """Acceptance checks for the whole tuning stack.
 
-Thirteen numbered criteria cover the probability oracle, the penalty
+Fourteen numbered criteria cover the probability oracle, the penalty
 and fitness shapes, simplex construction, sandbox behavior, optimizer
 sanity, preprocessing invariances, classifier quality, gradient
 correctness, off-line tuning reliability, iteration statistics,
-landscape geometry, and end-to-end determinism. Each test records one
-PASS or FAIL line; the slow ones (8 and 10) stay within their stated
+landscape geometry, end-to-end determinism, and the off-line study run
+with the trained classifier in place of the oracle. Each test records one
+PASS or FAIL line; the slow ones (8, 10 and 14) stay within their stated
 runtime budgets on a plain desktop CPU.
 """
 
@@ -21,6 +22,7 @@ from qdtune.harness import iteration_stats, neighborhood_experiment
 from qdtune.tuner import nelder_mead
 
 from faults import inject_sensor_flip
+from stacks import process_scan
 
 GOOD_POINTS = [(250, 400), (350, 400), (350, 415), (350, 425), (350, 450), (400, 350), (450, 350)]
 PLATEAU_POINTS = [(470, 470), (480, 470), (490, 460), (500, 470), (520, 480)]
@@ -31,24 +33,74 @@ POLICY_TABLE = {
 }
 
 
-@pytest.fixture(scope="module")
-def tuning_suite(reference_source, oracle):
-    """All neighborhood experiments for criteria 10 and 11, run once."""
+def _study(source, classifier):
+    """The neighborhood experiments of every policy at every point."""
     t0 = time.time()
     suite = {}
     for policy_name, make in POLICY_TABLE.items():
         suite[policy_name] = {
             "good": [
-                neighborhood_experiment(reference_source, oracle, p, make())
+                neighborhood_experiment(source, classifier, p, make())
                 for p in GOOD_POINTS
             ],
             "plateau": [
-                neighborhood_experiment(reference_source, oracle, p, make())
+                neighborhood_experiment(source, classifier, p, make())
                 for p in PLATEAU_POINTS
             ],
         }
     suite["elapsed"] = time.time() - t0
     return suite
+
+
+def _success(suite):
+    """Per policy: mean band-adjacent, plateau and aggregate success."""
+    good_avg, plateau_avg, aggregate = {}, {}, {}
+    for policy_name in POLICY_TABLE:
+        good = [r.success_rate for r in suite[policy_name]["good"]]
+        plateau = [r.success_rate for r in suite[policy_name]["plateau"]]
+        good_avg[policy_name] = float(np.mean(good))
+        plateau_avg[policy_name] = float(np.mean(plateau))
+        aggregate[policy_name] = float(np.mean(good + plateau))
+    return good_avg, plateau_avg, aggregate
+
+
+def _reliable(suite) -> bool:
+    """Criterion 10's gates on one study."""
+    good_avg, plateau_avg, aggregate = _success(suite)
+    ok_good = all(v >= 0.70 for v in good_avg.values())
+    ok_plateau = all(v <= 0.40 for v in plateau_avg.values())
+    ok_order = (
+        aggregate["dynamic"] >= aggregate["fixed100"]
+        and aggregate["fixed100"] >= aggregate["fixed75"] - 0.05
+    )
+    return ok_good and ok_plateau and ok_order and suite["elapsed"] <= 900
+
+
+def _pooled_means(suite):
+    """Per policy: the pooled mean iterations of the band-adjacent runs."""
+    reports = [r for policy_name in POLICY_TABLE for r in suite[policy_name]["good"]]
+    return {name: mean for name, (mean, _) in iteration_stats(reports).pooled.items()}
+
+
+@pytest.fixture(scope="module")
+def tuning_suite(reference_source, oracle):
+    """All neighborhood experiments for criteria 10 and 11, run once."""
+    return _study(reference_source, oracle)
+
+
+@pytest.fixture(scope="session")
+def trained_model():
+    """Criterion 8's classifier: trained on 80% of a 10,010-sample corpus,
+    with the other 20% held out; shared with criterion 14."""
+    t0 = time.time()
+    samples = q.generate_dataset(1001, 10, seed=11)
+    assert len(samples) == 10010
+    order = np.random.default_rng(5).permutation(len(samples))
+    cut = int(round(len(samples) * 0.8))
+    train_set = [samples[i] for i in order[:cut]]
+    test_set = [samples[i] for i in order[cut:]]
+    model, _ = q.train(train_set, q.TrainingConfig(seed=3))
+    return model, test_set, time.time() - t0
 
 
 def test_criterion_01_probability_oracle_matches_brute_force(acceptance, label_grid_factory):
@@ -172,24 +224,18 @@ def test_criterion_07_preprocessing_flip_invariance(acceptance):
         params = q.sample_device(int(rng.integers(2**31 - 1)))
         center = tuple(rng.uniform(200, 400, size=2))
         scan, _ = q.render_scan(params, center, (60.0, 60.0), 2.0, with_noise=True, noise_seed=checked)
-        a = q.process(scan)
-        b = q.process(inject_sensor_flip(scan))
+        a = process_scan(scan)
+        b = process_scan(inject_sensor_flip(scan))
         assert np.array_equal(a.values, b.values)
         checked += 1
     acceptance(7, checked == 100, "process(-S) == process(S) bit-exact on 100 random scans")
 
 
-def test_criterion_08_classifier_accuracy(acceptance):
+def test_criterion_08_classifier_accuracy(acceptance, trained_model):
+    model, test_set, trained_s = trained_model
     t0 = time.time()
-    samples = q.generate_dataset(1001, 10, seed=11)
-    assert len(samples) == 10010
-    order = np.random.default_rng(5).permutation(len(samples))
-    cut = int(round(len(samples) * 0.8))
-    train_set = [samples[i] for i in order[:cut]]
-    test_set = [samples[i] for i in order[cut:]]
-    model, _ = q.train(train_set, q.TrainingConfig(seed=3))
     report = q.evaluate(model, test_set)
-    elapsed = time.time() - t0
+    elapsed = trained_s + time.time() - t0
     ok = report.accuracy >= 0.90 and elapsed <= 600
     acceptance(
         8, ok, f"held-out accuracy {report.accuracy:.4f} on {report.n_samples} samples in {elapsed:.0f} s"
@@ -222,36 +268,18 @@ def test_criterion_09_gradient_check(acceptance, small_dataset):
 
 
 def test_criterion_10_offline_tuning_reliability(acceptance, tuning_suite):
-    good_avg = {}
-    plateau_avg = {}
-    aggregate = {}
-    for policy_name in POLICY_TABLE:
-        good = [r.success_rate for r in tuning_suite[policy_name]["good"]]
-        plateau = [r.success_rate for r in tuning_suite[policy_name]["plateau"]]
-        good_avg[policy_name] = float(np.mean(good))
-        plateau_avg[policy_name] = float(np.mean(plateau))
-        aggregate[policy_name] = float(np.mean(good + plateau))
-
-    ok_good = all(v >= 0.70 for v in good_avg.values())
-    ok_plateau = all(v <= 0.40 for v in plateau_avg.values())
-    ok_order = (
-        aggregate["dynamic"] >= aggregate["fixed100"]
-        and aggregate["fixed100"] >= aggregate["fixed75"] - 0.05
-    )
-    ok_time = tuning_suite["elapsed"] <= 900
+    good_avg, plateau_avg, aggregate = _success(tuning_suite)
     detail = (
         f"band-adjacent {min(good_avg.values()):.3f}, "
         f"plateau {max(plateau_avg.values()):.3f}, aggregate "
         f"dynamic {aggregate['dynamic']:.3f} >= fixed100 {aggregate['fixed100']:.3f} "
         f">= fixed75 {aggregate['fixed75']:.3f} - 0.05, {tuning_suite['elapsed']:.0f} s"
     )
-    acceptance(10, ok_good and ok_plateau and ok_order and ok_time, detail)
+    acceptance(10, _reliable(tuning_suite), detail)
 
 
 def test_criterion_11_iteration_statistics(acceptance, tuning_suite):
-    reports = [r for policy_name in POLICY_TABLE for r in tuning_suite[policy_name]["good"]]
-    pooled = iteration_stats(reports).pooled
-    means = {name: mean for name, (mean, _) in pooled.items()}
+    means = _pooled_means(tuning_suite)
     ok_range = all(8 <= m <= 30 for m in means.values())
     spread = max(means.values()) / min(means.values())
     ok_spread = spread <= 1.20
@@ -294,4 +322,33 @@ def test_criterion_13_end_to_end_determinism(
         ok,
         f"byte-identical reports across reruns, {sum(same_runs)} of 81 runs equal to fresh runs "
         f"made before them in reverse order ({len(first)} bytes)",
+    )
+
+
+def test_criterion_14_offline_study_with_the_trained_classifier(
+    acceptance, reference_source, tuning_suite, trained_model
+):
+    """Criterion 10's study with criterion 8's model in place of the oracle,
+    gated on criterion 10's thresholds, plus the model's accuracy on devices
+    it never saw."""
+    model, _, _ = trained_model
+    mlp_suite = _study(reference_source, q.ModelClassifier(model))
+    unseen = q.evaluate(model, q.generate_dataset(200, 10, seed=99))
+
+    mlp_good, mlp_plateau, mlp_aggregate = _success(mlp_suite)
+    oracle_aggregate = _success(tuning_suite)[2]
+    mlp_means, oracle_means = _pooled_means(mlp_suite), _pooled_means(tuning_suite)
+    ok = _reliable(mlp_suite) and unseen.accuracy >= 0.90
+
+    def pairs(mlp, oracle, fmt):
+        return ", ".join(f"{name} {mlp[name]:{fmt}}/{oracle[name]:{fmt}}" for name in POLICY_TABLE)
+
+    acceptance(
+        14,
+        ok,
+        f"MLP/oracle aggregate {pairs(mlp_aggregate, oracle_aggregate, '.3f')}; "
+        f"MLP band-adjacent {min(mlp_good.values()):.3f}, plateau {max(mlp_plateau.values()):.3f}; "
+        f"pooled iterations {pairs(mlp_means, oracle_means, '.2f')}; "
+        f"accuracy {unseen.accuracy:.4f} on {unseen.n_samples} samples of 200 unseen devices, "
+        f"{mlp_suite['elapsed']:.0f} s",
     )

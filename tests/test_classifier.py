@@ -405,6 +405,6 @@ class TestStackedInference:
             q.render_scan(reference_params, (280.0 + 9.0 * k, 330.0 - 4.0 * k), (60.0, 60.0), 2.0, with_noise=True)[0]
             for k in range(6)
         ]
-        stacked = clf.stack_probabilities(windows)
+        stacked = clf.stack_probabilities(np.stack([window.values for window in windows]), windows[0].meta)
         for window, p in zip(windows, stacked):
             assert p.as_array().tobytes() == clf.probabilities(window, None).as_array().tobytes()

@@ -294,8 +294,8 @@ class TestLandscape:
         assert got.values.tobytes() == expect.tobytes()
 
     def test_model_landscape_matches_loop_over_validated_grids(self, reference_params, monkeypatch):
-        """Read-only crops score every window as the validated ScanGrid and
-        LabelGrid of the same pixels do, byte for byte, and build no grid."""
+        """Sliding-window views score every window as the validated ScanGrid
+        and LabelGrid of the same pixels do, byte for byte, and build no grid."""
         scan, labels = q.render_scan(reference_params, (340.0, 380.0), (80.0, 80.0), 2.0, with_noise=True)
         source = q.PremeasuredScan(scan, labels)
         classifier = q.ModelClassifier(q.init_model(5))
@@ -315,6 +315,20 @@ class TestLandscape:
         got = q.fitness_landscape(source, classifier, window_span=(w * 2.0, w * 2.0), fitness_config=config)
         assert got.values.tobytes() == expect.tobytes()
         assert built == []
+
+    def test_model_landscape_crops_no_window(self, reference_params, monkeypatch):
+        """The model landscape scores views of the stored values, not one
+        ScanGrid crop per window."""
+        scan, labels = q.render_scan(reference_params, (340.0, 380.0), (70.0, 70.0), 2.0)
+        source = q.PremeasuredScan(scan, labels)
+        classifier = q.ModelClassifier(q.init_model(5))
+
+        def refuse(grid, rows, cols):
+            raise AssertionError("the model landscape cropped a window")
+
+        monkeypatch.setattr(q.ScanGrid, "crop", refuse)
+        result = q.fitness_landscape(source, classifier)
+        assert result.values.shape == (6, 6)
 
     def test_model_landscape_refuses_a_non_finite_pixel(self, reference_params):
         scan, labels = q.render_scan(reference_params, (340.0, 380.0), (70.0, 70.0), 2.0)

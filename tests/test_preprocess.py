@@ -20,6 +20,7 @@ from qdtune.preprocess import (
 )
 
 from faults import inject_sensor_flip
+from stacks import process_scan, process_windows
 
 
 def make_scan(values, resolution=2.0, axis="v1"):
@@ -236,7 +237,7 @@ class TestPartitionStatistics:
 class TestProcess:
     def test_shape_and_range(self, reference_params):
         scan, _ = q.render_scan(reference_params, (300.0, 320.0), (60.0, 60.0), 2.0)
-        img = q.process(scan)
+        img = process_scan(scan)
         assert img.values.shape == (IMAGE_SIZE, IMAGE_SIZE)
         assert img.values.min() >= 0.0
         assert img.values.max() <= 1.0
@@ -245,8 +246,8 @@ class TestProcess:
         scan, _ = q.render_scan(
             reference_params, (310.0, 330.0), (60.0, 60.0), 2.0, with_noise=True, noise_seed=7
         )
-        a = q.process(scan)
-        b = q.process(inject_sensor_flip(scan))
+        a = process_scan(scan)
+        b = process_scan(inject_sensor_flip(scan))
         np.testing.assert_array_equal(a.values, b.values)
 
     @given(seed=st.integers(0, 10_000), c1=st.integers(10, 50), c2=st.integers(10, 50))
@@ -254,8 +255,8 @@ class TestProcess:
     def test_flip_invariance_random_devices(self, seed, c1, c2):
         params = q.sample_device(seed)
         scan, _ = q.render_scan(params, (250 + c1, 250 + c2), (60.0, 60.0), 2.0)
-        a = q.process(scan)
-        b = q.process(inject_sensor_flip(scan))
+        a = process_scan(scan)
+        b = process_scan(inject_sensor_flip(scan))
         np.testing.assert_array_equal(a.values, b.values)
 
     @given(k=st.integers(-6, 6))
@@ -263,14 +264,14 @@ class TestProcess:
     def test_power_of_two_scale_invariance(self, k, reference_params):
         scan, _ = q.render_scan(reference_params, (300.0, 320.0), (60.0, 60.0), 2.0)
         scaled = scan.with_values(scan.values * 2.0**k)
-        a = q.process(scan)
-        b = q.process(scaled)
+        a = process_scan(scan)
+        b = process_scan(scaled)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_general_scale_invariance_close(self, reference_params):
         scan, _ = q.render_scan(reference_params, (300.0, 320.0), (60.0, 60.0), 2.0)
         scaled = scan.with_values(scan.values * 3.7)
-        np.testing.assert_allclose(q.process(scaled).values, q.process(scan).values, atol=1e-12)
+        np.testing.assert_allclose(process_scan(scaled).values, process_scan(scan).values, atol=1e-12)
 
     def test_line_orientation_separates_window_types(self, reference_params):
         """Left-dot lines cut the v1 axis steeply, right-dot lines barely.
@@ -283,7 +284,7 @@ class TestProcess:
         def ratio(center, expect_label):
             scan, labels = q.render_scan(reference_params, center, (60.0, 60.0), 2.0)
             assert (labels.labels == expect_label).all()
-            img = q.process(scan).values
+            img = process_scan(scan).values
             along_v1 = np.abs(np.diff(img, axis=0)).sum()
             along_v2 = np.abs(np.diff(img, axis=1)).sum()
             return along_v1 / along_v2
@@ -410,12 +411,12 @@ class TestStackedProcess:
             if rng.integers(2):
                 values = -values  # a sensor of the other polarity
             windows.append(make_scan(values, resolution=2.0, axis=axis))
-        images = q.process(windows)
+        images = process_windows(windows)
         assert images.shape == (count, IMAGE_SIZE, IMAGE_SIZE)
         for window, image in zip(windows, images):
             expect = _reference_process(window).tobytes()
             assert image.tobytes() == expect
-            assert q.process(window).values.tobytes() == expect
+            assert process_scan(window).values.tobytes() == expect
 
     def test_symmetric_windows_reach_the_first_pixel_fallback(self):
         """The strategy above does exercise _flip_correct's zero-mean branch."""
@@ -423,16 +424,22 @@ class TestStackedProcess:
         grad = gradient(make_scan(values))
         magnitude = np.abs(grad)
         assert grad[magnitude >= np.quantile(magnitude, 0.9)].mean() == 0.0
-        assert q.process(make_scan(values)).values.tobytes() == _reference_process(make_scan(values)).tobytes()
+        assert process_scan(make_scan(values)).values.tobytes() == _reference_process(make_scan(values)).tobytes()
 
-    def test_windows_of_other_shape_or_metadata_are_refused(self):
-        a = make_scan(np.zeros((30, 30)))
-        with pytest.raises(q.ShapeError, match="one shape and one metadata"):
-            q.process([a, make_scan(np.zeros((31, 30)))])
-        with pytest.raises(q.ShapeError, match="one shape and one metadata"):
-            q.process([a, make_scan(np.zeros((30, 30)), axis="v2")])
-        with pytest.raises(q.ShapeError, match="no windows"):
-            q.process([])
+    def test_a_stack_that_is_not_3d_or_holds_no_window_is_refused(self):
+        for shape in [(30, 30), (2, 3, 30, 30), (0, 30, 30)]:
+            with pytest.raises(q.ShapeError, match=r"\(N, n, m\) stack of at least one window"):
+                q.process(np.zeros(shape), q.ScanMeta(2.0))
+
+    def test_a_stack_of_any_layout_gives_the_same_bytes(self):
+        """Strided sliding-window views, and windows stored column by column,
+        are processed as their C-contiguous copy is."""
+        values = np.random.default_rng(3).normal(size=(70, 64))
+        meta = q.ScanMeta(2.0)
+        views = np.lib.stride_tricks.sliding_window_view(values, (33, 31))[5, ::3]
+        columns = np.ascontiguousarray(views.transpose(0, 2, 1)).transpose(0, 2, 1)
+        expect = q.process(np.ascontiguousarray(views), meta).tobytes()
+        assert q.process(views, meta).tobytes() == q.process(columns, meta).tobytes() == expect
 
 
 class TestNonFinitePixels:
@@ -442,7 +449,7 @@ class TestNonFinitePixels:
         values = scan.values.copy()
         values[7, 11] = bad
         with pytest.raises(q.ShapeError, match="sensor values are not finite"):
-            q.process(scan.with_values(values))
+            process_scan(scan.with_values(values))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_one_window_of_a_stack_is_named(self, bad):
@@ -452,4 +459,4 @@ class TestNonFinitePixels:
         values[0, 29] = bad
         windows[3] = windows[3].with_values(values)
         with pytest.raises(q.ShapeError, match="not finite: NaN or infinite pixels in window 3 of 5"):
-            q.process(windows)
+            process_windows(windows)

@@ -253,6 +253,24 @@ class TestCropEquivalence:
         assert labels.v1_axis is scan.v1_axis and labels.v2_axis is scan.v2_axis
         np.testing.assert_array_equal(labels.labels, fine.labels[::2, ::2])
 
+    def test_a_write_through_the_callers_values_reaches_no_window(self, reference_scan):
+        """The source copies the sensor values and axes it is given: a later
+        write through the caller's arrays changes no window and no run."""
+        scan, labels = reference_scan
+        values, v1, v2 = scan.values.copy(), scan.v1_axis.copy(), scan.v2_axis.copy()
+        source = q.PremeasuredScan(q.ScanGrid(values, v1, v2, scan.meta), labels)
+        classifier = q.ModelClassifier(q.init_model(0))
+        window = q.acquire_with_labels(source, (350.0, 400.0), (60.0, 60.0), 2.0)[0].values.copy()
+        before = json.dumps(q.autotune(source, classifier, (350.0, 400.0)).to_json_dict())
+        values[:] = values[::-1]
+        v1 += 100.0
+        v2 -= 100.0
+        again = q.acquire_with_labels(source, (350.0, 400.0), (60.0, 60.0), 2.0)[0].values
+        assert again.tobytes() == window.tobytes()
+        assert json.dumps(q.autotune(source, classifier, (350.0, 400.0)).to_json_dict()) == before
+        for array in (source.scan.values, source.scan.v1_axis, source.scan.v2_axis):
+            assert not array.flags.writeable
+
     @pytest.mark.parametrize("axis", ["v1_axis", "v2_axis"])
     def test_labels_on_other_axes_refused(self, axis, reference_scan):
         """Labels 300 mV away from the scan would score every window at the wrong voltages."""

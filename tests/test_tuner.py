@@ -319,6 +319,25 @@ class TestAutotune:
             assert run.outcome.center == run.best_center() is not None
         assert json.loads(json.dumps(run.to_json_dict()))["outcome"]["kind"] == run.outcome.kind
 
+    @pytest.mark.parametrize(
+        "inject",
+        [
+            pytest.param(faults.inject_stuck_rows, id="stuck_rows"),
+            pytest.param(faults.inject_saturation, id="saturation"),
+            pytest.param(faults.inject_constant, id="constant"),
+            pytest.param(faults.inject_affine_drift, id="affine_drift"),
+        ],
+    )
+    def test_sensor_fault_leaves_an_oracle_run_unchanged(self, reference_scan, reference_source, oracle, inject):
+        """The oracle reads ground truth, not the sensor: an oracle run on a
+        stored scan with a finite sensor fault is the clean run, step for step."""
+        scan, labels = reference_scan
+        faulty = q.PremeasuredScan(inject(scan), labels)
+        assert faulty.scan.values.tobytes() != reference_source.scan.values.tobytes()
+        for start in [(350.0, 400.0), (250.0, 400.0), (500.0, 470.0)]:
+            clean = q.autotune(reference_source, oracle, start)
+            assert q.autotune(faulty, oracle, start).to_json_dict() == clean.to_json_dict()
+
     def test_plateau_start_converges_to_cap(self, reference_source, oracle):
         run = q.autotune(reference_source, oracle, (500.0, 470.0))
         assert run.outcome.kind == "converged"
