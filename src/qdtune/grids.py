@@ -7,14 +7,14 @@ through the trusted constructors :func:`_scan_grid` and :func:`_label_grid`,
 which check nothing: ``render_scan``, which builds its axes and codes
 itself and checks only that the axes strictly increase;
 :meth:`ScanGrid.with_values`, which checks only the shape of the new values;
-the read-only views of a stride-1 :meth:`ScanGrid.crop` or
-:meth:`LabelGrid.crop`; and the copies a ``scans.PremeasuredScan`` keeps.
+the copies a ``scans.PremeasuredScan`` keeps, and its stride-1 windows,
+which are views of those read-only copies.
 
 A :class:`LabelTally` holds the summed-area tables of one label raster.
 ``scans.PremeasuredScan`` owns the tally of its stored codes, and a label
 window it hands out records where it lies in them (``LabelGrid.stored_at``),
 so the oracle reads that window's counts in four lookups per class. Any
-other label grid, a crop of a stored window included, counts its own codes.
+other label grid, a view of a stored window included, counts its own codes.
 """
 
 from __future__ import annotations
@@ -111,11 +111,6 @@ def pixel_count(extent: float, resolution: float) -> int:
     return int(round(n))
 
 
-def _check_unit_step(rows: slice, cols: slice) -> None:
-    if rows.step not in (None, 1) or cols.step not in (None, 1):
-        raise ShapeError("a trusted crop takes slices of step 1; a strided crop has a new spacing")
-
-
 def _read_only(view: np.ndarray) -> np.ndarray:
     view.flags.writeable = False
     return view
@@ -155,17 +150,6 @@ class ScanGrid:
         if values.shape != self.values.shape:
             raise ShapeError(f"values shape {values.shape} does not match the grid {self.values.shape}")
         return _scan_grid(values, self.v1_axis, self.v2_axis, self.meta)
-
-    def crop(self, rows: slice, cols: slice) -> "ScanGrid":
-        """The sub-raster ``values[rows, cols]`` as read-only views of this grid.
-
-        The slices must have step 1, so the crop keeps this grid's spacing
-        and shares its metadata; nothing is checked again. The caller keeps
-        the slices inside the raster and non-empty.
-        """
-        _check_unit_step(rows, cols)
-        values = _read_only(self.values[rows, cols])
-        return _scan_grid(values, _read_only(self.v1_axis[rows]), _read_only(self.v2_axis[cols]), self.meta)
 
 
 def _scan_grid(values: np.ndarray, v1_axis: np.ndarray, v2_axis: np.ndarray, meta: ScanMeta) -> ScanGrid:
@@ -252,16 +236,6 @@ class LabelGrid:
     @property
     def shape(self) -> tuple[int, int]:
         return self.labels.shape
-
-    def crop(self, rows: slice, cols: slice) -> "LabelGrid":
-        """The sub-raster ``labels[rows, cols]`` as read-only views of this grid.
-
-        Same contract as :meth:`ScanGrid.crop`: step-1 slices inside the
-        raster, nothing checked again. The crop counts its own codes.
-        """
-        _check_unit_step(rows, cols)
-        codes = _read_only(self.labels[rows, cols])
-        return _label_grid(codes, _read_only(self.v1_axis[rows]), _read_only(self.v2_axis[cols]))
 
 
 def _label_grid(codes: np.ndarray, v1_axis: np.ndarray, v2_axis: np.ndarray) -> LabelGrid:

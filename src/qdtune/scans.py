@@ -125,6 +125,8 @@ class PremeasuredScan:
                     raise ShapeError(f"label raster {name} does not match the scan's {name}")
             codes = _read_only(self.labels.labels.copy())
             self.labels = _label_grid(codes, self.scan.v1_axis, self.scan.v2_axis)
+        # The axes as Python floats too, for the nearest-pixel search of each window.
+        self._axis_floats = (self.scan.v1_axis.tolist(), self.scan.v2_axis.tolist())
 
     @cached_property
     def tally(self) -> LabelTally:
@@ -135,25 +137,25 @@ class PremeasuredScan:
 MeasurementSource = SimulatedDevice | PremeasuredScan
 
 
-def _crop_start(axis: np.ndarray, resolution: float, center: float, count: int, stride: int) -> int | None:
+def _crop_start(axis: list[float], resolution: float, center: float, count: int, stride: int) -> int | None:
     """First stored index of a window of ``count`` pixels around ``center``.
 
     The window center snaps to the nearest stored pixel center, the first
     one on a tie, as ``np.argmin(np.abs(axis - center))`` picks it; there
-    is no resampling. ``axis`` is a checked axis of spacing ``resolution``
-    and ``center`` is not NaN. Returns None when the window runs off the
-    raster.
+    is no resampling. ``axis`` is a checked axis of spacing ``resolution``,
+    as Python floats, and ``center`` is not NaN. Returns None when the
+    window runs off the raster.
     """
-    n = axis.size
-    guess = int(round(min(max((center - float(axis[0])) / resolution, 0.0), n - 1.0)))
+    n = len(axis)
+    guess = int(round(min(max((center - axis[0]) / resolution, 0.0), n - 1.0)))
     lo, hi = max(guess - 2, 0), min(guess + 2, n - 1)
-    dist = [abs(a - center) for a in axis[lo : hi + 1].tolist()]
+    dist = [abs(a - center) for a in axis[lo : hi + 1]]
     best = dist.index(min(dist))
     # |axis - center| falls then rises along a strictly increasing axis, so a
     # first minimum strictly below the candidates' outer neighbours is the
     # global one; otherwise (a far-off guess on a tiny spacing) scan it all.
     if (best == 0 and lo > 0) or (hi < n - 1 and dist[-1] <= dist[best]):
-        nearest = int(np.argmin(np.abs(axis - center)))
+        nearest = int(np.argmin(np.abs(np.array(axis) - center)))
     else:
         nearest = lo + best
     start = nearest - (count * stride) // 2
@@ -216,18 +218,22 @@ def acquire_with_labels(
 
         counts = [pixel_count(extent, resolution) for extent in span]
 
-        s1 = _crop_start(source.scan.v1_axis, native, float(center[0]), counts[0], stride)
-        s2 = _crop_start(source.scan.v2_axis, native, float(center[1]), counts[1], stride)
+        axis1, axis2 = source._axis_floats
+        s1 = _crop_start(axis1, native, float(center[0]), counts[0], stride)
+        s2 = _crop_start(axis2, native, float(center[1]), counts[1], stride)
         if s1 is None or s2 is None:
             return Blocked("window falls outside the stored raster")
         rows = slice(s1, s1 + stride * counts[0], stride)
         cols = slice(s2, s2 + stride * counts[1], stride)
 
         if stride == 1:
-            scan = source.scan.crop(rows, cols)
+            # Views of the source's read-only copies are read-only themselves,
+            # and keep the stored spacing, so nothing is checked again.
+            v1, v2 = source.scan.v1_axis[rows], source.scan.v2_axis[cols]
+            scan = _scan_grid(source.scan.values[rows, cols], v1, v2, source.scan.meta)
             labels = None
             if source.labels is not None:
-                labels = source.labels.crop(rows, cols)
+                labels = _label_grid(source.labels.labels[rows, cols], v1, v2)
                 labels.stored_at = (source.tally, s1, s2)
             return scan, labels
         # A strided window has a new spacing, so its scan is checked like outside

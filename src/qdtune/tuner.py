@@ -37,6 +37,15 @@ TARGET_DOUBLE_DOT = ProbabilityVector(0.0, 0.0, 1.0)
 RUN_SCHEMA_VERSION = "1"
 
 
+def _check_setting(config, name: str, positive: bool) -> None:
+    """Refuse ``config.name`` unless it is a finite number above zero (at
+    least zero when ``positive`` is False); NaN and infinity are refused."""
+    value = getattr(config, name)
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        kind = "positive" if positive else "non-negative"
+        raise ConfigurationError(f"{type(config).__name__}.{name} must be a {kind} finite number, got {value}")
+
+
 @dataclass(frozen=True)
 class FitnessConfig:
     """Weights and shape of the tuning objective."""
@@ -49,12 +58,17 @@ class FitnessConfig:
     cap: bool = True
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigurationError("penalty weights alpha and beta must be non-negative")
-        if self.steepness <= 0:
-            raise ConfigurationError("penalty steepness must be positive")
-        if self.blocked_fitness <= 0:
-            raise ConfigurationError("blocked_fitness must be positive")
+        for name in ("alpha", "beta"):
+            _check_setting(self, name, positive=False)
+        for name in ("steepness", "blocked_fitness"):
+            _check_setting(self, name, positive=True)
+
+
+def _norm(d: np.ndarray) -> float:
+    """``float(np.linalg.norm(d))`` of a real 1-d array, bit for bit, without
+    its per-call overhead: numpy computes it as ``sqrt(d.dot(d))``. The dot
+    product is kept, since a BLAS dot may round unlike ``x*x + y*y + z*z``."""
+    return math.sqrt(d.dot(d))
 
 
 def penalty_g(x: float, steepness: float = FitnessConfig.steepness) -> float:
@@ -67,7 +81,8 @@ def penalty_g(x: float, steepness: float = FitnessConfig.steepness) -> float:
 
 def fitness(p: ProbabilityVector, config: FitnessConfig = FitnessConfig()) -> float:
     """Tuning objective for one probability vector (lower is better)."""
-    delta = float(np.linalg.norm(config.p_target.as_array() - p.as_array()))
+    t = config.p_target
+    delta = _norm(np.array([t.p_none - p.p_none, t.p_sd - p.p_sd, t.p_dd - p.p_dd]))
     delta += config.alpha * penalty_g(p.p_none, config.steepness)
     delta += config.beta * penalty_g(p.p_sd, config.steepness)
     if config.cap:
@@ -85,8 +100,7 @@ class FixedSimplex:
     delta: float = 75.0
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ConfigurationError("simplex step must be positive")
+        _check_setting(self, "delta", positive=True)
 
     @property
     def name(self) -> str:
@@ -155,8 +169,8 @@ class TerminationConfig:
     max_iterations: int = 50
 
     def __post_init__(self):
-        if self.fitness_tolerance <= 0 or self.simplex_size_tolerance <= 0:
-            raise ConfigurationError("termination tolerances must be positive")
+        for name in ("fitness_tolerance", "simplex_size_tolerance"):
+            _check_setting(self, name, positive=True)
         if self.max_iterations <= 0:
             raise ConfigurationError("max_iterations must be positive")
 
@@ -204,9 +218,7 @@ def nelder_mead(
         if fsim[-1] - fsim[0] < term.fitness_tolerance:
             reason = "fitness_converged"
             break
-        diameter = max(
-            float(np.linalg.norm(sim[i] - sim[j])) for i in range(3) for j in range(i + 1, 3)
-        )
+        diameter = max(_norm(sim[i] - sim[j]) for i in range(3) for j in range(i + 1, 3))
         if diameter < term.simplex_size_tolerance:
             reason = "simplex_converged"
             break

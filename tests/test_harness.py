@@ -317,16 +317,16 @@ class TestLandscape:
         assert built == []
 
     def test_model_landscape_crops_no_window(self, reference_params, monkeypatch):
-        """The model landscape scores views of the stored values, not one
-        ScanGrid crop per window."""
+        """The model landscape scores views of the stored values, and acquires
+        no window of the stored scan."""
         scan, labels = q.render_scan(reference_params, (340.0, 380.0), (70.0, 70.0), 2.0)
         source = q.PremeasuredScan(scan, labels)
         classifier = q.ModelClassifier(q.init_model(5))
 
-        def refuse(grid, rows, cols):
-            raise AssertionError("the model landscape cropped a window")
+        def refuse(*args, **kwargs):
+            raise AssertionError("the model landscape acquired a window")
 
-        monkeypatch.setattr(q.ScanGrid, "crop", refuse)
+        monkeypatch.setattr(harness_mod, "acquire_with_labels", refuse)
         result = q.fitness_landscape(source, classifier)
         assert result.values.shape == (6, 6)
 

@@ -218,7 +218,7 @@ class TestCropEquivalence:
         axis = np.concatenate([[0.0], np.cumsum(steps)])
         q.ScanGrid(np.zeros((axis.size, 1)), axis, np.zeros(1), q.ScanMeta(1e-12))
         center = position * float(axis[-1])
-        start = _crop_start(axis, 1e-12, center, count, 1)
+        start = _crop_start(axis.tolist(), 1e-12, center, count, 1)
         nearest = int(np.argmin(np.abs(axis - center)))
         first = nearest - count // 2
         assert start == (first if 0 <= first and first + count - 1 < axis.size else None)
@@ -280,11 +280,21 @@ class TestCropEquivalence:
         with pytest.raises(q.ShapeError, match=axis):
             q.PremeasuredScan(scan, q.LabelGrid(labels.labels, **axes))
 
-    def test_trusted_crop_takes_unit_steps_only(self, reference_source):
-        with pytest.raises(q.ShapeError):
-            reference_source.scan.crop(slice(0, 10, 2), slice(0, 10))
-        with pytest.raises(q.ShapeError):
-            reference_source.labels.crop(slice(0, 10), slice(0, 10, 2))
+    def test_trusted_crop_takes_unit_steps_only(self, reference_source, monkeypatch):
+        """Only a stride-1 window skips the checks: a strided window has a new
+        spacing, so its scan goes through the checking constructor."""
+        checked = []
+        post_init = q.ScanGrid.__post_init__
+
+        def spy(self):
+            checked.append(self.meta.resolution)
+            post_init(self)
+
+        monkeypatch.setattr(q.ScanGrid, "__post_init__", spy)
+        q.acquire_with_labels(reference_source, (301.0, 330.0), (40.0, 40.0), 2.0)
+        assert checked == []
+        q.acquire_with_labels(reference_source, (301.0, 330.0), (40.0, 40.0), 4.0)
+        assert checked == [4.0]
 
     @pytest.mark.parametrize("span", [(0.0, 60.0), (60.0, -60.0)], ids=["zero", "negative"])
     def test_window_below_one_pixel_rejected(self, span, reference_source):
