@@ -57,11 +57,7 @@ from .harness import (
     write_success_csv,
     write_summary_text,
 )
-from .preprocess import (
-    IMAGE_SIZE,
-    ProcessedImage,
-    process,
-)
+from .preprocess import IMAGE_SIZE, process
 from .scans import (
     SCAN_SUFFIX,
     Blocked,

@@ -33,6 +33,8 @@ from .errors import (
     ScanFormatError,
     ShapeError,
     TrainingDivergedError,
+    check_count,
+    check_setting,
 )
 from .fileio import check_header, checked, decode_blob, encode_blob, read_json, write_json
 from .grids import (
@@ -45,9 +47,10 @@ from .grids import (
     ScanMeta,
     SINGLE_DOT_CODES,
     StateLabel,
+    _read_only,
     pixel_count,
 )
-from .preprocess import IMAGE_SIZE, ProcessedImage, process
+from .preprocess import IMAGE_SIZE, _check_range, process
 from .scans import Sandbox
 
 # The headers of model and dataset files; their loaders refuse any other.
@@ -142,9 +145,10 @@ def tally_probability(tally: LabelTally, n: int, n_sd: int, n_dd: int) -> Probab
 
 @dataclass(eq=False)
 class LabeledSample:
-    """One processed window plus its oracle target and provenance."""
+    """One processed window plus its oracle target and provenance. ``image`` is a
+    read-only (30, 30) row of one device's image stack, or of a file's images."""
 
-    image: ProcessedImage
+    image: np.ndarray
     target: ProbabilityVector
     center: tuple[float, float]
     span: tuple[float, float]
@@ -175,6 +179,7 @@ def generate_dataset(
         if not extent < hi - lo:
             raise ConfigurationError(f"span {extent} mV is not narrower than the {hi - lo:g} mV device domain")
     domain = Sandbox(device_model.DOMAIN_MV, device_model.DOMAIN_MV)
+    window_span = (float(span[0]), float(span[1]))
     children = np.random.SeedSequence(seed).spawn(n_devices)
 
     samples: list[LabeledSample] = []
@@ -200,16 +205,11 @@ def generate_dataset(
             targets.append(oracle_probability(labels))
             centers.append((c1, c2))
         # One stack per device: its windows share a shape and metadata.
-        for image, target, center in zip(process(np.stack(values), scan.meta), targets, centers):
-            samples.append(
-                LabeledSample(
-                    image=ProcessedImage(image),
-                    target=target,
-                    center=center,
-                    span=(float(span[0]), float(span[1])),
-                    device_seed=params.seed,
-                )
-            )
+        images = _read_only(process(np.stack(values), scan.meta))
+        samples += [
+            LabeledSample(image=image, target=target, center=center, span=window_span, device_seed=params.seed)
+            for image, target, center in zip(images, targets, centers)
+        ]
     return samples
 
 
@@ -217,7 +217,7 @@ def dataset_arrays(samples: list[LabeledSample]) -> tuple[np.ndarray, np.ndarray
     """Stack samples into (N, 900) inputs and (N, 3) soft targets."""
     if not samples:
         raise ConfigurationError("dataset is empty")
-    x = np.stack([s.image.values.ravel() for s in samples])
+    x = np.stack([s.image.ravel() for s in samples])
     t = np.stack([s.target.as_array() for s in samples])
     return x, t
 
@@ -252,8 +252,9 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.steps <= 0 or self.batch_size <= 0:
-            raise ConfigurationError("learning_rate, steps, and batch_size must be positive")
+        check_setting(self, "learning_rate")
+        for name in ("steps", "batch_size"):
+            check_count(self, name)
 
 
 def init_model(seed: int) -> ClassifierModel:
@@ -344,9 +345,9 @@ def _probabilities(model: ClassifierModel, images: np.ndarray) -> list[Probabili
     return [ProbabilityVector(*row) for row in p.tolist()]
 
 
-def classify(model: ClassifierModel, image: ProcessedImage) -> ProbabilityVector:
-    """Model probability vector for one processed image."""
-    return _probabilities(model, image.values[None])[0]
+def classify(model: ClassifierModel, image: np.ndarray) -> ProbabilityVector:
+    """Model probability vector for one processed (30, 30) image."""
+    return _probabilities(model, image[None])[0]
 
 
 @dataclass(eq=False)
@@ -356,19 +357,12 @@ class EvalReport:
     n_samples: int
 
 
-def evaluate(model, samples: list[LabeledSample]) -> EvalReport:
-    """Argmax-class accuracy and 3x3 confusion matrix over a sample list.
-
-    ``model`` may be a ClassifierModel, which scores the whole list in one
-    stacked forward pass, or any callable mapping a ProcessedImage to a
-    ProbabilityVector.
-    """
+def evaluate(model: ClassifierModel, samples: list[LabeledSample]) -> EvalReport:
+    """Argmax-class accuracy and 3x3 confusion matrix over a sample list,
+    scored in one stacked forward pass."""
     if not samples:
         raise ConfigurationError("evaluation set is empty")
-    if callable(model):
-        predicted = [model(sample.image) for sample in samples]
-    else:
-        predicted = _probabilities(model, np.stack([sample.image.values for sample in samples]))
+    predicted = _probabilities(model, np.stack([sample.image for sample in samples]))
     confusion = np.zeros((3, 3), dtype=int)
     for sample, p in zip(samples, predicted):
         confusion[sample.target.argmax_class(), p.argmax_class()] += 1
@@ -472,8 +466,8 @@ def load_dataset(path) -> list[LabeledSample]:
     count = checked("field 'count'", doc.get("count"), int, ScanFormatError)
     if count <= 0:
         raise ScanFormatError("field 'count' must be a positive integer")
-    pixels = IMAGE_SIZE * IMAGE_SIZE
-    x = decode_blob("images", doc.get("images"), "<f8", count * pixels).reshape(count, pixels)
+    # Decoded from the document's bytes, so each image is a read-only row view.
+    images = decode_blob("images", doc.get("images"), "<f8", count * IMAGE_SIZE**2).reshape(count, IMAGE_SIZE, -1)
     t = decode_blob("targets", doc.get("targets"), "<f8", count * 3).reshape(count, 3)
     centers = decode_blob("centers", doc.get("centers"), "<f8", count * 2).reshape(count, 2)
     spans = decode_blob("spans", doc.get("spans"), "<f8", count * 2).reshape(count, 2)
@@ -483,16 +477,10 @@ def load_dataset(path) -> list[LabeledSample]:
     except ConfigurationError as exc:
         raise ScanFormatError(f"field 'targets' holds a row that is not a probability vector: {exc}") from exc
     try:
-        images = [ProcessedImage(row.reshape(IMAGE_SIZE, IMAGE_SIZE)) for row in x]
+        _check_range(images)
     except ShapeError as exc:
         raise ScanFormatError(f"field 'images' holds an image that is not a processed image: {exc}") from exc
     return [
-        LabeledSample(
-            image=images[i],
-            target=targets[i],
-            center=(float(centers[i, 0]), float(centers[i, 1])),
-            span=(float(spans[i, 0]), float(spans[i, 1])),
-            device_seed=int(seeds[i]),
-        )
-        for i in range(count)
+        LabeledSample(image=image, target=target, center=tuple(center), span=tuple(span), device_seed=seed)
+        for image, target, center, span, seed in zip(images, targets, centers.tolist(), spans.tolist(), seeds.tolist())
     ]

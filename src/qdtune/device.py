@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigurationError, DomainError, ScanFormatError, ShapeError
+from .errors import ConfigurationError, DomainError, ScanFormatError, ShapeError, check_setting
 from .fileio import check_header, checked, kind_of, read_json, write_json
 from .grids import (
     DEFAULT_RESOLUTION_MV,
@@ -79,7 +79,7 @@ DEVICE_HEADER = {"schema_version": "1"}
 
 @dataclass(frozen=True)
 class DeviceParams:
-    """Parameters of one synthetic device realization."""
+    """Parameters of one synthetic device realization; every number is finite."""
 
     seed: int
     formation_thresholds: tuple[float, float]
@@ -93,6 +93,11 @@ class DeviceParams:
     background_gradient: float
 
     def __post_init__(self):
+        for name in ("merge_threshold", "dd_band", "lever_arms", "line_slopes", "interdot_coupling",
+                     "background_gradient"):
+            check_setting(self, name, sign=None)
+        check_setting(self, "line_spacing")
+        check_setting(self, "noise_sigma", sign="non-negative")
         lo, hi = DOMAIN_MV
         for name, value in zip(("v1_on", "v2_on"), self.formation_thresholds):
             if not lo < value < hi:
@@ -101,10 +106,6 @@ class DeviceParams:
                 )
         if not self.dd_band[0] < self.dd_band[1]:
             raise ConfigurationError(f"field 'dd_band': lower bound must be below upper, got {self.dd_band}")
-        if not self.line_spacing > 0:
-            raise ConfigurationError(f"field 'line_spacing' must be positive, got {self.line_spacing}")
-        if self.noise_sigma < 0:
-            raise ConfigurationError(f"field 'noise_sigma' must be non-negative, got {self.noise_sigma}")
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), **DEVICE_HEADER}

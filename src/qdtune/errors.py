@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of settings fields
+that raises them."""
+
+import math
+import numbers
 
 
 class QdtuneError(Exception):
@@ -38,3 +42,25 @@ class TrainingDivergedError(QdtuneError):
     def __init__(self, step: int, message: str | None = None):
         self.step = step
         super().__init__(message or f"non-finite loss at training step {step}")
+
+
+def check_setting(config, name: str, sign: str | None = "positive") -> None:
+    """Refuse ``config.name`` unless it is a finite number, and a "positive"
+    or "non-negative" one when ``sign`` says so; a tuple setting is refused
+    unless each of its numbers passes. NaN and infinity are refused, and the
+    ConfigurationError names the class and the field."""
+    value = getattr(config, name)
+    passes = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0, None: lambda v: True}[sign]
+    several = isinstance(value, (tuple, list))
+    if not all(math.isfinite(v) and passes(v) for v in (value if several else (value,))):
+        kind = f"{sign} finite number" if sign else "finite number"
+        kind = f"{kind}s" if several else f"a {kind}"
+        raise ConfigurationError(f"{type(config).__name__}.{name} must be {kind}, got {value}")
+
+
+def check_count(config, name: str) -> None:
+    """The integer form of :func:`check_setting`: refuse ``config.name`` unless
+    it is a positive integer. A bool is refused, and so is a float, whole or not."""
+    value = getattr(config, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not value > 0:
+        raise ConfigurationError(f"{type(config).__name__}.{name} must be a positive integer, got {value!r}")

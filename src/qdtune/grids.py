@@ -1,14 +1,13 @@
 """Raster containers shared by the simulator, scan IO, and preprocessing.
 
 Checks run where data enters: every ``ScanGrid`` and ``LabelGrid``
-built by a constructor (``load_scan``, strided premeasured crops, the
-CLI) validates its axes, spacing and codes. Data checked already goes
-through the trusted constructors :func:`_scan_grid` and :func:`_label_grid`,
-which check nothing: ``render_scan``, which builds its axes and codes
-itself and checks only that the axes strictly increase;
-:meth:`ScanGrid.with_values`, which checks only the shape of the new values;
-the copies a ``scans.PremeasuredScan`` keeps, and its stride-1 windows,
-which are views of those read-only copies.
+built by a constructor (``load_scan``, the CLI, a caller's arrays)
+validates its axes, spacing and codes. Data checked already goes through
+the trusted constructors :func:`_scan_grid` and :func:`_label_grid`, which
+check nothing: ``render_scan``, which builds its axes and codes itself and
+checks only that the axes strictly increase; the copies a
+``scans.PremeasuredScan`` keeps, and its windows of every stride, which are
+views of those read-only copies.
 
 A :class:`LabelTally` holds the summed-area tables of one label raster.
 ``scans.PremeasuredScan`` owns the tally of its stored codes, and a label
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, ShapeError, check_setting
 
 ACQUISITION_AXES = ("v1", "v2")
 
@@ -66,8 +65,7 @@ class ScanMeta:
     acquisition_axis: str = "v1"
 
     def __post_init__(self):
-        if not (self.resolution > 0 and math.isfinite(self.resolution)):
-            raise ConfigurationError(f"resolution must be positive and finite, got {self.resolution}")
+        check_setting(self, "resolution")
         if self.acquisition_axis not in ACQUISITION_AXES:
             raise ConfigurationError(
                 f"acquisition_axis must be one of {ACQUISITION_AXES}, got {self.acquisition_axis!r}"
@@ -140,16 +138,6 @@ class ScanGrid:
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
-
-    def with_values(self, values: np.ndarray) -> "ScanGrid":
-        """Same axes and metadata, different sample values of the same shape.
-
-        The axes and metadata are shared, not checked again.
-        """
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.values.shape:
-            raise ShapeError(f"values shape {values.shape} does not match the grid {self.values.shape}")
-        return _scan_grid(values, self.v1_axis, self.v2_axis, self.meta)
 
 
 def _scan_grid(values: np.ndarray, v1_axis: np.ndarray, v2_axis: np.ndarray, meta: ScanMeta) -> ScanGrid:

@@ -23,12 +23,13 @@ each window to the same numpy call a lone window gets:
 - per-window peaks are maxima, which are exact.
 
 Sensor values that are not finite are refused on entry with a ShapeError.
+Images are plain arrays whose range is checked once, on the way out;
+``classifier.load_dataset`` checks a file's images with :func:`_check_range`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -40,24 +41,10 @@ IMAGE_SIZE = 30
 
 
 def _check_range(values: np.ndarray) -> None:
-    # Written so that NaN fails: every comparison with NaN is false.
+    """Refuse images with a value outside [0, 1]; written so that NaN fails,
+    as every comparison with NaN is false."""
     if not (values.min() >= 0.0 and values.max() <= 1.0):
         raise ShapeError("processed image values must lie in [0, 1]")
-
-
-@dataclass(eq=False)
-class ProcessedImage:
-    """A 30x30 image with values in [0, 1], ready for classification."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (IMAGE_SIZE, IMAGE_SIZE):
-            raise ShapeError(
-                f"processed image must be {IMAGE_SIZE}x{IMAGE_SIZE}, got {self.values.shape}"
-            )
-        _check_range(self.values)
 
 
 # --- the steps, on (N, n, m) stacks --------------------------------------------

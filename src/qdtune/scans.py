@@ -8,9 +8,10 @@ fixed bad fitness.
 
 A :class:`PremeasuredScan` owns what it stores: read-only copies of the
 sensor values, the axes and the label codes, and the codes' summed-area
-tally. Its stride-1 windows are read-only views of those copies; a label
-window records where it lies in the tally, so the oracle counts it in four
-lookups per class.
+tally. Its windows, of every stride, are read-only views of those copies,
+checked once when the source was built; a stride-1 label window records
+where it lies in the tally, so the oracle counts it in four lookups per
+class.
 
 Scan files are a single JSON document: a self-describing header plus
 base64 blobs of little-endian float64 (values, axes) and int8 (labels)
@@ -118,8 +119,7 @@ class PremeasuredScan:
         scan = self.scan
         self.scan = _scan_grid(*(_read_only(a.copy()) for a in (scan.values, scan.v1_axis, scan.v2_axis)), scan.meta)
         if self.labels is not None:
-            if self.labels.shape != self.scan.shape:
-                raise ShapeError("label raster shape does not match the scan")
+            # A LabelGrid's shape is its axes' sizes, so equal axes mean equal shapes.
             for name in ("v1_axis", "v2_axis"):
                 if not np.array_equal(getattr(self.labels, name), getattr(self.scan, name)):
                     raise ShapeError(f"label raster {name} does not match the scan's {name}")
@@ -226,25 +226,17 @@ def acquire_with_labels(
         rows = slice(s1, s1 + stride * counts[0], stride)
         cols = slice(s2, s2 + stride * counts[1], stride)
 
-        if stride == 1:
-            # Views of the source's read-only copies are read-only themselves,
-            # and keep the stored spacing, so nothing is checked again.
-            v1, v2 = source.scan.v1_axis[rows], source.scan.v2_axis[cols]
-            scan = _scan_grid(source.scan.values[rows, cols], v1, v2, source.scan.meta)
-            labels = None
-            if source.labels is not None:
-                labels = _label_grid(source.labels.labels[rows, cols], v1, v2)
-                labels.stored_at = (source.tally, s1, s2)
-            return scan, labels
-        # A strided window has a new spacing, so its scan is checked like outside
-        # data; its labels are a view of the read-only stored codes on those axes.
-        v1 = _read_only(source.scan.v1_axis[rows])
-        v2 = _read_only(source.scan.v2_axis[cols])
-        meta = ScanMeta(resolution=native * stride, acquisition_axis=source.scan.meta.acquisition_axis)
-        scan = ScanGrid(_read_only(source.scan.values[rows, cols]), v1, v2, meta)
+        # Views of the source's read-only copies are read-only themselves. A
+        # window keeps the stored spacing, times the stride, of axes checked
+        # when the source was built, so nothing is checked again.
+        meta = source.scan.meta if stride == 1 else ScanMeta(native * stride, source.scan.meta.acquisition_axis)
+        v1, v2 = source.scan.v1_axis[rows], source.scan.v2_axis[cols]
+        scan = _scan_grid(source.scan.values[rows, cols], v1, v2, meta)
         labels = None
         if source.labels is not None:
-            labels = _label_grid(source.labels.labels[rows, cols], scan.v1_axis, scan.v2_axis)
+            labels = _label_grid(source.labels.labels[rows, cols], v1, v2)
+            if stride == 1:
+                labels.stored_at = (source.tally, s1, s2)
         return scan, labels
 
     raise ConfigurationError(f"unknown measurement source type {type(source).__name__}")

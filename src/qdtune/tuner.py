@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import ProbabilityVector
-from .errors import ConfigurationError, DomainError, QdtuneError
+from .errors import ConfigurationError, DomainError, QdtuneError, check_count, check_setting
 from .fileio import write_csv, write_json
 from .grids import DEFAULT_RESOLUTION_MV, DEFAULT_SPAN_MV
 from .scans import Blocked, MeasurementSource, Sandbox, acquire_with_labels
@@ -35,15 +35,6 @@ from .scans import Blocked, MeasurementSource, Sandbox, acquire_with_labels
 TARGET_DOUBLE_DOT = ProbabilityVector(0.0, 0.0, 1.0)
 
 RUN_SCHEMA_VERSION = "1"
-
-
-def _check_setting(config, name: str, positive: bool) -> None:
-    """Refuse ``config.name`` unless it is a finite number above zero (at
-    least zero when ``positive`` is False); NaN and infinity are refused."""
-    value = getattr(config, name)
-    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-        kind = "positive" if positive else "non-negative"
-        raise ConfigurationError(f"{type(config).__name__}.{name} must be a {kind} finite number, got {value}")
 
 
 @dataclass(frozen=True)
@@ -59,9 +50,9 @@ class FitnessConfig:
 
     def __post_init__(self):
         for name in ("alpha", "beta"):
-            _check_setting(self, name, positive=False)
+            check_setting(self, name, sign="non-negative")
         for name in ("steepness", "blocked_fitness"):
-            _check_setting(self, name, positive=True)
+            check_setting(self, name)
 
 
 def _norm(d: np.ndarray) -> float:
@@ -100,7 +91,7 @@ class FixedSimplex:
     delta: float = 75.0
 
     def __post_init__(self):
-        _check_setting(self, "delta", positive=True)
+        check_setting(self, "delta")
 
     @property
     def name(self) -> str:
@@ -170,9 +161,8 @@ class TerminationConfig:
 
     def __post_init__(self):
         for name in ("fitness_tolerance", "simplex_size_tolerance"):
-            _check_setting(self, name, positive=True)
-        if self.max_iterations <= 0:
-            raise ConfigurationError("max_iterations must be positive")
+            check_setting(self, name)
+        check_count(self, "max_iterations")
 
 
 @dataclass(eq=False)

@@ -11,9 +11,14 @@ import numpy as np
 import qdtune as q
 
 
+def on_axes(scan: q.ScanGrid, values: np.ndarray) -> q.ScanGrid:
+    """``values`` on the scan's axes and metadata, through the checking constructor."""
+    return q.ScanGrid(values, scan.v1_axis, scan.v2_axis, scan.meta)
+
+
 def inject_sensor_flip(scan: q.ScanGrid) -> q.ScanGrid:
     """Return the scan with the sensor sign inverted (axes unchanged)."""
-    return scan.with_values(-scan.values)
+    return on_axes(scan, -scan.values)
 
 
 def inject_stuck_rows(scan: q.ScanGrid, every: int = 4) -> q.ScanGrid:
@@ -22,18 +27,18 @@ def inject_stuck_rows(scan: q.ScanGrid, every: int = 4) -> q.ScanGrid:
     values = scan.values.copy()
     for row in range(every - 1, len(values), every):
         values[row] = values[row - 1]
-    return scan.with_values(values)
+    return on_axes(scan, values)
 
 
 def inject_saturation(scan: q.ScanGrid, fraction: float = 0.5) -> q.ScanGrid:
     """Clip the signal at the value ``fraction`` of its pixels lie below, as an
     amplifier at its rail."""
-    return scan.with_values(np.minimum(scan.values, np.quantile(scan.values, fraction)))
+    return on_axes(scan, np.minimum(scan.values, np.quantile(scan.values, fraction)))
 
 
 def inject_constant(scan: q.ScanGrid) -> q.ScanGrid:
     """Every pixel reads the scan's mean, as a dead sensor: every window is constant."""
-    return scan.with_values(np.full(scan.shape, scan.values.mean()))
+    return on_axes(scan, np.full(scan.shape, scan.values.mean()))
 
 
 def inject_affine_drift(
@@ -42,7 +47,7 @@ def inject_affine_drift(
     """A positive gain and offset, plus a baseline that drifts linearly across
     the raster."""
     drift = slope_per_mv * ((scan.v1_axis - scan.v1_axis[0])[:, None] + (scan.v2_axis - scan.v2_axis[0])[None, :])
-    return scan.with_values(gain * scan.values + offset + drift)
+    return on_axes(scan, gain * scan.values + offset + drift)
 
 
 def inject_non_finite(scan: q.ScanGrid, bad: float = np.nan, every: int = 7) -> q.ScanGrid:
@@ -50,4 +55,4 @@ def inject_non_finite(scan: q.ScanGrid, bad: float = np.nan, every: int = 7) -> 
     at least ``every`` pixels a side holds one."""
     values = scan.values.copy()
     values[::every, ::every] = bad
-    return scan.with_values(values)
+    return on_axes(scan, values)

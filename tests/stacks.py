@@ -9,9 +9,9 @@ import numpy as np
 import qdtune as q
 
 
-def process_scan(scan: q.ScanGrid) -> q.ProcessedImage:
-    """The processed image of one window: the N = 1 stack of its values."""
-    return q.ProcessedImage(q.process(scan.values[None], scan.meta)[0])
+def process_scan(scan: q.ScanGrid) -> np.ndarray:
+    """The (30, 30) processed image of one window: the N = 1 stack of its values."""
+    return q.process(scan.values[None], scan.meta)[0]
 
 
 def process_windows(windows: list[q.ScanGrid]) -> np.ndarray:

@@ -10,6 +10,8 @@ from qdtune import harness as harness_mod
 from qdtune import tuner as tuner_mod
 from qdtune.cli import _load_config, build_parser, main
 
+from faults import on_axes
+
 
 @pytest.fixture(scope="module")
 def scan_file(tmp_path_factory, reference_params):
@@ -160,7 +162,7 @@ class TestTune:
     def test_non_finite_scan_is_machine_readable_error(self, tmp_path, capsys, reference_source):
         path = tmp_path / "nan.qdscan.json"
         scan = reference_source.scan
-        q.save_scan(scan.with_values(np.full(scan.shape, np.nan)), path, reference_source.labels)
+        q.save_scan(on_axes(scan, np.full(scan.shape, np.nan)), path, reference_source.labels)
         rc = main(["tune", "--source", f"scan:{path}", "--start", "350,400", "--out", str(tmp_path)])
         assert rc == 1
         err = json.loads(capsys.readouterr().err)

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -245,3 +247,18 @@ class TestDeviceIO:
         base.update(override)
         with pytest.raises(q.ConfigurationError):
             q.DeviceParams(**base)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "field, index",
+        [("merge_threshold", None), ("dd_band", 1), ("lever_arms", 0), ("line_spacing", None),
+         ("line_slopes", 1), ("interdot_coupling", None), ("noise_sigma", None), ("background_gradient", None)],
+    )
+    def test_non_finite_field_refused_by_name(self, field, index, bad):
+        value = bad
+        if index is not None:
+            value = list(getattr(q.reference_device(), field))
+            value[index] = bad
+            value = tuple(value)
+        with pytest.raises(q.ConfigurationError, match=f"DeviceParams.{field} "):
+            dataclasses.replace(q.reference_device(), **{field: value})

@@ -19,6 +19,8 @@ from qdtune.harness import (
 )
 from qdtune.tuner import TuningRun, TuningStep, Outcome
 
+from faults import on_axes
+
 
 def fake_run(best, fitness=0.5):
     step = TuningStep(center=best, probabilities=None, fitness=fitness, blocked=True)
@@ -334,7 +336,7 @@ class TestLandscape:
         scan, labels = q.render_scan(reference_params, (340.0, 380.0), (70.0, 70.0), 2.0)
         values = scan.values.copy()
         values[3, 4] = np.inf  # inside windows 0..3 of the first row of starts
-        source = q.PremeasuredScan(scan.with_values(values), labels)
+        source = q.PremeasuredScan(on_axes(scan, values), labels)
         with pytest.raises(q.ShapeError, match="not finite: NaN or infinite pixels in window 0 of 6"):
             q.fitness_landscape(source, q.ModelClassifier(q.init_model(5)))
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import qdtune as q
 from qdtune.scans import SCAN_SUFFIX, Blocked, Sandbox, _crop_start
 
-from faults import inject_sensor_flip
+from faults import inject_sensor_flip, on_axes
 
 NAN, INF = float("nan"), float("inf")
 
@@ -233,15 +233,25 @@ class TestCropEquivalence:
         with pytest.raises(ValueError):
             scan.values[0, 0] = 1.0
 
-    def test_stride_one_crop_shares_metadata_and_skips_checks(self, reference_source, monkeypatch):
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_stride_one_crop_shares_metadata_and_skips_checks(self, stride, reference_source, monkeypatch):
+        """A window of any stride is views of axes checked when the source was
+        built; only a stride-1 window keeps the stored metadata and its place
+        in the tally."""
+
         def refuse(self):
-            raise AssertionError("a stride-1 crop validated a grid")
+            raise AssertionError("a crop validated a grid")
 
         monkeypatch.setattr(q.ScanGrid, "__post_init__", refuse)
         monkeypatch.setattr(q.LabelGrid, "__post_init__", refuse)
-        scan, labels = q.acquire_with_labels(reference_source, (301.0, 330.0), (40.0, 40.0), 2.0)
-        assert scan.meta is reference_source.scan.meta
-        assert scan.shape == labels.shape == (20, 20)
+        scan, labels = q.acquire_with_labels(reference_source, (301.0, 330.0), (40.0, 40.0), 2.0 * stride)
+        assert scan.shape == labels.shape == (20 // stride, 20 // stride)
+        if stride == 1:
+            assert scan.meta is reference_source.scan.meta
+            assert labels.stored_at[0] is reference_source.tally
+        else:
+            assert scan.meta == q.ScanMeta(2.0 * stride, reference_source.scan.meta.acquisition_axis)
+            assert labels.stored_at is None
 
     def test_strided_labels_are_not_checked_again(self, reference_source, monkeypatch):
         def refuse(self):
@@ -280,21 +290,26 @@ class TestCropEquivalence:
         with pytest.raises(q.ShapeError, match=axis):
             q.PremeasuredScan(scan, q.LabelGrid(labels.labels, **axes))
 
-    def test_trusted_crop_takes_unit_steps_only(self, reference_source, monkeypatch):
-        """Only a stride-1 window skips the checks: a strided window has a new
-        spacing, so its scan goes through the checking constructor."""
-        checked = []
-        post_init = q.ScanGrid.__post_init__
-
-        def spy(self):
-            checked.append(self.meta.resolution)
-            post_init(self)
-
-        monkeypatch.setattr(q.ScanGrid, "__post_init__", spy)
-        q.acquire_with_labels(reference_source, (301.0, 330.0), (40.0, 40.0), 2.0)
-        assert checked == []
-        q.acquire_with_labels(reference_source, (301.0, 330.0), (40.0, 40.0), 4.0)
-        assert checked == [4.0]
+    def test_every_stride_of_an_uneven_axis_the_scan_check_accepted(self, reference_scan):
+        """v1 steps of 2 + 2.9e-9 mV pass the check of a 2 mV scan, so every
+        window of that scan is delivered: a strided window's steps are the
+        stored ones times the stride, and are not checked again."""
+        scan, labels = reference_scan
+        v1 = scan.v1_axis[0] + np.arange(scan.shape[0]) * (2.0 + 2.9e-9)
+        source = q.PremeasuredScan(
+            q.ScanGrid(scan.values, v1, scan.v2_axis, scan.meta), q.LabelGrid(labels.labels, v1, scan.v2_axis)
+        )
+        for stride in range(1, 20):
+            resolution = 2.0 * stride
+            got = q.acquire_with_labels(source, (325.0, 350.0), (10 * resolution, 10 * resolution), resolution)
+            assert not isinstance(got, Blocked), stride
+            window, window_labels = got
+            assert window.shape == window_labels.shape == (10, 10)
+            assert window.meta.resolution == resolution
+            rows = np.searchsorted(v1, window.v1_axis)
+            assert (v1[rows] == window.v1_axis).all() and (np.diff(rows) == stride).all()
+        run = q.autotune(source, q.OracleClassifier(), (350.0, 400.0), resolution=4.0)
+        assert run.outcome.kind != "aborted"
 
     @pytest.mark.parametrize("span", [(0.0, 60.0), (60.0, -60.0)], ids=["zero", "negative"])
     def test_window_below_one_pixel_rejected(self, span, reference_source):
@@ -386,7 +401,7 @@ class TestScanFile:
         values = np.full(scan.shape, bad) if everywhere else scan.values.copy()
         values[3, 4] = bad
         path = tmp_path / f"bad{SCAN_SUFFIX}"
-        q.save_scan(scan.with_values(values), path, labels)
+        q.save_scan(on_axes(scan, values), path, labels)
         with pytest.raises(q.ScanFormatError, match="'values'"):
             q.load_scan(path)
 

@@ -273,7 +273,7 @@ class TestAutotune:
         values = scan.values.copy()
         i = int(np.argmin(np.abs(scan.v1_axis - 350.0)))
         values[i, :] = np.nan
-        source = q.PremeasuredScan(scan.with_values(values), labels)
+        source = q.PremeasuredScan(faults.on_axes(scan, values), labels)
         run = q.autotune(source, q.ModelClassifier(q.init_model(0)), (350.0, 400.0))
         assert run.outcome.kind == "aborted"
         # process refuses the window on entry, before any arithmetic on NaN.
@@ -286,7 +286,7 @@ class TestAutotune:
         i = int(np.argmin(np.abs(scan.v1_axis - 350.0)))
         j = int(np.argmin(np.abs(scan.v2_axis - 400.0)))
         values[i, j] = bad
-        source = q.PremeasuredScan(scan.with_values(values), labels)
+        source = q.PremeasuredScan(faults.on_axes(scan, values), labels)
         run = q.autotune(source, q.ModelClassifier(q.init_model(0)), (350.0, 400.0))
         assert run.outcome.kind == "aborted"
         assert run.outcome.cause == "ShapeError: sensor values are not finite: NaN or infinite pixels"

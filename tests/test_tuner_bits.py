@@ -169,6 +169,13 @@ class TestSettingsRefuseNonFinite:
         with pytest.raises(q.ConfigurationError, match=f"TerminationConfig.{field} "):
             q.TerminationConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, 2.5, 50.0, True, 0, -1], ids=["nan", "inf", "fraction", "whole-float", "bool", "zero", "negative"]
+    )
+    def test_max_iterations(self, value):
+        with pytest.raises(q.ConfigurationError, match="TerminationConfig.max_iterations must be a positive integer"):
+            q.TerminationConfig(max_iterations=value)
+
     @pytest.mark.parametrize("value", NON_FINITE + [0.0], ids=["nan", "inf", "-inf", "zero"])
     def test_fixed_simplex(self, value):
         with pytest.raises(q.ConfigurationError, match="FixedSimplex.delta "):
