@@ -171,8 +171,9 @@ def generate_dataset(
     vector of the same window. A span that is not a whole number of pixels,
     or not narrower than the domain, raises ConfigurationError before any draw.
     """
-    if n_devices <= 0 or samples_per_device <= 0:
-        raise ConfigurationError("n_devices and samples_per_device must be positive")
+    check_count("n_devices", n_devices)
+    check_count("samples_per_device", samples_per_device)
+    check_count("seed", seed, sign="non-negative")
     lo, hi = device_model.DOMAIN_MV
     for extent in span:
         pixel_count(extent, resolution)
@@ -254,7 +255,8 @@ class TrainingConfig:
     def __post_init__(self):
         check_setting(self, "learning_rate")
         for name in ("steps", "batch_size"):
-            check_count(self, name)
+            check_count(f"TrainingConfig.{name}", getattr(self, name))
+        check_count("TrainingConfig.seed", self.seed, sign="non-negative")
 
 
 def init_model(seed: int) -> ClassifierModel:

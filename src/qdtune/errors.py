@@ -58,9 +58,10 @@ def check_setting(config, name: str, sign: str | None = "positive") -> None:
         raise ConfigurationError(f"{type(config).__name__}.{name} must be {kind}, got {value}")
 
 
-def check_count(config, name: str) -> None:
-    """The integer form of :func:`check_setting`: refuse ``config.name`` unless
-    it is a positive integer. A bool is refused, and so is a float, whole or not."""
-    value = getattr(config, name)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not value > 0:
-        raise ConfigurationError(f"{type(config).__name__}.{name} must be a positive integer, got {value!r}")
+def check_count(where: str, value, sign: str = "positive") -> None:
+    """The integer form of :func:`check_setting`: refuse ``value``, the field or
+    parameter ``where``, unless it is a positive (or, for a seed, non-negative)
+    integer. A bool is refused, and so is a float, whole or not."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral and (value > 0 if sign == "positive" else value >= 0)):
+        raise ConfigurationError(f"{where} must be a {sign} integer, got {value!r}")

@@ -226,12 +226,12 @@ def _aggregate(
     summaries = [
         {
             "start": list(run.start),
-            "best_center": list(run.best_center()) if run.best_center() else None,
+            "best_center": list(center) if center else None,
             "iterations": run.iteration_count,
             "weight": weight,
             "outcome": run.outcome.kind,
         }
-        for run, weight in zip(runs, weights)
+        for run, weight, center in zip(runs, weights, map(TuningRun.best_center, runs))
     ]
     return ExperimentReport(
         point=(float(point[0]), float(point[1])),

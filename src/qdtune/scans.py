@@ -11,7 +11,8 @@ sensor values, the axes and the label codes, and the codes' summed-area
 tally. Its windows, of every stride, are read-only views of those copies,
 checked once when the source was built; a stride-1 label window records
 where it lies in the tally, so the oracle counts it in four lookups per
-class.
+class. A window lies around the stored pixel center nearest its center,
+the first on a tie, found by one bisection of each stored axis.
 
 Scan files are a single JSON document: a self-describing header plus
 base64 blobs of little-endian float64 (values, axes) and int8 (labels)
@@ -21,6 +22,7 @@ in row-major order. Label codes follow :class:`~qdtune.grids.StateLabel`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -137,28 +139,24 @@ class PremeasuredScan:
 MeasurementSource = SimulatedDevice | PremeasuredScan
 
 
-def _crop_start(axis: list[float], resolution: float, center: float, count: int, stride: int) -> int | None:
+def _crop_start(axis: list[float], center: float, count: int, stride: int) -> int | None:
     """First stored index of a window of ``count`` pixels around ``center``.
 
     The window center snaps to the nearest stored pixel center, the first
     one on a tie, as ``np.argmin(np.abs(axis - center))`` picks it; there
-    is no resampling. ``axis`` is a checked axis of spacing ``resolution``,
-    as Python floats, and ``center`` is not NaN. Returns None when the
-    window runs off the raster.
+    is no resampling. ``axis`` is a strictly increasing axis as Python
+    floats, and ``center`` is not NaN. Returns None when the window runs off
+    the raster.
     """
     n = len(axis)
-    guess = int(round(min(max((center - axis[0]) / resolution, 0.0), n - 1.0)))
-    lo, hi = max(guess - 2, 0), min(guess + 2, n - 1)
-    dist = [abs(a - center) for a in axis[lo : hi + 1]]
-    best = dist.index(min(dist))
-    # |axis - center| falls then rises along a strictly increasing axis, so a
-    # first minimum strictly below the candidates' outer neighbours is the
-    # global one; otherwise (a far-off guess on a tiny spacing) scan it all.
-    if (best == 0 and lo > 0) or (hi < n - 1 and dist[-1] <= dist[best]):
-        nearest = int(np.argmin(np.abs(np.array(axis) - center)))
-    else:
-        nearest = lo + best
-    start = nearest - (count * stride) // 2
+    # The distances fall and then rise along the axis, so the nearest pixel
+    # is the first pixel at or above ``center`` or one below it: step down
+    # while the next lower distance is no larger (equal, after rounding, on
+    # a tiny spacing or far from the axis).
+    i = min(bisect_left(axis, center), n - 1)
+    while i > 0 and abs(axis[i - 1] - center) <= abs(axis[i] - center):
+        i -= 1
+    start = i - (count * stride) // 2
     if start < 0 or start + stride * (count - 1) >= n:
         return None
     return start
@@ -219,8 +217,8 @@ def acquire_with_labels(
         counts = [pixel_count(extent, resolution) for extent in span]
 
         axis1, axis2 = source._axis_floats
-        s1 = _crop_start(axis1, native, float(center[0]), counts[0], stride)
-        s2 = _crop_start(axis2, native, float(center[1]), counts[1], stride)
+        s1 = _crop_start(axis1, float(center[0]), counts[0], stride)
+        s2 = _crop_start(axis2, float(center[1]), counts[1], stride)
         if s1 is None or s2 is None:
             return Blocked("window falls outside the stored raster")
         rows = slice(s1, s1 + stride * counts[0], stride)

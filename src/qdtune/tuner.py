@@ -11,18 +11,21 @@ The value is capped at ``FitnessConfig.blocked_fitness``, and windows
 the sandbox refuses score exactly that cap without ever reaching the
 classifier.
 
-The optimizer is a plain two-dimensional Nelder-Mead simplex search
-(reflection 1, expansion 2, contraction 1/2, shrink 1/2). The initial
-simplex lowers each plunger in turn by a step that is either fixed or
-scaled by the starting fitness, and the search stops when the simplex's
-fitness spread or its diameter collapses, or when the evaluation budget
-runs out. One "iteration" is one window measurement.
+The optimizer is a plain two-dimensional Nelder-Mead simplex search on
+Python floats. Every move is ``a + t * (b - a)`` per coordinate: reflect
+(t = -1), expand (2) and contract (1/2) from the centroid of the two best
+vertices, shrink (1/2) toward the best. The initial simplex lowers each
+plunger in turn by a step that is either fixed or scaled by the starting
+fitness, and the search stops when the simplex's fitness spread or its
+diameter collapses, or when the evaluation budget runs out. One
+"iteration" is one window measurement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -162,7 +165,7 @@ class TerminationConfig:
     def __post_init__(self):
         for name in ("fitness_tolerance", "simplex_size_tolerance"):
             check_setting(self, name)
-        check_count(self, "max_iterations")
+        check_count("TerminationConfig.max_iterations", self.max_iterations)
 
 
 @dataclass(eq=False)
@@ -171,10 +174,9 @@ class NelderMeadResult:
     reason: str  # fitness_converged | simplex_converged | max_iterations
 
 
-_REFLECT = 1.0
-_EXPAND = 2.0
-_CONTRACT = 0.5
-_SHRINK = 0.5
+def _toward(a: tuple[float, float], b: tuple[float, float], t: float) -> tuple[float, float]:
+    """The point ``a + t * (b - a)``, per coordinate: every Nelder-Mead move."""
+    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
 
 
 def nelder_mead(
@@ -187,28 +189,33 @@ def nelder_mead(
 
     ``start_value`` is the already-known objective value at
     ``simplex[0]``; it is not measured again but still counts against
-    the evaluation budget.
+    the evaluation budget. A NaN value, ``start_value`` included, raises
+    ConfigurationError naming its point. The simplex is three
+    ``(value, (x, y))`` vertices of Python floats, in stable order of value.
     """
     sim = np.array(simplex, dtype=float)
     if sim.shape != (3, 2):
         raise ConfigurationError(f"simplex must be 3 vertices in 2-d, got shape {sim.shape}")
+    points = [tuple(vertex) for vertex in sim.tolist()]
 
-    def call(point: np.ndarray) -> float:
-        return float(objective((float(point[0]), float(point[1]))))
+    def call(point: tuple[float, float], value: float | None = None) -> tuple[float, tuple[float, float]]:
+        value = float(objective(point) if value is None else value)
+        if value != value:
+            raise ConfigurationError(f"objective value at {point} is NaN")
+        return value, point
 
-    first = call(sim[0]) if start_value is None else float(start_value)
-    fsim = np.array([first, call(sim[1]), call(sim[2])])
+    vertices = [call(points[0], start_value), call(points[1]), call(points[2])]
     used = 3
 
-    reason = None
     while True:
-        order = np.argsort(fsim, kind="stable")
-        sim, fsim = sim[order], fsim[order]
+        vertices.sort(key=itemgetter(0))
+        (f_best, best), (f_good, good), (f_worst, worst) = vertices
 
-        if fsim[-1] - fsim[0] < term.fitness_tolerance:
+        if f_worst - f_best < term.fitness_tolerance:
             reason = "fitness_converged"
             break
-        diameter = max(_norm(sim[i] - sim[j]) for i in range(3) for j in range(i + 1, 3))
+        pairs = ((best, good), (best, worst), (good, worst))
+        diameter = max(_norm(np.array([p[0] - q[0], p[1] - q[1]])) for p, q in pairs)
         if diameter < term.simplex_size_tolerance:
             reason = "simplex_converged"
             break
@@ -217,46 +224,37 @@ def nelder_mead(
             break
 
         budget = term.max_iterations - used
-        centroid = sim[:-1].mean(axis=0)
-        reflected = centroid + _REFLECT * (centroid - sim[-1])
-        f_reflected = call(reflected)
+        # Summed from +0.0, as np.mean does: two -0.0 coordinates give +0.0.
+        centroid = ((0.0 + best[0] + good[0]) / 2.0, (0.0 + best[1] + good[1]) / 2.0)
+        reflected = call(_toward(centroid, worst, -1.0))
         used += 1
 
-        if f_reflected < fsim[0] and budget >= 2:
-            expanded = centroid + _EXPAND * (reflected - centroid)
-            f_expanded = call(expanded)
+        if reflected[0] < f_best and budget >= 2:
+            expanded = call(_toward(centroid, reflected[1], 2.0))
             used += 1
-            if f_expanded < f_reflected:
-                sim[-1], fsim[-1] = expanded, f_expanded
-            else:
-                sim[-1], fsim[-1] = reflected, f_reflected
-        elif f_reflected < fsim[1]:
-            sim[-1], fsim[-1] = reflected, f_reflected
+            vertices[2] = expanded if expanded[0] < reflected[0] else reflected
+        elif reflected[0] < f_good:
+            vertices[2] = reflected
         elif budget >= 2:
-            if f_reflected < fsim[-1]:
-                contracted = centroid + _CONTRACT * (reflected - centroid)
-            else:
-                contracted = centroid - _CONTRACT * (centroid - sim[-1])
-            f_contracted = call(contracted)
+            contracted = call(_toward(centroid, reflected[1] if reflected[0] < f_worst else worst, 0.5))
             used += 1
-            if f_contracted < min(f_reflected, fsim[-1]):
-                sim[-1], fsim[-1] = contracted, f_contracted
+            if contracted[0] < min(reflected[0], f_worst):
+                vertices[2] = contracted
             elif budget >= 4:
-                for i in (1, 2):
-                    sim[i] = sim[0] + _SHRINK * (sim[i] - sim[0])
-                    fsim[i] = call(sim[i])
-                    used += 1
+                vertices[1] = call(_toward(best, good, 0.5))
+                vertices[2] = call(_toward(best, worst, 0.5))
+                used += 2
             else:
                 reason = "max_iterations"
                 break
         else:
-            if f_reflected < fsim[-1]:
-                sim[-1], fsim[-1] = reflected, f_reflected
+            if reflected[0] < f_worst:
+                vertices[2] = reflected
             reason = "max_iterations"
             break
 
-    best = int(np.argmin(fsim))
-    return NelderMeadResult(best_vertex=(float(sim[best, 0]), float(sim[best, 1])), reason=reason)
+    # min keeps the first of equal values, as np.argmin does.
+    return NelderMeadResult(best_vertex=min(vertices, key=itemgetter(0))[1], reason=reason)
 
 
 # --- tuning runs -------------------------------------------------------------
@@ -294,8 +292,7 @@ class TuningRun:
         """Center of the best-fitness measurement (earliest on ties)."""
         if not self.steps:
             return None
-        values = [s.fitness for s in self.steps]
-        return self.steps[int(np.argmin(values))].center
+        return min(self.steps, key=attrgetter("fitness")).center
 
     def to_json_dict(self) -> dict:
         return {

@@ -147,6 +147,25 @@ class TestDataset:
         with pytest.raises(q.ConfigurationError, match=named):
             q.generate_dataset(1, 1, span=span)
 
+    @pytest.mark.parametrize(
+        "args, kwargs, named",
+        [
+            ((2.5, 2), {}, "n_devices must be a positive integer, got 2.5"),
+            ((0, 2), {}, "n_devices must be a positive integer, got 0"),
+            ((2, True), {}, "samples_per_device must be a positive integer, got True"),
+            ((2, 2), {"seed": -1}, "seed must be a non-negative integer, got -1"),
+            ((2, 2), {"seed": 2.5}, "seed must be a non-negative integer, got 2.5"),
+        ],
+        ids=["fractional-devices", "no-devices", "bool-samples", "negative-seed", "fractional-seed"],
+    )
+    def test_counts_and_seed_are_refused_by_name(self, monkeypatch, args, kwargs, named):
+        def no_draw(seed):
+            raise AssertionError("a device was drawn")
+
+        monkeypatch.setattr(classifier_mod.device_model, "sample_device", no_draw)
+        with pytest.raises(q.ConfigurationError, match=named):
+            q.generate_dataset(*args, **kwargs)
+
     def test_all_single_dot_variants_appear(self):
         """The sampled population covers left, central, and right dots."""
         from qdtune.device import _state_codes
@@ -230,6 +249,11 @@ class TestTraining:
     def test_counts_must_be_positive_integers(self, field, value):
         with pytest.raises(q.ConfigurationError, match=f"TrainingConfig.{field} must be a positive integer"):
             q.TrainingConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, -1, True, "0"], ids=["fraction", "negative", "bool", "string"])
+    def test_seed_must_be_a_non_negative_integer(self, value):
+        with pytest.raises(q.ConfigurationError, match="TrainingConfig.seed must be a non-negative integer"):
+            q.TrainingConfig(seed=value)
 
     def test_numpy_integer_counts_are_accepted(self):
         assert q.TrainingConfig(steps=np.int64(7), batch_size=np.int32(3)).steps == 7

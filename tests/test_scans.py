@@ -209,16 +209,32 @@ class TestCropEquivalence:
         steps=st.lists(st.floats(1e-13, 1e-9), min_size=1, max_size=40),
         position=st.floats(-0.2, 1.2),
         count=st.integers(1, 4),
+        origin=st.sampled_from([0.0, 1e6]),
+        kind=st.sampled_from(["position", "midpoint", "far above", "far below"]),
     )
     @settings(max_examples=300)
-    def test_nearest_pixel_on_uneven_tiny_spacing(self, steps, position, count):
+    def test_nearest_pixel_on_uneven_tiny_spacing(self, steps, position, count, origin, kind):
         """At a 1e-12 mV spacing the axis check lets each step lie anywhere
-        up to 1e-9 mV, so the arithmetic guess can be far off; the result
-        must still be ``np.argmin``'s first nearest pixel."""
-        axis = np.concatenate([[0.0], np.cumsum(steps)])
-        q.ScanGrid(np.zeros((axis.size, 1)), axis, np.zeros(1), q.ScanMeta(1e-12))
-        center = position * float(axis[-1])
-        start = _crop_start(axis.tolist(), 1e-12, center, count, 1)
+        up to 1e-9 mV; near 1e6 mV, where one float step is about 1.2e-10 mV,
+        the steps are whole float steps of a 1e-10 mV axis. A center half way
+        between two pixels, or 1e20 mV away, where every distance rounds to
+        the same value, gives equal distances. The result must be
+        ``np.argmin``'s first nearest pixel."""
+        if origin == 0.0:
+            axis, resolution = np.concatenate([[0.0], np.cumsum(steps)]), 1e-12
+        else:
+            ulp = np.spacing(origin)
+            whole = np.maximum(np.round(np.array(steps) / ulp), 1.0)
+            axis, resolution = origin + ulp * np.concatenate([[0.0], np.cumsum(whole)]), 1e-10
+        q.ScanGrid(np.zeros((axis.size, 1)), axis, np.zeros(1), q.ScanMeta(resolution))
+        if kind == "position":
+            center = float(axis[0]) + position * float(axis[-1] - axis[0])
+        elif kind == "midpoint":
+            k = min(max(int(position * (axis.size - 1)), 0), axis.size - 2)
+            center = (float(axis[k]) + float(axis[k + 1])) / 2.0
+        else:
+            center = 1e20 if kind == "far above" else -1e20
+        start = _crop_start(axis.tolist(), center, count, 1)
         nearest = int(np.argmin(np.abs(axis - center)))
         first = nearest - count // 2
         assert start == (first if 0 <= first and first + count - 1 < axis.size else None)
