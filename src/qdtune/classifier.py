@@ -112,10 +112,10 @@ class ProbabilityVector:
 def oracle_probability(labels: LabelGrid) -> ProbabilityVector:
     """Exact probability vector from a ground-truth label raster.
 
-    A stride-1 window of a stored scan reads its counts off the stored
-    codes' tally and shares one vector per count triple with that scan's
-    other windows; any other grid counts its codes. Both give the same
-    integers, so the same floats.
+    A stride-1 window of a stored scan reads its count key off the stored
+    codes' tally and shares one vector per key with that scan's other
+    windows; any other grid counts its codes. Both give the same integers,
+    so the same floats.
     """
     codes = labels.labels
     n = codes.size
@@ -123,20 +123,20 @@ def oracle_probability(labels: LabelGrid) -> ProbabilityVector:
         raise ShapeError("label raster is empty")
     if labels.stored_at is not None:
         tally, row, col = labels.stored_at
-        return tally_probability(tally, n, *tally.counts(row, col, *codes.shape))
+        return tally_probability(tally, n, tally.key_rows(*codes.shape)[row][col])
     counts = np.bincount(codes.ravel(), minlength=MAX_STATE_CODE + 1)
     n_sd = int(counts[list(SINGLE_DOT_CODES)].sum())
     n_dd = int(counts[StateLabel.DOUBLE_DOT])
     return ProbabilityVector.from_counts(n, n_sd, n_dd)
 
 
-def tally_probability(tally: LabelTally, n: int, n_sd: int, n_dd: int) -> ProbabilityVector:
-    """The oracle's vector of a window of ``n`` pixels, ``n_sd`` of them single
-    dot and ``n_dd`` double dot, built once per count triple of ``tally``'s raster."""
-    key = (n, n_sd, n_dd)
-    vector = tally.vectors.get(key)
+def tally_probability(tally: LabelTally, n: int, key: int) -> ProbabilityVector:
+    """The oracle's vector of a window of ``n`` pixels whose counts
+    :meth:`LabelTally.window_keys` folds into ``key``, built once per
+    ``(n, key)`` pair of ``tally``'s raster."""
+    vector = tally.vectors.get((n, key))
     if vector is None:
-        vector = tally.vectors[key] = ProbabilityVector.from_counts(n, n_sd, n_dd)
+        vector = tally.vectors[(n, key)] = ProbabilityVector.from_counts(n, *LabelTally.key_counts(n, key))
     return vector
 
 

@@ -9,11 +9,12 @@ checks only that the axes strictly increase; the copies a
 ``scans.PremeasuredScan`` keeps, and its windows of every stride, which are
 views of those read-only copies.
 
-A :class:`LabelTally` holds the summed-area tables of one label raster.
+A :class:`LabelTally` holds the summed-area tables of one label raster
+and, per window shape, one count key per window start.
 ``scans.PremeasuredScan`` owns the tally of its stored codes, and a label
 window it hands out records where it lies in them (``LabelGrid.stored_at``),
-so the oracle reads that window's counts in four lookups per class. Any
-other label grid, a view of a stored window included, counts its own codes.
+so the oracle reads that window's counts as one key. Any other label grid,
+a view of a stored window included, counts its own codes.
 """
 
 from __future__ import annotations
@@ -161,32 +162,47 @@ class LabelTally:
     ``sd[i, j]`` counts the single-dot pixels of ``labels[:i, :j]`` and
     ``dd[i, j]`` its double-dot pixels, so any window's counts are four
     lookups per class; they are the exact integers counting the window's
-    codes gives. ``vectors`` keeps the oracle's probability vector of each
-    ``(pixels, single-dot, double-dot)`` triple met in this raster's windows.
+    codes gives. :meth:`window_keys` folds a window's two counts into one
+    key, once per window shape, and :meth:`key_rows` gives the same keys as
+    Python ints. ``vectors`` keeps the oracle's probability vector of each
+    ``(pixels, key)`` pair met in this raster's windows.
     """
 
     def __init__(self, codes: np.ndarray):
         self.sd = _summed_area(np.isin(codes, SINGLE_DOT_CODES))
         self.dd = _summed_area(codes == int(StateLabel.DOUBLE_DOT))
-        self.vectors: dict[tuple[int, int, int], object] = {}
+        self.vectors: dict[tuple[int, int], object] = {}
+        self._keys: dict[tuple[int, int], np.ndarray] = {}
+        self._key_rows: dict[tuple[int, int], list[list[int]]] = {}
 
-    def counts(self, row: int, col: int, n1: int, n2: int) -> tuple[int, int]:
-        """Single-dot and double-dot pixels of the ``n1 x n2`` window at ``(row, col)``."""
-        sd, dd = self.sd.item, self.dd.item
-        r1, c1 = row + n1, col + n2
-        return (
-            sd(r1, c1) - sd(row, c1) - sd(r1, col) + sd(row, col),
-            dd(r1, c1) - dd(row, c1) - dd(r1, col) + dd(row, col),
-        )
+    def window_keys(self, w1: int, w2: int) -> np.ndarray:
+        """The key ``sd * (w1 * w2 + 1) + dd`` of every ``w1 x w2`` window of
+        the raster, one per window start, from its single-dot count ``sd`` and
+        double-dot count ``dd``; :meth:`key_counts` gives back ``(sd, dd)``.
+        A read-only array, built the first time a shape is asked for."""
+        keys = self._keys.get((w1, w2))
+        if keys is None:
 
-    def window_counts(self, w1: int, w2: int) -> tuple[np.ndarray, np.ndarray]:
-        """Single-dot and double-dot counts of every ``w1 x w2`` window of the
-        raster, one per window start."""
+            def windows(summed: np.ndarray) -> np.ndarray:
+                return summed[w1:, w2:] - summed[:-w1, w2:] - summed[w1:, :-w2] + summed[:-w1, :-w2]
 
-        def windows(table: np.ndarray) -> np.ndarray:
-            return table[w1:, w2:] - table[:-w1, w2:] - table[w1:, :-w2] + table[:-w1, :-w2]
+            keys = self._keys[(w1, w2)] = _read_only(windows(self.sd) * (w1 * w2 + 1) + windows(self.dd))
+        return keys
 
-        return windows(self.sd), windows(self.dd)
+    @staticmethod
+    def key_counts(n: int, key: int) -> tuple[int, int]:
+        """Single-dot and double-dot pixels of a window of ``n`` pixels whose
+        counts :meth:`window_keys` folded into ``key``."""
+        return divmod(key, n + 1)
+
+    def key_rows(self, w1: int, w2: int) -> list[list[int]]:
+        """:meth:`window_keys` as nested lists of Python ints, ``rows[row][col]``,
+        built the first time a shape is asked for: one window's key is two
+        list lookups."""
+        rows = self._key_rows.get((w1, w2))
+        if rows is None:
+            rows = self._key_rows[(w1, w2)] = self.window_keys(w1, w2).tolist()
+        return rows
 
 
 @dataclass(eq=False)

@@ -28,6 +28,7 @@ from .fileio import check_header, checked, encode_blob, write_csv, write_json
 from .grids import DEFAULT_RESOLUTION_MV, DEFAULT_SPAN_MV, pixel_count
 from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, SimulatedDevice, acquire_with_labels
 from .tuner import (
+    DEFAULT_FITNESS,
     FitnessConfig,
     FixedSimplex,
     SimplexPolicy,
@@ -257,7 +258,7 @@ def neighborhood_experiment(
     policy: SimplexPolicy = FixedSimplex(75.0),
     span: tuple[float, float] = DEFAULT_SPAN_MV,
     resolution: float = DEFAULT_RESOLUTION_MV,
-    fitness_config: FitnessConfig = FitnessConfig(),
+    fitness_config: FitnessConfig = DEFAULT_FITNESS,
     term: TerminationConfig = TerminationConfig(),
     sandbox: Sandbox = Sandbox(),
     regions: SuccessRegions = SuccessRegions(),
@@ -338,7 +339,7 @@ def heatmap(
     policy: SimplexPolicy = FixedSimplex(100.0),
     grid_step: float = 10.0,
     span: tuple[float, float] = (30.0, 30.0),
-    fitness_config: FitnessConfig = FitnessConfig(),
+    fitness_config: FitnessConfig = DEFAULT_FITNESS,
     term: TerminationConfig = TerminationConfig(),
     sandbox: Sandbox = Sandbox(),
     regions: SuccessRegions = SuccessRegions(),
@@ -419,7 +420,7 @@ def fitness_landscape(
     source: PremeasuredScan,
     classifier=OracleClassifier(),
     window_span: tuple[float, float] = DEFAULT_SPAN_MV,
-    fitness_config: FitnessConfig = FitnessConfig(),
+    fitness_config: FitnessConfig = DEFAULT_FITNESS,
 ) -> LandscapeResult:
     """Exhaustive fitness map of a stored scan for one window size.
 
@@ -449,18 +450,13 @@ def fitness_landscape(
         if source.labels is None:
             raise ConfigurationError("oracle landscape needs ground-truth labels")
         tally = source.tally
-        n_px = w1 * w2
-        sd, dd = tally.window_counts(w1, w2)
-        # Windows share few (sd, dd) count pairs: score each distinct pair once.
-        keys, inverse = np.unique(sd * (n_px + 1) + dd, return_inverse=True)
-        n_sd, n_dd = np.divmod(keys, n_px + 1)
+        window_keys = tally.window_keys(w1, w2)
+        # Windows share few count keys: score each distinct key once.
+        keys, inverse = np.unique(window_keys, return_inverse=True)
         scores = np.array(
-            [
-                fitness(tally_probability(tally, n_px, s, d), fitness_config)
-                for s, d in zip(n_sd.tolist(), n_dd.tolist())
-            ]
+            [fitness(tally_probability(tally, w1 * w2, key), fitness_config) for key in keys.tolist()]
         )
-        values = scores[inverse].reshape(sd.shape)
+        values = scores[inverse].reshape(window_keys.shape)
         return LandscapeResult(values, center_v1, center_v2, (w1, w2))
 
     # windows[i, j] is the w1 x w2 window starting at pixel (i, j), a view.

@@ -10,9 +10,11 @@ A :class:`PremeasuredScan` owns what it stores: read-only copies of the
 sensor values, the axes and the label codes, and the codes' summed-area
 tally. Its windows, of every stride, are read-only views of those copies,
 checked once when the source was built; a stride-1 label window records
-where it lies in the tally, so the oracle counts it in four lookups per
-class. A window lies around the stored pixel center nearest its center,
-the first on a tie, found by one bisection of each stored axis.
+where it lies in the tally, so the oracle reads its counts as one key. The
+stride, pixel counts and metadata of a window are worked out once per span
+and resolution, and kept while they pass their checks. A window lies around
+the stored pixel center nearest its center, the first on a tie, found by
+one bisection of each stored axis.
 
 Scan files are a single JSON document: a self-describing header plus
 base64 blobs of little-endian float64 (values, axes) and int8 (labels)
@@ -81,10 +83,13 @@ class Sandbox:
         Written so that any NaN comparison refuses: a NaN center or span,
         or an infinite one, is never contained.
         """
-        for (lo, hi), c, s in zip((self.v1_range, self.v2_range), center, span):
-            if not (lo <= c - s / 2.0 and c + s / 2.0 <= hi):
-                return False
-        return True
+        (lo1, hi1), (lo2, hi2) = self.v1_range, self.v2_range
+        return (
+            lo1 <= center[0] - span[0] / 2.0
+            and center[0] + span[0] / 2.0 <= hi1
+            and lo2 <= center[1] - span[1] / 2.0
+            and center[1] + span[1] / 2.0 <= hi2
+        )
 
 
 @dataclass(frozen=True)
@@ -129,11 +134,45 @@ class PremeasuredScan:
             self.labels = _label_grid(codes, self.scan.v1_axis, self.scan.v2_axis)
         # The axes as Python floats too, for the nearest-pixel search of each window.
         self._axis_floats = (self.scan.v1_axis.tolist(), self.scan.v2_axis.tolist())
+        self._plans: dict[tuple, tuple[int, int, int, ScanMeta]] = {}
 
     @cached_property
     def tally(self) -> LabelTally:
         """Summed-area tables of the stored label codes."""
         return LabelTally(self.labels.labels)
+
+    def _window_plan(self, span: tuple[float, float], resolution: float) -> tuple[int, int, int, ScanMeta]:
+        """The stride, the pixel counts along v1 and v2, and the metadata of
+        every window of ``span`` at ``resolution``, worked out on the first
+        window and kept.
+
+        Raises UnsupportedResolutionError unless ``resolution`` is a whole
+        multiple, at least one, of the stored resolution, and
+        ConfigurationError unless ``span`` is a whole number of pixels; only
+        what passes is kept, so a bad request raises on every call.
+        """
+        key = (*span, resolution)
+        plan = self._plans.get(key)
+        if plan is not None:
+            return plan
+        native = self.scan.meta.resolution
+        if not math.isfinite(resolution):
+            raise UnsupportedResolutionError(f"requested resolution {resolution} mV/px is not finite")
+        if resolution < native * (1.0 - 1e-9):
+            raise UnsupportedResolutionError(
+                f"requested {resolution} mV/px is finer than the stored raster ({native} mV/px)"
+            )
+        ratio = resolution / native
+        if abs(ratio - round(ratio)) > 1e-9:
+            raise UnsupportedResolutionError(
+                f"requested {resolution} mV/px is not an integer multiple of {native} mV/px"
+            )
+        stride = int(round(ratio))
+        counts = [pixel_count(extent, resolution) for extent in span]
+        # A window keeps the stored spacing, times the stride.
+        meta = self.scan.meta if stride == 1 else ScanMeta(native * stride, self.scan.meta.acquisition_axis)
+        plan = self._plans[key] = (stride, counts[0], counts[1], meta)
+        return plan
 
 
 MeasurementSource = SimulatedDevice | PremeasuredScan
@@ -200,34 +239,17 @@ def acquire_with_labels(
         return scan, labels
 
     if isinstance(source, PremeasuredScan):
-        native = source.scan.meta.resolution
-        if not math.isfinite(resolution):
-            raise UnsupportedResolutionError(f"requested resolution {resolution} mV/px is not finite")
-        if resolution < native * (1.0 - 1e-9):
-            raise UnsupportedResolutionError(
-                f"requested {resolution} mV/px is finer than the stored raster ({native} mV/px)"
-            )
-        ratio = resolution / native
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise UnsupportedResolutionError(
-                f"requested {resolution} mV/px is not an integer multiple of {native} mV/px"
-            )
-        stride = int(round(ratio))
-
-        counts = [pixel_count(extent, resolution) for extent in span]
-
+        stride, n1, n2, meta = source._window_plan(span, resolution)
         axis1, axis2 = source._axis_floats
-        s1 = _crop_start(axis1, float(center[0]), counts[0], stride)
-        s2 = _crop_start(axis2, float(center[1]), counts[1], stride)
+        s1 = _crop_start(axis1, float(center[0]), n1, stride)
+        s2 = _crop_start(axis2, float(center[1]), n2, stride)
         if s1 is None or s2 is None:
             return Blocked("window falls outside the stored raster")
-        rows = slice(s1, s1 + stride * counts[0], stride)
-        cols = slice(s2, s2 + stride * counts[1], stride)
+        rows = slice(s1, s1 + stride * n1, stride)
+        cols = slice(s2, s2 + stride * n2, stride)
 
-        # Views of the source's read-only copies are read-only themselves. A
-        # window keeps the stored spacing, times the stride, of axes checked
-        # when the source was built, so nothing is checked again.
-        meta = source.scan.meta if stride == 1 else ScanMeta(native * stride, source.scan.meta.acquisition_axis)
+        # Views of the source's read-only copies are read-only themselves, of
+        # axes checked when the source was built, so nothing is checked again.
         v1, v2 = source.scan.v1_axis[rows], source.scan.v2_axis[cols]
         scan = _scan_grid(source.scan.values[rows, cols], v1, v2, meta)
         labels = None

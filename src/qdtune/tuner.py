@@ -58,6 +58,11 @@ class FitnessConfig:
             check_setting(self, name)
 
 
+#: The objective of every function that takes a ``FitnessConfig`` and is given
+#: none: one object, so a vector scored by one of them keeps its score for the others.
+DEFAULT_FITNESS = FitnessConfig()
+
+
 def _norm(d: np.ndarray) -> float:
     """``float(np.linalg.norm(d))`` of a real 1-d array, bit for bit, without
     its per-call overhead: numpy computes it as ``sqrt(d.dot(d))``. The dot
@@ -73,14 +78,23 @@ def penalty_g(x: float, steepness: float = FitnessConfig.steepness) -> float:
     return (math.atan(steepness * (x - 0.5)) + half) / (2.0 * half)
 
 
-def fitness(p: ProbabilityVector, config: FitnessConfig = FitnessConfig()) -> float:
-    """Tuning objective for one probability vector (lower is better)."""
+def fitness(p: ProbabilityVector, config: FitnessConfig = DEFAULT_FITNESS) -> float:
+    """Tuning objective for one probability vector (lower is better).
+
+    The vector keeps its last score with the config it was scored under, in
+    an attribute that is not a field, so a vector the oracle shares between
+    windows is scored once per config.
+    """
+    scored = getattr(p, "_scored", None)
+    if scored is not None and scored[0] is config:
+        return scored[1]
     t = config.p_target
     delta = _norm(np.array([t.p_none - p.p_none, t.p_sd - p.p_sd, t.p_dd - p.p_dd]))
     delta += config.alpha * penalty_g(p.p_none, config.steepness)
     delta += config.beta * penalty_g(p.p_sd, config.steepness)
     if config.cap:
         delta = min(delta, config.blocked_fitness)
+    object.__setattr__(p, "_scored", (config, delta))
     return delta
 
 
@@ -166,6 +180,11 @@ class TerminationConfig:
         for name in ("fitness_tolerance", "simplex_size_tolerance"):
             check_setting(self, name)
         check_count("TerminationConfig.max_iterations", self.max_iterations)
+        if self.max_iterations < 3:
+            raise ConfigurationError(
+                "TerminationConfig.max_iterations must be at least 3, the measurements of the initial "
+                f"simplex, got {self.max_iterations}"
+            )
 
 
 @dataclass(eq=False)
@@ -214,9 +233,11 @@ def nelder_mead(
         if f_worst - f_best < term.fitness_tolerance:
             reason = "fitness_converged"
             break
+        # The diameter is below the tolerance when every edge is; most steps
+        # decide that on the first edge.
         pairs = ((best, good), (best, worst), (good, worst))
-        diameter = max(_norm(np.array([p[0] - q[0], p[1] - q[1]])) for p, q in pairs)
-        if diameter < term.simplex_size_tolerance:
+        tolerance = term.simplex_size_tolerance
+        if all(_norm(np.array([p[0] - q[0], p[1] - q[1]])) < tolerance for p, q in pairs):
             reason = "simplex_converged"
             break
         if used >= term.max_iterations:
@@ -336,7 +357,7 @@ def autotune(
     start: tuple[float, float],
     span: tuple[float, float] = DEFAULT_SPAN_MV,
     resolution: float = DEFAULT_RESOLUTION_MV,
-    fitness_config: FitnessConfig = FitnessConfig(),
+    fitness_config: FitnessConfig = DEFAULT_FITNESS,
     policy: SimplexPolicy = FixedSimplex(75.0),
     term: TerminationConfig = TerminationConfig(),
     sandbox: Sandbox = Sandbox(),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdtune as q
-from qdtune.grids import LabelTally
+from qdtune.grids import SINGLE_DOT_CODES, LabelTally
 
 RES = 2.0
 
@@ -219,3 +219,73 @@ class TestLandscapeReadsTheTally:
         got = q.fitness_landscape(q.PremeasuredScan(scan, labels), window_span=span)
         expect = q.fitness_landscape(q.PremeasuredScan(scan, copied), window_span=span)
         assert got.values.tobytes() == expect.values.tobytes()
+
+
+def _brute_counts(window):
+    """Single-dot and double-dot pixels of a code window, counted directly."""
+    return int(np.isin(window, SINGLE_DOT_CODES).sum()), int((window == int(q.StateLabel.DOUBLE_DOT)).sum())
+
+
+class TestKeyTable:
+    """One count key per window start and window shape, read by the oracle."""
+
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 7), (9, 1), (5, 8), (17, 13), (40, 33)])
+    @pytest.mark.parametrize("shape", ["1x1", "nx1", "1xm", "full"])
+    def test_every_key_decodes_to_the_window_counts(self, n1, n2, shape):
+        codes = np.random.default_rng(n1 * 100 + n2).integers(0, 5, size=(n1, n2)).astype(np.int8)
+        w1, w2 = {"1x1": (1, 1), "nx1": (n1, 1), "1xm": (1, n2), "full": (n1, n2)}[shape]
+        tally = LabelTally(codes)
+        keys, rows = tally.window_keys(w1, w2), tally.key_rows(w1, w2)
+        assert keys.shape == (n1 - w1 + 1, n2 - w2 + 1)
+        assert not keys.flags.writeable
+        assert rows == keys.tolist()
+        for r in range(n1 - w1 + 1):
+            for c in range(n2 - w2 + 1):
+                key = rows[r][c]
+                assert type(key) is int
+                assert divmod(key, w1 * w2 + 1) == _brute_counts(codes[r : r + w1, c : c + w2])
+
+    def test_each_shape_is_built_once(self):
+        tally = LabelTally(_all_codes_raster(np.random.default_rng(8), 12, 9))
+        assert tally.window_keys(3, 4) is tally.window_keys(3, 4)
+        assert tally.key_rows(3, 4) is tally.key_rows(3, 4)
+        assert tally.window_keys(4, 3) is not tally.window_keys(3, 4)
+
+    def test_the_table_is_built_when_the_oracle_first_reads_a_shape(self):
+        source = _source(_all_codes_raster(np.random.default_rng(9), 10, 10))
+        window = _stored_window(source, slice(2, 5), slice(1, 7))
+        assert not source.tally._keys and not source.tally._key_rows  # cutting the window builds none
+        q.oracle_probability(window)
+        assert list(source.tally._key_rows) == [(3, 6)]
+
+    def test_every_stride_one_window_of_the_study_scan(self, reference_source):
+        """Each 60 x 60 mV window at 2 mV/px of the 200 x 200 px scan: the
+        key gives the vector of the window's own codes, counted."""
+        v1, v2 = reference_source.scan.v1_axis.tolist(), reference_source.scan.v2_axis.tolist()
+        n = 30
+        seen = 0
+        for i in range(n // 2, len(v1) - n // 2 + 1):
+            for j in range(n // 2, len(v2) - n // 2 + 1):
+                _, labels = q.acquire_with_labels(reference_source, (v1[i], v2[j]), (60.0, 60.0), 2.0)
+                assert labels.stored_at[1:] == (i - n // 2, j - n // 2)
+                counts = np.bincount(labels.labels.ravel(), minlength=5)
+                expect = q.ProbabilityVector.from_counts(n * n, int(counts[1:4].sum()), int(counts[4]))
+                assert _same_bits(q.oracle_probability(labels), expect)
+                seen += 1
+        assert seen == (len(v1) - n + 1) * (len(v2) - n + 1)
+
+    @pytest.mark.parametrize("stride", [2, 3])
+    def test_strided_windows_count_their_own_codes(self, stride, reference_scan, monkeypatch):
+        source = q.PremeasuredScan(*reference_scan)
+
+        def refuse(*args):
+            raise AssertionError("a strided window read the key table")
+
+        monkeypatch.setattr(LabelTally, "key_rows", refuse)
+        monkeypatch.setattr(LabelTally, "window_keys", refuse)
+        for center in ((301.0, 330.0), (250.0, 420.0), (400.0, 300.0)):
+            _, labels = q.acquire_with_labels(source, center, (60.0, 60.0), 2.0 * stride)
+            assert labels.stored_at is None
+            n_sd, n_dd = _brute_counts(labels.labels)
+            expect = q.ProbabilityVector.from_counts(labels.labels.size, n_sd, n_dd)
+            assert _same_bits(q.oracle_probability(labels), expect)

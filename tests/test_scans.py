@@ -424,3 +424,79 @@ class TestScanFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(q.ScanFormatError):
             q.load_scan(tmp_path / "nope.qdscan.json")
+
+
+def _window_bytes(result):
+    scan, labels = result
+    return (
+        scan.values.tobytes(), scan.v1_axis.tobytes(), scan.v2_axis.tobytes(), scan.meta,
+        labels.labels.tobytes(), labels.stored_at,
+    )
+
+
+class TestWindowPlan:
+    """A stored scan works out a window's stride, pixel counts and metadata
+    once per span and resolution, and keeps only what passed its checks."""
+
+    @pytest.mark.parametrize(
+        "resolution, match",
+        [(1.0, "finer than the stored raster"), (3.0, "not an integer multiple"), (NAN, "not finite"),
+         (INF, "not finite")],
+        ids=["finer", "fraction", "nan", "inf"],
+    )
+    def test_a_bad_resolution_raises_on_every_call(self, resolution, match, reference_scan):
+        source = q.PremeasuredScan(*reference_scan)
+        q.acquire_with_labels(source, (301.0, 330.0), (60.0, 60.0), 2.0)  # a good plan first
+        for _ in range(3):
+            with pytest.raises(q.UnsupportedResolutionError, match=match):
+                q.acquire_with_labels(source, (301.0, 330.0), (60.0, 60.0), resolution)
+        assert list(source._plans) == [(60.0, 60.0, 2.0)]
+
+    @pytest.mark.parametrize("span", [(61.0, 60.0), (60.0, 0.5), [60.0, 61.0], np.array([61.0, 61.0])])
+    def test_a_span_of_part_pixels_raises_on_every_call(self, span, reference_scan):
+        source = q.PremeasuredScan(*reference_scan)
+        for _ in range(3):
+            with pytest.raises(q.ConfigurationError, match=r"span (61|0\.5)"):
+                q.acquire_with_labels(source, (301.0, 330.0), span, 2.0)
+        assert source._plans == {}
+
+    @pytest.mark.parametrize("resolution", [2.0, 4.0, 6.0])
+    def test_list_and_numpy_spans_give_the_tuple_windows(self, resolution, reference_scan):
+        source = q.PremeasuredScan(*reference_scan)
+        for center in ((301.0, 330.0), (250.0, 420.0), (477.0, 199.0)):
+            expect = _window_bytes(q.acquire_with_labels(source, center, (60.0, 36.0), resolution))
+            for span in ([60.0, 36.0], np.array([60.0, 36.0]), (np.float64(60.0), 36), [60, 36]):
+                assert _window_bytes(q.acquire_with_labels(source, center, span, resolution)) == expect
+        assert len(source._plans) == 1
+
+    def test_sources_of_other_native_resolutions_never_share_a_plan(self, reference_params):
+        fine = q.PremeasuredScan(*q.render_scan(reference_params, (325.0, 350.0), (400.0, 400.0), 2.0))
+        coarse = q.PremeasuredScan(*q.render_scan(reference_params, (325.0, 350.0), (400.0, 400.0), 4.0))
+        for first, second in ((fine, coarse), (coarse, fine)):
+            for source in (first, second):
+                scan, labels = q.acquire_with_labels(source, (301.0, 330.0), (60.0, 60.0), 4.0)
+                assert scan.shape == (15, 15)
+                assert scan.meta == q.ScanMeta(4.0)
+                if source is coarse:
+                    assert scan.meta is coarse.scan.meta and labels.stored_at is not None
+                    assert np.diff(scan.v1_axis).tolist() == [4.0] * 14
+                else:
+                    assert labels.stored_at is None
+                    assert np.shares_memory(scan.v1_axis, fine.scan.v1_axis) and scan.v1_axis.strides == (16,)
+        assert fine._plans[(60.0, 60.0, 4.0)][0] == 2 and coarse._plans[(60.0, 60.0, 4.0)][0] == 1
+
+    @pytest.mark.parametrize("stride", [2, 3, 5])
+    def test_a_strided_window_has_the_stored_resolution_times_the_stride(self, stride, reference_scan):
+        source = q.PremeasuredScan(*reference_scan)
+        metas = []
+        for center in ((301.0, 330.0), (260.0, 410.0)):
+            scan, _ = q.acquire_with_labels(source, center, (60.0, 60.0), 2.0 * stride)
+            assert scan.meta.resolution == 2.0 * stride
+            assert scan.meta.acquisition_axis == source.scan.meta.acquisition_axis
+            metas.append(scan.meta)
+        assert metas[0] is metas[1]  # one metadata object per plan
+
+    def test_a_refused_window_makes_no_plan(self, reference_scan):
+        source = q.PremeasuredScan(*reference_scan)
+        assert isinstance(q.acquire_with_labels(source, (10.0, 330.0), (60.0, 60.0), 3.0), Blocked)
+        assert source._plans == {}

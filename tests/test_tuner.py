@@ -367,3 +367,32 @@ class TestRunSerialization:
         # repr() floats reparse exactly
         for row, step in zip(rows[1:], run.steps):
             assert float(row[6]) == step.fitness
+
+
+class TestBudgetMinimum:
+    """The initial simplex takes three measurements, so a smaller budget is refused."""
+
+    @pytest.mark.parametrize("budget", [1, 2, np.int64(2)])
+    def test_budgets_below_three_are_refused_by_name(self, budget):
+        with pytest.raises(q.ConfigurationError, match=f"TerminationConfig.max_iterations must be at least 3, .* got {budget}$"):
+            q.TerminationConfig(max_iterations=budget)
+
+    def test_a_budget_of_three_measures_three_windows(self, reference_params, oracle):
+        source = q.SimulatedDevice(reference_params)
+        run = q.autotune(source, oracle, (350.0, 400.0), term=q.TerminationConfig(max_iterations=3))
+        assert run.iteration_count == 3
+        assert run.outcome.kind in ("converged", "max_iterations")
+
+    def test_config_file_budget_below_three_is_refused(self, tmp_path, capsys):
+        from qdtune.cli import main
+
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"termination": {"max_iterations": 2}}))
+        rc = main(
+            ["tune", "--config", str(config), "--source", "sim", "--start", "300,300", "--out", str(tmp_path)]
+        )
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigurationError"
+        assert "TerminationConfig.max_iterations must be at least 3" in err["message"]
+        assert not (tmp_path / "run.json").exists()

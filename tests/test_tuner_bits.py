@@ -16,7 +16,10 @@ The values are equal, and no voltage of a real run comes near 5e-324 mV.
 """
 
 import dataclasses
+import gc
+import inspect
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -400,3 +403,66 @@ class TestSettingsRefuseNonFinite:
     def test_fixed_simplex(self, value):
         with pytest.raises(q.ConfigurationError, match="FixedSimplex.delta "):
             q.FixedSimplex(value)
+
+
+def _bits(value):
+    return float(value).hex()
+
+
+class TestScoreReuse:
+    """A vector keeps its last score with the config it was scored under; a
+    reused score has the bits of a fresh one."""
+
+    @pytest.mark.parametrize("center", [(300.0, 330.0), (250.0, 420.0), (450.0, 480.0)])
+    def test_a_shared_vector_scored_under_two_configs(self, center, reference_source):
+        a = q.FitnessConfig()
+        b = q.FitnessConfig(alpha=2.5, cap=False)
+        p = q.oracle_probability(q.acquire_with_labels(reference_source, center, (60.0, 60.0), 2.0)[1])
+        again = q.oracle_probability(q.acquire_with_labels(reference_source, center, (60.0, 60.0), 2.0)[1])
+        assert again is p  # the stored scan shares one vector per count key
+        for config in (a, b, a, a, b):
+            fresh = q.ProbabilityVector(p.p_none, p.p_sd, p.p_dd)
+            expect = q.fitness(fresh, config)
+            assert _bits(q.fitness(p, config)) == _bits(expect) == _bits(_reference_fitness(fresh, config))
+
+    def test_an_equal_config_is_scored_again_to_the_same_bits(self):
+        p = q.ProbabilityVector.from_counts(900, 200, 300)
+        first = q.fitness(p, q.FitnessConfig(alpha=0.7))
+        assert _bits(q.fitness(p, q.FitnessConfig(alpha=0.7))) == _bits(first)
+
+    @given(
+        p=probability_vectors(),
+        configs=st.lists(fitness_configs(), min_size=1, max_size=4),
+        order=st.lists(st.integers(0, 3), max_size=12),
+    )
+    @settings(max_examples=200)
+    def test_any_order_of_configs(self, p, configs, order):
+        for k in order + list(range(len(configs))):
+            config = configs[k % len(configs)]
+            assert _bits(q.fitness(p, config)) == _bits(_reference_fitness(p, config))
+
+    def test_the_score_is_not_a_field(self):
+        p = q.ProbabilityVector.from_counts(900, 100, 700)
+        fresh = q.ProbabilityVector.from_counts(900, 100, 700)
+        q.fitness(p)
+        assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+        assert [f.name for f in dataclasses.fields(p)] == ["p_none", "p_sd", "p_dd"]
+
+    def test_a_fresh_vector_is_collected_after_it_is_scored(self):
+        config = q.FitnessConfig()
+        p = q.ProbabilityVector(0.25, 0.25, 0.5)
+        q.fitness(p, config)
+        ref = weakref.ref(p)
+        del p
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize(
+        "function, name",
+        [(q.fitness, "config"), (q.autotune, "fitness_config"), (q.neighborhood_experiment, "fitness_config"),
+         (q.heatmap, "fitness_config"), (q.fitness_landscape, "fitness_config")],
+        ids=["fitness", "autotune", "neighborhood_experiment", "heatmap", "fitness_landscape"],
+    )
+    def test_every_default_objective_is_one_object(self, function, name):
+        """So the landscape of a stored scan reuses the scores its tuning runs left."""
+        assert inspect.signature(function).parameters[name].default is q.tuner.DEFAULT_FITNESS
