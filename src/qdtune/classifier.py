@@ -24,6 +24,7 @@ keeps its 2-d mini-batches.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,10 +113,10 @@ class ProbabilityVector:
 def oracle_probability(labels: LabelGrid) -> ProbabilityVector:
     """Exact probability vector from a ground-truth label raster.
 
-    A stride-1 window of a stored scan reads its count key off the stored
-    codes' tally and shares one vector per key with that scan's other
-    windows; any other grid counts its codes. Both give the same integers,
-    so the same floats.
+    A stride-1 window of a stored scan reads its vector off the oracle table
+    of its shape, shared with that scan's other windows of equal counts; any
+    other grid counts its codes. Both give the same integers, so the same
+    floats.
     """
     codes = labels.labels
     n = codes.size
@@ -123,21 +124,41 @@ def oracle_probability(labels: LabelGrid) -> ProbabilityVector:
         raise ShapeError("label raster is empty")
     if labels.stored_at is not None:
         tally, row, col = labels.stored_at
-        return tally_probability(tally, n, tally.key_rows(*codes.shape)[row][col])
+        return oracle_table(tally, *codes.shape).rows[row][col]
     counts = np.bincount(codes.ravel(), minlength=MAX_STATE_CODE + 1)
     n_sd = int(counts[list(SINGLE_DOT_CODES)].sum())
     n_dd = int(counts[StateLabel.DOUBLE_DOT])
     return ProbabilityVector.from_counts(n, n_sd, n_dd)
 
 
-def tally_probability(tally: LabelTally, n: int, key: int) -> ProbabilityVector:
-    """The oracle's vector of a window of ``n`` pixels whose counts
-    :meth:`LabelTally.window_keys` folds into ``key``, built once per
-    ``(n, key)`` pair of ``tally``'s raster."""
-    vector = tally.vectors.get((n, key))
-    if vector is None:
-        vector = tally.vectors[(n, key)] = ProbabilityVector.from_counts(n, *LabelTally.key_counts(n, key))
-    return vector
+class OracleTable(NamedTuple):
+    """The oracle's vectors of every window of one shape; see :func:`oracle_table`."""
+
+    vectors: list[ProbabilityVector]
+    index: np.ndarray
+    rows: list[list[ProbabilityVector]]
+
+
+def oracle_table(tally: LabelTally, w1: int, w2: int) -> OracleTable:
+    """The oracle table of the ``w1 x w2`` windows of ``tally``'s raster,
+    built the first time the shape is asked for and kept in ``tally.tables``.
+
+    ``vectors`` holds one vector per distinct pair of single-dot and
+    double-dot counts. ``index[row, col]``, read-only, is the position in
+    ``vectors`` of the window whose first pixel is ``(row, col)``, and
+    ``rows[row][col]`` is that vector. A window of ``n`` pixels folds its
+    counts into the key ``sd * (n + 1) + dd`` here and nowhere else.
+    """
+    table = tally.tables.get((w1, w2))
+    if table is None:
+        n = w1 * w2
+        sd, dd = tally.window_counts(w1, w2)
+        keys, inverse = np.unique(sd * (n + 1) + dd, return_inverse=True)
+        vectors = [ProbabilityVector.from_counts(n, *divmod(key, n + 1)) for key in keys.tolist()]
+        index = _read_only(inverse.reshape(sd.shape))
+        rows = np.array(vectors, dtype=object)[index].tolist()
+        table = tally.tables[(w1, w2)] = OracleTable(vectors, index, rows)
+    return table
 
 
 # --- dataset ---------------------------------------------------------------

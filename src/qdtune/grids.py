@@ -10,11 +10,12 @@ checks only that the axes strictly increase; the copies a
 views of those read-only copies.
 
 A :class:`LabelTally` holds the summed-area tables of one label raster
-and, per window shape, one count key per window start.
-``scans.PremeasuredScan`` owns the tally of its stored codes, and a label
-window it hands out records where it lies in them (``LabelGrid.stored_at``),
-so the oracle reads that window's counts as one key. Any other label grid,
-a view of a stored window included, counts its own codes.
+and the oracle's table of each window shape met in it
+(``classifier.oracle_table``). ``scans.PremeasuredScan`` owns the tally of
+its stored codes, and a label window it hands out records where it lies in
+them (``LabelGrid.stored_at``), so the oracle reads that window's vector off
+the table. Any other label grid, a view of a stored window included, counts
+its own codes.
 """
 
 from __future__ import annotations
@@ -162,47 +163,19 @@ class LabelTally:
     ``sd[i, j]`` counts the single-dot pixels of ``labels[:i, :j]`` and
     ``dd[i, j]`` its double-dot pixels, so any window's counts are four
     lookups per class; they are the exact integers counting the window's
-    codes gives. :meth:`window_keys` folds a window's two counts into one
-    key, once per window shape, and :meth:`key_rows` gives the same keys as
-    Python ints. ``vectors`` keeps the oracle's probability vector of each
-    ``(pixels, key)`` pair met in this raster's windows.
+    codes gives. ``tables`` keeps the oracle's table of each window shape
+    ``(w1, w2)``, which ``classifier.oracle_table`` builds on first use.
     """
 
     def __init__(self, codes: np.ndarray):
         self.sd = _summed_area(np.isin(codes, SINGLE_DOT_CODES))
         self.dd = _summed_area(codes == int(StateLabel.DOUBLE_DOT))
-        self.vectors: dict[tuple[int, int], object] = {}
-        self._keys: dict[tuple[int, int], np.ndarray] = {}
-        self._key_rows: dict[tuple[int, int], list[list[int]]] = {}
+        self.tables: dict[tuple[int, int], object] = {}
 
-    def window_keys(self, w1: int, w2: int) -> np.ndarray:
-        """The key ``sd * (w1 * w2 + 1) + dd`` of every ``w1 x w2`` window of
-        the raster, one per window start, from its single-dot count ``sd`` and
-        double-dot count ``dd``; :meth:`key_counts` gives back ``(sd, dd)``.
-        A read-only array, built the first time a shape is asked for."""
-        keys = self._keys.get((w1, w2))
-        if keys is None:
-
-            def windows(summed: np.ndarray) -> np.ndarray:
-                return summed[w1:, w2:] - summed[:-w1, w2:] - summed[w1:, :-w2] + summed[:-w1, :-w2]
-
-            keys = self._keys[(w1, w2)] = _read_only(windows(self.sd) * (w1 * w2 + 1) + windows(self.dd))
-        return keys
-
-    @staticmethod
-    def key_counts(n: int, key: int) -> tuple[int, int]:
-        """Single-dot and double-dot pixels of a window of ``n`` pixels whose
-        counts :meth:`window_keys` folded into ``key``."""
-        return divmod(key, n + 1)
-
-    def key_rows(self, w1: int, w2: int) -> list[list[int]]:
-        """:meth:`window_keys` as nested lists of Python ints, ``rows[row][col]``,
-        built the first time a shape is asked for: one window's key is two
-        list lookups."""
-        rows = self._key_rows.get((w1, w2))
-        if rows is None:
-            rows = self._key_rows[(w1, w2)] = self.window_keys(w1, w2).tolist()
-        return rows
+    def window_counts(self, w1: int, w2: int) -> tuple[np.ndarray, np.ndarray]:
+        """Single-dot and double-dot pixels of every ``w1 x w2`` window of the
+        raster, as two arrays with one entry per window start."""
+        return tuple(s[w1:, w2:] - s[:-w1, w2:] - s[w1:, :-w2] + s[:-w1, :-w2] for s in (self.sd, self.dd))
 
 
 @dataclass(eq=False)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import device as device_model
-from .classifier import ModelClassifier, OracleClassifier, oracle_probability, tally_probability
+from .classifier import ModelClassifier, OracleClassifier, oracle_probability, oracle_table
 from .errors import ConfigurationError, DomainError, ScanFormatError, ShapeError
 from .fileio import check_header, checked, encode_blob, write_csv, write_json
 from .grids import DEFAULT_RESOLUTION_MV, DEFAULT_SPAN_MV, pixel_count
@@ -122,7 +122,11 @@ def _run_batch(
     term,
     sandbox,
 ) -> list[TuningRun]:
-    """One tuning run per start, in start order."""
+    """One tuning run per start, in start order. A start outside the sandbox
+    raises ConfigurationError before any run."""
+    for start in starts:
+        if not sandbox.contains_point(start):
+            raise ConfigurationError(f"start {start} lies outside the sandbox; nothing was run")
     return [
         autotune(
             source,
@@ -209,6 +213,10 @@ class ExperimentReport:
             raise ScanFormatError(f"report is missing field {exc.args[0]!r}") from exc
         if report.n_runs < 1:
             raise ScanFormatError(f"report field 'n_runs' must be positive, got {report.n_runs}")
+        scored = report.n_ideal + report.n_close + report.n_fail
+        for where, runs in (("iterations.per_run", len(per_run)), ("counts", scored)):
+            if runs != report.n_runs:
+                raise ScanFormatError(f"report field {where!r} holds {runs} runs, not the {report.n_runs} of 'n_runs'")
         return report
 
 
@@ -277,12 +285,6 @@ def neighborhood_experiment(
     starts = [
         (float(point[0] + d1), float(point[1] + d2)) for d1 in offsets for d2 in offsets
     ]
-    for start in starts:
-        if not sandbox.contains_point(start):
-            raise ConfigurationError(
-                f"neighborhood start {start} lies outside the sandbox; nothing was run"
-            )
-
     runs = _run_batch(
         starts, source, classifier, span, resolution, fitness_config, policy, term, sandbox
     )
@@ -351,8 +353,9 @@ def heatmap(
     largest step plus half a window clear, the high edge half a window.
     Windows are measured at the stored raster's resolution on a scan and
     at ``DEFAULT_RESOLUTION_MV`` on a simulated device. A grid step that is
-    not a positive finite number, or a span that is not a whole number of
-    pixels, raises ConfigurationError before any run.
+    not a positive finite number, a span that is not a whole number of
+    pixels, or a start outside the sandbox raises ConfigurationError before
+    any run.
     """
     resolution = source.scan.meta.resolution if isinstance(source, PremeasuredScan) else DEFAULT_RESOLUTION_MV
     if not 0.0 < grid_step < math.inf:
@@ -449,15 +452,10 @@ def fitness_landscape(
     if isinstance(classifier, OracleClassifier):
         if source.labels is None:
             raise ConfigurationError("oracle landscape needs ground-truth labels")
-        tally = source.tally
-        window_keys = tally.window_keys(w1, w2)
-        # Windows share few count keys: score each distinct key once.
-        keys, inverse = np.unique(window_keys, return_inverse=True)
-        scores = np.array(
-            [fitness(tally_probability(tally, w1 * w2, key), fitness_config) for key in keys.tolist()]
-        )
-        values = scores[inverse].reshape(window_keys.shape)
-        return LandscapeResult(values, center_v1, center_v2, (w1, w2))
+        # Windows share few vectors: score each distinct one once.
+        table = oracle_table(source.tally, w1, w2)
+        scores = np.array([fitness(p, fitness_config) for p in table.vectors])
+        return LandscapeResult(scores[table.index], center_v1, center_v2, (w1, w2))
 
     # windows[i, j] is the w1 x w2 window starting at pixel (i, j), a view.
     windows = np.lib.stride_tricks.sliding_window_view(source.scan.values, (w1, w2))

@@ -10,11 +10,11 @@ A :class:`PremeasuredScan` owns what it stores: read-only copies of the
 sensor values, the axes and the label codes, and the codes' summed-area
 tally. Its windows, of every stride, are read-only views of those copies,
 checked once when the source was built; a stride-1 label window records
-where it lies in the tally, so the oracle reads its counts as one key. The
-stride, pixel counts and metadata of a window are worked out once per span
-and resolution, and kept while they pass their checks. A window lies around
-the stored pixel center nearest its center, the first on a tie, found by
-one bisection of each stored axis.
+where it lies in the tally, so the oracle reads its vector off the tally's
+table of that window shape. The stride, pixel counts and metadata of a
+window are worked out once per span and resolution, and kept while they
+pass their checks. A window lies around the stored pixel center nearest its
+center, the first on a tie, found by one bisection of each stored axis.
 
 Scan files are a single JSON document: a self-describing header plus
 base64 blobs of little-endian float64 (values, axes) and int8 (labels)
@@ -108,6 +108,15 @@ class SimulatedDevice:
     noise_seed: int = 0
 
 
+def _check_label_axes(scan: ScanGrid, labels: LabelGrid) -> None:
+    """Raise ShapeError, naming the axis, unless ``labels`` lie on ``scan``'s
+    axes. A LabelGrid's shape is its axes' sizes, so equal axes mean equal
+    shapes."""
+    for name in ("v1_axis", "v2_axis"):
+        if not np.array_equal(getattr(labels, name), getattr(scan, name)):
+            raise ShapeError(f"label raster {name} does not match the scan's {name}")
+
+
 @dataclass(eq=False)
 class PremeasuredScan:
     """Measurement source backed by one full-range stored raster.
@@ -126,10 +135,7 @@ class PremeasuredScan:
         scan = self.scan
         self.scan = _scan_grid(*(_read_only(a.copy()) for a in (scan.values, scan.v1_axis, scan.v2_axis)), scan.meta)
         if self.labels is not None:
-            # A LabelGrid's shape is its axes' sizes, so equal axes mean equal shapes.
-            for name in ("v1_axis", "v2_axis"):
-                if not np.array_equal(getattr(self.labels, name), getattr(self.scan, name)):
-                    raise ShapeError(f"label raster {name} does not match the scan's {name}")
+            _check_label_axes(self.scan, self.labels)
             codes = _read_only(self.labels.labels.copy())
             self.labels = _label_grid(codes, self.scan.v1_axis, self.scan.v2_axis)
         # The axes as Python floats too, for the nearest-pixel search of each window.
@@ -268,9 +274,9 @@ _LABEL_CODE_TABLE = {label.name: int(label) for label in StateLabel}
 
 
 def save_scan(scan: ScanGrid, path, labels: LabelGrid | None = None) -> None:
-    """Write a scan (and optional ground-truth labels) as one JSON document."""
-    if labels is not None and labels.shape != scan.shape:
-        raise ShapeError("label raster shape does not match the scan")
+    """Write a scan (and optional ground-truth labels on the scan's axes) as one JSON document."""
+    if labels is not None:
+        _check_label_axes(scan, labels)
     doc = {
         **SCAN_HEADER,
         "resolution_mv": scan.meta.resolution,

@@ -381,6 +381,21 @@ class TestExperiments:
         assert value in err["message"]
         assert not (tmp_path / "heatmap.json").exists()
 
+    def test_heatmap_start_outside_the_configured_sandbox_runs_nothing(self, tmp_path, scan_file, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run was started")
+
+        monkeypatch.setattr(harness_mod, "autotune", no_run)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sandbox": {"v1_range": [0, 350], "v2_range": [0, 600]}}))
+        out = tmp_path / "out"
+        rc = main(["heatmap", "--source", f"scan:{scan_file}", "--config", str(config), "--grid-step", "40", "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigurationError"
+        assert "(355.0, 345.0) lies outside the sandbox; nothing was run" in err["message"]
+        assert not (out / "heatmap.json").exists()
+
     def test_landscape(self, tmp_path, scan_file):
         rc = main(["landscape", "--source", f"scan:{scan_file}", "--out", str(tmp_path)])
         assert rc == 0

@@ -183,9 +183,12 @@ class TestReportFile:
             (lambda doc: doc["outcomes"].update(stalled=None), "'outcomes.stalled'"),
             (lambda doc: doc.update(runs={}), "'runs'"),
             (lambda doc: doc.pop("counts"), "missing field 'counts'"),
+            (lambda doc: doc["iterations"].update(per_run=[7, 7, 7]), "'iterations.per_run' holds 3 runs, not the 81"),
+            (lambda doc: doc["counts"].update(fail=500), "'counts' holds 5.. runs, not the 81"),
         ],
         ids=["point", "fractional_n_runs", "zero_n_runs", "nan_success_rate", "policy", "bool_count",
-             "string_per_run", "fractional_per_run", "null_outcome", "runs", "missing_counts"],
+             "string_per_run", "fractional_per_run", "null_outcome", "runs", "missing_counts",
+             "per_run_not_n_runs", "counts_not_n_runs"],
     )
     def test_malformed_field_is_format_error_naming_it(self, report, mutate, field):
         doc = json.loads(json.dumps(report.to_json_dict()))
@@ -232,6 +235,17 @@ class TestHeatmap:
         assert result.v2_starts[0] == 265.0 and result.v2_starts[-1] == 535.0
         assert result.policy_name == "fixed100"
         assert ((result.weights == 0) | (result.weights == 0.5) | (result.weights == 1)).all()
+
+    def test_start_outside_the_sandbox_runs_nothing(self, reference_source, oracle, monkeypatch):
+        """The stored scan reaches past the sandbox, so some starts of its grid
+        lie outside it: the heatmap refuses them before its first run."""
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run was started")
+
+        monkeypatch.setattr(harness_mod, "autotune", no_run)
+        with pytest.raises(q.ConfigurationError, match=r"start \(410.0, 265.0\) lies outside the sandbox; nothing was run"):
+            q.heatmap(reference_source, oracle, sandbox=q.Sandbox((0.0, 400.0), (0.0, 600.0)))
 
     def test_policy_reach(self):
         assert q.FixedSimplex(75.0).reach == 75.0

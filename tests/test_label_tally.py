@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdtune as q
+from qdtune import classifier as classifier_mod
+from qdtune.classifier import oracle_table
 from qdtune.grids import SINGLE_DOT_CODES, LabelTally
+from qdtune.tuner import DEFAULT_FITNESS
 
 RES = 2.0
 
@@ -220,6 +223,23 @@ class TestLandscapeReadsTheTally:
         expect = q.fitness_landscape(q.PremeasuredScan(scan, copied), window_span=span)
         assert got.values.tobytes() == expect.values.tobytes()
 
+    def test_a_later_landscape_reads_the_kept_table(self, reference_scan, monkeypatch):
+        """A second landscape of the same window shape, under either config,
+        builds nothing and gives the bytes of a fresh source's landscape."""
+        configs = (q.FitnessConfig(alpha=2.5, cap=False), DEFAULT_FITNESS)
+        expect = [q.fitness_landscape(q.PremeasuredScan(*reference_scan), fitness_config=c) for c in configs]
+        source = q.PremeasuredScan(*reference_scan)
+        q.fitness_landscape(source)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a landscape built its table again")
+
+        monkeypatch.setattr(np, "unique", refuse)
+        monkeypatch.setattr(LabelTally, "window_counts", refuse)
+        for config, fresh in zip(configs, expect):
+            got = q.fitness_landscape(source, fitness_config=config)
+            assert got.values.tobytes() == fresh.values.tobytes()
+
 
 def _brute_counts(window):
     """Single-dot and double-dot pixels of a code window, counted directly."""
@@ -227,40 +247,52 @@ def _brute_counts(window):
 
 
 class TestKeyTable:
-    """One count key per window start and window shape, read by the oracle."""
+    """One oracle table per window shape: a shared vector per distinct count
+    pair, and each window start's index into those vectors."""
 
     @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 7), (9, 1), (5, 8), (17, 13), (40, 33)])
     @pytest.mark.parametrize("shape", ["1x1", "nx1", "1xm", "full"])
     def test_every_key_decodes_to_the_window_counts(self, n1, n2, shape):
+        """Each window start's vector is the one its brute-force counts give,
+        and the table holds each count pair once."""
         codes = np.random.default_rng(n1 * 100 + n2).integers(0, 5, size=(n1, n2)).astype(np.int8)
         w1, w2 = {"1x1": (1, 1), "nx1": (n1, 1), "1xm": (1, n2), "full": (n1, n2)}[shape]
-        tally = LabelTally(codes)
-        keys, rows = tally.window_keys(w1, w2), tally.key_rows(w1, w2)
-        assert keys.shape == (n1 - w1 + 1, n2 - w2 + 1)
-        assert not keys.flags.writeable
-        assert rows == keys.tolist()
+        table = oracle_table(LabelTally(codes), w1, w2)
+        assert table.index.shape == (n1 - w1 + 1, n2 - w2 + 1)
+        assert not table.index.flags.writeable
+        assert sorted(set(table.index.ravel().tolist())) == list(range(len(table.vectors)))
+        assert len({(p.p_sd, p.p_dd) for p in table.vectors}) == len(table.vectors)
         for r in range(n1 - w1 + 1):
             for c in range(n2 - w2 + 1):
-                key = rows[r][c]
-                assert type(key) is int
-                assert divmod(key, w1 * w2 + 1) == _brute_counts(codes[r : r + w1, c : c + w2])
+                p = table.rows[r][c]
+                assert p is table.vectors[table.index[r, c]]
+                expect = q.ProbabilityVector.from_counts(w1 * w2, *_brute_counts(codes[r : r + w1, c : c + w2]))
+                assert _same_bits(p, expect)
 
-    def test_each_shape_is_built_once(self):
+    def test_each_shape_is_built_once(self, monkeypatch):
         tally = LabelTally(_all_codes_raster(np.random.default_rng(8), 12, 9))
-        assert tally.window_keys(3, 4) is tally.window_keys(3, 4)
-        assert tally.key_rows(3, 4) is tally.key_rows(3, 4)
-        assert tally.window_keys(4, 3) is not tally.window_keys(3, 4)
+        first = oracle_table(tally, 3, 4)
+        other = oracle_table(tally, 4, 3)
+        assert other is not first
+        assert list(tally.tables) == [(3, 4), (4, 3)]
+
+        def refuse(*args):
+            raise AssertionError("a kept table was built again")
+
+        monkeypatch.setattr(LabelTally, "window_counts", refuse)
+        assert oracle_table(tally, 3, 4) is first
+        assert oracle_table(tally, 4, 3) is other
 
     def test_the_table_is_built_when_the_oracle_first_reads_a_shape(self):
         source = _source(_all_codes_raster(np.random.default_rng(9), 10, 10))
         window = _stored_window(source, slice(2, 5), slice(1, 7))
-        assert not source.tally._keys and not source.tally._key_rows  # cutting the window builds none
+        assert not source.tally.tables  # cutting the window builds none
         q.oracle_probability(window)
-        assert list(source.tally._key_rows) == [(3, 6)]
+        assert list(source.tally.tables) == [(3, 6)]
 
     def test_every_stride_one_window_of_the_study_scan(self, reference_source):
         """Each 60 x 60 mV window at 2 mV/px of the 200 x 200 px scan: the
-        key gives the vector of the window's own codes, counted."""
+        table gives the vector of the window's own codes, counted."""
         v1, v2 = reference_source.scan.v1_axis.tolist(), reference_source.scan.v2_axis.tolist()
         n = 30
         seen = 0
@@ -279,10 +311,9 @@ class TestKeyTable:
         source = q.PremeasuredScan(*reference_scan)
 
         def refuse(*args):
-            raise AssertionError("a strided window read the key table")
+            raise AssertionError("a strided window read the oracle table")
 
-        monkeypatch.setattr(LabelTally, "key_rows", refuse)
-        monkeypatch.setattr(LabelTally, "window_keys", refuse)
+        monkeypatch.setattr(classifier_mod, "oracle_table", refuse)
         for center in ((301.0, 330.0), (250.0, 420.0), (400.0, 300.0)):
             _, labels = q.acquire_with_labels(source, center, (60.0, 60.0), 2.0 * stride)
             assert labels.stored_at is None

@@ -365,6 +365,21 @@ class TestScanFile:
         assert labels2 is None
         np.testing.assert_array_equal(scan2.values, scan.values)
 
+    @pytest.mark.parametrize("label_center, axis", [((310.0, 320.0), "v1_axis"), ((300.0, 300.0), "v2_axis")])
+    def test_labels_on_other_axes_are_not_written(self, tmp_path, reference_params, label_center, axis):
+        """Labels of the scan's shape rendered elsewhere would load with their
+        codes at the wrong voltages; the file refuses them as the source does."""
+        scan, _ = q.render_scan(reference_params, (300.0, 320.0), (20.0, 20.0), 2.0)
+        _, labels = q.render_scan(reference_params, label_center, (20.0, 20.0), 2.0)
+        assert labels.shape == scan.shape
+        path = tmp_path / f"moved{SCAN_SUFFIX}"
+        with pytest.raises(q.ShapeError, match=f"label raster {axis} does not match") as saved:
+            q.save_scan(scan, path, labels)
+        assert not path.exists()
+        with pytest.raises(q.ShapeError) as built:
+            q.PremeasuredScan(scan, labels)
+        assert str(saved.value) == str(built.value)
+
     def test_label_code_table_is_stable(self, tmp_path, reference_params):
         scan, labels = q.render_scan(reference_params, (300.0, 320.0), (20.0, 20.0), 2.0)
         path = tmp_path / f"codes{SCAN_SUFFIX}"
