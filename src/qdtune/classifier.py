@@ -52,7 +52,7 @@ from .grids import (
     pixel_count,
 )
 from .preprocess import IMAGE_SIZE, _check_range, process
-from .scans import Sandbox
+from .scans import Blocked, PremeasuredScan, Sandbox, _locate
 
 # The headers of model and dataset files; their loaders refuse any other.
 MODEL_HEADER = {"format": "qdtune-model", "version": "1"}
@@ -103,11 +103,21 @@ class ProbabilityVector:
     @classmethod
     def from_counts(cls, n: int, n_sd: int, n_dd: int) -> "ProbabilityVector":
         """Pixel fractions of a window of ``n`` pixels, ``n_sd`` of them single dot and ``n_dd`` double dot."""
-        return cls((n - n_sd - n_dd) / n, n_sd / n, n_dd / n)
+        p = _counted_vector(n, n_sd, n_dd)
+        p.__post_init__()
+        return p
 
     def argmax_class(self) -> int:
         """0 = none, 1 = single dot, 2 = double dot."""
         return int(np.argmax(self.as_array()))
+
+
+def _counted_vector(n: int, n_sd: int, n_dd: int) -> ProbabilityVector:
+    """``ProbabilityVector.from_counts`` of counts known to be exact integers
+    with ``n_sd + n_dd <= n``; nothing is checked."""
+    p = object.__new__(ProbabilityVector)
+    vars(p).update(p_none=(n - n_sd - n_dd) / n, p_sd=n_sd / n, p_dd=n_dd / n)
+    return p
 
 
 def oracle_probability(labels: LabelGrid) -> ProbabilityVector:
@@ -154,11 +164,32 @@ def oracle_table(tally: LabelTally, w1: int, w2: int) -> OracleTable:
         n = w1 * w2
         sd, dd = tally.window_counts(w1, w2)
         keys, inverse = np.unique(sd * (n + 1) + dd, return_inverse=True)
-        vectors = [ProbabilityVector.from_counts(n, *divmod(key, n + 1)) for key in keys.tolist()]
+        # The tally's counts are exact, so the vectors are not checked.
+        vectors = [_counted_vector(n, *divmod(key, n + 1)) for key in keys.tolist()]
         index = _read_only(inverse.reshape(sd.shape))
         rows = np.array(vectors, dtype=object)[index].tolist()
         table = tally.tables[(w1, w2)] = OracleTable(vectors, index, rows)
     return table
+
+
+def _stored_oracle(
+    source: PremeasuredScan,
+    center: tuple[float, float],
+    span: tuple[float, float],
+    resolution: float,
+    sandbox: Sandbox,
+) -> ProbabilityVector | Blocked | None:
+    """The oracle's vector of the window of a labelled stored scan at
+    ``center``, read off its table with no window built; Blocked where
+    ``acquire_with_labels`` refuses the window. None for a strided window,
+    which ``acquire_with_labels`` cuts and the oracle counts."""
+    found = _locate(source, center, span, resolution, sandbox)
+    if isinstance(found, Blocked):
+        return found
+    (stride, n1, n2, _), s1, s2 = found
+    if stride != 1:
+        return None
+    return oracle_table(source.tally, n1, n2).rows[s1][s2]
 
 
 # --- dataset ---------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import device as device_model
-from .classifier import ModelClassifier, OracleClassifier, oracle_probability, oracle_table
+from .classifier import ModelClassifier, OracleClassifier, _stored_oracle, oracle_probability, oracle_table
 from .errors import ConfigurationError, DomainError, ScanFormatError, ShapeError
 from .fileio import check_header, checked, encode_blob, write_csv, write_json
 from .grids import DEFAULT_RESOLUTION_MV, DEFAULT_SPAN_MV, pixel_count
@@ -75,7 +75,8 @@ def ground_truth_dd_fraction(
     """Double-dot pixel fraction of one window, or None if it cannot be measured.
 
     A simulated device gives the window's labels alone, without its sensor
-    values; it refuses the windows ``acquire_with_labels`` refuses.
+    values; it refuses the windows ``acquire_with_labels`` refuses. A stored
+    scan's stride-1 window is read off its oracle table, with no window built.
     """
     if isinstance(source, SimulatedDevice):
         if not sandbox.contains_window(center, span):
@@ -84,14 +85,19 @@ def ground_truth_dd_fraction(
             labels = device_model.render_labels(source.params, center, span, resolution)
         except DomainError:
             return None
-    else:
+        return oracle_probability(labels).p_dd
+    p = None
+    if isinstance(source, PremeasuredScan) and source.labels is not None:
+        p = _stored_oracle(source, center, span, resolution, sandbox)
+    if p is None:
         result = acquire_with_labels(source, center, span, resolution, sandbox)
         if isinstance(result, Blocked):
             return None
         _, labels = result
         if labels is None:
             raise ConfigurationError("success scoring needs a source with ground-truth labels")
-    return oracle_probability(labels).p_dd
+        p = oracle_probability(labels)
+    return None if isinstance(p, Blocked) else p.p_dd
 
 
 def run_weight(
@@ -183,8 +189,9 @@ class ExperimentReport:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentReport":
-        """Rebuild a report; a wrong header, or a field that is missing or of
-        the wrong kind, raises ScanFormatError naming it."""
+        """Rebuild a report; a wrong header, or a field that is missing, of
+        the wrong kind or at odds with ``n_runs`` and ``counts``, raises
+        ScanFormatError naming it."""
         check_header(doc, "report", {"schema_version": REPORT_SCHEMA_VERSION})
 
         def read(where: str, value, kind):
@@ -213,10 +220,18 @@ class ExperimentReport:
             raise ScanFormatError(f"report is missing field {exc.args[0]!r}") from exc
         if report.n_runs < 1:
             raise ScanFormatError(f"report field 'n_runs' must be positive, got {report.n_runs}")
-        scored = report.n_ideal + report.n_close + report.n_fail
-        for where, runs in (("iterations.per_run", len(per_run)), ("counts", scored)):
+        for where, runs in (
+            ("iterations.per_run", len(per_run)),
+            ("counts", report.n_ideal + report.n_close + report.n_fail),
+            ("outcomes", sum(report.outcome_counts.values())),
+            ("runs", len(report.run_summaries)),
+        ):
             if runs != report.n_runs:
                 raise ScanFormatError(f"report field {where!r} holds {runs} runs, not the {report.n_runs} of 'n_runs'")
+        # Whole and half weights sum exactly, so the rate _aggregate wrote is this one, bit for bit.
+        rate = (report.n_ideal + 0.5 * report.n_close) / report.n_runs
+        if report.success_rate != rate:
+            raise ScanFormatError(f"report field 'success_rate' is {report.success_rate!r}, not the {rate!r} of 'counts'")
         return report
 
 

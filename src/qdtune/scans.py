@@ -1,20 +1,24 @@
 """Window acquisition with sandbox enforcement, plus scan file IO.
 
-Acquisition goes through one chokepoint, :func:`acquire_with_labels`:
-every window a tuning run asks for is checked against the safety sandbox
-first, and windows the source cannot deliver come back as
-:class:`Blocked` instead of raising, so the optimizer can treat them as a
-fixed bad fitness.
+Every window a tuning run asks for is checked against the safety sandbox
+first, and windows the source cannot deliver come back as :class:`Blocked`
+instead of raising, so the optimizer can treat them as a fixed bad fitness.
+:func:`acquire_with_labels` measures a window of either source.
 
 A :class:`PremeasuredScan` owns what it stores: read-only copies of the
 sensor values, the axes and the label codes, and the codes' summed-area
-tally. Its windows, of every stride, are read-only views of those copies,
-checked once when the source was built; a stride-1 label window records
-where it lies in the tally, so the oracle reads its vector off the tally's
-table of that window shape. The stride, pixel counts and metadata of a
-window are worked out once per span and resolution, and kept while they
-pass their checks. A window lies around the stored pixel center nearest its
-center, the first on a tie, found by one bisection of each stored axis.
+tally. One locator, ``_locate``, says where a stored window lies, or why it
+is refused: the sandbox test, the window plan and the window's first stored
+pixel along each axis. The plan (stride, pixel counts and metadata) is
+worked out once per span and resolution, and kept while it passes its
+checks. A window lies around the stored pixel center nearest its center,
+the first on a tie, found by one bisection of each stored axis.
+:func:`acquire_with_labels` cuts the located window as read-only views of
+the stored copies, of every stride, checked once when the source was built;
+a stride-1 label window records where it lies in the tally, so the oracle
+reads its vector off the tally's table of that window shape. The oracle's
+tuning runs and success scoring read that table at the located start
+directly, and build no window at all.
 
 Scan files are a single JSON document: a self-describing header plus
 base64 blobs of little-endian float64 (values, axes) and int8 (labels)
@@ -198,13 +202,54 @@ def _crop_start(axis: list[float], center: float, count: int, stride: int) -> in
     # is the first pixel at or above ``center`` or one below it: step down
     # while the next lower distance is no larger (equal, after rounding, on
     # a tiny spacing or far from the axis).
-    i = min(bisect_left(axis, center), n - 1)
-    while i > 0 and abs(axis[i - 1] - center) <= abs(axis[i] - center):
+    i = bisect_left(axis, center)
+    if i == n:
         i -= 1
+    distance = abs(axis[i] - center)
+    while i:
+        lower = abs(axis[i - 1] - center)
+        if lower > distance:
+            break
+        i -= 1
+        distance = lower
     start = i - (count * stride) // 2
     if start < 0 or start + stride * (count - 1) >= n:
         return None
     return start
+
+
+def _refusal(center: tuple[float, float], span: tuple[float, float]) -> Blocked:
+    """Why the sandbox refused a window: a center or span that is not finite,
+    or a corner past the limits."""
+    if not all(math.isfinite(v) for v in (*center, *span)):
+        return Blocked("window center or span is not finite")
+    return Blocked("window crosses the sandbox limits")
+
+
+def _locate(
+    source: PremeasuredScan,
+    center: tuple[float, float],
+    span: tuple[float, float],
+    resolution: float,
+    sandbox: Sandbox,
+) -> tuple[tuple[int, int, int, ScanMeta], int, int] | Blocked:
+    """Where a stored window lies, without building it: the window plan
+    (stride, pixel counts along v1 and v2, metadata) and the stored indices
+    of its first pixel along v1 and v2.
+
+    Returns Blocked when any window corner leaves the sandbox or the window
+    runs off the stored raster, and raises as ``_window_plan`` does.
+    """
+    if not sandbox.contains_window(center, span):
+        return _refusal(center, span)
+    plan = source._window_plan(span, resolution)
+    stride, n1, n2, _ = plan
+    axis1, axis2 = source._axis_floats
+    s1 = _crop_start(axis1, float(center[0]), n1, stride)
+    s2 = _crop_start(axis2, float(center[1]), n2, stride)
+    if s1 is None or s2 is None:
+        return Blocked("window falls outside the stored raster")
+    return plan, s1, s2
 
 
 def acquire_with_labels(
@@ -224,10 +269,27 @@ def acquire_with_labels(
     the device domain, or when a premeasured window runs off the stored
     raster.
     """
+    if isinstance(source, PremeasuredScan):
+        found = _locate(source, center, span, resolution, sandbox)
+        if isinstance(found, Blocked):
+            return found
+        (stride, n1, n2, meta), s1, s2 = found
+        rows = slice(s1, s1 + stride * n1, stride)
+        cols = slice(s2, s2 + stride * n2, stride)
+
+        # Views of the source's read-only copies are read-only themselves, of
+        # axes checked when the source was built, so nothing is checked again.
+        v1, v2 = source.scan.v1_axis[rows], source.scan.v2_axis[cols]
+        scan = _scan_grid(source.scan.values[rows, cols], v1, v2, meta)
+        labels = None
+        if source.labels is not None:
+            labels = _label_grid(source.labels.labels[rows, cols], v1, v2)
+            if stride == 1:
+                labels.stored_at = (source.tally, s1, s2)
+        return scan, labels
+
     if not sandbox.contains_window(center, span):
-        if not all(math.isfinite(v) for v in (*center, *span)):
-            return Blocked("window center or span is not finite")
-        return Blocked("window crosses the sandbox limits")
+        return _refusal(center, span)
 
     if isinstance(source, SimulatedDevice):
         try:
@@ -242,27 +304,6 @@ def acquire_with_labels(
             )
         except DomainError:
             return Blocked("window exceeds the device domain")
-        return scan, labels
-
-    if isinstance(source, PremeasuredScan):
-        stride, n1, n2, meta = source._window_plan(span, resolution)
-        axis1, axis2 = source._axis_floats
-        s1 = _crop_start(axis1, float(center[0]), n1, stride)
-        s2 = _crop_start(axis2, float(center[1]), n2, stride)
-        if s1 is None or s2 is None:
-            return Blocked("window falls outside the stored raster")
-        rows = slice(s1, s1 + stride * n1, stride)
-        cols = slice(s2, s2 + stride * n2, stride)
-
-        # Views of the source's read-only copies are read-only themselves, of
-        # axes checked when the source was built, so nothing is checked again.
-        v1, v2 = source.scan.v1_axis[rows], source.scan.v2_axis[cols]
-        scan = _scan_grid(source.scan.values[rows, cols], v1, v2, meta)
-        labels = None
-        if source.labels is not None:
-            labels = _label_grid(source.labels.labels[rows, cols], v1, v2)
-            if stride == 1:
-                labels.stored_at = (source.tally, s1, s2)
         return scan, labels
 
     raise ConfigurationError(f"unknown measurement source type {type(source).__name__}")

@@ -322,7 +322,7 @@ class TestExperiments:
             iteration_mean=3.0,
             iteration_sd=1.0,
             iteration_counts=[2, 4],
-            run_summaries=[],
+            run_summaries=[{}, {}],
         )
         runs = tmp_path / "runs"
         runs.mkdir()

@@ -1,6 +1,7 @@
 import csv
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from qdtune.harness import (
     _aggregate,
     run_weight,
 )
-from qdtune.tuner import TuningRun, TuningStep, Outcome
+from qdtune.tuner import POLICIES, TuningRun, TuningStep, Outcome
 
 from faults import on_axes
 
@@ -185,10 +186,14 @@ class TestReportFile:
             (lambda doc: doc.pop("counts"), "missing field 'counts'"),
             (lambda doc: doc["iterations"].update(per_run=[7, 7, 7]), "'iterations.per_run' holds 3 runs, not the 81"),
             (lambda doc: doc["counts"].update(fail=500), "'counts' holds 5.. runs, not the 81"),
+            (lambda doc: doc["outcomes"].update(aborted=1), "'outcomes' holds 82 runs, not the 81"),
+            (lambda doc: doc["runs"].pop(), "'runs' holds 80 runs, not the 81"),
+            (lambda doc: doc.update(success_rate=math.nextafter(doc["success_rate"], 0.0)), r"'success_rate' is \S+, not the \S+ of 'counts'"),
         ],
         ids=["point", "fractional_n_runs", "zero_n_runs", "nan_success_rate", "policy", "bool_count",
              "string_per_run", "fractional_per_run", "null_outcome", "runs", "missing_counts",
-             "per_run_not_n_runs", "counts_not_n_runs"],
+             "per_run_not_n_runs", "counts_not_n_runs", "outcomes_not_n_runs", "runs_not_n_runs",
+             "success_rate_not_counts"],
     )
     def test_malformed_field_is_format_error_naming_it(self, report, mutate, field):
         doc = json.loads(json.dumps(report.to_json_dict()))
@@ -196,6 +201,30 @@ class TestReportFile:
         with pytest.raises(q.ScanFormatError, match=field) as exc:
             ExperimentReport.from_json_dict(doc)
         assert type(exc.value) is q.ScanFormatError
+
+    def test_every_report_of_the_study_loads(self, reference_source, oracle, tmp_path):
+        """Each report of the offline study, criterion 13's 19,240-byte one
+        among them, loads and writes the same document again."""
+        points = [(250.0, 400.0), (350.0, 415.0), (400.0, 350.0), (480.0, 470.0), (520.0, 480.0)]
+        for point in points:
+            for policy in POLICIES.values():
+                report = q.neighborhood_experiment(reference_source, oracle, point, policy)
+                path = tmp_path / "report.json"
+                report.save_json(path)
+                if (point, policy.name) == ((350.0, 415.0), "dynamic"):
+                    assert len(path.read_bytes()) == 19240
+                back = ExperimentReport.from_json_dict(json.loads(path.read_text()))
+                assert back.to_json_dict() == report.to_json_dict()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_rate_with_halves_loads(self, report, seed):
+        """Whole and half weights sum exactly, so the rate a report was written
+        with is the one its counts give, bit for bit."""
+        weights = np.random.default_rng(seed).choice([0.0, 0.5, 1.0], size=report.n_runs).tolist()
+        written = _aggregate(report.point, report.policy_name, report.runs, weights)
+        assert written.n_close > 0
+        doc = json.loads(json.dumps(written.to_json_dict()))
+        assert ExperimentReport.from_json_dict(doc).to_json_dict() == written.to_json_dict()
 
     @pytest.mark.parametrize("version", ["9", 1, None])
     def test_other_schema_version_is_version_error(self, report, version):

@@ -269,6 +269,25 @@ class TestKeyTable:
                 expect = q.ProbabilityVector.from_counts(w1 * w2, *_brute_counts(codes[r : r + w1, c : c + w2]))
                 assert _same_bits(p, expect)
 
+    @pytest.mark.parametrize("w1, w2", [(30, 30), (20, 35)])
+    def test_every_vector_of_the_study_scan_has_the_bits_of_from_counts(self, reference_source, w1, w2):
+        """The table builds its vectors without checking them: each has the
+        type, field bits, equality and hash that ``from_counts`` gives the
+        counts of the first window that reads it."""
+        tally = LabelTally(reference_source.labels.labels)
+        table = oracle_table(tally, w1, w2)
+        sd, dd = tally.window_counts(w1, w2)
+        if (w1, w2) == (30, 30):
+            assert len(table.vectors) == 1152
+        first = np.unique(table.index.ravel(), return_index=True)[1]
+        assert len(first) == len(table.vectors)
+        for p, flat in zip(table.vectors, first.tolist()):
+            r, c = divmod(flat, table.index.shape[1])
+            expect = q.ProbabilityVector.from_counts(w1 * w2, int(sd[r, c]), int(dd[r, c]))
+            assert type(p) is q.ProbabilityVector
+            assert _same_bits(p, expect)
+            assert p == expect and hash(p) == hash(expect)
+
     def test_each_shape_is_built_once(self, monkeypatch):
         tally = LabelTally(_all_codes_raster(np.random.default_rng(8), 12, 9))
         first = oracle_table(tally, 3, 4)
