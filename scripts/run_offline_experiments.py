@@ -100,9 +100,10 @@ def main() -> int:
         for policy_name, policy in POLICIES.items():
             hm = heatmap(hm_source, classifier, policy=policy)
             hm.save_json(out / f"heatmap_{policy_name}.json")
+            outcomes = " ".join(f"{kind}={n}" for kind, n in sorted(hm.outcome_counts.items()))
             print(
                 f"heatmap {policy_name}: {hm.weights.shape[0]}x{hm.weights.shape[1]} starts, "
-                f"mean weight {hm.weights.mean():.3f}"
+                f"mean weight {hm.weights.mean():.3f}, outcomes {outcomes}"
             )
 
     land = fitness_landscape(source)

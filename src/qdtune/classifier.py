@@ -52,7 +52,7 @@ from .grids import (
     pixel_count,
 )
 from .preprocess import IMAGE_SIZE, _check_range, process
-from .scans import Blocked, PremeasuredScan, Sandbox, _locate
+from .scans import PremeasuredScan, Sandbox, _window_slices
 
 # The headers of model and dataset files; their loaders refuse any other.
 MODEL_HEADER = {"format": "qdtune-model", "version": "1"}
@@ -121,20 +121,15 @@ def _counted_vector(n: int, n_sd: int, n_dd: int) -> ProbabilityVector:
 
 
 def oracle_probability(labels: LabelGrid) -> ProbabilityVector:
-    """Exact probability vector from a ground-truth label raster.
+    """Exact probability vector from a ground-truth label raster."""
+    return _counted_codes(labels.labels)
 
-    A stride-1 window of a stored scan reads its vector off the oracle table
-    of its shape, shared with that scan's other windows of equal counts; any
-    other grid counts its codes. Both give the same integers, so the same
-    floats.
-    """
-    codes = labels.labels
+
+def _counted_codes(codes: np.ndarray) -> ProbabilityVector:
+    """The oracle's vector of a raster of StateLabel codes, from their counts."""
     n = codes.size
     if n == 0:
         raise ShapeError("label raster is empty")
-    if labels.stored_at is not None:
-        tally, row, col = labels.stored_at
-        return oracle_table(tally, *codes.shape).rows[row][col]
     counts = np.bincount(codes.ravel(), minlength=MAX_STATE_CODE + 1)
     n_sd = int(counts[list(SINGLE_DOT_CODES)].sum())
     n_dd = int(counts[StateLabel.DOUBLE_DOT])
@@ -170,26 +165,6 @@ def oracle_table(tally: LabelTally, w1: int, w2: int) -> OracleTable:
         rows = np.array(vectors, dtype=object)[index].tolist()
         table = tally.tables[(w1, w2)] = OracleTable(vectors, index, rows)
     return table
-
-
-def _stored_oracle(
-    source: PremeasuredScan,
-    center: tuple[float, float],
-    span: tuple[float, float],
-    resolution: float,
-    sandbox: Sandbox,
-) -> ProbabilityVector | Blocked | None:
-    """The oracle's vector of the window of a labelled stored scan at
-    ``center``, read off its table with no window built; Blocked where
-    ``acquire_with_labels`` refuses the window. None for a strided window,
-    which ``acquire_with_labels`` cuts and the oracle counts."""
-    found = _locate(source, center, span, resolution, sandbox)
-    if isinstance(found, Blocked):
-        return found
-    (stride, n1, n2, _), s1, s2 = found
-    if stride != 1:
-        return None
-    return oracle_table(source.tally, n1, n2).rows[s1][s2]
 
 
 # --- dataset ---------------------------------------------------------------
@@ -427,13 +402,28 @@ def evaluate(model: ClassifierModel, samples: list[LabeledSample]) -> EvalReport
 # --- classifier front ends for the tuner -----------------------------------
 
 
+_NO_LABELS = "oracle classifier needs a source with ground-truth labels"
+
+
 class OracleClassifier:
     """Reads the probability vector straight off the ground-truth labels."""
 
     def probabilities(self, scan: ScanGrid, labels: LabelGrid | None) -> ProbabilityVector:
         if labels is None:
-            raise ConfigurationError("oracle classifier needs a source with ground-truth labels")
+            raise ConfigurationError(_NO_LABELS)
         return oracle_probability(labels)
+
+    def stored_probabilities(self, source: PremeasuredScan, plan: tuple, s1: int, s2: int) -> ProbabilityVector:
+        """``probabilities`` of the stored window ``scans._locate`` found, with
+        no window built: read off the oracle table of its shape at stride 1,
+        so windows of equal counts share one object, and counted from its
+        strided codes otherwise. Both count the same integers."""
+        if source.labels is None:
+            raise ConfigurationError(_NO_LABELS)
+        stride, n1, n2, _ = plan
+        if stride == 1:
+            return oracle_table(source.tally, n1, n2).rows[s1][s2]
+        return _counted_codes(source.labels.labels[_window_slices(plan, s1, s2)])
 
 
 class ModelClassifier:
@@ -450,6 +440,11 @@ class ModelClassifier:
 
     def probabilities(self, scan: ScanGrid, labels: LabelGrid | None) -> ProbabilityVector:
         return self.stack_probabilities(scan.values[None], scan.meta)[0]
+
+    def stored_probabilities(self, source: PremeasuredScan, plan: tuple, s1: int, s2: int) -> ProbabilityVector:
+        """``probabilities`` of the stored window ``scans._locate`` found, bit
+        for bit, from a view of the stored values: no grid is built."""
+        return self.stack_probabilities(source.scan.values[_window_slices(plan, s1, s2)][None], plan[3])[0]
 
     def stack_probabilities(self, stack: np.ndarray, meta: ScanMeta) -> list[ProbabilityVector]:
         """The probability vector of each window of an (N, n, m) stack of sensor

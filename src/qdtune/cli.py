@@ -297,7 +297,11 @@ def _cmd_heatmap(args) -> int:
     out = _out_dir(args)
     path = out / "heatmap.json"
     result.save_json(path)
-    print(f"{path} {result.weights.shape[0]}x{result.weights.shape[1]} starts, mean weight {result.weights.mean():.3f}")
+    outcomes = " ".join(f"{kind}={n}" for kind, n in sorted(result.outcome_counts.items()))
+    print(
+        f"{path} {result.weights.shape[0]}x{result.weights.shape[1]} starts, "
+        f"mean weight {result.weights.mean():.3f}, outcomes {outcomes}"
+    )
     return 0
 
 

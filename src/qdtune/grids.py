@@ -12,17 +12,16 @@ views of those read-only copies.
 A :class:`LabelTally` holds the summed-area tables of one label raster
 and the oracle's table of each window shape met in it
 (``classifier.oracle_table``). ``scans.PremeasuredScan`` owns the tally of
-its stored codes, and a label window it hands out records where it lies in
-them (``LabelGrid.stored_at``), so the oracle reads that window's vector off
-the table. Any other label grid, a view of a stored window included, counts
-its own codes.
+its stored codes, and the oracle reads a stride-1 stored window's vector
+off the table at the window's first pixel. A label grid counts its own
+codes.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,12 +184,6 @@ class LabelGrid:
     labels: np.ndarray
     v1_axis: np.ndarray
     v2_axis: np.ndarray
-
-    # Not an argument, and a class default too, so grids built with
-    # ``object.__new__`` have it: for a stride-1 window of a stored raster,
-    # (that raster's tally, first row, first column). Only
-    # ``scans.acquire_with_labels`` sets it.
-    stored_at: tuple[LabelTally, int, int] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels)

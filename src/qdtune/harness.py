@@ -17,16 +17,18 @@ depends on the runs before it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import device as device_model
-from .classifier import ModelClassifier, OracleClassifier, _stored_oracle, oracle_probability, oracle_table
+from .classifier import ModelClassifier, OracleClassifier, oracle_probability, oracle_table
 from .errors import ConfigurationError, DomainError, ScanFormatError, ShapeError
 from .fileio import check_header, checked, encode_blob, write_csv, write_json
 from .grids import DEFAULT_RESOLUTION_MV, DEFAULT_SPAN_MV, pixel_count
-from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, SimulatedDevice, acquire_with_labels
+from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, SimulatedDevice, _locate
+from .scans import acquire_with_labels  # noqa: F401  unused; kept as a name perfbench/spans.py wraps
 from .tuner import (
     DEFAULT_FITNESS,
     FitnessConfig,
@@ -76,7 +78,8 @@ def ground_truth_dd_fraction(
 
     A simulated device gives the window's labels alone, without its sensor
     values; it refuses the windows ``acquire_with_labels`` refuses. A stored
-    scan's stride-1 window is read off its oracle table, with no window built.
+    scan's window, of any stride, is where ``scans._locate`` finds it, and
+    the oracle reads it there with no window built.
     """
     if isinstance(source, SimulatedDevice):
         if not sandbox.contains_window(center, span):
@@ -86,18 +89,14 @@ def ground_truth_dd_fraction(
         except DomainError:
             return None
         return oracle_probability(labels).p_dd
-    p = None
-    if isinstance(source, PremeasuredScan) and source.labels is not None:
-        p = _stored_oracle(source, center, span, resolution, sandbox)
-    if p is None:
-        result = acquire_with_labels(source, center, span, resolution, sandbox)
-        if isinstance(result, Blocked):
-            return None
-        _, labels = result
-        if labels is None:
-            raise ConfigurationError("success scoring needs a source with ground-truth labels")
-        p = oracle_probability(labels)
-    return None if isinstance(p, Blocked) else p.p_dd
+    if not isinstance(source, PremeasuredScan):
+        raise ConfigurationError(f"unknown measurement source type {type(source).__name__}")
+    found = _locate(source, center, span, resolution, sandbox)
+    if isinstance(found, Blocked):
+        return None
+    if source.labels is None:
+        raise ConfigurationError("success scoring needs a source with ground-truth labels")
+    return OracleClassifier().stored_probabilities(source, *found).p_dd
 
 
 def run_weight(
@@ -242,9 +241,6 @@ def _aggregate(
     weights: list[float],
 ) -> ExperimentReport:
     counts = np.array([run.iteration_count for run in runs], dtype=float)
-    outcome_counts: dict[str, int] = {}
-    for run in runs:
-        outcome_counts[run.outcome.kind] = outcome_counts.get(run.outcome.kind, 0) + 1
     n_ideal = sum(1 for w in weights if w == 1.0)
     n_close = sum(1 for w in weights if w == 0.5)
     summaries = [
@@ -265,7 +261,7 @@ def _aggregate(
         n_ideal=n_ideal,
         n_close=n_close,
         n_fail=len(runs) - n_ideal - n_close,
-        outcome_counts=outcome_counts,
+        outcome_counts=dict(Counter(run.outcome.kind for run in runs)),
         iteration_mean=float(counts.mean()),
         iteration_sd=float(counts.std(ddof=1)) if len(counts) > 1 else 0.0,
         iteration_counts=[run.iteration_count for run in runs],
@@ -312,13 +308,15 @@ def neighborhood_experiment(
 
 @dataclass(eq=False)
 class HeatmapResult:
-    """Per-start success weights on a coarse grid over a full scan."""
+    """Per-start success weights on a coarse grid over a full scan, and how
+    many runs ended each way, by outcome kind, which the JSON leaves out."""
 
     v1_starts: np.ndarray
     v2_starts: np.ndarray
     weights: np.ndarray
     policy_name: str
     grid_step: float
+    outcome_counts: dict[str, int]
 
     @property
     def n_starts(self) -> int:
@@ -402,6 +400,7 @@ def heatmap(
         weights=weights,
         policy_name=policy.name,
         grid_step=grid_step,
+        outcome_counts=dict(Counter(run.outcome.kind for run in runs)),
     )
 
 

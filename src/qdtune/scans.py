@@ -13,12 +13,12 @@ pixel along each axis. The plan (stride, pixel counts and metadata) is
 worked out once per span and resolution, and kept while it passes its
 checks. A window lies around the stored pixel center nearest its center,
 the first on a tie, found by one bisection of each stored axis.
-:func:`acquire_with_labels` cuts the located window as read-only views of
-the stored copies, of every stride, checked once when the source was built;
-a stride-1 label window records where it lies in the tally, so the oracle
-reads its vector off the tally's table of that window shape. The oracle's
-tuning runs and success scoring read that table at the located start
-directly, and build no window at all.
+:func:`_window_slices` turns what the locator found into the row and column
+slices of the window. :func:`acquire_with_labels` cuts the located window
+as read-only views of the stored copies, of every stride, checked once when
+the source was built. A built-in classifier reads a located window itself
+(``stored_probabilities``), so tuning runs and success scoring on a stored
+scan build no window at all.
 
 Scan files are a single JSON document: a self-describing header plus
 base64 blobs of little-endian float64 (values, axes) and int8 (labels)
@@ -252,6 +252,13 @@ def _locate(
     return plan, s1, s2
 
 
+def _window_slices(plan: tuple[int, int, int, ScanMeta], s1: int, s2: int) -> tuple[slice, slice]:
+    """Row and column slices of the stored window that ``_locate`` found:
+    ``plan``'s pixel counts, ``plan``'s stride apart, from ``(s1, s2)``."""
+    stride, n1, n2, _ = plan
+    return slice(s1, s1 + stride * n1, stride), slice(s2, s2 + stride * n2, stride)
+
+
 def acquire_with_labels(
     source: MeasurementSource,
     center: tuple[float, float],
@@ -273,19 +280,14 @@ def acquire_with_labels(
         found = _locate(source, center, span, resolution, sandbox)
         if isinstance(found, Blocked):
             return found
-        (stride, n1, n2, meta), s1, s2 = found
-        rows = slice(s1, s1 + stride * n1, stride)
-        cols = slice(s2, s2 + stride * n2, stride)
+        plan, s1, s2 = found
+        rows, cols = _window_slices(plan, s1, s2)
 
         # Views of the source's read-only copies are read-only themselves, of
         # axes checked when the source was built, so nothing is checked again.
         v1, v2 = source.scan.v1_axis[rows], source.scan.v2_axis[cols]
-        scan = _scan_grid(source.scan.values[rows, cols], v1, v2, meta)
-        labels = None
-        if source.labels is not None:
-            labels = _label_grid(source.labels.labels[rows, cols], v1, v2)
-            if stride == 1:
-                labels.stored_at = (source.tally, s1, s2)
+        scan = _scan_grid(source.scan.values[rows, cols], v1, v2, plan[3])
+        labels = None if source.labels is None else _label_grid(source.labels.labels[rows, cols], v1, v2)
         return scan, labels
 
     if not sandbox.contains_window(center, span):

@@ -20,11 +20,11 @@ fitness, and the search stops when the simplex's fitness spread or its
 diameter collapses, or when the evaluation budget runs out. One
 "iteration" is one window measurement.
 
-A run measures each window with ``acquire_with_labels`` and classifies it,
-except where an OracleClassifier tunes on a stored scan with labels: there
-a stride-1 window's vector is read off the scan's oracle table at the start
-the stored-window locator finds, with no window built. Both give the same
-vector object, so the same run.
+On a stored scan, a classifier with a ``stored_probabilities`` method, as
+both built-in ones have, reads each window where the stored-window locator
+finds it, with no window built. Any other run measures each window with
+``acquire_with_labels`` and classifies it with ``probabilities``. Both give
+the same vector bits, so the same run.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .classifier import OracleClassifier, ProbabilityVector, _stored_oracle
+from .classifier import ProbabilityVector
 from .errors import ConfigurationError, DomainError, QdtuneError, check_count, check_setting
 from .fileio import write_csv, write_json
 from .grids import DEFAULT_RESOLUTION_MV, DEFAULT_SPAN_MV
-from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, acquire_with_labels
+from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, _locate, acquire_with_labels
 
 TARGET_DOUBLE_DOT = ProbabilityVector(0.0, 0.0, 1.0)
 
@@ -375,28 +375,31 @@ def autotune(
     the classifier abort the run and are recorded as such. A classifier
     whose ``reads_labels`` attribute is False gets no labels from a
     simulated source, which then skips computing them; any other classifier
-    gets them. An OracleClassifier on a stored scan with labels reads each
-    stride-1 window's vector off the scan's oracle table, with no window
-    built; the vectors, and so the run, are the same.
+    gets them. On a stored scan, a classifier with a ``stored_probabilities``
+    method reads each window where ``scans._locate`` finds it, with no
+    window built; the vectors, and so the run, are the same.
     """
     if not sandbox.contains_point(start):
         raise ConfigurationError(f"start point {start} lies outside the sandbox")
 
     steps: list[TuningStep] = []
     with_labels = getattr(classifier, "reads_labels", True)
-    reads_table = (
-        isinstance(source, PremeasuredScan) and source.labels is not None and isinstance(classifier, OracleClassifier)
-    )
+    stored = getattr(classifier, "stored_probabilities", None) if isinstance(source, PremeasuredScan) else None
 
     def objective(center: tuple[float, float]) -> float:
-        p = _stored_oracle(source, center, span, resolution, sandbox) if reads_table else None
-        if p is None:
+        if stored is None:
             found = acquire_with_labels(source, center, span, resolution, sandbox, with_labels=with_labels)
-            p = found if isinstance(found, Blocked) else classifier.probabilities(*found)
-        if isinstance(p, Blocked):
+        else:
+            found = _locate(source, center, span, resolution, sandbox)
+        if isinstance(found, Blocked):
             value = fitness_config.blocked_fitness
             steps.append(TuningStep(center, None, value, True))
             return value
+        if stored is None:
+            p = classifier.probabilities(*found)
+        else:
+            plan, s1, s2 = found  # unpacked here: a call with *found is slower, once a step
+            p = stored(source, plan, s1, s2)
         value = fitness(p, fitness_config)
         steps.append(TuningStep(center, p, value, False))
         return value

@@ -351,7 +351,7 @@ class TestExperiments:
         assert err["error"] == "ConfigurationError"
         assert f"span {span.split(',')[0]}" in err["message"]
 
-    def test_heatmap(self, tmp_path, scan_file):
+    def test_heatmap(self, tmp_path, scan_file, capsys):
         rc = main(
             [
                 "heatmap",
@@ -363,6 +363,9 @@ class TestExperiments:
         assert rc == 0
         doc = json.loads((tmp_path / "heatmap.json").read_text())
         assert doc["policy"] == "fixed100"
+        line = capsys.readouterr().out.strip()
+        outcomes = dict(item.split("=") for item in line.split(", outcomes ")[1].split())
+        assert sum(map(int, outcomes.values())) == len(doc["v1_starts"]) * len(doc["v2_starts"])
 
     @pytest.mark.parametrize(
         "flags, value",

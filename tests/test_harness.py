@@ -276,6 +276,23 @@ class TestHeatmap:
         with pytest.raises(q.ConfigurationError, match=r"start \(410.0, 265.0\) lies outside the sandbox; nothing was run"):
             q.heatmap(reference_source, oracle, sandbox=q.Sandbox((0.0, 400.0), (0.0, 600.0)))
 
+    def test_model_heatmap_at_the_default_span_records_why_every_run_failed(self, reference_params):
+        """A 30 mV window is 15 px at 2 mV/px, too small for the model's
+        preprocessing, so every run aborts; the outcome counts say so, and
+        the JSON document is as it was."""
+        scan, labels = q.render_scan(reference_params, (300.0, 350.0), (400.0, 400.0), 2.0)
+        result = q.heatmap(q.PremeasuredScan(scan), q.ModelClassifier(q.init_model(0)), q.FixedSimplex(100.0))
+        assert result.n_starts == 784
+        assert result.outcome_counts == {"aborted": 784}
+        assert not result.weights.any()
+        assert "outcome_counts" not in result.to_json_dict() and "outcomes" not in result.to_json_dict()
+
+    def test_oracle_heatmap_counts_every_run(self, reference_source, oracle):
+        result = q.heatmap(reference_source, oracle, grid_step=40.0)
+        assert sum(result.outcome_counts.values()) == result.n_starts
+        assert set(result.outcome_counts) <= {"converged", "max_iterations", "aborted"}
+        assert "aborted" not in result.outcome_counts
+
     def test_policy_reach(self):
         assert q.FixedSimplex(75.0).reach == 75.0
         assert q.DynamicSimplex().reach == 150.0

@@ -1,6 +1,7 @@
-"""The oracle's two paths give the same bits: a stride-1 window of a stored
-scan reads its counts off the tally its source keeps of the stored codes,
-and any other grid counts its codes."""
+"""The oracle's two paths give the same bits: ``stored_probabilities`` reads
+a stride-1 window of a stored scan off the tally its source keeps of the
+stored codes and counts a strided window's codes, and ``oracle_probability``
+counts a label grid's codes."""
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ import qdtune as q
 from qdtune import classifier as classifier_mod
 from qdtune.classifier import oracle_table
 from qdtune.grids import SINGLE_DOT_CODES, LabelTally
+from qdtune.scans import _locate
 from qdtune.tuner import DEFAULT_FITNESS
 
 RES = 2.0
+ORACLE = q.OracleClassifier()
 
 
 def _label_grid(codes):
@@ -33,15 +36,35 @@ def _source(codes):
     return q.PremeasuredScan(scan, labels)
 
 
-def _stored_window(source, rows, cols):
-    """The label window ``rows x cols`` (step-1 slices inside the raster) as
-    ``acquire_with_labels`` measures it: centered on the pixel at index
-    ``count // 2`` of the window."""
+def _window_at(source, rows, cols):
+    """The center and span of the window ``rows x cols`` (step-1 slices
+    inside the raster) as ``acquire_with_labels`` measures it: centered on
+    the pixel at index ``count // 2`` of the window."""
     n1, n2 = rows.stop - rows.start, cols.stop - cols.start
     center = (source.scan.v1_axis[rows.start + n1 // 2], source.scan.v2_axis[cols.start + n2 // 2])
-    _, labels = q.acquire_with_labels(source, (float(center[0]), float(center[1])), (n1 * RES, n2 * RES), RES)
+    return (float(center[0]), float(center[1])), (n1 * RES, n2 * RES)
+
+
+def _stored_window(source, rows, cols):
+    """The acquired label window ``rows x cols``."""
+    _, labels = q.acquire_with_labels(source, *_window_at(source, rows, cols), RES)
     np.testing.assert_array_equal(labels.labels, source.labels.labels[rows, cols])
     return labels
+
+
+def _stored(source, center, span, resolution=RES):
+    """The oracle's vector of the stored window at ``center``, read where the
+    locator finds it."""
+    return ORACLE.stored_probabilities(source, *_locate(source, center, span, resolution, q.Sandbox()))
+
+
+def _stored_vector(source, rows, cols):
+    """The oracle's vector of the stored window ``rows x cols``, which the
+    locator finds at its first pixel."""
+    center, span = _window_at(source, rows, cols)
+    _, s1, s2 = _locate(source, center, span, RES, q.Sandbox())
+    assert (s1, s2) == (rows.start, cols.start)
+    return _stored(source, center, span)
 
 
 def _all_codes_raster(rng, n1, n2):
@@ -54,9 +77,7 @@ def _all_codes_raster(rng, n1, n2):
 
 def _counted(labels):
     """The counting path's vector for the same codes, from a fresh grid."""
-    fresh = q.LabelGrid(np.array(labels.labels), labels.v1_axis.copy(), labels.v2_axis.copy())
-    assert fresh.stored_at is None
-    return q.oracle_probability(fresh)
+    return q.oracle_probability(q.LabelGrid(np.array(labels.labels), labels.v1_axis.copy(), labels.v2_axis.copy()))
 
 
 def _same_bits(a, b):
@@ -85,26 +106,24 @@ class TestTalliedOracle:
     @settings(max_examples=200)
     def test_crop_matches_counting_bit_for_bit(self, case):
         codes, window, _ = case
-        stored = _stored_window(_source(codes), *window)
-        assert stored.stored_at is not None
-        assert _same_bits(q.oracle_probability(stored), _counted(stored))
+        source = _source(codes)
+        assert _same_bits(_stored_vector(source, *window), _counted(_stored_window(source, *window)))
 
     @given(case=_raster_and_windows())
     @settings(max_examples=200)
     def test_crop_of_crop_matches_counting_and_the_direct_crop(self, case):
-        """A view of a stored window's codes counts them itself and gives the
-        bits of the stored window at the same place."""
+        """A view of an acquired stored window's codes counts them itself and
+        gives the bits the stored window at the same place reads."""
         codes, outer, inner = case
         source = _source(codes)
         nested = _view(_stored_window(source, *outer), *inner)
-        assert nested.stored_at is None
         rows = slice(outer[0].start + inner[0].start, outer[0].start + inner[0].stop)
         cols = slice(outer[1].start + inner[1].start, outer[1].start + inner[1].stop)
         direct = _stored_window(source, rows, cols)
         assert nested.labels.tobytes() == direct.labels.tobytes()
         p = q.oracle_probability(nested)
         assert _same_bits(p, _counted(nested))
-        assert _same_bits(q.oracle_probability(direct), p)
+        assert _same_bits(_stored_vector(source, rows, cols), p)
 
     def test_every_window_of_a_small_raster(self):
         """All 1x1 to full-raster windows, the border ones included."""
@@ -113,8 +132,9 @@ class TestTalliedOracle:
             for r1 in range(r0 + 1, 7):
                 for c0 in range(5):
                     for c1 in range(c0 + 1, 6):
-                        stored = _stored_window(source, slice(r0, r1), slice(c0, c1))
-                        assert _same_bits(q.oracle_probability(stored), _counted(stored))
+                        rows, cols = slice(r0, r1), slice(c0, c1)
+                        expect = _counted(_stored_window(source, rows, cols))
+                        assert _same_bits(_stored_vector(source, rows, cols), expect)
 
     @pytest.mark.parametrize(
         "rows, cols",
@@ -132,15 +152,15 @@ class TestTalliedOracle:
 
     def test_windows_with_equal_counts_share_one_vector(self):
         source = _source(np.full((8, 8), int(q.StateLabel.DOUBLE_DOT), dtype=np.int8))
-        a = q.oracle_probability(_stored_window(source, slice(0, 3), slice(0, 3)))
-        b = q.oracle_probability(_stored_window(source, slice(5, 8), slice(4, 7)))
+        a = _stored_vector(source, slice(0, 3), slice(0, 3))
+        b = _stored_vector(source, slice(5, 8), slice(4, 7))
         assert a is b
         assert (a.p_none, a.p_sd, a.p_dd) == (0.0, 0.0, 1.0)
 
     def test_stored_crop_reads_no_codes(self, reference_source, monkeypatch):
         first = q.acquire_with_labels(reference_source, (300.0, 330.0), (60.0, 60.0), 2.0)[1]
         expect = _counted(first)
-        q.oracle_probability(first)  # tallies the stored raster
+        _stored(reference_source, (300.0, 330.0), (60.0, 60.0))  # tallies the stored raster
 
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle counted codes")
@@ -148,14 +168,12 @@ class TestTalliedOracle:
         monkeypatch.setattr(np, "bincount", refuse)
         with pytest.raises(AssertionError, match="counted codes"):
             q.oracle_probability(_label_grid(np.array(first.labels)))
-        again = q.acquire_with_labels(reference_source, (300.0, 330.0), (60.0, 60.0), 2.0)[1]
-        assert _same_bits(q.oracle_probability(again), expect)
+        assert _same_bits(_stored(reference_source, (300.0, 330.0), (60.0, 60.0)), expect)
 
     def test_strided_window_stays_on_the_counting_path(self, reference_scan):
         source = q.PremeasuredScan(*reference_scan)
         _, strided = q.acquire_with_labels(source, (301.0, 330.0), (60.0, 60.0), 4.0)
-        assert strided.stored_at is None
-        p = q.oracle_probability(strided)
+        p = _stored(source, (301.0, 330.0), (60.0, 60.0), 4.0)
         assert "tally" not in vars(source)  # never built
         assert _same_bits(p, _counted(strided))
 
@@ -163,7 +181,7 @@ class TestTalliedOracle:
         """The stored codes a tally counts cannot be written, so no write can
         leave it stale."""
         source = _source(_all_codes_raster(np.random.default_rng(5), 10, 10))
-        q.oracle_probability(_stored_window(source, slice(0, 4), slice(0, 4)))
+        _stored_vector(source, slice(0, 4), slice(0, 4))
         with pytest.raises(ValueError):
             source.labels.labels[0, 0] = 2
 
@@ -179,21 +197,20 @@ class TestTalliedOracle:
         center, span = (float(axes[0][5]), float(axes[1][6])), (10 * RES, 12 * RES)
         first = q.acquire_with_labels(source, center, span, RES)[1]
         codes = first.labels.copy()
-        before = q.oracle_probability(first)
+        before = _stored(source, center, span)
         base[:5, :6] = int(q.StateLabel.DOUBLE_DOT)
         again = q.acquire_with_labels(source, center, span, RES)[1]
+        assert _stored(source, center, span) is before
         for window in (first, again):
             np.testing.assert_array_equal(window.labels, codes)
-            assert _same_bits(q.oracle_probability(window), before)
-            assert _same_bits(q.oracle_probability(window), _counted(window))
+            assert _same_bits(_counted(window), before)
 
     def test_callers_array_stays_writable_after_scoring(self):
         base = _all_codes_raster(np.random.default_rng(7), 10, 10)
         axes = 100 + (np.arange(10) + 0.5) * RES, 200 + (np.arange(10) + 0.5) * RES
         scan = q.ScanGrid(np.zeros(base.shape), *axes, q.ScanMeta(RES))
         source = q.PremeasuredScan(scan, q.LabelGrid(base, *axes))
-        window = q.acquire_with_labels(source, (float(axes[0][5]), float(axes[1][5])), (20.0, 20.0), RES)[1]
-        q.oracle_probability(window)
+        _stored(source, (float(axes[0][5]), float(axes[1][5])), (20.0, 20.0))
         assert base.flags.writeable
         base[0, 0] = 2
         assert base[0, 0] == 2
@@ -304,9 +321,10 @@ class TestKeyTable:
 
     def test_the_table_is_built_when_the_oracle_first_reads_a_shape(self):
         source = _source(_all_codes_raster(np.random.default_rng(9), 10, 10))
-        window = _stored_window(source, slice(2, 5), slice(1, 7))
-        assert not source.tally.tables  # cutting the window builds none
-        q.oracle_probability(window)
+        _stored_window(source, slice(2, 5), slice(1, 7))
+        _locate(source, *_window_at(source, slice(2, 5), slice(1, 7)), RES, q.Sandbox())
+        assert not source.tally.tables  # cutting or locating the window builds none
+        _stored_vector(source, slice(2, 5), slice(1, 7))
         assert list(source.tally.tables) == [(3, 6)]
 
     def test_every_stride_one_window_of_the_study_scan(self, reference_source):
@@ -317,11 +335,12 @@ class TestKeyTable:
         seen = 0
         for i in range(n // 2, len(v1) - n // 2 + 1):
             for j in range(n // 2, len(v2) - n // 2 + 1):
+                found = _locate(reference_source, (v1[i], v2[j]), (60.0, 60.0), 2.0, q.Sandbox())
+                assert found[1:] == (i - n // 2, j - n // 2)
                 _, labels = q.acquire_with_labels(reference_source, (v1[i], v2[j]), (60.0, 60.0), 2.0)
-                assert labels.stored_at[1:] == (i - n // 2, j - n // 2)
                 counts = np.bincount(labels.labels.ravel(), minlength=5)
                 expect = q.ProbabilityVector.from_counts(n * n, int(counts[1:4].sum()), int(counts[4]))
-                assert _same_bits(q.oracle_probability(labels), expect)
+                assert _same_bits(ORACLE.stored_probabilities(reference_source, *found), expect)
                 seen += 1
         assert seen == (len(v1) - n + 1) * (len(v2) - n + 1)
 
@@ -335,7 +354,7 @@ class TestKeyTable:
         monkeypatch.setattr(classifier_mod, "oracle_table", refuse)
         for center in ((301.0, 330.0), (250.0, 420.0), (400.0, 300.0)):
             _, labels = q.acquire_with_labels(source, center, (60.0, 60.0), 2.0 * stride)
-            assert labels.stored_at is None
             n_sd, n_dd = _brute_counts(labels.labels)
             expect = q.ProbabilityVector.from_counts(labels.labels.size, n_sd, n_dd)
+            assert _same_bits(_stored(source, center, (60.0, 60.0), 2.0 * stride), expect)
             assert _same_bits(q.oracle_probability(labels), expect)

@@ -252,8 +252,8 @@ class TestCropEquivalence:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_stride_one_crop_shares_metadata_and_skips_checks(self, stride, reference_source, monkeypatch):
         """A window of any stride is views of axes checked when the source was
-        built; only a stride-1 window keeps the stored metadata and its place
-        in the tally."""
+        built, shared by its values and labels; only a stride-1 window keeps
+        the stored metadata."""
 
         def refuse(self):
             raise AssertionError("a crop validated a grid")
@@ -262,12 +262,11 @@ class TestCropEquivalence:
         monkeypatch.setattr(q.LabelGrid, "__post_init__", refuse)
         scan, labels = q.acquire_with_labels(reference_source, (301.0, 330.0), (40.0, 40.0), 2.0 * stride)
         assert scan.shape == labels.shape == (20 // stride, 20 // stride)
+        assert labels.v1_axis is scan.v1_axis and labels.v2_axis is scan.v2_axis
         if stride == 1:
             assert scan.meta is reference_source.scan.meta
-            assert labels.stored_at[0] is reference_source.tally
         else:
             assert scan.meta == q.ScanMeta(2.0 * stride, reference_source.scan.meta.acquisition_axis)
-            assert labels.stored_at is None
 
     def test_strided_labels_are_not_checked_again(self, reference_source, monkeypatch):
         def refuse(self):
@@ -445,7 +444,7 @@ def _window_bytes(result):
     scan, labels = result
     return (
         scan.values.tobytes(), scan.v1_axis.tobytes(), scan.v2_axis.tobytes(), scan.meta,
-        labels.labels.tobytes(), labels.stored_at,
+        labels.labels.tobytes(),
     )
 
 
@@ -493,10 +492,9 @@ class TestWindowPlan:
                 assert scan.shape == (15, 15)
                 assert scan.meta == q.ScanMeta(4.0)
                 if source is coarse:
-                    assert scan.meta is coarse.scan.meta and labels.stored_at is not None
+                    assert scan.meta is coarse.scan.meta
                     assert np.diff(scan.v1_axis).tolist() == [4.0] * 14
                 else:
-                    assert labels.stored_at is None
                     assert np.shares_memory(scan.v1_axis, fine.scan.v1_axis) and scan.v1_axis.strides == (16,)
         assert fine._plans[(60.0, 60.0, 4.0)][0] == 2 and coarse._plans[(60.0, 60.0, 4.0)][0] == 1
 

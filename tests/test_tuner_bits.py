@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 import qdtune as q
 from qdtune.errors import ConfigurationError
+from qdtune.scans import _locate
 from qdtune.tuner import NelderMeadResult, _norm, nelder_mead
 
 
@@ -417,9 +418,12 @@ class TestScoreReuse:
     def test_a_shared_vector_scored_under_two_configs(self, center, reference_source):
         a = q.FitnessConfig()
         b = q.FitnessConfig(alpha=2.5, cap=False)
-        p = q.oracle_probability(q.acquire_with_labels(reference_source, center, (60.0, 60.0), 2.0)[1])
-        again = q.oracle_probability(q.acquire_with_labels(reference_source, center, (60.0, 60.0), 2.0)[1])
-        assert again is p  # the stored scan shares one vector per count key
+        def stored():
+            found = _locate(reference_source, center, (60.0, 60.0), 2.0, q.Sandbox())
+            return q.OracleClassifier().stored_probabilities(reference_source, *found)
+
+        p = stored()
+        assert stored() is p  # the stored scan shares one vector per count pair
         for config in (a, b, a, a, b):
             fresh = q.ProbabilityVector(p.p_none, p.p_sd, p.p_dd)
             expect = q.fitness(fresh, config)
