@@ -9,7 +9,8 @@ deterministic and needs no live measurement:
    points near the double-dot region, for all three simplex policies.
 2. The same experiments around five points deep in the single-central
    plateau, where the capped fitness gives the optimizer no signal.
-3. A success heatmap over a second scan, one run per 10 mV grid cell.
+3. A success heatmap over a second scan, one run per 10 mV grid cell,
+   with 30 mV windows for the oracle and 60 mV windows for a model.
 4. An exhaustive fitness landscape of the scan for a 60x60 mV window.
 
 Outputs (JSON reports plus CSV/TXT tables) land in --out. With the
@@ -65,8 +66,11 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.classifier == "oracle":
         classifier = q.OracleClassifier()
+        heatmap_span = (30.0, 30.0)
     elif args.classifier.startswith("model:"):
         classifier = q.ModelClassifier(q.load_model(args.classifier[6:]))
+        # The model's input image needs 30 px a side: 60 mV at 2 mV/px.
+        heatmap_span = (60.0, 60.0)
     else:
         parser.error("--classifier must be oracle or model:PATH")
 
@@ -98,7 +102,7 @@ def main() -> int:
     if not args.skip_heatmap:
         hm_source = build_source(params, *HEATMAP_SCAN, out, "heatmap_scan")
         for policy_name, policy in POLICIES.items():
-            hm = heatmap(hm_source, classifier, policy=policy)
+            hm = heatmap(hm_source, classifier, policy=policy, span=heatmap_span)
             hm.save_json(out / f"heatmap_{policy_name}.json")
             outcomes = " ".join(f"{kind}={n}" for kind, n in sorted(hm.outcome_counts.items()))
             print(
@@ -117,6 +121,7 @@ def main() -> int:
     manifest = {
         "elapsed_s": round(time.time() - t0, 1),
         "classifier": args.classifier,
+        "heatmap_span_mv": list(heatmap_span),
         "good_points": GOOD_POINTS,
         "plateau_points": PLATEAU_POINTS,
         "policies": list(POLICIES),

@@ -19,10 +19,17 @@ arguments a lone image gives, so a row's probabilities are bit for bit
 those of the image classified alone. A 2-d (N, 900) @ W product would be
 one gemm, whose blocking makes each row's last bits depend on N. Training
 keeps its 2-d mini-batches.
+
+On a stored scan a window is fixed by its window plan and its first
+pixel, and its vector does not depend on the stack it was scored in, so a
+``ModelClassifier`` classifies each stored window once and keeps the
+vector for its later tuning steps and landscapes, as the oracle keeps
+one table per window shape.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,7 +59,7 @@ from .grids import (
     pixel_count,
 )
 from .preprocess import IMAGE_SIZE, _check_range, process
-from .scans import PremeasuredScan, Sandbox, _window_slices
+from .scans import _NO_LABELS, PremeasuredScan, Sandbox, _window_slices
 
 # The headers of model and dataset files; their loaders refuse any other.
 MODEL_HEADER = {"format": "qdtune-model", "version": "1"}
@@ -402,9 +409,6 @@ def evaluate(model: ClassifierModel, samples: list[LabeledSample]) -> EvalReport
 # --- classifier front ends for the tuner -----------------------------------
 
 
-_NO_LABELS = "oracle classifier needs a source with ground-truth labels"
-
-
 class OracleClassifier:
     """Reads the probability vector straight off the ground-truth labels."""
 
@@ -417,12 +421,13 @@ class OracleClassifier:
         """``probabilities`` of the stored window ``scans._locate`` found, with
         no window built: read off the oracle table of its shape at stride 1,
         so windows of equal counts share one object, and counted from its
-        strided codes otherwise. Both count the same integers."""
-        if source.labels is None:
-            raise ConfigurationError(_NO_LABELS)
+        strided codes otherwise. Both count the same integers, and both
+        refuse a source without labels as ``probabilities`` does."""
         stride, n1, n2, _ = plan
         if stride == 1:
             return oracle_table(source.tally, n1, n2).rows[s1][s2]
+        if source.labels is None:
+            raise ConfigurationError(_NO_LABELS)
         return _counted_codes(source.labels.labels[_window_slices(plan, s1, s2)])
 
 
@@ -430,21 +435,40 @@ class ModelClassifier:
     """Runs the preprocessing pipeline and the trained network.
 
     It never reads ground-truth labels, and says so, so that the tuner
-    does not ask a simulated source to compute them.
+    does not ask a simulated source to compute them. It computes with
+    read-only copies of the model's weights and biases, so no later write
+    through the caller's model reaches it. It keeps its vector of each
+    stored window it classified (module docstring), by stored scan, window
+    plan and start, for as long as both it and the scan live.
     """
 
     reads_labels = False
 
     def __init__(self, model: ClassifierModel):
-        self.model = model
+        self.model = ClassifierModel(
+            weights=[_read_only(w.copy()) for w in model.weights],
+            biases=[_read_only(b.copy()) for b in model.biases],
+        )
+        self._stored = weakref.WeakKeyDictionary()
 
     def probabilities(self, scan: ScanGrid, labels: LabelGrid | None) -> ProbabilityVector:
         return self.stack_probabilities(scan.values[None], scan.meta)[0]
 
+    def _stored_vectors(self, source: PremeasuredScan, plan: tuple) -> dict[tuple[int, int], ProbabilityVector]:
+        """The vectors this classifier kept of ``source``'s windows of
+        ``plan``, by start ``(s1, s2)``; a window is kept once classified."""
+        return self._stored.setdefault(source, {}).setdefault(plan, {})
+
     def stored_probabilities(self, source: PremeasuredScan, plan: tuple, s1: int, s2: int) -> ProbabilityVector:
         """``probabilities`` of the stored window ``scans._locate`` found, bit
-        for bit, from a view of the stored values: no grid is built."""
-        return self.stack_probabilities(source.scan.values[_window_slices(plan, s1, s2)][None], plan[3])[0]
+        for bit, from a view of the stored values: no grid is built. The
+        vector is kept; a window whose classification raises is not."""
+        vectors = self._stored_vectors(source, plan)
+        p = vectors.get((s1, s2))
+        if p is None:
+            window = source.scan.values[_window_slices(plan, s1, s2)]
+            p = vectors[s1, s2] = self.stack_probabilities(window[None], plan[3])[0]
+        return p
 
     def stack_probabilities(self, stack: np.ndarray, meta: ScanMeta) -> list[ProbabilityVector]:
         """The probability vector of each window of an (N, n, m) stack of sensor

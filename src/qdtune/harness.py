@@ -11,7 +11,10 @@ The experiments mirror the offline protocol: 9x9-pixel neighborhoods of
 handpicked starting points (81 runs each), coarse start grids over a
 whole premeasured scan, and exhaustive fitness landscapes. An
 experiment runs its starts one after another, in start order; no run
-depends on the runs before it.
+depends on the runs before it. A model classifier keeps the vector of
+each stored window it classified, so the runs and landscapes of one
+classifier on one stored scan classify each window once, whatever their
+order, with the bits classifying it again gives.
 """
 
 from __future__ import annotations
@@ -442,10 +445,11 @@ def fitness_landscape(
     """Exhaustive fitness map of a stored scan for one window size.
 
     With the default oracle classifier the probability vectors come from
-    exact pixel counts over ground-truth labels. A ModelClassifier scores
-    each row of window starts as one stack of sliding-window views of the
-    stored values, with the same bytes as window by window. Any other
-    classifier is refused.
+    exact pixel counts over ground-truth labels. A ModelClassifier reads
+    the vectors it kept of the scan's windows and scores the rest of each
+    row of window starts as one stack of sliding-window views of the
+    stored values, with the same bytes as window by window; it keeps those
+    too. Any other classifier is refused.
     """
     if not isinstance(source, PremeasuredScan):
         raise ConfigurationError("fitness_landscape needs a premeasured full-range scan")
@@ -454,8 +458,8 @@ def fitness_landscape(
             f"fitness_landscape takes an OracleClassifier or ModelClassifier, not {type(classifier).__name__}"
         )
 
-    native = source.scan.meta.resolution
-    w1, w2 = pixel_count(window_span[0], native), pixel_count(window_span[1], native)
+    plan = source._window_plan(window_span, source.scan.meta.resolution)
+    _, w1, w2, meta = plan
     n1, n2 = source.scan.shape
     if w1 > n1 or w2 > n2:
         raise ShapeError(f"window {w1}x{w2} px exceeds the {n1}x{n2} px scan")
@@ -471,12 +475,20 @@ def fitness_landscape(
         scores = np.array([fitness(p, fitness_config) for p in table.vectors])
         return LandscapeResult(scores[table.index], center_v1, center_v2, (w1, w2))
 
-    # windows[i, j] is the w1 x w2 window starting at pixel (i, j), a view.
+    # windows[s1, s2] is the w1 x w2 window starting at pixel (s1, s2), a view.
     windows = np.lib.stride_tricks.sliding_window_view(source.scan.values, (w1, w2))
+    vectors = classifier._stored_vectors(source, plan)
+    starts = range(windows.shape[1])
     values = np.empty(windows.shape[:2])
-    for i, row in enumerate(windows):
+    for s1, row in enumerate(windows):
         # One row of window starts per stack keeps its arrays cache-sized.
-        values[i] = [fitness(p, fitness_config) for p in classifier.stack_probabilities(row, source.scan.meta)]
+        # The stack holds only the windows the classifier has not kept, and
+        # is the row's views themselves, not a copy, when that is all of them.
+        missing = [s2 for s2 in starts if (s1, s2) not in vectors]
+        if missing:
+            stack = row if len(missing) == len(row) else row[missing]
+            vectors.update(zip([(s1, s2) for s2 in missing], classifier.stack_probabilities(stack, meta)))
+        values[s1] = [fitness(vectors[s1, s2], fitness_config) for s2 in starts]
     return LandscapeResult(values, center_v1, center_v2, (w1, w2))
 
 

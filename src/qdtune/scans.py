@@ -18,7 +18,7 @@ slices of the window. :func:`acquire_with_labels` cuts the located window
 as read-only views of the stored copies, of every stride, checked once when
 the source was built. A built-in classifier reads a located window itself
 (``stored_probabilities``), so tuning runs and success scoring on a stored
-scan build no window at all.
+scan build no window at all; a model classifier keeps what it read.
 
 Scan files are a single JSON document: a self-describing header plus
 base64 blobs of little-endian float64 (values, axes) and int8 (labels)
@@ -60,6 +60,9 @@ from .grids import (
 # The header every scan file starts with; load_scan refuses any other.
 SCAN_HEADER = {"format": "qdscan", "version": "1"}
 SCAN_SUFFIX = ".qdscan.json"
+
+# Why a source without labels is refused wherever the oracle reads them.
+_NO_LABELS = "oracle classifier needs a source with ground-truth labels"
 
 
 @dataclass(frozen=True)
@@ -129,7 +132,7 @@ class PremeasuredScan:
     again, of the sensor values, the axes and the label codes, the codes on
     the scan's own axes, so no later write through the caller's arrays
     reaches a window it gives. It tallies the codes the first time
-    :attr:`tally` is read.
+    :attr:`tally` is read, which refuses a scan without labels.
     """
 
     scan: ScanGrid
@@ -148,7 +151,10 @@ class PremeasuredScan:
 
     @cached_property
     def tally(self) -> LabelTally:
-        """Summed-area tables of the stored label codes."""
+        """Summed-area tables of the stored label codes; ConfigurationError
+        when the scan has no labels."""
+        if self.labels is None:
+            raise ConfigurationError(_NO_LABELS)
         return LabelTally(self.labels.labels)
 
     def _window_plan(self, span: tuple[float, float], resolution: float) -> tuple[int, int, int, ScanMeta]:

@@ -22,7 +22,7 @@ from qdtune.harness import iteration_stats, neighborhood_experiment
 from qdtune.tuner import nelder_mead
 
 from faults import inject_sensor_flip
-from stacks import process_scan
+from stacks import count_forward_rows, process_scan, stored_windows
 
 GOOD_POINTS = [(250, 400), (350, 400), (350, 415), (350, 425), (350, 450), (400, 350), (450, 350)]
 PLATEAU_POINTS = [(470, 470), (480, 470), (490, 460), (500, 470), (520, 480)]
@@ -101,6 +101,16 @@ def trained_model():
     test_set = [samples[i] for i in order[cut:]]
     model, _ = q.train(train_set, q.TrainingConfig(seed=3))
     return model, test_set, time.time() - t0
+
+
+@pytest.fixture(scope="module")
+def mlp_study(reference_source, trained_model):
+    """Criterion 14's study, criterion 10's with criterion 8's model in place
+    of the oracle, and the rows of each forward pass of the network in it."""
+    with pytest.MonkeyPatch.context() as patch:
+        rows = count_forward_rows(patch)
+        suite = _study(reference_source, q.ModelClassifier(trained_model[0]))
+    return suite, rows
 
 
 def test_criterion_01_probability_oracle_matches_brute_force(acceptance, label_grid_factory):
@@ -326,13 +336,13 @@ def test_criterion_13_end_to_end_determinism(
 
 
 def test_criterion_14_offline_study_with_the_trained_classifier(
-    acceptance, reference_source, tuning_suite, trained_model
+    acceptance, tuning_suite, trained_model, mlp_study
 ):
     """Criterion 10's study with criterion 8's model in place of the oracle,
     gated on criterion 10's thresholds, plus the model's accuracy on devices
     it never saw."""
     model, _, _ = trained_model
-    mlp_suite = _study(reference_source, q.ModelClassifier(model))
+    mlp_suite, _ = mlp_study
     unseen = q.evaluate(model, q.generate_dataset(200, 10, seed=99))
 
     mlp_good, mlp_plateau, mlp_aggregate = _success(mlp_suite)
@@ -352,3 +362,13 @@ def test_criterion_14_offline_study_with_the_trained_classifier(
         f"accuracy {unseen.accuracy:.4f} on {unseen.n_samples} samples of 200 unseen devices, "
         f"{mlp_suite['elapsed']:.0f} s",
     )
+
+
+def test_the_mlp_study_classifies_each_stored_window_once(reference_source, mlp_study):
+    """Criterion 14's runs classify a stored window 50,255 times, but only
+    11,726 distinct windows; the network sees each distinct one once."""
+    suite, rows = mlp_study
+    reports = [report for name in POLICY_TABLE for kind in ("good", "plateau") for report in suite[name][kind]]
+    runs = [run for report in reports for run in report.runs]
+    classified = sum(not step.blocked for run in runs for step in run.steps)
+    assert sum(rows) == len(stored_windows(reference_source, runs)) < classified

@@ -204,13 +204,18 @@ class TestTuningRoute:
         assert _runs_json(got) == _runs_json(expect)
         assert json.dumps(got.to_json_dict()) == json.dumps(expect.to_json_dict())
 
-    def test_a_source_without_labels_aborts_the_run_as_before(self, reference_scan, oracle):
+    @pytest.mark.parametrize("resolution", [2.0, 4.0])
+    def test_a_source_without_labels_aborts_the_run_as_before(self, reference_scan, oracle, resolution):
+        """At stride 1 the source's tally refuses, and at stride 2 the oracle
+        does before it reads the window's codes."""
         source = q.PremeasuredScan(reference_scan[0])
-        got = q.autotune(source, oracle, (350.0, 400.0))
-        expect = q.autotune(source, SpyOracle(), (350.0, 400.0))
-        cause = "ConfigurationError: oracle classifier needs a source with ground-truth labels"
-        assert got.outcome == expect.outcome == q.Outcome(kind="aborted", cause=cause)
+        message = "oracle classifier needs a source with ground-truth labels"
+        got = q.autotune(source, oracle, (350.0, 400.0), resolution=resolution)
+        expect = q.autotune(source, SpyOracle(), (350.0, 400.0), resolution=resolution)
+        assert got.outcome == expect.outcome == q.Outcome(kind="aborted", cause=f"ConfigurationError: {message}")
         assert json.dumps(got.to_json_dict()) == json.dumps(expect.to_json_dict())
+        with pytest.raises(q.ConfigurationError, match=f"^{message}$"):
+            source.tally
 
 
 class SpyModel:
