@@ -1,18 +1,26 @@
 #!/usr/bin/env python3
-"""Time the offline study with a trained model in place of the oracle.
+"""Time the offline study with a trained model, or with the oracle.
 
 Runs the study's 36 neighborhood experiments (seven band-adjacent and
 five plateau points, three simplex policies; acceptance criterion 14) on
-the 200x200 px reference scan, each pass with a fresh ModelClassifier,
-and prints one JSON line per pass: its wall time, the forward calls and
-rows of the model, the classifications the runs made, the distinct
-stored windows they classified, and the SHA-256 of the reports' JSON.
+the 200x200 px reference scan, each pass with a fresh classifier, and
+prints one JSON line per pass: its wall time, the forward calls and rows
+of the model, the classifications the runs made, the distinct stored
+windows they classified, the windows measured per second (each
+classification plus the window scored at the end of each run, as
+perfbench's study_oracle counts them), and the SHA-256 of the reports'
+JSON.
 
 The model is read from a file that scripts/train_classifier.py wrote; its
 defaults train criterion 8's model (the one criterion 14 uses):
 
     python3 scripts/train_classifier.py --out results/classifier
     python3 scripts/time_mlp_study.py --model results/classifier/model.json --passes 3
+
+With ``--oracle`` in place of ``--model`` the same study runs with the
+oracle classifier, which needs no model file:
+
+    python3 scripts/time_mlp_study.py --oracle --passes 5
 """
 
 import argparse
@@ -36,7 +44,7 @@ PLATEAU_POINTS = [(470, 470), (480, 470), (490, 460), (500, 470), (520, 480)]
 STUDY_SCAN = ((325.0, 350.0), (400.0, 400.0))
 
 
-def study_pass(source, model) -> dict:
+def study_pass(source, make_classifier) -> dict:
     forward = classifier_mod._forward
     calls = rows = 0
 
@@ -49,7 +57,7 @@ def study_pass(source, model) -> dict:
     classifier_mod._forward = counted
     try:
         t0 = time.perf_counter()
-        classifier = q.ModelClassifier(model)
+        classifier = make_classifier()
         reports = [
             neighborhood_experiment(source, classifier, point, policy)
             for policy in POLICIES.values()
@@ -59,7 +67,9 @@ def study_pass(source, model) -> dict:
     finally:
         classifier_mod._forward = forward
 
-    steps = [step for report in reports for run in report.runs for step in run.steps if not step.blocked]
+    runs = [run for report in reports for run in report.runs]
+    steps = [step for run in runs for step in run.steps if not step.blocked]
+    scored = sum(run.best_center() is not None for run in runs)
     windows = set()
     for step in steps:
         plan, s1, s2 = _locate(source, step.center, DEFAULT_SPAN_MV, DEFAULT_RESOLUTION_MV, q.Sandbox())
@@ -73,21 +83,31 @@ def study_pass(source, model) -> dict:
         "forward_rows": rows,
         "classifications": len(steps),
         "distinct_windows": len(windows),
+        "windows_per_s": round((len(steps) + scored) / elapsed),
         "reports_sha256": digest.hexdigest(),
     }
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--model", required=True, help="model file written by scripts/train_classifier.py")
+    chosen = parser.add_mutually_exclusive_group(required=True)
+    chosen.add_argument("--model", help="model file written by scripts/train_classifier.py")
+    chosen.add_argument("--oracle", action="store_true", help="run the study with the oracle classifier")
     parser.add_argument("--passes", type=int, default=3)
     args = parser.parse_args()
 
-    model = q.load_model(args.model)
+    if args.oracle:
+        make_classifier = q.OracleClassifier
+    else:
+        model = q.load_model(args.model)
+
+        def make_classifier():
+            return q.ModelClassifier(model)
+
     scan, labels = q.render_scan(q.reference_device(), *STUDY_SCAN, 2.0)
     source = q.PremeasuredScan(scan, labels)
     for _ in range(args.passes):
-        print(json.dumps(study_pass(source, model)), flush=True)
+        print(json.dumps(study_pass(source, make_classifier)), flush=True)
     return 0
 
 

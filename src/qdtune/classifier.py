@@ -44,7 +44,7 @@ from .errors import (
     check_count,
     check_setting,
 )
-from .fileio import check_header, checked, decode_blob, encode_blob, read_json, write_json
+from .fileio import check_header, checked, decode_blob, decode_finite, encode_blob, read_json, write_json
 from .grids import (
     DEFAULT_RESOLUTION_MV,
     DEFAULT_SPAN_MV,
@@ -418,7 +418,7 @@ class OracleClassifier:
         return oracle_probability(labels)
 
     def stored_probabilities(self, source: PremeasuredScan, plan: tuple, s1: int, s2: int) -> ProbabilityVector:
-        """``probabilities`` of the stored window ``scans._locate`` found, with
+        """``probabilities`` of the stored window ``scans._locator`` found, with
         no window built: read off the oracle table of its shape at stride 1,
         so windows of equal counts share one object, and counted from its
         strided codes otherwise. Both count the same integers, and both
@@ -460,7 +460,7 @@ class ModelClassifier:
         return self._stored.setdefault(source, {}).setdefault(plan, {})
 
     def stored_probabilities(self, source: PremeasuredScan, plan: tuple, s1: int, s2: int) -> ProbabilityVector:
-        """``probabilities`` of the stored window ``scans._locate`` found, bit
+        """``probabilities`` of the stored window ``scans._locator`` found, bit
         for bit, from a view of the stored values: no grid is built. The
         vector is kept; a window whose classification raises is not."""
         vectors = self._stored_vectors(source, plan)
@@ -505,11 +505,11 @@ def load_model(path) -> ClassifierModel:
     if not len(raw_w) == len(raw_b) == len(LAYER_SHAPES):
         raise ScanFormatError("fields 'weights'/'biases' must hold one blob per layer")
     weights = [
-        decode_blob(f"weights[{i}]", blob, "<f8", n_in * n_out).reshape(n_in, n_out)
+        decode_finite(f"weights[{i}]", blob, n_in * n_out).reshape(n_in, n_out)
         for i, (blob, (n_in, n_out)) in enumerate(zip(raw_w, LAYER_SHAPES))
     ]
     biases = [
-        decode_blob(f"biases[{i}]", blob, "<f8", n_out)
+        decode_finite(f"biases[{i}]", blob, n_out)
         for i, (blob, (_, n_out)) in enumerate(zip(raw_b, LAYER_SHAPES))
     ]
     return ClassifierModel(weights=weights, biases=biases)
@@ -542,8 +542,8 @@ def load_dataset(path) -> list[LabeledSample]:
     # Decoded from the document's bytes, so each image is a read-only row view.
     images = decode_blob("images", doc.get("images"), "<f8", count * IMAGE_SIZE**2).reshape(count, IMAGE_SIZE, -1)
     t = decode_blob("targets", doc.get("targets"), "<f8", count * 3).reshape(count, 3)
-    centers = decode_blob("centers", doc.get("centers"), "<f8", count * 2).reshape(count, 2)
-    spans = decode_blob("spans", doc.get("spans"), "<f8", count * 2).reshape(count, 2)
+    centers = decode_finite("centers", doc.get("centers"), count * 2).reshape(count, 2)
+    spans = decode_finite("spans", doc.get("spans"), count * 2).reshape(count, 2)
     seeds = decode_blob("device_seeds", doc.get("device_seeds"), "<i8", count)
     try:
         targets = [ProbabilityVector.from_array(row) for row in t]

@@ -40,6 +40,15 @@ def decode_blob(field: str, text, dtype: str, expected: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=dtype)
 
 
+def decode_finite(field: str, text, expected: int) -> np.ndarray:
+    """``decode_blob`` of a little-endian float64 blob, refused with a
+    ScanFormatError naming ``field`` when it holds NaN or infinity."""
+    arr = decode_blob(field, text, "<f8", expected)
+    if not np.isfinite(arr).all():
+        raise ScanFormatError(f"field {field!r} holds NaN or infinite values")
+    return arr
+
+
 def read_json(path, kind: str) -> dict:
     """Load one JSON object; ``kind`` names the format in error messages."""
     try:

@@ -7,10 +7,14 @@ instead of raising, so the optimizer can treat them as a fixed bad fitness.
 
 A :class:`PremeasuredScan` owns what it stores: read-only copies of the
 sensor values, the axes and the label codes, and the codes' summed-area
-tally. One locator, ``_locate``, says where a stored window lies, or why it
-is refused: the sandbox test, the window plan and the window's first stored
-pixel along each axis. The plan (stride, pixel counts and metadata) is
-worked out once per span and resolution, and kept while it passes its
+tally. One locator says where a stored window lies, or why it is refused:
+the sandbox test, the window plan and the window's first stored pixel along
+each axis. ``_locator`` binds it once for the windows of one span and
+resolution, as a tuning run asks for them: the axis lists, the sandbox
+limits and half spans, and the plan of the first window the sandbox
+accepts; ``_locate`` locates a single window. The sandbox test is
+``Sandbox.contains_window``'s. The plan (stride, pixel counts and metadata)
+is worked out once per span and resolution, and kept while it passes its
 checks. A window lies around the stored pixel center nearest its center,
 the first on a tie, found by one bisection of each stored axis.
 :func:`_window_slices` turns what the locator found into the row and column
@@ -43,7 +47,7 @@ from .errors import (
     ShapeError,
     UnsupportedResolutionError,
 )
-from .fileio import check_header, checked, decode_blob, encode_blob, read_json, write_json
+from .fileio import check_header, checked, decode_blob, decode_finite, encode_blob, read_json, write_json
 from .grids import (
     ACQUISITION_AXES,
     LabelGrid,
@@ -85,18 +89,25 @@ class Sandbox:
         )
 
     def contains_window(self, center: tuple[float, float], span: tuple[float, float]) -> bool:
-        """True when all four window corners are inside the limits.
+        """True when all four window corners are inside the limits."""
+        return self._window_test(span)(center)
+
+    def _window_test(self, span: tuple[float, float]):
+        """``inside(center)``, true when all four corners of the window of
+        ``span`` around ``center`` are inside the limits, with the limits and
+        the half spans bound once.
 
         Written so that any NaN comparison refuses: a NaN center or span,
         or an infinite one, is never contained.
         """
         (lo1, hi1), (lo2, hi2) = self.v1_range, self.v2_range
-        return (
-            lo1 <= center[0] - span[0] / 2.0
-            and center[0] + span[0] / 2.0 <= hi1
-            and lo2 <= center[1] - span[1] / 2.0
-            and center[1] + span[1] / 2.0 <= hi2
-        )
+        half1, half2 = span[0] / 2.0, span[1] / 2.0
+
+        def inside(center: tuple[float, float]) -> bool:
+            c1, c2 = center[0], center[1]
+            return lo1 <= c1 - half1 and c1 + half1 <= hi1 and lo2 <= c2 - half2 and c2 + half2 <= hi2
+
+        return inside
 
 
 @dataclass(frozen=True)
@@ -232,6 +243,44 @@ def _refusal(center: tuple[float, float], span: tuple[float, float]) -> Blocked:
     return Blocked("window crosses the sandbox limits")
 
 
+def _locator(
+    source: PremeasuredScan,
+    span: tuple[float, float],
+    resolution: float,
+    sandbox: Sandbox,
+):
+    """``locate(center)``: where the stored window of ``span`` at
+    ``resolution`` around ``center`` lies, without building it, with what
+    every window of one run shares bound once: the window plan (stride, pixel
+    counts along v1 and v2, metadata) and the stored indices of its first
+    pixel along v1 and v2.
+
+    ``locate`` returns Blocked when any window corner leaves the sandbox or
+    the window runs off the stored raster, and raises as ``_window_plan``
+    does. The plan is worked out on the first window the sandbox accepts and
+    kept once it passes its checks, so a bad request raises on that window
+    and on every later one.
+    """
+    inside = sandbox._window_test(span)
+    axis1, axis2 = source._axis_floats
+    plan = None
+
+    def locate(center: tuple[float, float]) -> tuple[tuple[int, int, int, ScanMeta], int, int] | Blocked:
+        nonlocal plan
+        if not inside(center):
+            return _refusal(center, span)
+        if plan is None:
+            plan = source._window_plan(span, resolution)
+        stride, n1, n2, _ = plan
+        s1 = _crop_start(axis1, float(center[0]), n1, stride)
+        s2 = _crop_start(axis2, float(center[1]), n2, stride)
+        if s1 is None or s2 is None:
+            return Blocked("window falls outside the stored raster")
+        return plan, s1, s2
+
+    return locate
+
+
 def _locate(
     source: PremeasuredScan,
     center: tuple[float, float],
@@ -239,23 +288,9 @@ def _locate(
     resolution: float,
     sandbox: Sandbox,
 ) -> tuple[tuple[int, int, int, ScanMeta], int, int] | Blocked:
-    """Where a stored window lies, without building it: the window plan
-    (stride, pixel counts along v1 and v2, metadata) and the stored indices
-    of its first pixel along v1 and v2.
-
-    Returns Blocked when any window corner leaves the sandbox or the window
-    runs off the stored raster, and raises as ``_window_plan`` does.
-    """
-    if not sandbox.contains_window(center, span):
-        return _refusal(center, span)
-    plan = source._window_plan(span, resolution)
-    stride, n1, n2, _ = plan
-    axis1, axis2 = source._axis_floats
-    s1 = _crop_start(axis1, float(center[0]), n1, stride)
-    s2 = _crop_start(axis2, float(center[1]), n2, stride)
-    if s1 is None or s2 is None:
-        return Blocked("window falls outside the stored raster")
-    return plan, s1, s2
+    """Where one stored window lies: ``_locator``'s ``locate(center)``, for a
+    caller that locates a single window."""
+    return _locator(source, span, resolution, sandbox)(center)
 
 
 def _window_slices(plan: tuple[int, int, int, ScanMeta], s1: int, s2: int) -> tuple[slice, slice]:
@@ -363,9 +398,7 @@ def load_scan(path) -> tuple[ScanGrid, LabelGrid | None]:
 
     v1 = decode_blob("v1_axis", doc.get("v1_axis"), "<f8", n1)
     v2 = decode_blob("v2_axis", doc.get("v2_axis"), "<f8", n2)
-    values = decode_blob("values", doc.get("values"), "<f8", n1 * n2).reshape(n1, n2)
-    if not np.isfinite(values).all():
-        raise ScanFormatError("field 'values' holds NaN or infinite sensor values")
+    values = decode_finite("values", doc.get("values"), n1 * n2).reshape(n1, n2)
     meta = ScanMeta(resolution=resolution, acquisition_axis=axis_name)
     try:
         scan = ScanGrid(values, v1, v2, meta)

@@ -17,21 +17,26 @@ Python floats. Every move is ``a + t * (b - a)`` per coordinate: reflect
 vertices, shrink (1/2) toward the best. The initial simplex lowers each
 plunger in turn by a step that is either fixed or scaled by the starting
 fitness, and the search stops when the simplex's fitness spread or its
-diameter collapses, or when the evaluation budget runs out. One
-"iteration" is one window measurement.
+diameter collapses, or when the evaluation budget runs out. An edge of the
+diameter is measured on Python floats; the BLAS dot of the numpy search
+decides only where the two could round to different decisions. One
+"iteration" is one window measurement, recorded as an immutable
+:class:`TuningStep` named tuple.
 
 On a stored scan, a classifier with a ``stored_probabilities`` method, as
-both built-in ones have, reads each window where the stored-window locator
-finds it, with no window built. Any other run measures each window with
-``acquire_with_labels`` and classifies it with ``probabilities``. Both give
-the same vector bits, so the same run.
+both built-in ones have, reads each window where the run's stored-window
+locator, bound once per run, finds it, with no window built. Any other run
+measures each window with ``acquire_with_labels`` and classifies it with
+``probabilities``. Both give the same vector bits, so the same run.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +44,7 @@ from .classifier import ProbabilityVector
 from .errors import ConfigurationError, DomainError, QdtuneError, check_count, check_setting
 from .fileio import write_csv, write_json
 from .grids import DEFAULT_RESOLUTION_MV, DEFAULT_SPAN_MV
-from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, _locate, acquire_with_labels
+from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, _locator, acquire_with_labels
 
 TARGET_DOUBLE_DOT = ProbabilityVector(0.0, 0.0, 1.0)
 
@@ -74,6 +79,28 @@ def _norm(d: np.ndarray) -> float:
     its per-call overhead: numpy computes it as ``sqrt(d.dot(d))``. The dot
     product is kept, since a BLAS dot may round unlike ``x*x + y*y + z*z``."""
     return math.sqrt(d.dot(d))
+
+
+# How far from the tolerance, relatively, a diameter edge computed on floats
+# must lie for its decision to stand: far beyond the few ulps by which a BLAS
+# dot of two non-negative squares can round unlike ``dx*dx + dy*dy``.
+_BELOW, _ABOVE = 1.0 - 1e-9, 1.0 + 1e-9
+_SMALLEST_NORMAL = sys.float_info.min
+
+
+def _shorter(dx: float, dy: float, tolerance: float) -> bool:
+    """``_norm(np.array([dx, dy])) < tolerance``, bit for bit, decided on
+    floats unless the decision is close: when the sum of squares underflows
+    to below the normal range, overflows or is NaN, or when its root lies
+    within 1e-9 relative of ``tolerance``, the BLAS dot decides."""
+    squares = dx * dx + dy * dy
+    if _SMALLEST_NORMAL <= squares < math.inf:
+        length = math.sqrt(squares)
+        if length < tolerance * _BELOW:
+            return True
+        if length > tolerance * _ABOVE:
+            return False
+    return _norm(np.array([dx, dy])) < tolerance
 
 
 def penalty_g(x: float, steepness: float = FitnessConfig.steepness) -> float:
@@ -162,15 +189,22 @@ POLICIES: dict[str, SimplexPolicy] = {
 }
 
 
+def _simplex_vertices(
+    start: tuple[float, float], policy: SimplexPolicy, start_fitness: float | None = None
+) -> tuple[tuple[float, float], tuple[float, float], tuple[float, float]]:
+    """Vertices ``start, start - (d, 0), start - (0, d)`` as pairs of floats."""
+    delta = policy.step(start_fitness)
+    x0, y0 = float(start[0]), float(start[1])
+    return (x0, y0), (x0 - delta, y0), (x0, y0 - delta)
+
+
 def initial_simplex(
     start: tuple[float, float],
     policy: SimplexPolicy,
     start_fitness: float | None = None,
 ) -> np.ndarray:
     """Vertices ``{start, start - (d, 0), start - (0, d)}`` as a (3, 2) array."""
-    delta = policy.step(start_fitness)
-    x0, y0 = float(start[0]), float(start[1])
-    return np.array([[x0, y0], [x0 - delta, y0], [x0, y0 - delta]])
+    return np.array(_simplex_vertices(start, policy, start_fitness))
 
 
 # --- Nelder-Mead ------------------------------------------------------------
@@ -199,6 +233,19 @@ class NelderMeadResult:
     reason: str  # fitness_converged | simplex_converged | max_iterations
 
 
+def _vertex_points(simplex) -> list[tuple[float, float]]:
+    """The three vertices of a 3x2 ``simplex`` as pairs of Python floats;
+    ConfigurationError, naming its shape, for any other."""
+    try:
+        (x0, y0), (x1, y1), (x2, y2) = simplex
+        return [(float(x0), float(y0)), (float(x1), float(y1)), (float(x2), float(y2))]
+    except (TypeError, ValueError):
+        sim = np.array(simplex, dtype=float)
+    if sim.shape != (3, 2):
+        raise ConfigurationError(f"simplex must be 3 vertices in 2-d, got shape {sim.shape}")
+    return [tuple(vertex) for vertex in sim.tolist()]
+
+
 def _toward(a: tuple[float, float], b: tuple[float, float], t: float) -> tuple[float, float]:
     """The point ``a + t * (b - a)``, per coordinate: every Nelder-Mead move."""
     return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
@@ -215,13 +262,11 @@ def nelder_mead(
     ``start_value`` is the already-known objective value at
     ``simplex[0]``; it is not measured again but still counts against
     the evaluation budget. A NaN value, ``start_value`` included, raises
-    ConfigurationError naming its point. The simplex is three
-    ``(value, (x, y))`` vertices of Python floats, in stable order of value.
+    ConfigurationError naming its point. ``simplex`` is any 3x2 array-like;
+    the search holds three ``(value, (x, y))`` vertices of Python floats, in
+    stable order of value.
     """
-    sim = np.array(simplex, dtype=float)
-    if sim.shape != (3, 2):
-        raise ConfigurationError(f"simplex must be 3 vertices in 2-d, got shape {sim.shape}")
-    points = [tuple(vertex) for vertex in sim.tolist()]
+    points = _vertex_points(simplex)
 
     def call(point: tuple[float, float], value: float | None = None) -> tuple[float, tuple[float, float]]:
         value = float(objective(point) if value is None else value)
@@ -241,9 +286,12 @@ def nelder_mead(
             break
         # The diameter is below the tolerance when every edge is; most steps
         # decide that on the first edge.
-        pairs = ((best, good), (best, worst), (good, worst))
         tolerance = term.simplex_size_tolerance
-        if all(_norm(np.array([p[0] - q[0], p[1] - q[1]])) < tolerance for p, q in pairs):
+        if (
+            _shorter(best[0] - good[0], best[1] - good[1], tolerance)
+            and _shorter(best[0] - worst[0], best[1] - worst[1], tolerance)
+            and _shorter(good[0] - worst[0], good[1] - worst[1], tolerance)
+        ):
             reason = "simplex_converged"
             break
         if used >= term.max_iterations:
@@ -287,8 +335,9 @@ def nelder_mead(
 # --- tuning runs -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TuningStep:
+class TuningStep(NamedTuple):
+    """One window measurement of a run: an immutable record, cheap to build."""
+
     center: tuple[float, float]
     probabilities: ProbabilityVector | None
     fitness: float
@@ -319,7 +368,7 @@ class TuningRun:
         """Center of the best-fitness measurement (earliest on ties)."""
         if not self.steps:
             return None
-        return min(self.steps, key=attrgetter("fitness")).center
+        return min(self.steps, key=itemgetter(2))[0]  # the step's fitness, then its center
 
     def to_json_dict(self) -> dict:
         return {
@@ -376,8 +425,8 @@ def autotune(
     whose ``reads_labels`` attribute is False gets no labels from a
     simulated source, which then skips computing them; any other classifier
     gets them. On a stored scan, a classifier with a ``stored_probabilities``
-    method reads each window where ``scans._locate`` finds it, with no
-    window built; the vectors, and so the run, are the same.
+    method reads each window where the run's one ``scans._locator`` finds
+    it, with no window built; the vectors, and so the run, are the same.
     """
     if not sandbox.contains_point(start):
         raise ConfigurationError(f"start point {start} lies outside the sandbox")
@@ -385,12 +434,14 @@ def autotune(
     steps: list[TuningStep] = []
     with_labels = getattr(classifier, "reads_labels", True)
     stored = getattr(classifier, "stored_probabilities", None) if isinstance(source, PremeasuredScan) else None
+    if stored is not None:
+        locate = _locator(source, span, resolution, sandbox)
 
     def objective(center: tuple[float, float]) -> float:
         if stored is None:
             found = acquire_with_labels(source, center, span, resolution, sandbox, with_labels=with_labels)
         else:
-            found = _locate(source, center, span, resolution, sandbox)
+            found = locate(center)
         if isinstance(found, Blocked):
             value = fitness_config.blocked_fitness
             steps.append(TuningStep(center, None, value, True))
@@ -409,7 +460,7 @@ def autotune(
     )
     try:
         f0 = objective((float(start[0]), float(start[1])))
-        result = nelder_mead(objective, initial_simplex(start, policy, f0), term, f0)
+        result = nelder_mead(objective, _simplex_vertices(start, policy, f0), term, f0)
     except QdtuneError as exc:
         run.outcome = Outcome(kind="aborted", cause=f"{type(exc).__name__}: {exc}")
         return run

@@ -367,6 +367,20 @@ class TestModelIO:
         with pytest.raises(q.ScanFormatError, match="layer_sizes"):
             q.load_model(path)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field, layer", [("weights", 0), ("weights", 2), ("biases", 1)])
+    def test_model_blobs_must_be_finite(self, tmp_path, field, layer, value):
+        path = tmp_path / "model.json"
+        model = q.init_model(0)
+        q.save_model(model, path)
+        doc = json.loads(path.read_text())
+        blob = getattr(model, field)[layer].copy()
+        blob.flat[blob.size // 2] = value
+        doc[field][layer] = encode_blob(blob, "<f8")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(q.ScanFormatError, match=rf"field '{field}\[{layer}\]' holds NaN or infinite values"):
+            q.load_model(path)
+
     @pytest.mark.parametrize(
         "row", [[float("nan"), 0.5, 0.5], [-0.25, 0.5, 0.75], [0.5, 0.5, 0.5]], ids=["nan", "negative", "sum"]
     )
@@ -379,6 +393,19 @@ class TestModelIO:
         doc["targets"] = encode_blob(targets, "<f8")
         path.write_text(json.dumps(doc))
         with pytest.raises(q.ScanFormatError, match="targets"):
+            q.load_dataset(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["centers", "spans"])
+    def test_dataset_centers_and_spans_must_be_finite(self, tmp_path, small_dataset, field, value):
+        path = tmp_path / "ds.json"
+        q.save_dataset(small_dataset, path)
+        doc = json.loads(path.read_text())
+        pairs = decode_blob(field, doc[field], "<f8", 2 * len(small_dataset)).copy()
+        pairs[3] = value
+        doc[field] = encode_blob(pairs, "<f8")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(q.ScanFormatError, match=f"field '{field}' holds NaN or infinite values"):
             q.load_dataset(path)
 
     @pytest.mark.parametrize("pixel", [float("nan"), 1.5, -0.25], ids=["nan", "above", "below"])

@@ -85,3 +85,31 @@ def test_time_mlp_study_counts_one_forward_row_per_distinct_window(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["forward_rows"] == result["forward_calls"] == result["distinct_windows"] < result["classifications"]
+
+
+def test_time_mlp_study_with_the_oracle_needs_no_model():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "time_mlp_study.py"), "--oracle", "--passes", "2"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    first, second = (json.loads(line) for line in done.stdout.splitlines()[-2:])
+    assert first["reports_sha256"] == second["reports_sha256"]
+    for result in (first, second):
+        assert result["forward_calls"] == result["forward_rows"] == 0
+        # 36 neighborhoods of 81 runs, each scored once: the seed-0 study_oracle pass.
+        assert result["classifications"] == 27637
+        assert result["windows_per_s"] > 0
+        assert result["distinct_windows"] < result["classifications"]
+
+
+def test_time_mlp_study_takes_a_model_or_the_oracle_not_both(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "time_mlp_study.py"), "--oracle", "--model", str(tmp_path / "m.json")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2 and "not allowed with argument" in done.stderr

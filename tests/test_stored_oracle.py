@@ -9,13 +9,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdtune as q
 from qdtune import grids as grids_mod
 from qdtune import harness as harness_mod
 from qdtune import scans as scans_mod
 from qdtune.classifier import oracle_table
-from qdtune.scans import _locate
+from qdtune.scans import _crop_start, _locate, _locator, _refusal
 from qdtune.tuner import POLICIES
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -112,6 +114,123 @@ class TestLocator:
         with pytest.raises(q.UnsupportedResolutionError) as old:
             q.acquire_with_labels(reference_source, (301.0, 330.0), (60.0, 60.0), resolution)
         assert str(new.value) == str(old.value)
+
+
+def _written_out_test(sandbox, center, span):
+    """The sandbox test as first written."""
+    (lo1, hi1), (lo2, hi2) = sandbox.v1_range, sandbox.v2_range
+    return (
+        lo1 <= center[0] - span[0] / 2.0
+        and center[0] + span[0] / 2.0 <= hi1
+        and lo2 <= center[1] - span[1] / 2.0
+        and center[1] + span[1] / 2.0 <= hi2
+    )
+
+
+def _reference_locate(source, center, span, resolution, sandbox):
+    """The one-off locator as first written: every per-run fact worked out
+    again for each window."""
+    if not _written_out_test(sandbox, center, span):
+        return _refusal(center, span)
+    plan = source._window_plan(span, resolution)
+    stride, n1, n2, _ = plan
+    axis1, axis2 = source._axis_floats
+    s1 = _crop_start(axis1, float(center[0]), n1, stride)
+    s2 = _crop_start(axis2, float(center[1]), n2, stride)
+    if s1 is None or s2 is None:
+        return q.Blocked("window falls outside the stored raster")
+    return plan, s1, s2
+
+
+class TestBoundLocator:
+    """One run binds one locator and asks it for every window; it must say
+    what locating each window on its own says."""
+
+    SANDBOX = q.Sandbox((180.0, 470.0), (200.0, 505.0))
+
+    def _centers(self, rng, span):
+        (lo1, hi1), (lo2, hi2) = self.SANDBOX.v1_range, self.SANDBOX.v2_range
+        half1, half2 = span[0] / 2.0, span[1] / 2.0
+        centers = [tuple(c) for c in rng.uniform(100.0, 570.0, size=(300, 2)).tolist()]
+        # Each sandbox edge, exactly and one float inside or outside.
+        for c1, c2 in [(lo1 + half1, 350.0), (hi1 - half1, 350.0), (300.0, lo2 + half2), (301.0, hi2 - half2)]:
+            for toward in (-math.inf, math.inf):
+                centers += [(c1, c2), (math.nextafter(c1, toward), c2), (c1, math.nextafter(c2, toward))]
+        centers += [(bad, 350.0) for bad in NON_FINITE] + [(350.0, bad) for bad in NON_FINITE]
+        return centers
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("span", [(60.0, 60.0), (36.0, 48.0)])
+    def test_one_locator_for_many_centers(self, reference_source, stride, span):
+        rng = np.random.default_rng(stride)
+        locate = _locator(reference_source, span, 2.0 * stride, self.SANDBOX)
+        results = []
+        for center in self._centers(rng, span):
+            got = locate(center)
+            assert got == _locate(reference_source, center, span, 2.0 * stride, self.SANDBOX)
+            assert got == _reference_locate(reference_source, center, span, 2.0 * stride, self.SANDBOX)
+            results.append(type(got))
+        assert q.Blocked in results and tuple in results
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_reuse_across_a_refusal(self, reference_source, stride):
+        """A refusal before the plan is known, and between two windows after it."""
+        centers = [(10.0, 330.0), (301.0, 330.0), (math.nan, 330.0), (520.0, 330.0), (350.0, 401.0)]
+        locate = _locator(reference_source, (60.0, 60.0), 2.0 * stride, q.Sandbox())
+        got = [locate(center) for center in centers]
+        assert got == [_locate(reference_source, c, (60.0, 60.0), 2.0 * stride, q.Sandbox()) for c in centers]
+        assert [type(found) for found in got] == [q.Blocked, tuple, q.Blocked, q.Blocked, tuple]
+        assert got[1][0] is got[4][0]  # one plan for the run
+
+    @pytest.mark.parametrize("resolution", [1.0, 3.0])
+    def test_a_bad_resolution_raises_at_the_first_accepted_window_and_after(self, reference_source, resolution):
+        locate = _locator(reference_source, (60.0, 60.0), resolution, q.Sandbox())
+        assert locate((10.0, 330.0)) == q.Blocked("window crosses the sandbox limits")
+        for _ in range(2):
+            with pytest.raises(q.UnsupportedResolutionError):
+                locate((301.0, 330.0))
+
+    def test_a_run_whose_start_window_is_refused_aborts_at_the_same_step(self, reference_source, oracle):
+        """At 1 mV/px the start window crosses the sandbox and is recorded as
+        blocked; the next window asks for the plan, which refuses the
+        resolution, so the run aborts after one step, as it did when each
+        window was located on its own (the acquiring route still does)."""
+        got = q.autotune(reference_source, oracle, (465.0, 300.0), resolution=1.0, sandbox=self.SANDBOX)
+        expect = q.autotune(reference_source, SpyOracle(), (465.0, 300.0), resolution=1.0, sandbox=self.SANDBOX)
+        assert got.steps == expect.steps == [q.TuningStep((465.0, 300.0), None, 2.0, True)]
+        cause = "UnsupportedResolutionError: requested 1.0 mV/px is finer than the stored raster (2.0 mV/px)"
+        assert got.outcome == expect.outcome == q.Outcome(kind="aborted", cause=cause)
+        assert json.dumps(got.to_json_dict()) == json.dumps(expect.to_json_dict())
+
+
+@given(
+    lo=st.floats(-1e3, 1e3),
+    width=st.floats(1e-3, 1e3),
+    span=st.floats(1e-3, 1e3),
+    ulps=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+)
+@settings(max_examples=500)
+def test_the_sandbox_test_rounds_as_written(lo, width, span, ulps):
+    """``c - span/2`` against the low limit and ``c + span/2`` against the
+    high one, as written: a center a few floats from either edge."""
+    sandbox = q.Sandbox((lo, lo + width), (lo, lo + width))
+    center = []
+    for edge, k in zip((lo + span / 2.0, lo + width - span / 2.0), ulps):
+        for _ in range(abs(k)):
+            edge = math.nextafter(edge, math.copysign(math.inf, k))
+        center.append(edge)
+    spans = (span, span)
+    assert sandbox.contains_window(center, spans) == _written_out_test(sandbox, center, spans)
+    assert sandbox._window_test(spans)(center) == _written_out_test(sandbox, center, spans)
+
+
+def test_a_tuning_step_cannot_be_changed(reference_source, oracle):
+    step = q.autotune(reference_source, oracle, (350.0, 400.0)).steps[0]
+    with pytest.raises(AttributeError):
+        step.fitness = 0.0
+    with pytest.raises(TypeError):
+        step[2] = 0.0
+    assert step == q.TuningStep(step.center, step.probabilities, step.fitness, step.blocked)
 
 
 class SpyOracle:

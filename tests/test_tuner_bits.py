@@ -470,3 +470,77 @@ class TestScoreReuse:
     def test_every_default_objective_is_one_object(self, function, name):
         """So the landscape of a stored scan reuses the scores its tuning runs left."""
         assert inspect.signature(function).parameters[name].default is q.tuner.DEFAULT_FITNESS
+
+
+def _dot_decision(dx, dy, tolerance):
+    """The diameter test as the numpy search made it: the BLAS dot decides."""
+    return _norm(np.array([dx, dy])) < tolerance
+
+
+def _same_decision(dx, dy, tolerance):
+    """Whether ``_shorter`` decides as the dot does; an overflowing dot warns
+    in both, as it did in the numpy search, and the warning is not checked."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return q.tuner._shorter(dx, dy, tolerance) == _dot_decision(dx, dy, tolerance)
+
+
+def _ulps_from(value, k):
+    """``value`` moved ``k`` floats up (k > 0) or down."""
+    for _ in range(abs(k)):
+        value = math.nextafter(value, math.inf if k > 0 else -math.inf)
+    return value
+
+
+# Values where the sum of squares underflows, overflows or is not a number.
+EXTREME = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-160, 1.5e-154,
+           1.3e154, 1e200, -1e300, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def edges(draw):
+    """An edge ``(dx, dy)`` and a tolerance from 1e-300 to 1e300: an edge
+    whose BLAS length is the tolerance give or take a few ulps, an edge of the
+    tolerance's magnitude, or extreme coordinates."""
+    kind = draw(st.sampled_from(["at the tolerance", "same magnitude", "extreme"]))
+    if kind == "extreme":
+        coordinates = st.one_of(st.sampled_from(EXTREME), st.floats())
+        return draw(coordinates), draw(coordinates), draw(st.floats(1e-300, 1e300))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    dx = draw(st.floats(-1.0, 1.0)) * scale
+    dy = draw(st.floats(-1.0, 1.0)) * scale
+    if kind == "same magnitude":
+        return dx, dy, draw(st.floats(0.1, 10.0)) * scale
+    with np.errstate(over="ignore"):
+        length = _norm(np.array([dx, dy]))
+    return dx, dy, min(max(_ulps_from(length, draw(st.integers(-4, 4))), 1e-300), 1e300)
+
+
+class TestDiameterDecision:
+    """``_shorter`` decides an edge on Python floats, and hands the decision
+    to the BLAS dot whenever the two could differ: it decides as the dot does."""
+
+    @given(edge=edges())
+    @settings(max_examples=2000)
+    def test_equals_the_dot_decision(self, edge):
+        assert _same_decision(*edge)
+
+    def test_equals_the_dot_decision_where_python_arithmetic_rounds_otherwise(self):
+        rng = np.random.default_rng(23)
+        found = 0
+        while found < 300:
+            d = rng.uniform(-600.0, 600.0, size=2) * rng.uniform(1e-3, 1.0)
+            if not _python_sum_differs(d):
+                continue
+            found += 1
+            dx, dy = d.tolist()
+            length = _norm(d)
+            for k in range(-3, 4):
+                tolerance = _ulps_from(length, k)
+                assert q.tuner._shorter(dx, dy, tolerance) == _dot_decision(dx, dy, tolerance)
+                assert q.tuner._shorter(dx, dy, tolerance) == (k > 0)
+
+    @pytest.mark.parametrize("dx", EXTREME)
+    @pytest.mark.parametrize("dy", [0.0, 1.0, 1e-200, 1e200, math.inf, math.nan])
+    @pytest.mark.parametrize("tolerance", [1e-300, 1e-150, 2.0, 1e150, 1e300])
+    def test_extreme_coordinates(self, dx, dy, tolerance):
+        assert _same_decision(dx, dy, tolerance)
