@@ -14,11 +14,14 @@ experiment runs its starts one after another, in start order; no run
 depends on the runs before it. A model classifier keeps the vector of
 each stored window it classified, so the runs and landscapes of one
 classifier on one stored scan classify each window once, whatever their
-order, with the bits classifying it again gives.
+order, with the bits classifying it again gives. A neighborhood report is
+built from one record per run, and a loaded report is rebuilt from its
+records, so no report holds a figure its runs do not give.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -103,14 +106,14 @@ def ground_truth_dd_fraction(
 
 
 def run_weight(
-    run: TuningRun,
+    center: tuple[float, float] | None,
     source: MeasurementSource,
     span: tuple[float, float],
     resolution: float,
     sandbox: Sandbox,
     regions: SuccessRegions,
 ) -> float:
-    center = run.best_center()
+    """Success weight of a run whose best center is ``center``; 0 when it has none."""
     if center is None:
         return 0.0
     return regions.weight(ground_truth_dd_fraction(source, center, span, resolution, sandbox))
@@ -120,40 +123,39 @@ def run_weight(
 
 
 def _run_batch(
-    starts,
-    source,
-    classifier,
-    span,
-    resolution,
-    fitness_config,
-    policy,
-    term,
-    sandbox,
-) -> list[TuningRun]:
-    """One tuning run per start, in start order. A start outside the sandbox
-    raises ConfigurationError before any run."""
+    starts, source, classifier, span, resolution, fitness_config, policy, term, sandbox, regions
+) -> tuple[list[TuningRun], list[dict]]:
+    """One tuning run per start, in start order, and then the record of each
+    run: its start, best center, iterations, success weight and outcome kind,
+    as a report file holds it. Every run is tuned before any is scored. A
+    start outside the sandbox raises ConfigurationError before any run."""
     for start in starts:
         if not sandbox.contains_point(start):
             raise ConfigurationError(f"start {start} lies outside the sandbox; nothing was run")
-    return [
-        autotune(
-            source,
-            classifier,
-            start,
-            span=span,
-            resolution=resolution,
-            fitness_config=fitness_config,
-            policy=policy,
-            term=term,
-            sandbox=sandbox,
-        )
+    runs = [
+        autotune(source, classifier, start, span=span, resolution=resolution, fitness_config=fitness_config,
+                 policy=policy, term=term, sandbox=sandbox)
         for start in starts
+    ]
+    return runs, [
+        {
+            "start": list(run.start),
+            "best_center": None if center is None else list(center),
+            "iterations": run.iteration_count,
+            "weight": run_weight(center, source, span, resolution, sandbox, regions),
+            "outcome": run.outcome.kind,
+        }
+        for run, center in zip(runs, map(TuningRun.best_center, runs))
     ]
 
 
 @dataclass(eq=False)
 class ExperimentReport:
-    """Aggregate of one batch of runs sharing a policy and a start region."""
+    """Aggregate of one batch of runs sharing a policy and a start region.
+
+    Its one source of truth is ``run_summaries``, a record per run in start
+    order: ``_aggregate`` computes every other field from it, for a new
+    report and for a loaded one alike."""
 
     point: tuple[float, float]
     policy_name: str
@@ -191,84 +193,82 @@ class ExperimentReport:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentReport":
-        """Rebuild a report; a wrong header, or a field that is missing, of
-        the wrong kind or at odds with ``n_runs`` and ``counts``, raises
-        ScanFormatError naming it."""
+        """Rebuild a report from its header, ``point``, ``policy`` and typed run
+        records. Every other field must write the JSON its runs give: the first
+        that is missing, extra, of the wrong kind or unequal raises
+        ScanFormatError naming it, and a wrong header ScanVersionError."""
         check_header(doc, "report", {"schema_version": REPORT_SCHEMA_VERSION})
-
-        def read(where: str, value, kind):
-            return checked(f"report field {where!r}", value, kind, ScanFormatError)
-
         try:
-            counts = read("counts", doc["counts"], dict)
-            iterations = read("iterations", doc["iterations"], dict)
-            outcomes = read("outcomes", doc["outcomes"], dict)
-            per_run = read("iterations.per_run", iterations["per_run"], list)
-            report = cls(
-                point=read("point", doc["point"], 2),
-                policy_name=read("policy", doc["policy"], str),
-                n_runs=read("n_runs", doc["n_runs"], int),
-                success_rate=read("success_rate", doc["success_rate"], float),
-                n_ideal=read("counts.ideal", counts["ideal"], int),
-                n_close=read("counts.close", counts["close"], int),
-                n_fail=read("counts.fail", counts["fail"], int),
-                outcome_counts={k: read(f"outcomes.{k}", v, int) for k, v in outcomes.items()},
-                iteration_mean=read("iterations.mean", iterations["mean"], float),
-                iteration_sd=read("iterations.sd", iterations["sd"], float),
-                iteration_counts=[read("iterations.per_run", n, int) for n in per_run],
-                run_summaries=read("runs", doc["runs"], list),
-            )
+            point = checked("report field 'point'", doc["point"], 2, ScanFormatError)
+            policy_name = checked("report field 'policy'", doc["policy"], str, ScanFormatError)
+            records = checked("report field 'runs'", doc["runs"], list, ScanFormatError)
         except KeyError as exc:
             raise ScanFormatError(f"report is missing field {exc.args[0]!r}") from exc
-        if report.n_runs < 1:
-            raise ScanFormatError(f"report field 'n_runs' must be positive, got {report.n_runs}")
-        for where, runs in (
-            ("iterations.per_run", len(per_run)),
-            ("counts", report.n_ideal + report.n_close + report.n_fail),
-            ("outcomes", sum(report.outcome_counts.values())),
-            ("runs", len(report.run_summaries)),
-        ):
-            if runs != report.n_runs:
-                raise ScanFormatError(f"report field {where!r} holds {runs} runs, not the {report.n_runs} of 'n_runs'")
-        # Whole and half weights sum exactly, so the rate _aggregate wrote is this one, bit for bit.
-        rate = (report.n_ideal + 0.5 * report.n_close) / report.n_runs
-        if report.success_rate != rate:
-            raise ScanFormatError(f"report field 'success_rate' is {report.success_rate!r}, not the {rate!r} of 'counts'")
+        if not records:
+            raise ScanFormatError("report field 'runs' holds no runs")
+        for i, record in enumerate(records):
+            _check_record(i, record)
+        report = _aggregate(point, policy_name, records)
+        read = ("schema_version", "point", "policy", "runs")  # every other field is rebuilt from the runs
+        rebuilt = {k: v for k, v in report.to_json_dict().items() if k not in read}
+        _check_fields({k: v for k, v in doc.items() if k not in read}, rebuilt)
         return report
 
 
-def _aggregate(
-    point,
-    policy_name,
-    runs: list[TuningRun],
-    weights: list[float],
-) -> ExperimentReport:
-    counts = np.array([run.iteration_count for run in runs], dtype=float)
-    n_ideal = sum(1 for w in weights if w == 1.0)
-    n_close = sum(1 for w in weights if w == 0.5)
-    summaries = [
-        {
-            "start": list(run.start),
-            "best_center": list(center) if center else None,
-            "iterations": run.iteration_count,
-            "weight": weight,
-            "outcome": run.outcome.kind,
-        }
-        for run, weight, center in zip(runs, weights, map(TuningRun.best_center, runs))
-    ]
+def _check_record(i: int, record) -> None:
+    """Refuse run record ``i`` of a report file unless each field is of its
+    kind, as ``checked`` reads it (a best center may also be null), its
+    iterations are non-negative and its weight 0, 0.5 or 1."""
+    kinds = {"start": 2, "best_center": 2, "iterations": int, "weight": float, "outcome": str}
+    where = f"runs[{i}]"
+    _check_keys(checked(f"report field {where!r}", record, dict, ScanFormatError), kinds, where + ".")
+    for key, kind in kinds.items():
+        if record[key] is not None or key != "best_center":
+            checked(f"report field '{where}.{key}'", record[key], kind, ScanFormatError)
+    if record["iterations"] < 0:
+        raise ScanFormatError(f"report field '{where}.iterations' must be non-negative, got {record['iterations']}")
+    if record["weight"] not in (0, 0.5, 1):
+        raise ScanFormatError(f"report field '{where}.weight' must be 0, 0.5 or 1, got {record['weight']!r}")
+
+
+def _check_keys(found: dict, expected: dict, prefix: str) -> None:
+    """Refuse the first field, by name, that ``found`` holds and ``expected`` lacks or the other way round."""
+    odd = sorted(found.keys() ^ expected.keys())
+    if odd:
+        state = "has an unexpected" if odd[0] in found else "is missing"
+        raise ScanFormatError(f"report {state} field {prefix + odd[0]!r}")
+
+
+def _check_fields(found: dict, rebuilt: dict, prefix: str = "") -> None:
+    """Refuse the first field of ``found`` that is extra, missing, or writes
+    other JSON than its field in ``rebuilt``; objects are compared field by field."""
+    _check_keys(found, rebuilt, prefix)
+    for key, value in rebuilt.items():
+        if isinstance(value, dict) and isinstance(found[key], dict):
+            _check_fields(found[key], value, f"{prefix}{key}.")
+        elif json.dumps(found[key]) != json.dumps(value):
+            raise ScanFormatError(f"report field {prefix + key!r} is {found[key]!r}, not the {value!r} its runs give")
+
+
+def _aggregate(point, policy_name, records: list[dict], runs: list[TuningRun] | None = None) -> ExperimentReport:
+    """The report of ``records``, one per run in start order; ``runs`` are
+    the tuning runs they record, when there are any."""
+    weights = [record["weight"] for record in records]
+    per_run = [record["iterations"] for record in records]
+    counts = np.array(per_run, dtype=float)
     return ExperimentReport(
         point=(float(point[0]), float(point[1])),
         policy_name=policy_name,
-        n_runs=len(runs),
-        success_rate=float(sum(weights) / len(runs)),
-        n_ideal=n_ideal,
-        n_close=n_close,
-        n_fail=len(runs) - n_ideal - n_close,
-        outcome_counts=dict(Counter(run.outcome.kind for run in runs)),
+        n_runs=len(records),
+        success_rate=sum(weights) / len(records),
+        n_ideal=weights.count(1.0),
+        n_close=weights.count(0.5),
+        n_fail=weights.count(0.0),
+        outcome_counts=dict(Counter(record["outcome"] for record in records)),
         iteration_mean=float(counts.mean()),
         iteration_sd=float(counts.std(ddof=1)) if len(counts) > 1 else 0.0,
-        iteration_counts=[run.iteration_count for run in runs],
-        run_summaries=summaries,
+        iteration_counts=per_run,
+        run_summaries=records,
         runs=runs,
     )
 
@@ -299,11 +299,10 @@ def neighborhood_experiment(
     starts = [
         (float(point[0] + d1), float(point[1] + d2)) for d1 in offsets for d2 in offsets
     ]
-    runs = _run_batch(
-        starts, source, classifier, span, resolution, fitness_config, policy, term, sandbox
+    runs, records = _run_batch(
+        starts, source, classifier, span, resolution, fitness_config, policy, term, sandbox, regions
     )
-    weights = [run_weight(run, source, span, resolution, sandbox, regions) for run in runs]
-    return _aggregate(point, policy.name, runs, weights)
+    return _aggregate(point, policy.name, records, runs)
 
 
 # --- heatmap -----------------------------------------------------------------
@@ -391,19 +390,16 @@ def heatmap(
     v1_starts, v2_starts = axes
 
     starts = [(float(a), float(b)) for a in v1_starts for b in v2_starts]
-    runs = _run_batch(
-        starts, source, classifier, span, resolution, fitness_config, policy, term, sandbox
+    _, records = _run_batch(
+        starts, source, classifier, span, resolution, fitness_config, policy, term, sandbox, regions
     )
-    weights = np.array(
-        [run_weight(run, source, span, resolution, sandbox, regions) for run in runs]
-    ).reshape(v1_starts.size, v2_starts.size)
     return HeatmapResult(
         v1_starts=v1_starts,
         v2_starts=v2_starts,
-        weights=weights,
+        weights=np.array([record["weight"] for record in records]).reshape(v1_starts.size, v2_starts.size),
         policy_name=policy.name,
         grid_step=grid_step,
-        outcome_counts=dict(Counter(run.outcome.kind for run in runs)),
+        outcome_counts=dict(Counter(record["outcome"] for record in records)),
     )
 
 
@@ -412,7 +408,12 @@ def heatmap(
 
 @dataclass(eq=False)
 class LandscapeResult:
-    """Fitness of the window centered at every admissible raster position."""
+    """Fitness of the window centered at every admissible raster position.
+
+    A tuning run at such a center reads the window one pixel lower on both
+    axes: the stored-window locator snaps an even window's center, which lies
+    between two pixel centers, to the lower one. On the study scan the 60 mV
+    argmin center (229, 250) mV scores 0.0, and a run there 0.102."""
 
     values: np.ndarray
     center_v1: np.ndarray
@@ -468,8 +469,6 @@ def fitness_landscape(
     center_v2 = 0.5 * (source.scan.v2_axis[: n2 - w2 + 1] + source.scan.v2_axis[w2 - 1 :])
 
     if isinstance(classifier, OracleClassifier):
-        if source.labels is None:
-            raise ConfigurationError("oracle landscape needs ground-truth labels")
         # Windows share few vectors: score each distinct one once.
         table = oracle_table(source.tally, w1, w2)
         scores = np.array([fitness(p, fitness_config) for p in table.vectors])

@@ -13,6 +13,13 @@ from qdtune.cli import _load_config, build_parser, main
 from faults import on_axes
 
 
+# Two run records as a report file holds them: one ideal run and one failed one.
+RUN_RECORDS = [
+    {"start": [1.0, 2.0], "best_center": [1.0, 2.0], "iterations": 2, "weight": 1.0, "outcome": "converged"},
+    {"start": [3.0, 4.0], "best_center": None, "iterations": 4, "weight": 0.0, "outcome": "converged"},
+]
+
+
 @pytest.fixture(scope="module")
 def scan_file(tmp_path_factory, reference_params):
     """A premeasured scan around the double-dot region for CLI runs."""
@@ -287,7 +294,11 @@ class TestExperiments:
 
     @pytest.mark.parametrize(
         "text, cause",
-        [('{"point": [1, 2', "not valid JSON"), ('{"schema_version": "1", "point": [1, 2]}', "'counts'")],
+        [
+            ('{"point": [1, 2', "not valid JSON"),
+            (json.dumps({"schema_version": "1", "point": [1, 2], "policy": "fixed75", "runs": RUN_RECORDS[:1]}),
+             "missing field 'counts'"),
+        ],
         ids=["truncated", "missing_field"],
     )
     def test_malformed_report_is_machine_readable_error(self, tmp_path, capsys, text, cause):
@@ -310,20 +321,7 @@ class TestExperiments:
         ],
     )
     def test_one_malformed_report_writes_no_table(self, tmp_path, capsys, field, value, error):
-        good = harness_mod.ExperimentReport(
-            point=(1.0, 2.0),
-            policy_name="fixed75",
-            n_runs=2,
-            success_rate=0.5,
-            n_ideal=1,
-            n_close=0,
-            n_fail=1,
-            outcome_counts={"converged": 2},
-            iteration_mean=3.0,
-            iteration_sd=1.0,
-            iteration_counts=[2, 4],
-            run_summaries=[{}, {}],
-        )
+        good = harness_mod._aggregate((1.0, 2.0), "fixed75", RUN_RECORDS)
         runs = tmp_path / "runs"
         runs.mkdir()
         good.save_json(runs / "report_1_2_fixed75.json")
@@ -333,6 +331,30 @@ class TestExperiments:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == error
         assert f"'{field}'" in err["message"]
+        assert not (tmp_path / "tables").exists()
+
+    @pytest.mark.parametrize(
+        "tamper, field",
+        [
+            (lambda doc: doc["iterations"].update(mean=99.0), "'iterations.mean' is 99.0, not the 3.0 its runs give"),
+            (lambda doc: doc["runs"][0].update(weight=0.5), "'success_rate' is 0.5, not the 0.25 its runs give"),
+            (lambda doc: doc["iterations"].update(per_run=[-2, 4]), "'iterations.per_run' is [-2, 4], not the [2, 4]"),
+        ],
+        ids=["iterations_mean", "run_weight", "negative_per_run"],
+    )
+    def test_report_its_runs_do_not_give_writes_no_table(self, tmp_path, capsys, tamper, field):
+        """A report whose pooled figures its run records do not give is
+        refused by name, and no table is written from it."""
+        doc = json.loads(json.dumps(harness_mod._aggregate((1.0, 2.0), "fixed75", RUN_RECORDS).to_json_dict()))
+        tamper(doc)
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "report_1_2_fixed75.json").write_text(json.dumps(doc))
+        rc = main(["report", "--runs", str(runs), "--out", str(tmp_path / "tables")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScanFormatError"
+        assert field in err["message"]
         assert not (tmp_path / "tables").exists()
 
     def test_neighborhood_on_sim_refuses_zero_resolution(self, tmp_path, capsys):

@@ -2,6 +2,8 @@ import csv
 import functools
 import json
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 import qdtune as q
 from qdtune import harness as harness_mod
 from qdtune.grids import SINGLE_DOT_CODES
+from qdtune.scans import _NO_LABELS
 from qdtune.harness import (
     NEIGHBORHOOD_SIDE,
     ExperimentReport,
@@ -92,16 +95,21 @@ class TestSuccessScoring:
 
     def test_run_weight_uses_best_center(self, reference_source):
         regions = q.SuccessRegions()
-        good = fake_run((300.0, 320.0))
-        bad = fake_run((150.0, 170.0))
+        good = fake_run((300.0, 320.0)).best_center()
+        bad = fake_run((150.0, 170.0)).best_center()
         assert run_weight(good, reference_source, (60.0, 60.0), 2.0, q.Sandbox(), regions) == 1.0
         assert run_weight(bad, reference_source, (60.0, 60.0), 2.0, q.Sandbox(), regions) == 0.0
+        assert run_weight(None, reference_source, (60.0, 60.0), 2.0, q.Sandbox(), regions) == 0.0
 
     def test_success_rate_averages(self, reference_source):
         regions = q.SuccessRegions()
-        runs = [fake_run((300.0, 320.0)), fake_run((150.0, 170.0))]
-        weights = [run_weight(run, reference_source, (60.0, 60.0), 2.0, q.Sandbox(), regions) for run in runs]
-        assert _aggregate((300.0, 320.0), "fixed75", runs, weights).success_rate == 0.5
+        centers = [(300.0, 320.0), (150.0, 170.0)]
+        weights = [run_weight(c, reference_source, (60.0, 60.0), 2.0, q.Sandbox(), regions) for c in centers]
+        records = [
+            {"start": list(c), "best_center": list(c), "iterations": 3, "weight": w, "outcome": "converged"}
+            for c, w in zip(centers, weights)
+        ]
+        assert _aggregate((300.0, 320.0), "fixed75", records).success_rate == 0.5
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +125,22 @@ class TestNeighborhood:
         assert report.n_runs == 81
         assert len(report.runs) == 81
         assert report.n_ideal + report.n_close + report.n_fail == 81
+
+    def test_each_run_reads_its_best_center_once(self, reference_source, oracle, monkeypatch):
+        calls = []
+        best_center = TuningRun.best_center
+
+        def counted(run):
+            if sys._getframe(1).f_globals["__name__"] == "qdtune.harness":
+                calls.append(run.start)
+            return best_center(run)
+
+        monkeypatch.setattr(TuningRun, "best_center", counted)
+        report = q.neighborhood_experiment(reference_source, oracle, (350.0, 400.0), q.FixedSimplex(75.0))
+        assert sorted(calls) == sorted(run.start for run in report.runs)
+        assert [r["best_center"] for r in report.run_summaries] == [
+            None if c is None else list(c) for c in map(best_center, report.runs)
+        ]
 
     def test_starts_follow_native_raster(self, report, reference_scan):
         scan, _ = reference_scan
@@ -184,11 +208,11 @@ class TestReportFile:
             (lambda doc: doc["outcomes"].update(stalled=None), "'outcomes.stalled'"),
             (lambda doc: doc.update(runs={}), "'runs'"),
             (lambda doc: doc.pop("counts"), "missing field 'counts'"),
-            (lambda doc: doc["iterations"].update(per_run=[7, 7, 7]), "'iterations.per_run' holds 3 runs, not the 81"),
-            (lambda doc: doc["counts"].update(fail=500), "'counts' holds 5.. runs, not the 81"),
-            (lambda doc: doc["outcomes"].update(aborted=1), "'outcomes' holds 82 runs, not the 81"),
-            (lambda doc: doc["runs"].pop(), "'runs' holds 80 runs, not the 81"),
-            (lambda doc: doc.update(success_rate=math.nextafter(doc["success_rate"], 0.0)), r"'success_rate' is \S+, not the \S+ of 'counts'"),
+            (lambda doc: doc["iterations"].update(per_run=[7, 7, 7]), r"'iterations.per_run' is \[7, 7, 7\], not the \["),
+            (lambda doc: doc["counts"].update(fail=500), "'counts.fail' is 500, not the "),
+            (lambda doc: doc["outcomes"].update(aborted=1), "unexpected field 'outcomes.aborted'"),
+            (lambda doc: doc["runs"].pop(), "'n_runs' is 81, not the 80 its runs give"),
+            (lambda doc: doc.update(success_rate=math.nextafter(doc["success_rate"], 0.0)), r"'success_rate' is \S+, not the \S+ its runs give"),
         ],
         ids=["point", "fractional_n_runs", "zero_n_runs", "nan_success_rate", "policy", "bool_count",
              "string_per_run", "fractional_per_run", "null_outcome", "runs", "missing_counts",
@@ -221,7 +245,8 @@ class TestReportFile:
         """Whole and half weights sum exactly, so the rate a report was written
         with is the one its counts give, bit for bit."""
         weights = np.random.default_rng(seed).choice([0.0, 0.5, 1.0], size=report.n_runs).tolist()
-        written = _aggregate(report.point, report.policy_name, report.runs, weights)
+        records = [{**r, "weight": w} for r, w in zip(report.run_summaries, weights)]
+        written = _aggregate(report.point, report.policy_name, records)
         assert written.n_close > 0
         doc = json.loads(json.dumps(written.to_json_dict()))
         assert ExperimentReport.from_json_dict(doc).to_json_dict() == written.to_json_dict()
@@ -231,6 +256,135 @@ class TestReportFile:
         doc = {**report.to_json_dict(), "schema_version": version}
         with pytest.raises(q.ScanVersionError, match="schema_version"):
             ExperimentReport.from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda doc: doc["iterations"].update(mean=99.0), r"'iterations.mean' is 99.0, not the \S+ its runs give"),
+            (lambda doc: doc["iterations"].update(sd=0.0), r"'iterations.sd' is 0.0, not the \S+ its runs give"),
+            (lambda doc: doc["iterations"]["per_run"].__setitem__(0, -1), "'iterations.per_run' is \\[-1, "),
+            (lambda doc: doc["runs"][0].update(outcome="aborted"), "missing field 'outcomes.aborted'"),
+            (lambda doc: doc.update(runs=[{}] * 81), "missing field 'runs\\[0\\].best_center'"),
+            (lambda doc: doc.update(runs=[]), "'runs' holds no runs"),
+            (lambda doc: doc["runs"][3].update(weight=0.7), r"'runs\[3\].weight' must be 0, 0.5 or 1, got 0.7"),
+            (lambda doc: doc["runs"][3].update(weight=True), r"'runs\[3\].weight' must be a finite number"),
+            (lambda doc: doc["runs"][3].update(iterations=-1), r"'runs\[3\].iterations' must be non-negative"),
+            (lambda doc: doc["runs"][3].update(iterations=12.0), r"'runs\[3\].iterations' must be an integer"),
+            (lambda doc: doc["runs"][3].update(start=[1.0]), r"'runs\[3\].start' must be a list of 2"),
+            (lambda doc: doc["runs"][3].update(best_center="ab"), r"'runs\[3\].best_center' must be a list of 2"),
+            (lambda doc: doc["runs"][3].update(outcome=None), r"'runs\[3\].outcome' must be a string"),
+            (lambda doc: doc["runs"][3].update(cause=None), r"unexpected field 'runs\[3\].cause'"),
+            (lambda doc: doc["runs"].__setitem__(3, [1, 2]), r"'runs\[3\]' must be an object"),
+            (lambda doc: doc.update(notes="hand-edited"), "unexpected field 'notes'"),
+            (lambda doc: doc.update(counts=[1, 2, 3]), r"'counts' is \[1, 2, 3\], not the \{"),
+            (lambda doc: doc["counts"].update(fail=False), "'counts.fail' is False, not the 0 its runs give"),
+            (lambda doc: doc.update(n_runs=81.0), "'n_runs' is 81.0, not the 81 its runs give"),
+        ],
+        ids=["iterations_mean", "iterations_sd", "negative_per_run", "outcome_not_outcomes", "empty_records",
+             "no_records", "weight_not_a_weight", "bool_weight", "negative_iterations", "float_iterations",
+             "short_start", "string_best_center", "null_outcome", "extra_record_field", "record_not_object",
+             "extra_field", "counts_not_object", "bool_for_zero", "float_for_int"],
+    )
+    def test_a_field_its_runs_do_not_give_is_refused(self, report, mutate, field):
+        """A loaded report is rebuilt from its typed run records, and every
+        other field must be the one they give."""
+        doc = json.loads(json.dumps(report.to_json_dict()))
+        mutate(doc)
+        with pytest.raises(q.ScanFormatError, match=field) as exc:
+            ExperimentReport.from_json_dict(doc)
+        assert type(exc.value) is q.ScanFormatError
+
+    def test_whole_numbers_and_a_null_center_load(self, report):
+        """A record's start may hold integers, its weight 0 or 1, and its best
+        center null; the report loads and writes an equal document."""
+        doc = json.loads(json.dumps(report.to_json_dict()))
+        for record in doc["runs"][:3]:
+            record.update(start=[int(v) for v in record["start"]], weight=int(record["weight"]), best_center=None)
+        assert ExperimentReport.from_json_dict(doc).to_json_dict() == doc
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_report_is_refused_by_name_or_loads_as_written(self, report, data):
+        """One leaf of a real report replaced, one key dropped, or one key
+        added: the loader raises ScanFormatError or ScanVersionError naming
+        that field (or, for a run record, a field it disagrees with), or
+        loads a report that writes the same document as its runs give."""
+        doc = json.loads(json.dumps(report.to_json_dict()))
+        # One top-level field first, so the 81 run records do not crowd out the rest.
+        top = data.draw(st.sampled_from(sorted(doc)))
+        paths = list(_paths(doc[top], (top,)))
+        op = data.draw(st.sampled_from(["replace", "drop", "extra"]))
+        if op == "extra":
+            path = data.draw(st.sampled_from([p for p in [(), *paths] if isinstance(_at(doc, p), dict)]))
+            _at(doc, path)["zz"] = data.draw(OTHER_VALUES)
+            path += ("zz",)
+        else:
+            path = data.draw(st.sampled_from(paths))
+            parent, key = _at(doc, path[:-1]), path[-1]
+            if op == "drop":
+                del parent[key]
+            else:
+                parent[key] = data.draw(_mutations(parent[key]))
+        try:
+            loaded = ExperimentReport.from_json_dict(doc)
+        except q.ScanFormatError as exc:
+            message = str(exc)
+            named = re.search("'" + re.escape(_field_name(path)) + r"[.\[']", message)
+            disagrees = path[0] == "runs" and re.search(r"'(n_runs|success_rate|(counts|outcomes|iterations)\.\w+)'", message)
+            assert named or disagrees, (path, message)
+        else:
+            assert loaded.to_json_dict() == doc, path
+            rebuilt = _aggregate(loaded.point, loaded.policy_name, loaded.run_summaries)
+            assert rebuilt.to_json_dict() == doc, path
+
+
+# Values of other types, and numbers a report never holds, for the loader fuzz.
+OTHER_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 200),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(alphabet="abz", max_size=3),
+    st.lists(st.floats(-1e3, 1e3), max_size=3),
+    st.just({}),
+)
+
+
+def _mutations(value):
+    """A replacement for ``value``: another type, or a nearby number, NaN
+    or a bool when it is a number."""
+    if type(value) in (int, float):
+        near = [value + 1, value - 1, -value, float(value), int(value), math.nextafter(value, math.inf), math.nan, True]
+        return st.one_of(st.sampled_from(near), OTHER_VALUES)
+    return OTHER_VALUES
+
+
+def _paths(node, path=()):
+    """Path of ``node`` and of every value inside it, depth first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _field_name(path) -> str:
+    """The name the loader gives the field at ``path``: dotted keys, with a
+    run record's index in brackets; a list of numbers is one field."""
+    name = ""
+    for key in path:
+        if isinstance(key, int):
+            if name != "runs":
+                break
+            name += f"[{key}]"
+        else:
+            name += f".{key}" if name else key
+    return name
 
 
 class TestDeterminism:
@@ -315,6 +469,15 @@ class TestLandscape:
         assert result.values.max() <= 2.0
         best = result.argmin_center()
         assert q.state_at(reference_params, *best) == q.StateLabel.DOUBLE_DOT
+
+    def test_oracle_landscape_needs_labels_and_a_model_landscape_does_not(self, reference_params):
+        scan, _ = q.render_scan(reference_params, (300.0, 330.0), (100.0, 100.0), 2.0)
+        source = q.PremeasuredScan(scan)
+        with pytest.raises(q.ConfigurationError, match=f"^{_NO_LABELS}$"):
+            q.fitness_landscape(source)
+        result = q.fitness_landscape(source, q.ModelClassifier(q.init_model(0)))
+        assert result.values.shape == (21, 21)
+        assert np.isfinite(result.values).all()
 
     def test_other_classifiers_are_refused(self, reference_source):
         class PlainOracle:

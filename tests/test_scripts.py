@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import qdtune as q
+from qdtune.cli import main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -27,6 +28,10 @@ def test_offline_experiments_without_heatmap(tmp_path):
     ):
         assert line in done.stdout
     assert json.loads((out / "manifest.json").read_text())["heatmap_span_mv"] == [30.0, 30.0]
+    # Every report the study wrote loads: its pooled figures are the ones its runs give.
+    tables = tmp_path / "tables"
+    assert main(["report", "--runs", str(out), "--out", str(tables)]) == 0
+    assert (tables / "summary.txt").read_text().count("  point (") == 36
 
 
 def test_offline_experiments_with_a_model_run_its_heatmaps_at_60_mv(tmp_path):
