@@ -35,13 +35,31 @@ Rendering skips work without changing a bit of its output. scipy's
 levels whose step is 1.0 at a window's smallest ``mu`` are 1.0 at every
 pixel. Added in order from 0.0 they sum to exactly their count, so
 :func:`_occupation` starts there and evaluates only the other levels.
+Each level's step is ``expit((mu - c) / THERMAL_WIDTH_MV)`` with
+``c = (k + 1/2) * line_spacing``. The width is a power of two, so dividing
+by it only moves the exponent, and ``fl(mu - c) / w == fl(mu / w - c / w)``
+whenever no operand or result is subnormal. ``c / w`` is at least 1/2
+because ``DeviceParams`` refuses a ``line_spacing`` below the width; a
+``mu`` so tiny that halving it rounds is below half an ulp of ``c`` and
+vanishes from ``mu - c`` either way. So :func:`_occupation` halves ``mu``
+once and each level costs a subtract, an ``expit`` and an add.
 :func:`render_scan` computes on broadcast axes instead of meshgrids,
 which gives the same value per element because every operation is
 elementwise, and computes ground-truth labels only when asked for them.
+
+Labels are written from rectangles of the axes, not tested per pixel.
+A window's axes strictly increase, and ``v - v_on < 0`` holds exactly when
+``v < v_on`` for finite doubles, so the pixels with ``e_i < 0`` are a
+prefix of the rows (or columns) that ``bisect_left`` finds, and those with
+``V_i >= merge_threshold`` a suffix. :func:`_label_codes` starts from
+``DOUBLE_DOT``, writes the band codes from ``a`` per pixel, then the
+right-only, left-only, central and no-dot rectangles, so that a later
+write wins as an earlier test did: no-dot over central where they overlap.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -64,8 +82,10 @@ from .grids import (
 #: Plunger-voltage domain of every simulated device, in millivolts.
 DOMAIN_MV = (0.0, 600.0)
 
-#: Width of a thermally broadened charge-addition step.
+#: Width of a thermally broadened charge-addition step. A power of two, so
+#: that dividing by it is the exact multiplication by ``_STEP_SCALE``.
 THERMAL_WIDTH_MV = 2.0
+_STEP_SCALE = 1.0 / THERMAL_WIDTH_MV
 
 #: Softness of the detuning-band edges in the sensor signal.
 BAND_EDGE_WIDTH_MV = 10.0
@@ -97,6 +117,10 @@ class DeviceParams:
                      "background_gradient"):
             check_setting(self, name, sign=None)
         check_setting(self, "line_spacing")
+        if not self.line_spacing >= THERMAL_WIDTH_MV:
+            raise ConfigurationError(
+                f"field 'line_spacing': {self.line_spacing} mV is below the step width {THERMAL_WIDTH_MV} mV"
+            )
         check_setting(self, "noise_sigma", sign="non-negative")
         lo, hi = DOMAIN_MV
         for name, value in zip(("v1_on", "v2_on"), self.formation_thresholds):
@@ -203,56 +227,50 @@ def _check_domain(v1, v2):
     return v1, v2
 
 
-def _state_codes(params: DeviceParams, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """Vectorized region lookup; returns int8 StateLabel codes."""
+def _label_codes(params: DeviceParams, v1_axis: np.ndarray, v2_axis: np.ndarray) -> np.ndarray:
+    """C-contiguous int8 StateLabel codes of the grid of two strictly
+    increasing axes: the band codes per pixel, then four rectangles of the
+    axes, lowest priority first (module docstring)."""
     v1_on, v2_on = params.formation_thresholds
     band_lo, band_hi = params.dd_band
-    e1 = v1 - v1_on
-    e2 = v2 - v2_on
-    a = e1 - e2
-
-    no_dot = (e1 < 0) & (e2 < 0)
-    central = (v1 >= params.merge_threshold) & (v2 >= params.merge_threshold)
-    left_only = (e1 >= 0) & (e2 < 0)
-    right_only = (e2 >= 0) & (e1 < 0)
-    codes = np.select(
-        [no_dot, central, left_only, right_only, a > band_hi, a < band_lo],
-        [
-            int(StateLabel.NO_DOT),
-            int(StateLabel.SINGLE_CENTRAL),
-            int(StateLabel.SINGLE_LEFT),
-            int(StateLabel.SINGLE_RIGHT),
-            int(StateLabel.SINGLE_LEFT),
-            int(StateLabel.SINGLE_RIGHT),
-        ],
-        default=int(StateLabel.DOUBLE_DOT),
-    )
-    return codes.astype(np.int8)
+    a = (v1_axis - v1_on)[:, None] - (v2_axis - v2_on)[None, :]
+    codes = np.full(a.shape, int(StateLabel.DOUBLE_DOT), dtype=np.int8)
+    codes[a > band_hi] = int(StateLabel.SINGLE_LEFT)
+    codes[a < band_lo] = int(StateLabel.SINGLE_RIGHT)
+    # e_i < 0 exactly before the first pixel with v_i >= v_i_on.
+    on1, merge1 = bisect_left(v1_axis, v1_on), bisect_left(v1_axis, params.merge_threshold)
+    on2, merge2 = bisect_left(v2_axis, v2_on), bisect_left(v2_axis, params.merge_threshold)
+    codes[:on1, on2:] = int(StateLabel.SINGLE_RIGHT)
+    codes[on1:, :on2] = int(StateLabel.SINGLE_LEFT)
+    codes[merge1:, merge2:] = int(StateLabel.SINGLE_CENTRAL)
+    codes[:on1, :on2] = int(StateLabel.NO_DOT)
+    return codes
 
 
 def state_at(params: DeviceParams, v1: float, v2: float) -> StateLabel:
     """Ground-truth charge state at a single plunger-voltage point."""
     a1, a2 = _check_domain(v1, v2)
-    return StateLabel(int(_state_codes(params, a1, a2)))
+    return StateLabel(int(_label_codes(params, a1.reshape(1), a2.reshape(1))[0, 0]))
 
 
 def _occupation(mu: np.ndarray, spacing: float) -> np.ndarray:
     """Electron count for a dot: broadened steps at mu = (k + 1/2) * spacing.
 
     The first ``k0`` levels, whose step is exactly 1.0 at ``min(mu)``, are
-    exactly 1.0 everywhere and are counted, not evaluated (module docstring).
+    exactly 1.0 everywhere and are counted, not evaluated. The others take
+    their step from ``mu`` halved once, which is exact (module docstring).
     """
-    top = float(np.max(mu, initial=0.0))
+    top = max(float(mu.max()), 0.0)
     n_levels = max(1, int(np.ceil(top / spacing)) + 2)
-    low = float(np.min(mu))
+    low = float(mu.min()) * _STEP_SCALE
     k0 = 0
-    while k0 < n_levels and expit((low - (k0 + 0.5) * spacing) / THERMAL_WIDTH_MV) == 1.0:
+    while k0 < n_levels and expit(low - (k0 + 0.5) * spacing * _STEP_SCALE) == 1.0:
         k0 += 1
     occ = np.full_like(mu, float(k0))
+    scaled = mu * _STEP_SCALE
     step = np.empty_like(mu)
     for k in range(k0, n_levels):
-        np.subtract(mu, (k + 0.5) * spacing, out=step)
-        np.divide(step, THERMAL_WIDTH_MV, out=step)
+        np.subtract(scaled, (k + 0.5) * spacing * _STEP_SCALE, out=step)
         expit(step, out=step)
         occ += step
     return occ
@@ -275,16 +293,17 @@ def _sensor_grid(params: DeviceParams, v1: np.ndarray, v2: np.ndarray) -> np.nda
     # Above the merge threshold the two potentials collapse onto their
     # mean, rotating both line families onto the diagonal.
     merged = expit((np.minimum(v1, v2) - params.merge_threshold) / MERGE_BLEND_WIDTH_MV)
+    separate = 1.0 - merged
     mu_avg = 0.5 * (mu1 + mu2)
-    mu1 = (1.0 - merged) * mu1 + merged * mu_avg
-    mu2 = (1.0 - merged) * mu2 + merged * mu_avg
+    mu1 = separate * mu1 + merged * mu_avg
+    mu2 = separate * mu2 + merged * mu_avg
 
     # Mutual capacitive shift, one pass: each dot sees the other's
     # uncorrected occupation. Suppressed in the merged regime where the
     # two coordinates are no longer distinct.
     n1_bare = _occupation(mu1, params.line_spacing)
     n2_bare = _occupation(mu2, params.line_spacing)
-    shift = params.interdot_coupling * (1.0 - merged)
+    shift = params.interdot_coupling * separate
     n1 = _occupation(mu1 - shift * n2_bare, params.line_spacing)
     n2 = _occupation(mu2 - shift * n1_bare, params.line_spacing)
 
@@ -329,7 +348,7 @@ def _window_axes(
 
 
 def _labels(params: DeviceParams, v1_axis: np.ndarray, v2_axis: np.ndarray) -> LabelGrid:
-    return _label_grid(_state_codes(params, v1_axis[:, None], v2_axis[None, :]), v1_axis, v2_axis)
+    return _label_grid(_label_codes(params, v1_axis, v2_axis), v1_axis, v2_axis)
 
 
 def render_scan(

@@ -168,14 +168,13 @@ class TestDataset:
 
     def test_all_single_dot_variants_appear(self):
         """The sampled population covers left, central, and right dots."""
-        from qdtune.device import _state_codes
+        from qdtune.device import _label_codes
 
         seen = set()
         v = np.arange(5.0, 600, 10.0)
-        grid = np.meshgrid(v, v, indexing="ij")
         for seed in range(10):
             params = q.sample_device(seed)
-            seen |= set(np.unique(_state_codes(params, *grid)).tolist())
+            seen |= set(np.unique(_label_codes(params, v, v)).tolist())
         assert {0, 1, 2, 3, 4} <= seen
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdtune as q
-from qdtune.device import VARIATION_RANGES, _state_codes
+from qdtune.device import THERMAL_WIDTH_MV, VARIATION_RANGES, _label_codes
 from qdtune.grids import StateLabel
 
 
@@ -38,27 +38,26 @@ class TestStateGeometry:
     def test_no_dot_below_both_formation_thresholds(self, reference_params):
         v1_on, v2_on = reference_params.formation_thresholds
         v = np.linspace(0, min(v1_on, v2_on) - 1, 25)
-        codes = _state_codes(reference_params, *np.meshgrid(v, v, indexing="ij"))
+        codes = _label_codes(reference_params, v, v)
         assert (codes == StateLabel.NO_DOT).all()
 
     def test_dot_formation_is_monotone_along_diagonal(self, reference_params):
         # once any dot has formed, raising both plungers never unforms it
         v = np.linspace(0, 600, 601)
-        codes = _state_codes(reference_params, v, v)
+        codes = np.diagonal(_label_codes(reference_params, v, v))
         formed = codes != StateLabel.NO_DOT
         assert not (formed[:-1] & ~formed[1:]).any()
 
     def test_double_dot_area_fraction(self, reference_params):
         v = np.arange(0.5, 600, 1.0)
-        grid = np.meshgrid(v, v, indexing="ij")
-        codes = _state_codes(reference_params, *grid)
+        codes = _label_codes(reference_params, v, v)
         frac = (codes == StateLabel.DOUBLE_DOT).mean()
         assert frac == pytest.approx(0.0835, abs=1e-4)
         assert 0.05 <= frac <= 0.4
 
     def test_all_five_states_reachable(self, reference_params):
         v = np.arange(5.0, 600, 10.0)
-        codes = _state_codes(reference_params, *np.meshgrid(v, v, indexing="ij"))
+        codes = _label_codes(reference_params, v, v)
         assert set(np.unique(codes)) == {0, 1, 2, 3, 4}
 
     def test_variation_ranges_are_ordered(self):
@@ -211,6 +210,12 @@ class TestDeviceIO:
         with pytest.raises(q.ScanFormatError, match=f"'{field}'"):
             q.load_device(path)
 
+    def test_line_spacing_below_the_step_width_is_format_error_naming_it(self, tmp_path):
+        path = tmp_path / "dev.json"
+        path.write_text(json.dumps({**q.reference_device().to_json_dict(), "line_spacing": 1e-6}))
+        with pytest.raises(q.ScanFormatError, match="'line_spacing'.*below the step width"):
+            q.load_device(path)
+
     def test_unknown_field_is_format_error_naming_it(self, tmp_path):
         path = tmp_path / "dev.json"
         path.write_text(json.dumps({**q.reference_device().to_json_dict(), "bogus": 1}))
@@ -229,6 +234,8 @@ class TestDeviceIO:
             {"dd_band": (90.0, -90.0)},
             {"line_spacing": 0.0},
             {"noise_sigma": -0.1},
+            {"line_spacing": 1e-6},
+            {"line_spacing": 1.99},
         ],
     )
     def test_invalid_params_rejected(self, override):
@@ -247,6 +254,11 @@ class TestDeviceIO:
         base.update(override)
         with pytest.raises(q.ConfigurationError):
             q.DeviceParams(**base)
+
+    def test_line_spacing_at_the_step_width_is_accepted_and_renders(self):
+        params = dataclasses.replace(q.reference_device(), line_spacing=THERMAL_WIDTH_MV)
+        scan, _ = q.render_scan(params, (300.0, 300.0), (60.0, 60.0), 2.0)
+        assert np.isfinite(scan.values).all()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize(

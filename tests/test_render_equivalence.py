@@ -1,25 +1,30 @@
 """The fast render path against the straightforward one it replaced, byte for byte.
 
 ``_occupation_reference`` evaluates every charge level over the whole
-window, and ``_render_reference`` renders on full meshgrids and builds its
-grids through the checking constructors. The library skips the levels
-that are exactly 1.0 everywhere, computes on broadcast axes, builds its
+window, dividing each step by the step width; ``_state_codes_reference``
+labels every pixel with one ``np.select`` over the region masks; and
+``_render_reference`` renders on full meshgrids and builds its grids
+through the checking constructors. The library skips the levels that are
+exactly 1.0 everywhere, halves ``mu`` once instead of dividing each step,
+labels from rectangles on the axes, computes on broadcast axes, builds its
 grids without re-checks and computes labels only on request; none of it
 may change an output bit.
 """
 
+import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
 import qdtune as q
 from qdtune import device
-from qdtune.device import THERMAL_WIDTH_MV, _occupation
-from qdtune.grids import pixel_count
+from qdtune.device import THERMAL_WIDTH_MV, _label_codes, _occupation
+from qdtune.grids import StateLabel, pixel_count
 
 
 def _occupation_reference(mu: np.ndarray, spacing: float) -> np.ndarray:
@@ -29,6 +34,33 @@ def _occupation_reference(mu: np.ndarray, spacing: float) -> np.ndarray:
     for k in range(n_levels):
         occ += expit((mu - (k + 0.5) * spacing) / THERMAL_WIDTH_MV)
     return occ
+
+
+def _state_codes_reference(params, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """Region lookup on full voltage arrays; int8 StateLabel codes."""
+    v1_on, v2_on = params.formation_thresholds
+    band_lo, band_hi = params.dd_band
+    e1 = v1 - v1_on
+    e2 = v2 - v2_on
+    a = e1 - e2
+
+    no_dot = (e1 < 0) & (e2 < 0)
+    central = (v1 >= params.merge_threshold) & (v2 >= params.merge_threshold)
+    left_only = (e1 >= 0) & (e2 < 0)
+    right_only = (e2 >= 0) & (e1 < 0)
+    codes = np.select(
+        [no_dot, central, left_only, right_only, a > band_hi, a < band_lo],
+        [
+            int(StateLabel.NO_DOT),
+            int(StateLabel.SINGLE_CENTRAL),
+            int(StateLabel.SINGLE_LEFT),
+            int(StateLabel.SINGLE_RIGHT),
+            int(StateLabel.SINGLE_LEFT),
+            int(StateLabel.SINGLE_RIGHT),
+        ],
+        default=int(StateLabel.DOUBLE_DOT),
+    )
+    return codes.astype(np.int8)
 
 
 def _render_reference(params, center, span, resolution, with_noise=False, noise_seed=0):
@@ -50,7 +82,7 @@ def _render_reference(params, center, span, resolution, with_noise=False, noise_
     if with_noise and params.noise_sigma > 0:
         rng = np.random.default_rng(noise_seed)
         values = values + rng.normal(0.0, params.noise_sigma, size=values.shape)
-    labels = device._state_codes(params, g1, g2)
+    labels = _state_codes_reference(params, g1, g2)
     meta = q.ScanMeta(resolution=resolution, acquisition_axis="v1")
     return q.ScanGrid(values, v1_axis, v2_axis, meta), q.LabelGrid(labels, v1_axis, v2_axis)
 
@@ -80,10 +112,15 @@ def _nudged(x: float, ulps: int) -> float:
     return x
 
 
-spacings = st.floats(1.0, 40.0, allow_nan=False)
+spacings = st.one_of(st.just(THERMAL_WIDTH_MV), st.floats(1.0, 40.0, allow_nan=False))
 
 
 class TestOccupation:
+    def test_step_width_is_a_power_of_two(self):
+        # Halving mu once is exact only because dividing by the width is.
+        mantissa, _ = math.frexp(THERMAL_WIDTH_MV)
+        assert mantissa == 0.5
+
     def test_threshold_is_the_saturation_edge(self):
         assert expit(SATURATION_X) == 1.0
         assert expit(np.nextafter(SATURATION_X, 0.0)) < 1.0
@@ -123,6 +160,18 @@ class TestOccupation:
     @given(spacing=spacings, lo=st.floats(-1e3, -1e-3), seed=st.integers(0, 2**32 - 1))
     def test_negative_arrays(self, spacing, lo, seed):
         mu = lo * np.random.default_rng(seed).random((8, 3))
+        assert _same_bytes(_occupation(mu, spacing), _occupation_reference(mu, spacing))
+
+    @given(
+        spacing=spacings,
+        scale=st.sampled_from([2.0**-1074, 2.0**-1060, 2.0**-1023, 2.0**-1022, 1e-300, 1e-200]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tiny_and_subnormal_arrays(self, spacing, scale, seed):
+        # Halving a subnormal mu can round; the step it feeds must not change.
+        rng = np.random.default_rng(seed)
+        mu = scale * rng.integers(-(2**53), 2**53, size=(6, 5)).astype(float)
+        mu.flat[:3] = (0.0, -0.0, 2.0**-1074)
         assert _same_bytes(_occupation(mu, spacing), _occupation_reference(mu, spacing))
 
     def test_nan_fails_as_before(self):
@@ -186,6 +235,62 @@ class TestRenderScan:
             _render_reference(*args)
         with pytest.raises(q.ShapeError, match="strictly increasing"):
             q.render_scan(*args)
+
+
+@st.composite
+def label_cases(draw):
+    """A device and the axes of a window inside the domain. Each threshold and
+    band edge is anywhere, on a pixel (or a detuning) of the window, or a few
+    ulps from one, so windows straddle every boundary; the merge threshold may
+    lie below the formation thresholds, and an axis may have one pixel."""
+    resolution = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0, 7.5]))
+    axes = []
+    for _ in range(2):
+        n = draw(st.one_of(st.just(1), st.integers(1, 30)))
+        lo = draw(st.floats(0.0, 600.0 - n * resolution))
+        axes.append(lo + (np.arange(n) + 0.5) * resolution)
+    v1_axis, v2_axis = axes
+
+    def near(values, free):
+        kind = draw(st.sampled_from(["free", "on", "near"]))
+        if kind == "free":
+            return draw(free)
+        value = float(values.flat[draw(st.integers(0, values.size - 1))])
+        return value if kind == "on" else _nudged(value, draw(st.integers(-3, 3)))
+
+    thresholds = (near(v1_axis, st.floats(0.01, 599.99)), near(v2_axis, st.floats(0.01, 599.99)))
+    assume(all(0.0 < t < 600.0 for t in thresholds))
+    merge = near(np.concatenate(axes), st.floats(-50.0, 650.0))
+    detuning = (v1_axis - thresholds[0])[:, None] - (v2_axis - thresholds[1])[None, :]
+    band = sorted(near(detuning, st.floats(-700.0, 700.0)) for _ in range(2))
+    assume(band[0] < band[1])
+    params = dataclasses.replace(
+        q.sample_device(draw(st.integers(0, 2**31 - 1))),
+        formation_thresholds=thresholds, merge_threshold=merge, dd_band=tuple(band),
+    )
+    return params, v1_axis, v2_axis
+
+
+class TestLabels:
+    @given(case=label_cases(), data=st.data())
+    @settings(max_examples=300)
+    def test_rectangles_match_the_select(self, case, data):
+        params, v1_axis, v2_axis = case
+        codes = _label_codes(params, v1_axis, v2_axis)
+        expected = _state_codes_reference(params, *np.meshgrid(v1_axis, v2_axis, indexing="ij"))
+        assert _same_bytes(codes, expected)
+        assert codes.flags.c_contiguous
+        for _ in range(4):
+            i = data.draw(st.integers(0, v1_axis.size - 1))
+            j = data.draw(st.integers(0, v2_axis.size - 1))
+            assert q.state_at(params, v1_axis[i], v2_axis[j]) == expected[i, j]
+
+    def test_no_dot_wins_over_central_where_they_overlap(self, reference_params):
+        params = dataclasses.replace(reference_params, merge_threshold=100.0)
+        v = np.array([150.0, 210.0, 250.0])
+        codes = _label_codes(params, v, v)
+        assert codes[0, 0] == StateLabel.NO_DOT
+        assert _same_bytes(codes, _state_codes_reference(params, *np.meshgrid(v, v, indexing="ij")))
 
 
 class _LabelSpy:
