@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Off-line tuning benchmark on the reference device.
 
-Renders one full charge-sensor scan with ground-truth labels, then
-replays every tuning run against that stored scan so the whole study is
-deterministic and needs no live measurement:
+Renders one full charge-sensor scan with ground-truth labels at
+``qdtune.harness.STUDY_SCAN``, then replays every tuning run against that
+stored scan so the whole study is deterministic and needs no live
+measurement:
 
-1. 9x9 neighborhood experiments (81 starts each) around seven starting
-   points near the double-dot region, for all three simplex policies.
-2. The same experiments around five points deep in the single-central
-   plateau, where the capped fitness gives the optimizer no signal.
+1. The offline study, ``qdtune.study``: 9x9 neighborhood experiments
+   (81 starts each) around seven starting points near the double-dot
+   region, for all three simplex policies.
+2. In the same study, the experiments around five points deep in the
+   single-central plateau, where the capped fitness gives the optimizer
+   no signal. The reports are written and printed by tag, then policy.
 3. A success heatmap over a second scan, one run per 10 mV grid cell,
    with 30 mV windows for the oracle and 60 mV windows for a model.
 4. An exhaustive fitness landscape of the scan for a 60x60 mV window.
@@ -28,22 +31,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import qdtune as q
 from qdtune.fileio import write_json
 from qdtune.harness import (
+    STUDY_POINTS,
+    STUDY_SCAN,
     fitness_landscape,
     heatmap,
     iteration_stats,
-    neighborhood_experiment,
+    study,
     write_iteration_csv,
     write_success_csv,
     write_summary_text,
 )
 from qdtune.tuner import POLICIES
 
-GOOD_POINTS = [(250, 400), (350, 400), (350, 415), (350, 425), (350, 450), (400, 350), (450, 350)]
-PLATEAU_POINTS = [(470, 470), (480, 470), (490, 460), (500, 470), (520, 480)]
-
-# Window placement for the two stored scans, chosen so the double-dot
-# region sits off center and the neighborhood points keep margin.
-NEIGHBORHOOD_SCAN = ((325.0, 350.0), (400.0, 400.0))
+# Placement of the heatmap's stored scan, chosen so the double-dot region
+# sits off center.
 HEATMAP_SCAN = ((300.0, 350.0), (400.0, 400.0))
 
 
@@ -76,13 +77,13 @@ def main() -> int:
 
     t0 = time.time()
     params = q.reference_device()
-    source = build_source(params, *NEIGHBORHOOD_SCAN, out, "reference_scan")
+    source = build_source(params, *STUDY_SCAN, out, "reference_scan")
 
+    by_policy = study(source, classifier)
     reports = []
-    for tag, points in (("good", GOOD_POINTS), ("plateau", PLATEAU_POINTS)):
-        for policy_name, policy in POLICIES.items():
-            for point in points:
-                rep = neighborhood_experiment(source, classifier, point, policy)
+    for tag, points in STUDY_POINTS.items():
+        for policy_name in POLICIES:
+            for point, rep in zip(points, by_policy[policy_name][tag]):
                 rep.save_json(out / f"report_{tag}_{point[0]}_{point[1]}_{policy_name}.json")
                 reports.append(rep)
                 print(
@@ -91,7 +92,7 @@ def main() -> int:
                     f"({rep.iteration_sd:.1f})"
                 )
 
-    good = reports[: len(GOOD_POINTS) * len(POLICIES)]
+    good = [rep for policy_name in POLICIES for rep in by_policy[policy_name]["good"]]
     stats = iteration_stats(good)
     write_success_csv(reports, out / "success_rates.csv")
     write_iteration_csv(good, stats, out / "iteration_stats.csv")
@@ -122,8 +123,8 @@ def main() -> int:
         "elapsed_s": round(time.time() - t0, 1),
         "classifier": args.classifier,
         "heatmap_span_mv": list(heatmap_span),
-        "good_points": GOOD_POINTS,
-        "plateau_points": PLATEAU_POINTS,
+        "good_points": STUDY_POINTS["good"],
+        "plateau_points": STUDY_POINTS["plateau"],
         "policies": list(POLICIES),
     }
     write_json(out / "manifest.json", manifest, indent=2)

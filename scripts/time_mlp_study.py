@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Time the offline study with a trained model, or with the oracle.
 
-Runs the study's 36 neighborhood experiments (seven band-adjacent and
-five plateau points, three simplex policies; acceptance criterion 14) on
-the 200x200 px reference scan, each pass with a fresh classifier, and
+Runs the offline study, ``qdtune.study``: 36 neighborhood experiments
+(seven band-adjacent and five plateau points, three simplex policies;
+acceptance criterion 14) on the 200x200 px reference scan rendered at
+``qdtune.harness.STUDY_SCAN``, each pass with a fresh classifier, and
 prints one JSON line per pass: its wall time, the forward calls and rows
 of the model, the classifications the runs made, the distinct stored
 windows they classified, the windows measured per second (each
@@ -35,13 +36,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import qdtune as q
 from qdtune import classifier as classifier_mod
 from qdtune.grids import DEFAULT_RESOLUTION_MV, DEFAULT_SPAN_MV
-from qdtune.harness import neighborhood_experiment
+from qdtune.harness import STUDY_SCAN, study
 from qdtune.scans import _locate
-from qdtune.tuner import POLICIES
-
-GOOD_POINTS = [(250, 400), (350, 400), (350, 415), (350, 425), (350, 450), (400, 350), (450, 350)]
-PLATEAU_POINTS = [(470, 470), (480, 470), (490, 460), (500, 470), (520, 480)]
-STUDY_SCAN = ((325.0, 350.0), (400.0, 400.0))
 
 
 def study_pass(source, make_classifier) -> dict:
@@ -57,16 +53,12 @@ def study_pass(source, make_classifier) -> dict:
     classifier_mod._forward = counted
     try:
         t0 = time.perf_counter()
-        classifier = make_classifier()
-        reports = [
-            neighborhood_experiment(source, classifier, point, policy)
-            for policy in POLICIES.values()
-            for point in GOOD_POINTS + PLATEAU_POINTS
-        ]
+        by_policy = study(source, make_classifier())
         elapsed = time.perf_counter() - t0
     finally:
         classifier_mod._forward = forward
 
+    reports = [report for by_tag in by_policy.values() for tagged in by_tag.values() for report in tagged]
     runs = [run for report in reports for run in report.runs]
     steps = [step for run in runs for step in run.steps if not step.blocked]
     scored = sum(run.best_center() is not None for run in runs)

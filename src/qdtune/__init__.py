@@ -53,6 +53,7 @@ from .harness import (
     heatmap,
     iteration_stats,
     neighborhood_experiment,
+    study,
     write_iteration_csv,
     write_success_csv,
     write_summary_text,

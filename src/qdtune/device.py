@@ -42,7 +42,10 @@ whenever no operand or result is subnormal. ``c / w`` is at least 1/2
 because ``DeviceParams`` refuses a ``line_spacing`` below the width; a
 ``mu`` so tiny that halving it rounds is below half an ulp of ``c`` and
 vanishes from ``mu - c`` either way. So :func:`_occupation` halves ``mu``
-once and each level costs a subtract, an ``expit`` and an add.
+once and each level costs a subtract, an ``expit`` and an add. The number
+of levels is bounded too: ``DeviceParams`` refuses a line slope outside
+[-1, 1] and a negative interdot coupling, so no ``mu`` in the domain reaches
+1200 mV, and a render sums at most 602 levels per dot.
 :func:`render_scan` computes on broadcast axes instead of meshgrids,
 which gives the same value per element because every operation is
 elementwise, and computes ground-truth labels only when asked for them.
@@ -121,6 +124,10 @@ class DeviceParams:
             raise ConfigurationError(
                 f"field 'line_spacing': {self.line_spacing} mV is below the step width {THERMAL_WIDTH_MV} mV"
             )
+        if not all(abs(slope) <= 1.0 for slope in self.line_slopes):
+            raise ConfigurationError(f"field 'line_slopes': {self.line_slopes} has a slope outside [-1, 1]")
+        if not self.interdot_coupling >= 0.0:
+            raise ConfigurationError(f"field 'interdot_coupling': {self.interdot_coupling} mV is negative")
         check_setting(self, "noise_sigma", sign="non-negative")
         lo, hi = DOMAIN_MV
         for name, value in zip(("v1_on", "v2_on"), self.formation_thresholds):

@@ -9,7 +9,10 @@ aggregate success rate weights them 1 and 1/2::
 
 The experiments mirror the offline protocol: 9x9-pixel neighborhoods of
 handpicked starting points (81 runs each), coarse start grids over a
-whole premeasured scan, and exhaustive fitness landscapes. An
+whole premeasured scan, and exhaustive fitness landscapes. The paper's
+offline study is defined here once: :func:`study` runs the neighborhoods
+of ``STUDY_POINTS`` under every policy of ``tuner.POLICIES``, on a scan
+placed at ``STUDY_SCAN``. An
 experiment runs its starts one after another, in start order; no run
 depends on the runs before it. A model classifier keeps the vector of
 each stored window it classified, so the runs and landscapes of one
@@ -37,6 +40,7 @@ from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, Simulat
 from .scans import acquire_with_labels  # noqa: F401  unused; kept as a name perfbench/spans.py wraps
 from .tuner import (
     DEFAULT_FITNESS,
+    POLICIES,
     FitnessConfig,
     FixedSimplex,
     SimplexPolicy,
@@ -49,6 +53,19 @@ from .tuner import (
 REPORT_SCHEMA_VERSION = "1"
 
 NEIGHBORHOOD_SIDE = 9  # 9x9 pixel grid of starts around each point
+
+#: The offline study's start points in mV: seven next to the double-dot band
+#: ("good") and five deep in the single-central plateau, where the capped
+#: fitness gives the optimizer no signal.
+STUDY_POINTS = {
+    "good": ((250, 400), (350, 400), (350, 415), (350, 425), (350, 450), (400, 350), (450, 350)),
+    "plateau": ((470, 470), (480, 470), (490, 460), (500, 470), (520, 480)),
+}
+
+#: Center and span in mV of the study's stored scan of the reference device,
+#: placed so the double-dot region sits off center and every neighborhood
+#: keeps margin.
+STUDY_SCAN = ((325.0, 350.0), (400.0, 400.0))
 
 
 @dataclass(frozen=True)
@@ -303,6 +320,19 @@ def neighborhood_experiment(
         starts, source, classifier, span, resolution, fitness_config, policy, term, sandbox, regions
     )
     return _aggregate(point, policy.name, records, runs)
+
+
+def study(source: MeasurementSource, classifier) -> dict[str, dict[str, list[ExperimentReport]]]:
+    """The offline study: for each policy of ``tuner.POLICIES`` in order, the
+    neighborhood experiment at each good point, then at each plateau point,
+    as ``{policy_name: {"good": [reports], "plateau": [reports]}}``."""
+    return {
+        name: {
+            tag: [neighborhood_experiment(source, classifier, point, policy) for point in points]
+            for tag, points in STUDY_POINTS.items()
+        }
+        for name, policy in POLICIES.items()
+    }
 
 
 # --- heatmap -----------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import qdtune as q
-from qdtune.harness import NEIGHBORHOOD_SIDE
+from qdtune.harness import NEIGHBORHOOD_SIDE, STUDY_SCAN
 
 settings.register_profile(
     "ci", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -20,13 +20,13 @@ def reference_params():
 
 @pytest.fixture(scope="session")
 def reference_scan(reference_params):
-    """Full-range stored scan used by the off-line tuning tests.
+    """The offline study's stored scan, placed at ``STUDY_SCAN``.
 
     200x200 px at 2 mV/px, covering 125..525 x 150..550 mV; the
     double-dot region sits left of center and the merged-dot plateau
     fills the upper right.
     """
-    scan, labels = q.render_scan(reference_params, (325.0, 350.0), (400.0, 400.0), 2.0)
+    scan, labels = q.render_scan(reference_params, *STUDY_SCAN, 2.0)
     return scan, labels
 
 

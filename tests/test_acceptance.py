@@ -18,36 +18,21 @@ import numpy as np
 import pytest
 
 import qdtune as q
+from qdtune import harness
 from qdtune.harness import iteration_stats, neighborhood_experiment
-from qdtune.tuner import nelder_mead
+from qdtune.tuner import POLICIES, nelder_mead
 
 from faults import inject_sensor_flip
 from stacks import count_forward_rows, process_scan, stored_windows
 
 GOOD_POINTS = [(250, 400), (350, 400), (350, 415), (350, 425), (350, 450), (400, 350), (450, 350)]
 PLATEAU_POINTS = [(470, 470), (480, 470), (490, 460), (500, 470), (520, 480)]
-POLICY_TABLE = {
-    "fixed75": lambda: q.FixedSimplex(75.0),
-    "fixed100": lambda: q.FixedSimplex(100.0),
-    "dynamic": lambda: q.DynamicSimplex(),
-}
 
 
 def _study(source, classifier):
-    """The neighborhood experiments of every policy at every point."""
+    """The offline study, ``qdtune.study``, with its wall time."""
     t0 = time.time()
-    suite = {}
-    for policy_name, make in POLICY_TABLE.items():
-        suite[policy_name] = {
-            "good": [
-                neighborhood_experiment(source, classifier, p, make())
-                for p in GOOD_POINTS
-            ],
-            "plateau": [
-                neighborhood_experiment(source, classifier, p, make())
-                for p in PLATEAU_POINTS
-            ],
-        }
+    suite = q.study(source, classifier)
     suite["elapsed"] = time.time() - t0
     return suite
 
@@ -55,7 +40,7 @@ def _study(source, classifier):
 def _success(suite):
     """Per policy: mean band-adjacent, plateau and aggregate success."""
     good_avg, plateau_avg, aggregate = {}, {}, {}
-    for policy_name in POLICY_TABLE:
+    for policy_name in POLICIES:
         good = [r.success_rate for r in suite[policy_name]["good"]]
         plateau = [r.success_rate for r in suite[policy_name]["plateau"]]
         good_avg[policy_name] = float(np.mean(good))
@@ -78,8 +63,17 @@ def _reliable(suite) -> bool:
 
 def _pooled_means(suite):
     """Per policy: the pooled mean iterations of the band-adjacent runs."""
-    reports = [r for policy_name in POLICY_TABLE for r in suite[policy_name]["good"]]
+    reports = [r for policy_name in POLICIES for r in suite[policy_name]["good"]]
     return {name: mean for name, (mean, _) in iteration_stats(reports).pooled.items()}
+
+
+def test_the_study_runs_the_contract_points_on_the_contract_scan():
+    """The shared study definition is the one these criteria state."""
+    assert {tag: list(points) for tag, points in harness.STUDY_POINTS.items()} == {
+        "good": GOOD_POINTS,
+        "plateau": PLATEAU_POINTS,
+    }
+    assert harness.STUDY_SCAN == ((325, 350), (400, 400))
 
 
 @pytest.fixture(scope="module")
@@ -351,7 +345,7 @@ def test_criterion_14_offline_study_with_the_trained_classifier(
     ok = _reliable(mlp_suite) and unseen.accuracy >= 0.90
 
     def pairs(mlp, oracle, fmt):
-        return ", ".join(f"{name} {mlp[name]:{fmt}}/{oracle[name]:{fmt}}" for name in POLICY_TABLE)
+        return ", ".join(f"{name} {mlp[name]:{fmt}}/{oracle[name]:{fmt}}" for name in POLICIES)
 
     acceptance(
         14,
@@ -368,7 +362,7 @@ def test_the_mlp_study_classifies_each_stored_window_once(reference_source, mlp_
     """Criterion 14's runs classify a stored window 50,255 times, but only
     11,726 distinct windows; the network sees each distinct one once."""
     suite, rows = mlp_study
-    reports = [report for name in POLICY_TABLE for kind in ("good", "plateau") for report in suite[name][kind]]
+    reports = [report for name in POLICIES for kind in ("good", "plateau") for report in suite[name][kind]]
     runs = [run for report in reports for run in report.runs]
     classified = sum(not step.blocked for run in runs for step in run.steps)
     assert sum(rows) == len(stored_windows(reference_source, runs)) < classified

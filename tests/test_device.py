@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdtune as q
+from qdtune import device
 from qdtune.device import THERMAL_WIDTH_MV, VARIATION_RANGES, _label_codes
 from qdtune.grids import StateLabel
 
@@ -254,6 +255,50 @@ class TestDeviceIO:
         base.update(override)
         with pytest.raises(q.ConfigurationError):
             q.DeviceParams(**base)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("line_slopes", (1e6, 1e6)),
+            ("line_slopes", (0.15, -1.0000001)),
+            ("interdot_coupling", -1e5),
+            ("interdot_coupling", -1e-9),
+        ],
+    )
+    def test_a_level_count_past_the_bound_is_refused_by_name(self, tmp_path, field, value):
+        """A slope outside [-1, 1] or a negative coupling would let a render sum
+        millions of charge levels; the parameters and the device file refuse it."""
+        with pytest.raises(q.ConfigurationError, match=f"'{field}'"):
+            dataclasses.replace(q.reference_device(), **{field: value})
+        path = tmp_path / "dev.json"
+        path.write_text(json.dumps({**q.reference_device().to_json_dict(), field: value}))
+        with pytest.raises(q.ScanFormatError, match=f"'{field}'") as exc:
+            q.load_device(path)
+        assert type(exc.value) is q.ScanFormatError
+
+    @pytest.mark.parametrize("slopes", [(1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
+    def test_a_device_at_the_bounds_renders_below_1200_mv(self, slopes, monkeypatch):
+        """Thresholds near the domain's floor, slopes of magnitude 1, no coupling
+        and the narrowest spacing: every ``mu`` of the domain's top corner stays
+        below 1200 mV, so a render sums at most 602 levels per dot."""
+        params = dataclasses.replace(
+            q.reference_device(),
+            formation_thresholds=(1.0, 1.0),
+            line_slopes=slopes,
+            interdot_coupling=0.0,
+            line_spacing=THERMAL_WIDTH_MV,
+        )
+        occupation = device._occupation
+        tops = []
+
+        def spy(mu, spacing):
+            tops.append(float(mu.max()))
+            return occupation(mu, spacing)
+
+        monkeypatch.setattr(device, "_occupation", spy)
+        scan, labels = q.render_scan(params, (570.0, 570.0), (60.0, 60.0), 2.0)
+        assert np.isfinite(scan.values).all() and labels is not None
+        assert len(tops) == 4 and max(tops) < 1200.0
 
     def test_line_spacing_at_the_step_width_is_accepted_and_renders(self):
         params = dataclasses.replace(q.reference_device(), line_spacing=THERMAL_WIDTH_MV)

@@ -101,7 +101,10 @@ def test_time_mlp_study_with_the_oracle_needs_no_model():
     )
     assert done.returncode == 0, done.stderr
     first, second = (json.loads(line) for line in done.stdout.splitlines()[-2:])
-    assert first["reports_sha256"] == second["reports_sha256"]
+    # The 36 reports' bytes in the study's order: policy, then good before plateau points.
+    assert first["reports_sha256"] == second["reports_sha256"] == (
+        "8ea5bc88700b4f137973806b0abcdef5a508b318d8e150efa2f61e072764d88b"
+    )
     for result in (first, second):
         assert result["forward_calls"] == result["forward_rows"] == 0
         # 36 neighborhoods of 81 runs, each scored once: the seed-0 study_oracle pass.
