@@ -12,8 +12,9 @@ classification plus the window scored at the end of each run, as
 perfbench's study_oracle counts them), and the SHA-256 of the reports'
 JSON.
 
-The model is read from a file that scripts/train_classifier.py wrote; its
-defaults train criterion 8's model (the one criterion 14 uses):
+The model is read from a file that scripts/train_classifier.py wrote; that
+script trains criterion 8's model (the one criterion 14 uses), the
+reference classifier of ``qdtune.classifier``:
 
     python3 scripts/train_classifier.py --out results/classifier
     python3 scripts/time_mlp_study.py --model results/classifier/model.json --passes 3

@@ -294,7 +294,9 @@ class TrainingConfig:
 
 
 def init_model(seed: int) -> ClassifierModel:
-    """Symmetric uniform init scaled by fan-in, deterministic in ``seed``."""
+    """Symmetric uniform init scaled by fan-in, deterministic in ``seed``, a
+    non-negative integer."""
+    check_count("seed", seed, sign="non-negative")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for n_in, n_out in LAYER_SHAPES:
@@ -404,6 +406,26 @@ def evaluate(model: ClassifierModel, samples: list[LabeledSample]) -> EvalReport
         confusion[sample.target.argmax_class(), p.argmax_class()] += 1
     accuracy = float(np.trace(confusion) / len(samples))
     return EvalReport(accuracy=accuracy, confusion=confusion, n_samples=len(samples))
+
+
+# --- the reference classifier ------------------------------------------------
+
+#: The paper's classifier, trained on simulated data only, is defined once
+#: here: ``train(reference_split(generate_dataset(**REFERENCE_CORPUS))[0],
+#: REFERENCE_TRAINING)``, evaluated on the held-out rest of the corpus.
+REFERENCE_CORPUS = {"n_devices": 1001, "samples_per_device": 10, "seed": 11}
+#: A per-sample permutation at ``seed`` keeps its first ``train_share`` for
+#: training, so windows of one device may land on both sides of the split.
+REFERENCE_SPLIT = {"seed": 5, "train_share": 0.8}
+REFERENCE_TRAINING = TrainingConfig(seed=3)
+
+
+def reference_split(samples: list[LabeledSample]) -> tuple[list[LabeledSample], list[LabeledSample]]:
+    """``(train_set, held_out)``: ``samples`` split as ``REFERENCE_SPLIT``
+    says, each side in permutation order."""
+    order = np.random.default_rng(REFERENCE_SPLIT["seed"]).permutation(len(samples))
+    cut = int(round(len(samples) * REFERENCE_SPLIT["train_share"]))
+    return [samples[i] for i in order[:cut]], [samples[i] for i in order[cut:]]
 
 
 # --- classifier front ends for the tuner -----------------------------------

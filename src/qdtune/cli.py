@@ -366,8 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = add("gen-dataset", _cmd_gen_dataset, "generate a labeled training dataset")
-    p.add_argument("--devices", type=int, default=1001)
-    p.add_argument("--samples", type=int, default=10, help="windows per device")
+    # The reference corpus's size; the seed keeps generate_dataset's default.
+    corpus = classifier_mod.REFERENCE_CORPUS
+    p.add_argument("--devices", type=int, default=corpus["n_devices"])
+    p.add_argument("--samples", type=int, default=corpus["samples_per_device"], help="windows per device")
     p.add_argument("--span", type=_pair("--span"), help="window span 'S1,S2' in mV")
     p.add_argument("--resolution", type=float)
     p.add_argument("--out", required=True)

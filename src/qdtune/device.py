@@ -68,7 +68,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigurationError, DomainError, ScanFormatError, ShapeError, check_setting
+from .errors import ConfigurationError, DomainError, ScanFormatError, ShapeError, check_count, check_setting
 from .fileio import check_header, checked, kind_of, read_json, write_json
 from .grids import (
     DEFAULT_RESOLUTION_MV,
@@ -182,7 +182,9 @@ VARIATION_RANGES = {
 
 
 def sample_device(seed: int) -> DeviceParams:
-    """Draw one device realization, deterministic in ``seed``."""
+    """Draw one device realization, deterministic in ``seed``, a non-negative
+    integer."""
+    check_count("seed", seed, sign="non-negative")
     rng = np.random.default_rng(seed)
 
     def draw(name):
@@ -372,9 +374,12 @@ def render_scan(
     Pixel centers sit at ``lo + (i + 1/2) * resolution`` so the requested
     window edges bound the raster. The whole window must lie inside
     ``DOMAIN_MV``; anything else, a non-finite center included, raises
-    DomainError. With ``with_labels=False`` the labels are not computed
-    and come back as None.
+    DomainError. With ``with_noise`` the noise is drawn at ``noise_seed``,
+    which must be a non-negative integer. With ``with_labels=False`` the
+    labels are not computed and come back as None.
     """
+    if with_noise:
+        check_count("noise_seed", noise_seed, sign="non-negative")
     v1_axis, v2_axis = _window_axes(center, span, resolution)
     values = _sensor_grid(params, v1_axis[:, None], v2_axis[None, :])
     if with_noise and params.noise_sigma > 0:

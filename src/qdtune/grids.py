@@ -77,6 +77,9 @@ def _check_axis(name: str, axis: np.ndarray, resolution: float) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
     if axis.ndim != 1 or axis.size < 1:
         raise ShapeError(f"{name} must be a non-empty 1-d array")
+    # The checks below compare neighbours only, which a one-pixel axis has none of.
+    if not np.isfinite(axis).all():
+        raise ShapeError(f"{name} must hold finite values")
     if axis.size > 1:
         steps = np.diff(axis)
         if not np.all(steps > 0):

@@ -46,6 +46,7 @@ from .errors import (
     ScanFormatError,
     ShapeError,
     UnsupportedResolutionError,
+    check_count,
 )
 from .fileio import check_header, checked, decode_blob, decode_finite, encode_blob, read_json, write_json
 from .grids import (
@@ -119,11 +120,17 @@ class Blocked:
 
 @dataclass(frozen=True)
 class SimulatedDevice:
-    """Measurement source backed by the synthetic device model."""
+    """Measurement source backed by the synthetic device model. With
+    ``with_noise`` its ``noise_seed`` must be a non-negative integer, as
+    ``render_scan`` asks; a bad one is refused before any run."""
 
     params: DeviceParams
     with_noise: bool = False
     noise_seed: int = 0
+
+    def __post_init__(self):
+        if self.with_noise:
+            check_count("SimulatedDevice.noise_seed", self.noise_seed, sign="non-negative")
 
 
 def _check_label_axes(scan: ScanGrid, labels: LabelGrid) -> None:

@@ -1,10 +1,12 @@
 import json
+import time
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 import qdtune as q
+from qdtune.classifier import REFERENCE_CORPUS, REFERENCE_TRAINING, reference_split
 from qdtune.harness import NEIGHBORHOOD_SIDE, STUDY_SCAN
 
 settings.register_profile(
@@ -39,6 +41,18 @@ def reference_source(reference_scan):
 @pytest.fixture(scope="session")
 def oracle():
     return q.OracleClassifier()
+
+
+@pytest.fixture(scope="session")
+def trained_model():
+    """Criterion 8's classifier, the reference recipe of ``qdtune.classifier``:
+    the model, the held-out samples of its corpus, and the seconds generating
+    the corpus and training took. Shared with criterion 14 and the test of
+    ``scripts/train_classifier.py``."""
+    t0 = time.time()
+    train_set, held_out = reference_split(q.generate_dataset(**REFERENCE_CORPUS))
+    model, _ = q.train(train_set, REFERENCE_TRAINING)
+    return model, held_out, time.time() - t0
 
 
 @pytest.fixture(scope="session")

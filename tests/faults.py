@@ -6,9 +6,13 @@ must survive: a flipped sensor sign, stuck rows, saturation, a dead
 (constant) sensor, affine drift, and NaN or infinite pixels.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 import qdtune as q
+from qdtune.fileio import encode_blob
 
 
 def on_axes(scan: q.ScanGrid, values: np.ndarray) -> q.ScanGrid:
@@ -56,3 +60,14 @@ def inject_non_finite(scan: q.ScanGrid, bad: float = np.nan, every: int = 7) -> 
     values = scan.values.copy()
     values[::every, ::every] = bad
     return on_axes(scan, values)
+
+
+def write_one_row_scan(path, v1: float, with_labels: bool) -> None:
+    """Write a scan file of one row of the reference device, ten pixels long,
+    whose ``v1_axis`` holds ``v1``. A ScanGrid refuses a non-finite axis
+    value, so the file's axis is rewritten after ``save_scan``."""
+    scan, labels = q.render_scan(q.reference_device(), (301.0, 310.0), (2.0, 20.0), 2.0)
+    q.save_scan(scan, path, labels if with_labels else None)
+    doc = json.loads(Path(path).read_text())
+    doc["v1_axis"] = encode_blob(np.array([v1]), "<f8")
+    Path(path).write_text(json.dumps(doc))

@@ -19,6 +19,7 @@ import pytest
 
 import qdtune as q
 from qdtune import harness
+from qdtune.classifier import REFERENCE_CORPUS, REFERENCE_SPLIT, REFERENCE_TRAINING
 from qdtune.harness import iteration_stats, neighborhood_experiment
 from qdtune.tuner import POLICIES, nelder_mead
 
@@ -76,25 +77,18 @@ def test_the_study_runs_the_contract_points_on_the_contract_scan():
     assert harness.STUDY_SCAN == ((325, 350), (400, 400))
 
 
+def test_the_reference_classifier_is_the_one_criterion_8_trains():
+    """The shared classifier recipe, which the ``trained_model`` fixture and
+    ``scripts/train_classifier.py`` use, is the one criterion 8 states."""
+    assert REFERENCE_CORPUS == {"n_devices": 1001, "samples_per_device": 10, "seed": 11}
+    assert REFERENCE_SPLIT == {"seed": 5, "train_share": 0.8}
+    assert REFERENCE_TRAINING == q.TrainingConfig(seed=3)
+
+
 @pytest.fixture(scope="module")
 def tuning_suite(reference_source, oracle):
     """All neighborhood experiments for criteria 10 and 11, run once."""
     return _study(reference_source, oracle)
-
-
-@pytest.fixture(scope="session")
-def trained_model():
-    """Criterion 8's classifier: trained on 80% of a 10,010-sample corpus,
-    with the other 20% held out; shared with criterion 14."""
-    t0 = time.time()
-    samples = q.generate_dataset(1001, 10, seed=11)
-    assert len(samples) == 10010
-    order = np.random.default_rng(5).permutation(len(samples))
-    cut = int(round(len(samples) * 0.8))
-    train_set = [samples[i] for i in order[:cut]]
-    test_set = [samples[i] for i in order[cut:]]
-    model, _ = q.train(train_set, q.TrainingConfig(seed=3))
-    return model, test_set, time.time() - t0
 
 
 @pytest.fixture(scope="module")

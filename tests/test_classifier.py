@@ -254,6 +254,11 @@ class TestTraining:
         with pytest.raises(q.ConfigurationError, match="TrainingConfig.seed must be a non-negative integer"):
             q.TrainingConfig(seed=value)
 
+    @pytest.mark.parametrize("value", [2.5, -1, True], ids=["fraction", "negative", "bool"])
+    def test_init_model_refuses_a_bad_seed_by_name(self, value):
+        with pytest.raises(q.ConfigurationError, match=f"seed must be a non-negative integer, got {value!r}"):
+            q.init_model(value)
+
     def test_numpy_integer_counts_are_accepted(self):
         assert q.TrainingConfig(steps=np.int64(7), batch_size=np.int32(3)).steps == 7
 

@@ -10,7 +10,9 @@ from qdtune import harness as harness_mod
 from qdtune import tuner as tuner_mod
 from qdtune.cli import _load_config, build_parser, main
 
-from faults import on_axes
+from faults import on_axes, write_one_row_scan
+
+NAN, INF = float("nan"), float("inf")
 
 
 # Two run records as a report file holds them: one ideal run and one failed one.
@@ -250,6 +252,31 @@ class TestTune:
         assert err["error"] == "ConfigurationError"
         assert "'sim:abc'" in err["message"]
 
+    @pytest.mark.parametrize(
+        "argv, doc, named",
+        [
+            (["sample-device", "--seed", "-1"], None, "seed"),
+            (["tune", "--source", "sim:-1", "--start", "300,300"], None, "seed"),
+            (["render-scan", "--center", "300,300", "--noise", "--noise-seed", "-1"], None, "noise_seed"),
+            (["render-scan", "--center", "300,300"], {"noise": True, "noise_seed": -2}, "noise_seed"),
+            (["tune", "--source", "sim", "--start", "300,300"], {"noise": True, "noise_seed": -2}, "SimulatedDevice.noise_seed"),
+        ],
+        ids=["sample-device", "sim-source", "noise-seed-flag", "render-config", "tune-config"],
+    )
+    def test_a_negative_seed_is_one_json_line_naming_it(self, tmp_path, capsys, argv, doc, named):
+        if doc is not None:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(doc))
+            argv = [*argv, "--config", str(config)]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigurationError"
+        assert err["message"].startswith(f"{named} must be a non-negative integer, got -")
+        assert not out.exists()
+
     def test_training_section_must_be_an_object(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"training": "fast"}))
@@ -405,6 +432,19 @@ class TestExperiments:
         assert err["error"] == "ConfigurationError"
         assert value in err["message"]
         assert not (tmp_path / "heatmap.json").exists()
+
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    def test_heatmap_on_a_one_row_scan_with_a_non_finite_axis_is_one_json_line(self, tmp_path, capsys, bad):
+        path = tmp_path / "row.qdscan.json"
+        write_one_row_scan(path, bad, with_labels=False)
+        rc = main(["heatmap", "--source", f"scan:{path}", "--span", "2,2", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ScanFormatError"
+        assert "v1_axis must hold finite values" in err["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_heatmap_start_outside_the_configured_sandbox_runs_nothing(self, tmp_path, scan_file, capsys, monkeypatch):
         def no_run(*args, **kwargs):

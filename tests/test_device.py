@@ -76,6 +76,11 @@ class TestStateGeometry:
         assert p.formation_thresholds[0] < p.merge_threshold
         assert p.formation_thresholds[1] < p.merge_threshold
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True], ids=["negative", "fraction", "bool"])
+    def test_a_bad_seed_is_refused_by_name(self, seed):
+        with pytest.raises(q.ConfigurationError, match=f"seed must be a non-negative integer, got {seed!r}"):
+            q.sample_device(seed)
+
 
 class TestSensor:
     def test_deep_no_dot_response_is_pure_background(self, reference_params):
@@ -156,6 +161,12 @@ class TestRenderScan:
         c, _ = q.render_scan(reference_params, (300, 300), (20, 20), 2.0, with_noise=True, noise_seed=2)
         np.testing.assert_array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
+
+    @pytest.mark.parametrize("noise_seed", [-1, 2.5, True], ids=["negative", "fraction", "bool"])
+    def test_a_bad_noise_seed_is_refused_by_name(self, reference_params, noise_seed):
+        named = f"noise_seed must be a non-negative integer, got {noise_seed!r}"
+        with pytest.raises(q.ConfigurationError, match=named):
+            q.render_scan(reference_params, (300, 300), (20, 20), 2.0, with_noise=True, noise_seed=noise_seed)
 
 
 class TestDeviceIO:

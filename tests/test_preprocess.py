@@ -177,6 +177,13 @@ class TestGridChecks:
                 accepted = False
             assert accepted == _allclose_check(axis, resolution)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["v1_axis", "v2_axis"])
+    def test_a_non_finite_one_pixel_axis_is_refused_by_name(self, name, bad):
+        axes = {"v1_axis": [101.0], "v2_axis": [201.0], name: [bad]}
+        with pytest.raises(q.ShapeError, match=f"{name} must hold finite values"):
+            q.ScanGrid(np.zeros((1, 1)), axes["v1_axis"], axes["v2_axis"], q.ScanMeta(resolution=2.0))
+
     def test_non_finite_resolution_rejected(self):
         for resolution in (np.inf, np.nan, 0.0):
             with pytest.raises(q.ConfigurationError):

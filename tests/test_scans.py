@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import qdtune as q
 from qdtune.scans import SCAN_SUFFIX, Blocked, Sandbox, _crop_start
 
-from faults import inject_sensor_flip, on_axes
+from faults import inject_sensor_flip, on_axes, write_one_row_scan
 
 NAN, INF = float("nan"), float("inf")
 
@@ -63,6 +63,12 @@ class TestSandbox:
 
 
 class TestSimulatedAcquire:
+    @pytest.mark.parametrize("noise_seed", [-1, 2.5, True], ids=["negative", "fraction", "bool"])
+    def test_a_bad_noise_seed_is_refused_before_any_run(self, reference_params, noise_seed):
+        named = f"SimulatedDevice.noise_seed must be a non-negative integer, got {noise_seed!r}"
+        with pytest.raises(q.ConfigurationError, match=named):
+            q.SimulatedDevice(reference_params, with_noise=True, noise_seed=noise_seed)
+
     def test_matches_render_scan(self, reference_params):
         source = q.SimulatedDevice(reference_params)
         got, _ = q.acquire_with_labels(source, (300.0, 320.0), (40.0, 40.0), 2.0)
@@ -433,6 +439,14 @@ class TestScanFile:
         path = tmp_path / f"bad{SCAN_SUFFIX}"
         q.save_scan(on_axes(scan, values), path, labels)
         with pytest.raises(q.ScanFormatError, match="'values'"):
+            q.load_scan(path)
+
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    @pytest.mark.parametrize("with_labels", [True, False], ids=["labels", "no_labels"])
+    def test_a_non_finite_one_pixel_axis_is_refused_by_name(self, tmp_path, bad, with_labels):
+        path = tmp_path / f"row{SCAN_SUFFIX}"
+        write_one_row_scan(path, bad, with_labels)
+        with pytest.raises(q.ScanFormatError, match="v1_axis must hold finite values"):
             q.load_scan(path)
 
     def test_missing_file(self, tmp_path):

@@ -58,24 +58,28 @@ def test_offline_experiments_with_a_model_run_its_heatmaps_at_60_mv(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["heatmap_span_mv"] == [60.0, 60.0]
 
 
-def test_train_classifier_small_run(tmp_path):
+def test_train_classifier_writes_criterion_8s_model_bit_for_bit(tmp_path, trained_model):
+    """The script and the acceptance fixture both train the reference
+    classifier of ``qdtune.classifier``, so they write the same model."""
     out = tmp_path / "classifier"
     done = subprocess.run(
-        [
-            sys.executable,
-            str(SCRIPTS / "train_classifier.py"),
-            "--out", str(out),
-            "--devices", "4",
-            "--samples", "2",
-            "--steps", "5",
-        ],
+        [sys.executable, str(SCRIPTS / "train_classifier.py"), "--out", str(out)],
         capture_output=True,
         text=True,
-        timeout=300,
+        timeout=600,
     )
     assert done.returncode == 0, done.stderr
     for name in ("dataset.json", "model.json", "loss.csv", "metrics.json"):
         assert (out / name).is_file(), name
+    model, held_out, _ = trained_model
+    q.save_model(model, tmp_path / "fixture_model.json")
+    assert (out / "model.json").read_bytes() == (tmp_path / "fixture_model.json").read_bytes()
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["accuracy"] == q.evaluate(model, held_out).accuracy
+    assert metrics["n_test"] == 2002
+    # The corpus file is about 100 MB, and pytest keeps the temporary
+    # directories of its last three runs.
+    (out / "dataset.json").unlink()
 
 
 def test_time_mlp_study_counts_one_forward_row_per_distinct_window(tmp_path):
