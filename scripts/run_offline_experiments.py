@@ -12,13 +12,23 @@ measurement:
 2. In the same study, the experiments around five points deep in the
    single-central plateau, where the capped fitness gives the optimizer
    no signal. The reports are written and printed by tag, then policy.
-3. A success heatmap over a second scan, one run per 10 mV grid cell,
-   with 30 mV windows for the oracle and 60 mV windows for a model.
-4. An exhaustive fitness landscape of the scan for a 60x60 mV window.
+3. A success heatmap over a second scan, placed at
+   ``qdtune.harness.HEATMAP_SCAN``, one run per 10 mV grid cell, with
+   60x60 mV windows (``qdtune.grids.DEFAULT_SPAN_MV``) whatever the
+   classifier: a model's 30x30 px input needs them, and the oracle's
+   heatmaps then compare with a model's.
+4. The exhaustive fitness landscape of the study scan for a 60x60 mV
+   window, scored by the classifier the study ran with.
 
-Outputs (JSON reports plus CSV/TXT tables) land in --out. With the
-oracle classifier the full study takes well under a minute; pass
---classifier model:PATH to rerun it with a trained network.
+Outputs (JSON reports plus CSV/TXT tables) land in --out. The classifier
+is ``oracle`` (the default) or ``model:PATH``, a model file that
+scripts/train_classifier.py wrote, spelled as for the ``qdtune`` commands
+and read by ``qdtune.classifier.from_spec``. A spec that names no classifier,
+or a model file that does not load, exits 2 with the reason. With the
+oracle the whole run takes about a second:
+
+    python3 scripts/run_offline_experiments.py --out results/
+    python3 scripts/run_offline_experiments.py --out results-mlp/ --classifier model:results/classifier/model.json
 """
 
 import argparse
@@ -29,8 +39,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import qdtune as q
+from qdtune.classifier import from_spec
 from qdtune.fileio import write_json
+from qdtune.grids import DEFAULT_SPAN_MV
 from qdtune.harness import (
+    HEATMAP_SCAN,
     STUDY_POINTS,
     STUDY_SCAN,
     fitness_landscape,
@@ -43,10 +56,6 @@ from qdtune.harness import (
 )
 from qdtune.tuner import POLICIES
 
-# Placement of the heatmap's stored scan, chosen so the double-dot region
-# sits off center.
-HEATMAP_SCAN = ((300.0, 350.0), (400.0, 400.0))
-
 
 def build_source(params, center, span, out_dir, name):
     scan, labels = q.render_scan(params, center, span, 2.0)
@@ -57,23 +66,17 @@ def build_source(params, center, span, out_dir, name):
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--classifier", default="oracle", help="oracle or model:PATH")
-    parser.add_argument("--skip-heatmap", action="store_true")
     args = parser.parse_args()
+    try:
+        classifier = from_spec(args.classifier)
+    except q.QdtuneError as exc:
+        parser.error(str(exc))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.classifier == "oracle":
-        classifier = q.OracleClassifier()
-        heatmap_span = (30.0, 30.0)
-    elif args.classifier.startswith("model:"):
-        classifier = q.ModelClassifier(q.load_model(args.classifier[6:]))
-        # The model's input image needs 30 px a side: 60 mV at 2 mV/px.
-        heatmap_span = (60.0, 60.0)
-    else:
-        parser.error("--classifier must be oracle or model:PATH")
 
     t0 = time.time()
     params = q.reference_device()
@@ -100,18 +103,17 @@ def main() -> int:
     for policy_name, (mean, sd) in stats.pooled.items():
         print(f"pooled {policy_name}: {mean:.2f} iterations (s.d. {sd:.2f})")
 
-    if not args.skip_heatmap:
-        hm_source = build_source(params, *HEATMAP_SCAN, out, "heatmap_scan")
-        for policy_name, policy in POLICIES.items():
-            hm = heatmap(hm_source, classifier, policy=policy, span=heatmap_span)
-            hm.save_json(out / f"heatmap_{policy_name}.json")
-            outcomes = " ".join(f"{kind}={n}" for kind, n in sorted(hm.outcome_counts.items()))
-            print(
-                f"heatmap {policy_name}: {hm.weights.shape[0]}x{hm.weights.shape[1]} starts, "
-                f"mean weight {hm.weights.mean():.3f}, outcomes {outcomes}"
-            )
+    hm_source = build_source(params, *HEATMAP_SCAN, out, "heatmap_scan")
+    for policy_name, policy in POLICIES.items():
+        hm = heatmap(hm_source, classifier, policy=policy, span=DEFAULT_SPAN_MV)
+        hm.save_json(out / f"heatmap_{policy_name}.json")
+        outcomes = " ".join(f"{kind}={n}" for kind, n in sorted(hm.outcome_counts.items()))
+        print(
+            f"heatmap {policy_name}: {hm.weights.shape[0]}x{hm.weights.shape[1]} starts, "
+            f"mean weight {hm.weights.mean():.3f}, outcomes {outcomes}"
+        )
 
-    land = fitness_landscape(source)
+    land = fitness_landscape(source, classifier)
     land.save_json(out / "landscape.json")
     lo = land.argmin_center()
     print(
@@ -122,7 +124,7 @@ def main() -> int:
     manifest = {
         "elapsed_s": round(time.time() - t0, 1),
         "classifier": args.classifier,
-        "heatmap_span_mv": list(heatmap_span),
+        "heatmap_span_mv": list(DEFAULT_SPAN_MV),
         "good_points": STUDY_POINTS["good"],
         "plateau_points": STUDY_POINTS["plateau"],
         "policies": list(POLICIES),

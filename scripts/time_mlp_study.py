@@ -1,28 +1,27 @@
 #!/usr/bin/env python3
-"""Time the offline study with a trained model, or with the oracle.
+"""Time the offline study with a classifier: a trained model or the oracle.
 
 Runs the offline study, ``qdtune.study``: 36 neighborhood experiments
 (seven band-adjacent and five plateau points, three simplex policies;
 acceptance criterion 14) on the 200x200 px reference scan rendered at
-``qdtune.harness.STUDY_SCAN``, each pass with a fresh classifier, and
-prints one JSON line per pass: its wall time, the forward calls and rows
+``qdtune.harness.STUDY_SCAN``, each pass with a fresh classifier built
+before its timer starts, and prints one JSON line per pass: its wall time, the forward calls and rows
 of the model, the classifications the runs made, the distinct stored
 windows they classified, the windows measured per second (each
 classification plus the window scored at the end of each run, as
 perfbench's study_oracle counts them), and the SHA-256 of the reports'
 JSON.
 
-The model is read from a file that scripts/train_classifier.py wrote; that
-script trains criterion 8's model (the one criterion 14 uses), the
-reference classifier of ``qdtune.classifier``:
+``--classifier`` is required and spelled as for the ``qdtune`` commands
+and scripts/run_offline_experiments.py, read by
+``qdtune.classifier.from_spec``: ``model:PATH`` for a model file that
+scripts/train_classifier.py wrote (criterion 8's model, the one criterion
+14 uses), or ``oracle``, which needs no model file. A spec that names no
+classifier, or a model file that does not load, exits 2 with the reason:
 
     python3 scripts/train_classifier.py --out results/classifier
-    python3 scripts/time_mlp_study.py --model results/classifier/model.json --passes 3
-
-With ``--oracle`` in place of ``--model`` the same study runs with the
-oracle classifier, which needs no model file:
-
-    python3 scripts/time_mlp_study.py --oracle --passes 5
+    python3 scripts/time_mlp_study.py --classifier model:results/classifier/model.json --passes 3
+    python3 scripts/time_mlp_study.py --classifier oracle --passes 5
 """
 
 import argparse
@@ -41,7 +40,7 @@ from qdtune.harness import STUDY_SCAN, study
 from qdtune.scans import _locate
 
 
-def study_pass(source, make_classifier) -> dict:
+def study_pass(source, classifier) -> dict:
     forward = classifier_mod._forward
     calls = rows = 0
 
@@ -54,7 +53,7 @@ def study_pass(source, make_classifier) -> dict:
     classifier_mod._forward = counted
     try:
         t0 = time.perf_counter()
-        by_policy = study(source, make_classifier())
+        by_policy = study(source, classifier)
         elapsed = time.perf_counter() - t0
     finally:
         classifier_mod._forward = forward
@@ -83,24 +82,19 @@ def study_pass(source, make_classifier) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    chosen = parser.add_mutually_exclusive_group(required=True)
-    chosen.add_argument("--model", help="model file written by scripts/train_classifier.py")
-    chosen.add_argument("--oracle", action="store_true", help="run the study with the oracle classifier")
+    parser.add_argument("--classifier", required=True, help="oracle or model:PATH")
     parser.add_argument("--passes", type=int, default=3)
     args = parser.parse_args()
-
-    if args.oracle:
-        make_classifier = q.OracleClassifier
-    else:
-        model = q.load_model(args.model)
-
-        def make_classifier():
-            return q.ModelClassifier(model)
+    try:
+        # One fresh classifier per pass, none of them timed.
+        classifiers = [classifier_mod.from_spec(args.classifier) for _ in range(args.passes)]
+    except q.QdtuneError as exc:
+        parser.error(str(exc))
 
     scan, labels = q.render_scan(q.reference_device(), *STUDY_SCAN, 2.0)
     source = q.PremeasuredScan(scan, labels)
-    for _ in range(args.passes):
-        print(json.dumps(study_pass(source, make_classifier)), flush=True)
+    for classifier in classifiers:
+        print(json.dumps(study_pass(source, classifier)), flush=True)
     return 0
 
 

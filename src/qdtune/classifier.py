@@ -44,7 +44,7 @@ from .errors import (
     check_count,
     check_setting,
 )
-from .fileio import check_header, checked, decode_blob, decode_finite, encode_blob, read_json, write_json
+from .fileio import check_header, check_written, checked, decode_blob, decode_finite, encode_blob, read_json, write_json
 from .grids import (
     DEFAULT_RESOLUTION_MV,
     DEFAULT_SPAN_MV,
@@ -499,6 +499,17 @@ class ModelClassifier:
         return _probabilities(self.model, process(stack, meta))
 
 
+def from_spec(spec: str) -> OracleClassifier | ModelClassifier:
+    """The classifier a front end names: ``oracle``, or ``model:PATH`` for a
+    ``ModelClassifier`` of the model file at PATH. Any other spelling raises
+    ConfigurationError; a model file that does not load, ScanFormatError."""
+    if spec == "oracle":
+        return OracleClassifier()
+    if spec.startswith("model:"):
+        return ModelClassifier(load_model(spec[6:]))
+    raise ConfigurationError(f"unknown classifier {spec!r}; use oracle or model:PATH")
+
+
 # --- file formats -----------------------------------------------------------
 
 
@@ -517,8 +528,7 @@ def save_model(model: ClassifierModel, path) -> None:
 def load_model(path) -> ClassifierModel:
     doc = read_json(path, "model")
     check_header(doc, "model", MODEL_HEADER)
-    if doc.get("activation", "relu") != "relu" or doc.get("output", "softmax") != "softmax":
-        raise ScanFormatError("only relu activations with a softmax output are supported")
+    check_written(doc, {"activation": "relu", "output": "softmax"})
     sizes = doc.get("layer_sizes")
     if sizes != list(LAYER_SIZES):
         raise ScanFormatError(f"field 'layer_sizes' must be {list(LAYER_SIZES)}, got {sizes!r}")
@@ -558,6 +568,7 @@ def save_dataset(samples: list[LabeledSample], path) -> None:
 def load_dataset(path) -> list[LabeledSample]:
     doc = read_json(path, "dataset")
     check_header(doc, "dataset", DATASET_HEADER)
+    check_written(doc, {"image_shape": [IMAGE_SIZE, IMAGE_SIZE]})
     count = checked("field 'count'", doc.get("count"), int, ScanFormatError)
     if count <= 0:
         raise ScanFormatError("field 'count' must be a positive integer")

@@ -10,7 +10,8 @@ gives keeps the library's default, and an unknown key or a value of the
 wrong type is a ``ConfigurationError`` that names it.
 Measurement sources are spelled ``sim`` (the reference device),
 ``sim:SEED`` (a sampled device), or ``scan:PATH`` (a premeasured scan
-file); classifiers are ``oracle`` or ``model:PATH``. Errors exit
+file); classifiers are ``oracle`` or ``model:PATH``, read by
+``qdtune.classifier.from_spec``. Errors exit
 nonzero with a one-line JSON object on stderr.
 """
 
@@ -148,14 +149,6 @@ def _build_source(args, config: dict):
     return scans_mod.SimulatedDevice(params, **noise)
 
 
-def _build_classifier(spec: str):
-    if spec == "oracle":
-        return classifier_mod.OracleClassifier()
-    if spec.startswith("model:"):
-        return classifier_mod.ModelClassifier(classifier_mod.load_model(spec[6:]))
-    raise ConfigurationError(f"unknown classifier {spec!r}; use oracle or model:PATH")
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -245,7 +238,7 @@ def _cmd_tune(args) -> int:
     config = _load_config(args.config)
     run = tuner_mod.autotune(
         _build_source(args, config),
-        _build_classifier(args.classifier),
+        classifier_mod.from_spec(args.classifier),
         args.start,
         fitness_config=config["fitness"],
         term=config["termination"],
@@ -267,7 +260,7 @@ def _cmd_neighborhood(args) -> int:
     config = _load_config(args.config)
     report = harness_mod.neighborhood_experiment(
         _build_source(args, config),
-        _build_classifier(args.classifier),
+        classifier_mod.from_spec(args.classifier),
         args.point,
         fitness_config=config["fitness"],
         term=config["termination"],
@@ -287,7 +280,7 @@ def _cmd_heatmap(args) -> int:
     config = _load_config(args.config)
     result = harness_mod.heatmap(
         _build_source(args, config),
-        _build_classifier(args.classifier),
+        classifier_mod.from_spec(args.classifier),
         fitness_config=config["fitness"],
         term=config["termination"],
         sandbox=config["sandbox"],
@@ -309,7 +302,7 @@ def _cmd_landscape(args) -> int:
     config = _load_config(args.config)
     result = harness_mod.fitness_landscape(
         _build_source(args, config),
-        _build_classifier(args.classifier),
+        classifier_mod.from_spec(args.classifier),
         fitness_config=config["fitness"],
         **_settings(args, config, window_span="span_mv"),
     )

@@ -102,7 +102,8 @@ DEVICE_HEADER = {"schema_version": "1"}
 
 @dataclass(frozen=True)
 class DeviceParams:
-    """Parameters of one synthetic device realization; every number is finite."""
+    """Parameters of one synthetic device realization; every number is finite,
+    and the seed is a non-negative integer."""
 
     seed: int
     formation_thresholds: tuple[float, float]
@@ -116,6 +117,7 @@ class DeviceParams:
     background_gradient: float
 
     def __post_init__(self):
+        check_count("field 'seed'", self.seed, sign="non-negative")
         for name in ("merge_threshold", "dd_band", "lever_arms", "line_slopes", "interdot_coupling",
                      "background_gradient"):
             check_setting(self, name, sign=None)

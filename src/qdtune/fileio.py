@@ -3,9 +3,10 @@
 JSON documents are written with sorted keys and a trailing newline, so equal
 content gives equal bytes. Arrays travel as base64 strings of their raw
 little-endian bytes in row-major order, so round trips are bit-exact.
-Every reader checks its header with :func:`check_header` and each JSON
-value it takes with :func:`checked`, the same check that config files go
-through, so a malformed file fails with an error that names the field.
+Every reader checks its header with :func:`check_header`, each JSON value
+it takes with :func:`checked`, the same check that config files go through,
+and each field that says how to read the rest with :func:`check_written`,
+so a malformed file fails with an error that names the field.
 """
 
 from __future__ import annotations
@@ -73,6 +74,18 @@ def check_header(doc: dict, kind: str, header: dict) -> None:
         if doc.get(key) != expected:
             error = ScanFormatError if key == "format" else ScanVersionError
             raise error(f"{kind} field {key!r} is {doc.get(key)!r}, expected {expected!r}")
+
+
+def check_written(doc: dict, written: dict) -> None:
+    """Refuse ``doc`` when it holds one of the ``written`` fields with another
+    JSON value than the writer puts there, with a ScanFormatError naming the
+    field. These fields say how to read the rest of the file, so a reader
+    that ignored another value would misread it; an absent one is not
+    checked. The values compare as JSON text, so ``1.0`` is not ``1`` and
+    ``true`` is not ``1``."""
+    for key, value in written.items():
+        if key in doc and json.dumps(doc[key], sort_keys=True) != json.dumps(value, sort_keys=True):
+            raise ScanFormatError(f"field {key!r} must be {value!r}, got {doc[key]!r}")
 
 
 def checked(where: str, value, kind, error: type[Exception]):

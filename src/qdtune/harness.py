@@ -40,6 +40,7 @@ from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, Simulat
 from .scans import acquire_with_labels  # noqa: F401  unused; kept as a name perfbench/spans.py wraps
 from .tuner import (
     DEFAULT_FITNESS,
+    OUTCOME_KINDS,
     POLICIES,
     FitnessConfig,
     FixedSimplex,
@@ -66,6 +67,10 @@ STUDY_POINTS = {
 #: placed so the double-dot region sits off center and every neighborhood
 #: keeps margin.
 STUDY_SCAN = ((325.0, 350.0), (400.0, 400.0))
+
+#: Center and span in mV of the offline study's heatmap scan of the reference
+#: device, placed so the double-dot region sits off center.
+HEATMAP_SCAN = ((300.0, 350.0), (400.0, 400.0))
 
 
 @dataclass(frozen=True)
@@ -235,7 +240,8 @@ class ExperimentReport:
 def _check_record(i: int, record) -> None:
     """Refuse run record ``i`` of a report file unless each field is of its
     kind, as ``checked`` reads it (a best center may also be null), its
-    iterations are non-negative and its weight 0, 0.5 or 1."""
+    iterations are non-negative, its weight 0, 0.5 or 1 and its outcome one
+    of ``tuner.OUTCOME_KINDS``."""
     kinds = {"start": 2, "best_center": 2, "iterations": int, "weight": float, "outcome": str}
     where = f"runs[{i}]"
     _check_keys(checked(f"report field {where!r}", record, dict, ScanFormatError), kinds, where + ".")
@@ -246,6 +252,8 @@ def _check_record(i: int, record) -> None:
         raise ScanFormatError(f"report field '{where}.iterations' must be non-negative, got {record['iterations']}")
     if record["weight"] not in (0, 0.5, 1):
         raise ScanFormatError(f"report field '{where}.weight' must be 0, 0.5 or 1, got {record['weight']!r}")
+    if record["outcome"] not in OUTCOME_KINDS:
+        raise ScanFormatError(f"report field '{where}.outcome' must be one of {OUTCOME_KINDS}, got {record['outcome']!r}")
 
 
 def _check_keys(found: dict, expected: dict, prefix: str) -> None:

@@ -48,7 +48,7 @@ from .errors import (
     UnsupportedResolutionError,
     check_count,
 )
-from .fileio import check_header, checked, decode_blob, decode_finite, encode_blob, read_json, write_json
+from .fileio import check_header, check_written, checked, decode_blob, decode_finite, encode_blob, read_json, write_json
 from .grids import (
     ACQUISITION_AXES,
     LabelGrid,
@@ -362,6 +362,7 @@ def acquire_with_labels(
 # --- file format ----------------------------------------------------------
 
 _LABEL_CODE_TABLE = {label.name: int(label) for label in StateLabel}
+_SCAN_UNITS = {"axes": "mV", "values": "sensor signal (arb.)"}
 
 
 def save_scan(scan: ScanGrid, path, labels: LabelGrid | None = None) -> None:
@@ -374,7 +375,7 @@ def save_scan(scan: ScanGrid, path, labels: LabelGrid | None = None) -> None:
         "acquisition_axis": scan.meta.acquisition_axis,
         "shape": list(scan.shape),
         "origin_mv": [float(scan.v1_axis[0]), float(scan.v2_axis[0])],
-        "units": {"axes": "mV", "values": "sensor signal (arb.)"},
+        "units": _SCAN_UNITS,
         "v1_axis": encode_blob(scan.v1_axis, "<f8"),
         "v2_axis": encode_blob(scan.v2_axis, "<f8"),
         "values": encode_blob(scan.values, "<f8"),
@@ -386,9 +387,13 @@ def save_scan(scan: ScanGrid, path, labels: LabelGrid | None = None) -> None:
 
 
 def load_scan(path) -> tuple[ScanGrid, LabelGrid | None]:
-    """Read a scan file written by :func:`save_scan`; bit-exact round trip."""
+    """Read a scan file written by :func:`save_scan`; bit-exact round trip.
+
+    ``units``, ``label_codes`` and ``origin_mv`` may be left out, but when
+    present each must be what :func:`save_scan` writes."""
     doc = read_json(path, "scan")
     check_header(doc, "scan", SCAN_HEADER)
+    check_written(doc, {"units": _SCAN_UNITS, "label_codes": _LABEL_CODE_TABLE})
 
     shape = checked("field 'shape'", doc.get("shape"), list, ScanFormatError)
     shape = [checked("field 'shape'", n, int, ScanFormatError) for n in shape]
@@ -411,6 +416,7 @@ def load_scan(path) -> tuple[ScanGrid, LabelGrid | None]:
         scan = ScanGrid(values, v1, v2, meta)
     except ShapeError as exc:
         raise ScanFormatError(f"scan file is inconsistent: {exc}") from exc
+    check_written(doc, {"origin_mv": [float(v1[0]), float(v2[0])]})
 
     labels = None
     if "labels" in doc:

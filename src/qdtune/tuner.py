@@ -344,9 +344,13 @@ class TuningStep(NamedTuple):
     blocked: bool
 
 
+#: The ways a tuning run can end, the values of ``Outcome.kind``.
+OUTCOME_KINDS = ("converged", "max_iterations", "aborted")
+
+
 @dataclass(frozen=True)
 class Outcome:
-    kind: str  # converged | max_iterations | aborted
+    kind: str  # one of OUTCOME_KINDS
     center: tuple[float, float] | None = None
     cause: str | None = None
 

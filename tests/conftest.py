@@ -44,15 +44,24 @@ def oracle():
 
 
 @pytest.fixture(scope="session")
-def trained_model():
-    """Criterion 8's classifier, the reference recipe of ``qdtune.classifier``:
-    the model, the held-out samples of its corpus, and the seconds generating
-    the corpus and training took. Shared with criterion 14 and the test of
-    ``scripts/train_classifier.py``."""
+def reference_training():
+    """Criterion 8's classifier, the reference recipe of ``qdtune.classifier``,
+    trained once per session: the corpus, the model, its loss trace, and the
+    seconds generating the corpus and training took. The test of
+    ``scripts/train_classifier.py`` hands them to the script in place of a
+    second generation and training."""
     t0 = time.time()
-    train_set, held_out = reference_split(q.generate_dataset(**REFERENCE_CORPUS))
-    model, _ = q.train(train_set, REFERENCE_TRAINING)
-    return model, held_out, time.time() - t0
+    corpus = q.generate_dataset(**REFERENCE_CORPUS)
+    model, losses = q.train(reference_split(corpus)[0], REFERENCE_TRAINING)
+    return corpus, model, losses, time.time() - t0
+
+
+@pytest.fixture(scope="session")
+def trained_model(reference_training):
+    """Criterion 8's model, the held-out samples of its corpus, and the
+    seconds generating the corpus and training took. Shared with criterion 14."""
+    corpus, model, _, seconds = reference_training
+    return model, reference_split(corpus)[1], seconds
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,20 @@
-"""Faults the tests inject into scans.
+"""Faults the tests inject into scans, and defects they put into saved files.
 
-Each one returns a copy of the scan's values with the fault, on the same
-axes and metadata. Together they are the sensor fault matrix a tuning run
-must survive: a flipped sensor sign, stuck rows, saturation, a dead
+Each scan fault returns a copy of the scan's values with the fault, on the
+same axes and metadata. Together they are the sensor fault matrix a tuning
+run must survive: a flipped sensor sign, stuck rows, saturation, a dead
 (constant) sensor, affine drift, and NaN or infinite pixels.
+:func:`file_defect` draws one defect of a saved file's JSON for the loader
+fuzz tests.
 """
 
+import base64
+import copy
 import json
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 import qdtune as q
 from qdtune.fileio import encode_blob
@@ -71,3 +76,79 @@ def write_one_row_scan(path, v1: float, with_labels: bool) -> None:
     doc = json.loads(Path(path).read_text())
     doc["v1_axis"] = encode_blob(np.array([v1]), "<f8")
     Path(path).write_text(json.dumps(doc))
+
+
+# JSON values of every kind, to put a value of another kind in a file.
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 200),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(alphabet="abz", max_size=3),
+    st.lists(st.integers(0, 4), max_size=3),
+    st.dictionaries(st.text(alphabet="abz", max_size=2), st.integers(0, 4), max_size=2),
+)
+
+
+def _json_kind(value) -> str:
+    """A JSON value's kind: an int and a float are both numbers, a bool is not."""
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+def _paths(node, path=()):
+    """The path of every value inside ``node``, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def file_defect(data, doc: dict, blobs: dict, sizes: dict) -> tuple[dict, tuple[str, ...]]:
+    """A copy of ``doc``, the JSON of a saved file, with one defect drawn by
+    ``data``, and the fields of which the loader's error must name one.
+
+    ``blobs`` maps each base64 field to its dtype, and ``sizes`` each field
+    that gives blobs their lengths to those blobs. The defect is a truncated
+    blob, a blob of another length, a NaN in a float blob or in a number,
+    another value of a size field, or a value of another JSON kind anywhere.
+    """
+    doc = copy.deepcopy(doc)
+    defect = data.draw(st.sampled_from(["truncate", "resize", "nan", "shape", "type"]))
+    if defect in ("truncate", "resize"):
+        field = data.draw(st.sampled_from(sorted(blobs)))
+        if defect == "truncate":
+            doc[field] = doc[field][: data.draw(st.integers(0, len(doc[field]) - 1))]
+        else:
+            n = len(base64.b64decode(doc[field])) // np.dtype(blobs[field]).itemsize
+            doc[field] = encode_blob(np.zeros(data.draw(st.integers(0, n + 3).filter(lambda m: m != n))), blobs[field])
+        return doc, (field,)
+    if defect == "nan":
+        numbers = [path for path in _paths(doc) if _json_kind(_at(doc, path)) == "number"]
+        floats = [(field,) for field, dtype in blobs.items() if dtype == "<f8"]
+        path = data.draw(st.sampled_from(numbers + floats))
+        if path in floats:
+            values = np.frombuffer(base64.b64decode(doc[path[0]]), "<f8").copy()
+            values[data.draw(st.integers(0, values.size - 1))] = np.nan
+            _at(doc, path[:-1])[path[-1]] = encode_blob(values, "<f8")
+        else:
+            _at(doc, path[:-1])[path[-1]] = float("nan")
+        return doc, (path[0],)
+    if defect == "shape":
+        field = data.draw(st.sampled_from(sorted(sizes)))
+        old = doc[field]
+        if isinstance(old, list):
+            other = st.lists(st.integers(-1, 2 * max(old) + 1), min_size=1, max_size=3)
+        else:
+            other = st.integers(-1, 2 * old + 1)
+        doc[field] = data.draw(other.filter(lambda value: value != old))
+        return doc, (field, *sizes[field])
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    old = _at(doc, path)
+    _at(doc, path[:-1])[path[-1]] = data.draw(JSON_VALUES.filter(lambda value: _json_kind(value) != _json_kind(old)))
+    return doc, (path[0],)

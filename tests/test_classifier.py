@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from qdtune import classifier as classifier_mod
 from qdtune.classifier import CLASS_NAMES, LAYER_SIZES
 from qdtune.fileio import decode_blob, encode_blob
 from qdtune.grids import SINGLE_DOT_CODES
+
+from faults import file_defect
 
 
 def brute_force_probability(labels):
@@ -307,6 +310,20 @@ class TestClassifierFrontEnds:
         p = clf.probabilities(scan, None)
         assert p.as_array().sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_a_spec_names_the_oracle_or_a_model_file(self, tmp_path):
+        model = q.init_model(2)
+        q.save_model(model, tmp_path / "model.json")
+        assert type(classifier_mod.from_spec("oracle")) is q.OracleClassifier
+        built = classifier_mod.from_spec(f"model:{tmp_path / 'model.json'}")
+        assert type(built) is q.ModelClassifier
+        for got, want in zip(built.model.weights + built.model.biases, model.weights + model.biases):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("spec", ["bogus", "Oracle", "model", "oracle:x", ""])
+    def test_any_other_spec_is_refused_by_name(self, spec):
+        with pytest.raises(q.ConfigurationError, match=re.escape(f"unknown classifier {spec!r}; use oracle or model:PATH")):
+            classifier_mod.from_spec(spec)
+
 
 class TestModelIO:
     def test_round_trip_bit_exact(self, tmp_path, small_dataset):
@@ -343,7 +360,7 @@ class TestModelIO:
         assert (doc["activation"], doc["output"]) == ("relu", "softmax")
         doc[field] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(q.ScanFormatError, match="relu"):
+        with pytest.raises(q.ScanFormatError, match=f"field '{field}' must be "):
             q.load_model(path)
 
     @pytest.mark.parametrize("bad", ["abc", 128.7, 0, -64, True, None])
@@ -448,8 +465,56 @@ class TestModelIO:
             assert a.center == b.center
             assert a.device_seed == b.device_seed
 
+    @pytest.mark.parametrize(
+        "image_shape", [[30, 31], [15, 60], [900], [30.0, 30.0], [True, 30], "30x30", None],
+        ids=["wider", "same_size", "flat", "floats", "bool", "string", "null"],
+    )
+    def test_dataset_image_shape_must_be_what_is_written(self, tmp_path, small_dataset, image_shape):
+        path = tmp_path / "ds.json"
+        q.save_dataset(small_dataset, path)
+        doc = json.loads(path.read_text())
+        doc["image_shape"] = image_shape
+        path.write_text(json.dumps(doc))
+        with pytest.raises(q.ScanFormatError, match="field 'image_shape' must be "):
+            q.load_dataset(path)
+
+    def test_dataset_image_shape_may_be_left_out(self, tmp_path, small_dataset):
+        path = tmp_path / "ds.json"
+        q.save_dataset(small_dataset, path)
+        doc = json.loads(path.read_text())
+        del doc["image_shape"]
+        path.write_text(json.dumps(doc))
+        back = q.load_dataset(path)
+        for a, b in zip(small_dataset, back):
+            np.testing.assert_array_equal(a.image, b.image)
+
     def test_class_names_order(self):
         assert CLASS_NAMES == ("none", "sd", "dd")
+
+
+@pytest.fixture(scope="module")
+def saved_dataset(tmp_path_factory):
+    """The JSON of a saved two-sample dataset, and a path to write variants to."""
+    path = tmp_path_factory.mktemp("dataset_fuzz") / "ds.json"
+    q.save_dataset(q.generate_dataset(2, 1, seed=4), path)
+    return json.loads(path.read_text()), path
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_fuzzed_dataset_file_is_refused_by_name(saved_dataset, data):
+    """A truncated blob, a blob of another length, a NaN, another count or
+    image shape, or a value of another kind: the loader raises
+    ScanFormatError or ScanVersionError naming the field (for a count, it or
+    a blob it sizes)."""
+    doc, path = saved_dataset
+    blobs = {"images": "<f8", "targets": "<f8", "centers": "<f8", "spans": "<f8", "device_seeds": "<i8"}
+    sizes = {"count": tuple(blobs), "image_shape": ()}
+    broken, named = file_defect(data, doc, blobs, sizes)
+    path.write_text(json.dumps(broken))
+    with pytest.raises((q.ScanFormatError, q.ScanVersionError)) as exc:
+        q.load_dataset(path)
+    assert any(re.search(rf"\b{name}\b", str(exc.value)) for name in named), (named, str(exc.value))
 
 
 def _classify_batch_one(model, values):

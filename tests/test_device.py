@@ -214,7 +214,7 @@ class TestDeviceIO:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("dd_band", [90.0, -90.0]), ("formation_thresholds", [700.0, 220.0])],
+        [("dd_band", [90.0, -90.0]), ("formation_thresholds", [700.0, 220.0]), ("seed", -1)],
     )
     def test_out_of_range_field_is_format_error_naming_it(self, tmp_path, field, value):
         path = tmp_path / "dev.json"
@@ -248,6 +248,9 @@ class TestDeviceIO:
             {"noise_sigma": -0.1},
             {"line_spacing": 1e-6},
             {"line_spacing": 1.99},
+            {"seed": -1},
+            {"seed": 1.0},
+            {"seed": True},
         ],
     )
     def test_invalid_params_rejected(self, override):

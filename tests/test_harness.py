@@ -15,6 +15,7 @@ from qdtune import harness as harness_mod
 from qdtune.grids import SINGLE_DOT_CODES
 from qdtune.scans import _NO_LABELS
 from qdtune.harness import (
+    HEATMAP_SCAN,
     NEIGHBORHOOD_SIDE,
     ExperimentReport,
     IterationStats,
@@ -280,11 +281,14 @@ class TestReportFile:
             (lambda doc: doc.update(counts=[1, 2, 3]), r"'counts' is \[1, 2, 3\], not the \{"),
             (lambda doc: doc["counts"].update(fail=False), "'counts.fail' is False, not the 0 its runs give"),
             (lambda doc: doc.update(n_runs=81.0), "'n_runs' is 81.0, not the 81 its runs give"),
+            (lambda doc: doc["runs"][3].update(outcome=""), r"'runs\[3\].outcome' must be one of .*, got ''"),
+            (lambda doc: doc["runs"][3].update(outcome="stalled"), r"'runs\[3\].outcome' must be one of .*, got 'stalled'"),
         ],
         ids=["iterations_mean", "iterations_sd", "negative_per_run", "outcome_not_outcomes", "empty_records",
              "no_records", "weight_not_a_weight", "bool_weight", "negative_iterations", "float_iterations",
              "short_start", "string_best_center", "null_outcome", "extra_record_field", "record_not_object",
-             "extra_field", "counts_not_object", "bool_for_zero", "float_for_int"],
+             "extra_field", "counts_not_object", "bool_for_zero", "float_for_int", "empty_outcome",
+             "unknown_outcome"],
     )
     def test_a_field_its_runs_do_not_give_is_refused(self, report, mutate, field):
         """A loaded report is rebuilt from its typed run records, and every
@@ -410,7 +414,7 @@ class TestHeatmap:
     def test_margins_and_start_grid(self, reference_params, oracle):
         # 400x400 mV scan, 30 mV windows, fixed100 reach: the start grid
         # keeps 115 mV clear on the low side and 15 mV on the high side
-        scan, labels = q.render_scan(reference_params, (300.0, 350.0), (400.0, 400.0), 2.0)
+        scan, labels = q.render_scan(reference_params, *HEATMAP_SCAN, 2.0)
         source = q.PremeasuredScan(scan, labels)
         result = q.heatmap(source, oracle)
         assert result.weights.shape == (28, 28)
@@ -435,7 +439,7 @@ class TestHeatmap:
         """A 30 mV window is 15 px at 2 mV/px, too small for the model's
         preprocessing, so every run aborts; the outcome counts say so, and
         the JSON document is as it was."""
-        scan, labels = q.render_scan(reference_params, (300.0, 350.0), (400.0, 400.0), 2.0)
+        scan, labels = q.render_scan(reference_params, *HEATMAP_SCAN, 2.0)
         result = q.heatmap(q.PremeasuredScan(scan), q.ModelClassifier(q.init_model(0)), q.FixedSimplex(100.0))
         assert result.n_starts == 784
         assert result.outcome_counts == {"aborted": 784}

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import qdtune as q
 from qdtune.scans import SCAN_SUFFIX, Blocked, Sandbox, _crop_start
 
-from faults import inject_sensor_flip, on_axes, write_one_row_scan
+from faults import file_defect, inject_sensor_flip, on_axes, write_one_row_scan
 
 NAN, INF = float("nan"), float("inf")
 
@@ -452,6 +453,72 @@ class TestScanFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(q.ScanFormatError):
             q.load_scan(tmp_path / "nope.qdscan.json")
+
+    @pytest.mark.parametrize(
+        "field, mutate",
+        [
+            ("label_codes", lambda codes: {**codes, "NO_DOT": 4, "DOUBLE_DOT": 0}),
+            ("label_codes", lambda codes: {**codes, "SINGLE_LEFT": True}),
+            ("label_codes", lambda codes: {name: code for name, code in codes.items() if name != "DOUBLE_DOT"}),
+            ("units", lambda units: {**units, "axes": "V"}),
+            ("units", lambda units: {**units, "values": "current (nA)"}),
+            ("units", lambda units: "mV"),
+            ("origin_mv", lambda origin: [origin[0] + 2.0, origin[1]]),
+            ("origin_mv", lambda origin: [origin[0], origin[1] - 0.5]),
+            ("origin_mv", lambda origin: origin[::-1]),
+        ],
+        ids=["codes_swapped", "bool_code", "code_missing", "axes_in_volts", "other_values", "units_not_object",
+             "origin_v1_moved", "origin_v2_moved", "origin_swapped"],
+    )
+    def test_a_field_that_says_how_to_read_it_must_be_what_is_written(
+        self, tmp_path, reference_params, field, mutate
+    ):
+        """The code table, the units and the origin say how to read the file; a
+        reader that ignored another value would misread the raster."""
+        scan, labels = q.render_scan(reference_params, (300.0, 320.0), (20.0, 30.0), 2.0)
+        path = tmp_path / f"read{SCAN_SUFFIX}"
+        q.save_scan(scan, path, labels)
+        doc = json.loads(path.read_text())
+        doc[field] = mutate(doc[field])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(q.ScanFormatError, match=f"field '{field}' must be "):
+            q.load_scan(path)
+
+    def test_the_fields_that_say_how_to_read_it_may_be_left_out(self, tmp_path, reference_params):
+        scan, labels = q.render_scan(reference_params, (300.0, 320.0), (20.0, 30.0), 2.0)
+        path = tmp_path / f"bare{SCAN_SUFFIX}"
+        q.save_scan(scan, path, labels)
+        doc = json.loads(path.read_text())
+        for field in ("label_codes", "units", "origin_mv"):
+            del doc[field]
+        path.write_text(json.dumps(doc))
+        scan2, labels2 = q.load_scan(path)
+        np.testing.assert_array_equal(scan2.values, scan.values)
+        np.testing.assert_array_equal(labels2.labels, labels.labels)
+
+
+@pytest.fixture(scope="module")
+def saved_scan(tmp_path_factory):
+    """The JSON of a saved 10x15 px scan with labels, and a path to write variants to."""
+    scan, labels = q.render_scan(q.reference_device(), (300.0, 320.0), (20.0, 30.0), 2.0)
+    path = tmp_path_factory.mktemp("scan_fuzz") / f"scan{SCAN_SUFFIX}"
+    q.save_scan(scan, path, labels)
+    return json.loads(path.read_text()), path
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_fuzzed_scan_file_is_refused_by_name(saved_scan, data):
+    """A truncated blob, a blob of another length, a NaN, another shape or a
+    value of another kind: the loader raises ScanFormatError or
+    ScanVersionError naming the field (for a shape, it or a blob it sizes)."""
+    doc, path = saved_scan
+    blobs = {"v1_axis": "<f8", "v2_axis": "<f8", "values": "<f8", "labels": "<i1"}
+    broken, named = file_defect(data, doc, blobs, {"shape": ("v1_axis", "v2_axis", "values", "labels")})
+    path.write_text(json.dumps(broken))
+    with pytest.raises((q.ScanFormatError, q.ScanVersionError)) as exc:
+        q.load_scan(path)
+    assert any(re.search(rf"\b{name}\b", str(exc.value)) for name in named), (named, str(exc.value))
 
 
 def _window_bytes(result):
