@@ -37,7 +37,7 @@ import qdtune as q
 from qdtune import classifier as classifier_mod
 from qdtune.grids import DEFAULT_RESOLUTION_MV, DEFAULT_SPAN_MV
 from qdtune.harness import STUDY_SCAN, study
-from qdtune.scans import _locate
+from qdtune.scans import _locator
 
 
 def study_pass(source, classifier) -> dict:
@@ -62,10 +62,8 @@ def study_pass(source, classifier) -> dict:
     runs = [run for report in reports for run in report.runs]
     steps = [step for run in runs for step in run.steps if not step.blocked]
     scored = sum(run.best_center() is not None for run in runs)
-    windows = set()
-    for step in steps:
-        plan, s1, s2 = _locate(source, step.center, DEFAULT_SPAN_MV, DEFAULT_RESOLUTION_MV, q.Sandbox())
-        windows.add((plan, s1, s2))
+    locate = _locator(source, DEFAULT_SPAN_MV, DEFAULT_RESOLUTION_MV, q.Sandbox())
+    windows = {locate(step.center) for step in steps}
     digest = hashlib.sha256()
     for report in reports:
         digest.update(json.dumps(report.to_json_dict(), sort_keys=True).encode())

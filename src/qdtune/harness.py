@@ -36,7 +36,7 @@ from .classifier import ModelClassifier, OracleClassifier, oracle_probability, o
 from .errors import ConfigurationError, DomainError, ScanFormatError, ShapeError
 from .fileio import check_header, checked, encode_blob, write_csv, write_json
 from .grids import DEFAULT_RESOLUTION_MV, DEFAULT_SPAN_MV, pixel_count
-from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, SimulatedDevice, _locate
+from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, SimulatedDevice, _locator
 from .scans import acquire_with_labels  # noqa: F401  unused; kept as a name perfbench/spans.py wraps
 from .tuner import (
     DEFAULT_FITNESS,
@@ -106,8 +106,9 @@ def ground_truth_dd_fraction(
 
     A simulated device gives the window's labels alone, without its sensor
     values; it refuses the windows ``acquire_with_labels`` refuses. A stored
-    scan's window, of any stride, is where ``scans._locate`` finds it, and
-    the oracle reads it there with no window built.
+    scan's window, of any stride, is where ``scans._locator`` finds it, and
+    is refused as it refuses it, by the pixels it reads; the oracle reads it
+    there with no window built.
     """
     if isinstance(source, SimulatedDevice):
         if not sandbox.contains_window(center, span):
@@ -119,7 +120,7 @@ def ground_truth_dd_fraction(
         return oracle_probability(labels).p_dd
     if not isinstance(source, PremeasuredScan):
         raise ConfigurationError(f"unknown measurement source type {type(source).__name__}")
-    found = _locate(source, center, span, resolution, sandbox)
+    found = _locator(source, span, resolution, sandbox)(center)
     if isinstance(found, Blocked):
         return None
     if source.labels is None:
@@ -348,19 +349,29 @@ def study(source: MeasurementSource, classifier) -> dict[str, dict[str, list[Exp
 
 @dataclass(eq=False)
 class HeatmapResult:
-    """Per-start success weights on a coarse grid over a full scan, and how
-    many runs ended each way, by outcome kind, which the JSON leaves out."""
+    """One run record per start of a coarse grid over a full scan, in start
+    order (v1 outer), as ``_run_batch`` builds them; the JSON holds the
+    weights alone."""
 
     v1_starts: np.ndarray
     v2_starts: np.ndarray
-    weights: np.ndarray
     policy_name: str
     grid_step: float
-    outcome_counts: dict[str, int]
+    records: list[dict]
 
     @property
     def n_starts(self) -> int:
-        return self.weights.size
+        return len(self.records)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Success weight per start, ``weights[i, j]`` at ``(v1_starts[i], v2_starts[j])``."""
+        return np.array([record["weight"] for record in self.records]).reshape(self.v1_starts.size, self.v2_starts.size)
+
+    @property
+    def outcome_counts(self) -> dict[str, int]:
+        """How many runs ended each way, by outcome kind."""
+        return dict(Counter(record["outcome"] for record in self.records))
 
     def to_json_dict(self) -> dict:
         return {
@@ -431,14 +442,7 @@ def heatmap(
     _, records = _run_batch(
         starts, source, classifier, span, resolution, fitness_config, policy, term, sandbox, regions
     )
-    return HeatmapResult(
-        v1_starts=v1_starts,
-        v2_starts=v2_starts,
-        weights=np.array([record["weight"] for record in records]).reshape(v1_starts.size, v2_starts.size),
-        policy_name=policy.name,
-        grid_step=grid_step,
-        outcome_counts=dict(Counter(record["outcome"] for record in records)),
-    )
+    return HeatmapResult(v1_starts, v2_starts, policy.name, grid_step, records)
 
 
 # --- fitness landscape -------------------------------------------------------

@@ -1,28 +1,28 @@
 """Window acquisition with sandbox enforcement, plus scan file IO.
 
-Every window a tuning run asks for is checked against the safety sandbox
-first, and windows the source cannot deliver come back as :class:`Blocked`
+Every window a tuning run asks for is checked against the safety sandbox,
+and windows the source cannot deliver come back as :class:`Blocked`
 instead of raising, so the optimizer can treat them as a fixed bad fitness.
 :func:`acquire_with_labels` measures a window of either source.
 
 A :class:`PremeasuredScan` owns what it stores: read-only copies of the
 sensor values, the axes and the label codes, and the codes' summed-area
-tally. One locator says where a stored window lies, or why it is refused:
-the sandbox test, the window plan and the window's first stored pixel along
-each axis. ``_locator`` binds it once for the windows of one span and
-resolution, as a tuning run asks for them: the axis lists, the sandbox
-limits and half spans, and the plan of the first window the sandbox
-accepts; ``_locate`` locates a single window. The sandbox test is
-``Sandbox.contains_window``'s. The plan (stride, pixel counts and metadata)
-is worked out once per span and resolution, and kept while it passes its
-checks. A window lies around the stored pixel center nearest its center,
-the first on a tie, found by one bisection of each stored axis.
+tally. One locator, ``_locator``, says where a stored window lies, or why
+it is refused, by the pixels the window reads alone. The window lies around
+the stored pixel center nearest its center, the first on a tie, found by
+one bisection of each stored axis. It is refused when it runs off the
+raster or when a pixel edge of it passes a sandbox limit. The locator is
+bound once for the windows of one span and resolution, as a tuning run asks
+for them, with the window plan (stride, pixel counts and metadata) worked
+out on the run's first window and kept while it passes its checks.
 :func:`_window_slices` turns what the locator found into the row and column
 slices of the window. :func:`acquire_with_labels` cuts the located window
 as read-only views of the stored copies, of every stride, checked once when
 the source was built. A built-in classifier reads a located window itself
 (``stored_probabilities``), so tuning runs and success scoring on a stored
-scan build no window at all; a model classifier keeps what it read.
+scan build no window at all; a model classifier keeps what it read. A
+simulated window is refused when a corner of the requested window leaves
+the sandbox (``Sandbox.contains_window``).
 
 Scan files are a single JSON document: a self-describing header plus
 base64 blobs of little-endian float64 (values, axes) and int8 (labels)
@@ -90,25 +90,15 @@ class Sandbox:
         )
 
     def contains_window(self, center: tuple[float, float], span: tuple[float, float]) -> bool:
-        """True when all four window corners are inside the limits."""
-        return self._window_test(span)(center)
-
-    def _window_test(self, span: tuple[float, float]):
-        """``inside(center)``, true when all four corners of the window of
-        ``span`` around ``center`` are inside the limits, with the limits and
-        the half spans bound once.
+        """True when all four corners of the window of ``span`` around
+        ``center`` are inside the limits.
 
         Written so that any NaN comparison refuses: a NaN center or span,
         or an infinite one, is never contained.
         """
         (lo1, hi1), (lo2, hi2) = self.v1_range, self.v2_range
-        half1, half2 = span[0] / 2.0, span[1] / 2.0
-
-        def inside(center: tuple[float, float]) -> bool:
-            c1, c2 = center[0], center[1]
-            return lo1 <= c1 - half1 and c1 + half1 <= hi1 and lo2 <= c2 - half2 and c2 + half2 <= hi2
-
-        return inside
+        c1, c2, half1, half2 = center[0], center[1], span[0] / 2.0, span[1] / 2.0
+        return lo1 <= c1 - half1 and c1 + half1 <= hi1 and lo2 <= c2 - half2 and c2 + half2 <= hi2
 
 
 @dataclass(frozen=True)
@@ -122,7 +112,9 @@ class Blocked:
 class SimulatedDevice:
     """Measurement source backed by the synthetic device model. With
     ``with_noise`` its ``noise_seed`` must be a non-negative integer, as
-    ``render_scan`` asks; a bad one is refused before any run."""
+    ``render_scan`` asks; a bad one is refused before any run. Each window
+    draws its noise at its own seed (:func:`_window_noise_seed`), so the
+    same window keeps its noise and distinct windows get independent draws."""
 
     params: DeviceParams
     with_noise: bool = False
@@ -131,6 +123,14 @@ class SimulatedDevice:
     def __post_init__(self):
         if self.with_noise:
             check_count("SimulatedDevice.noise_seed", self.noise_seed, sign="non-negative")
+
+
+def _window_noise_seed(noise_seed: int, center, span, resolution: float) -> int:
+    """The ``render_scan`` noise seed of one window of a noisy SimulatedDevice:
+    a ``SeedSequence`` over ``noise_seed`` and the float64 bits of the
+    window's center, span and resolution."""
+    bits = np.array([*center, *span, resolution], dtype="<f8").view("<u8").tolist()
+    return int(np.random.SeedSequence([noise_seed, *bits]).generate_state(1, np.uint64)[0])
 
 
 def _check_label_axes(scan: ScanGrid, labels: LabelGrid) -> None:
@@ -212,22 +212,17 @@ class PremeasuredScan:
 MeasurementSource = SimulatedDevice | PremeasuredScan
 
 
-def _crop_start(axis: list[float], center: float, count: int, stride: int) -> int | None:
-    """First stored index of a window of ``count`` pixels around ``center``.
-
-    The window center snaps to the nearest stored pixel center, the first
-    one on a tie, as ``np.argmin(np.abs(axis - center))`` picks it; there
-    is no resampling. ``axis`` is a strictly increasing axis as Python
-    floats, and ``center`` is not NaN. Returns None when the window runs off
-    the raster.
-    """
-    n = len(axis)
+def _nearest(axis: list[float], center: float) -> int:
+    """Index of the stored pixel center nearest ``center``, the first one on
+    a tie, as ``np.argmin(np.abs(axis - center))`` picks it; there is no
+    resampling. ``axis`` is a strictly increasing axis as Python floats, and
+    ``center`` is finite."""
     # The distances fall and then rise along the axis, so the nearest pixel
     # is the first pixel at or above ``center`` or one below it: step down
     # while the next lower distance is no larger (equal, after rounding, on
     # a tiny spacing or far from the axis).
     i = bisect_left(axis, center)
-    if i == n:
+    if i == len(axis):
         i -= 1
     distance = abs(axis[i] - center)
     while i:
@@ -236,18 +231,12 @@ def _crop_start(axis: list[float], center: float, count: int, stride: int) -> in
             break
         i -= 1
         distance = lower
-    start = i - (count * stride) // 2
-    if start < 0 or start + stride * (count - 1) >= n:
-        return None
-    return start
+    return i
 
 
-def _refusal(center: tuple[float, float], span: tuple[float, float]) -> Blocked:
-    """Why the sandbox refused a window: a center or span that is not finite,
-    or a corner past the limits."""
-    if not all(math.isfinite(v) for v in (*center, *span)):
-        return Blocked("window center or span is not finite")
-    return Blocked("window crosses the sandbox limits")
+_NOT_FINITE = Blocked("window center or span is not finite")
+_CROSSES = Blocked("window crosses the sandbox limits")
+_OFF_RASTER = Blocked("window falls outside the stored raster")
 
 
 def _locator(
@@ -257,51 +246,47 @@ def _locator(
     sandbox: Sandbox,
 ):
     """``locate(center)``: where the stored window of ``span`` at
-    ``resolution`` around ``center`` lies, without building it, with what
-    every window of one run shares bound once: the window plan (stride, pixel
-    counts along v1 and v2, metadata) and the stored indices of its first
-    pixel along v1 and v2.
+    ``resolution`` around ``center`` lies, without building it, as the
+    window plan (stride, pixel counts along v1 and v2, metadata) and the
+    stored indices of its first pixel along v1 and v2.
 
-    ``locate`` returns Blocked when any window corner leaves the sandbox or
-    the window runs off the stored raster, and raises as ``_window_plan``
-    does. The plan is worked out on the first window the sandbox accepts and
-    kept once it passes its checks, so a bad request raises on that window
-    and on every later one.
+    The window's pixels alone decide whether it is refused. Along each axis
+    its first pixel lies ``count * stride // 2`` stored pixels below the one
+    nearest ``center``. ``locate`` returns Blocked when the center or span is
+    not finite, then when the window runs off the stored raster, then when a
+    pixel edge passes a sandbox limit: the first pixel center less half the
+    window's pixel size, or the last one plus it. It raises as
+    ``_window_plan`` does. The plan is worked out on the run's first window
+    and kept once it passes its checks, so a bad request raises on that
+    window and on every later one.
     """
-    inside = sandbox._window_test(span)
     axis1, axis2 = source._axis_floats
+    (lo1, hi1), (lo2, hi2) = sandbox.v1_range, sandbox.v2_range
+    finite_span, isfinite = math.isfinite(span[0]) and math.isfinite(span[1]), math.isfinite
     plan = None
 
     def locate(center: tuple[float, float]) -> tuple[tuple[int, int, int, ScanMeta], int, int] | Blocked:
         nonlocal plan
-        if not inside(center):
-            return _refusal(center, span)
+        c1, c2 = float(center[0]), float(center[1])
+        if not (finite_span and isfinite(c1) and isfinite(c2)):
+            return _NOT_FINITE
         if plan is None:
             plan = source._window_plan(span, resolution)
-        stride, n1, n2, _ = plan
-        s1 = _crop_start(axis1, float(center[0]), n1, stride)
-        s2 = _crop_start(axis2, float(center[1]), n2, stride)
-        if s1 is None or s2 is None:
-            return Blocked("window falls outside the stored raster")
+        stride, n1, n2, meta = plan
+        s1, s2 = _nearest(axis1, c1) - (n1 * stride) // 2, _nearest(axis2, c2) - (n2 * stride) // 2
+        e1, e2 = s1 + stride * (n1 - 1), s2 + stride * (n2 - 1)
+        if s1 < 0 or s2 < 0 or e1 >= len(axis1) or e2 >= len(axis2):
+            return _OFF_RASTER
+        h = meta.resolution / 2.0
+        if not (lo1 <= axis1[s1] - h and axis1[e1] + h <= hi1 and lo2 <= axis2[s2] - h and axis2[e2] + h <= hi2):
+            return _CROSSES
         return plan, s1, s2
 
     return locate
 
 
-def _locate(
-    source: PremeasuredScan,
-    center: tuple[float, float],
-    span: tuple[float, float],
-    resolution: float,
-    sandbox: Sandbox,
-) -> tuple[tuple[int, int, int, ScanMeta], int, int] | Blocked:
-    """Where one stored window lies: ``_locator``'s ``locate(center)``, for a
-    caller that locates a single window."""
-    return _locator(source, span, resolution, sandbox)(center)
-
-
 def _window_slices(plan: tuple[int, int, int, ScanMeta], s1: int, s2: int) -> tuple[slice, slice]:
-    """Row and column slices of the stored window that ``_locate`` found:
+    """Row and column slices of the stored window that ``_locator`` found:
     ``plan``'s pixel counts, ``plan``'s stride apart, from ``(s1, s2)``."""
     stride, n1, n2, _ = plan
     return slice(s1, s1 + stride * n1, stride), slice(s2, s2 + stride * n2, stride)
@@ -319,13 +304,14 @@ def acquire_with_labels(
 
     The labels are None when the source has none, and from a simulated
     source when ``with_labels`` is False; a premeasured source returns the
-    crop of its stored labels either way. Returns Blocked when
-    any window corner leaves the sandbox, when a simulated window exceeds
-    the device domain, or when a premeasured window runs off the stored
-    raster.
+    crop of its stored labels either way. Returns Blocked when the center
+    or span is not finite; for a premeasured source, when the window runs
+    off the stored raster or a pixel edge of it passes a sandbox limit
+    (``_locator``); for a simulated one, when a corner of the requested
+    window leaves the sandbox or the window exceeds the device domain.
     """
     if isinstance(source, PremeasuredScan):
-        found = _locate(source, center, span, resolution, sandbox)
+        found = _locator(source, span, resolution, sandbox)(center)
         if isinstance(found, Blocked):
             return found
         plan, s1, s2 = found
@@ -339,7 +325,7 @@ def acquire_with_labels(
         return scan, labels
 
     if not sandbox.contains_window(center, span):
-        return _refusal(center, span)
+        return _CROSSES if all(math.isfinite(v) for v in (*center, *span)) else _NOT_FINITE
 
     if isinstance(source, SimulatedDevice):
         try:
@@ -349,7 +335,7 @@ def acquire_with_labels(
                 span,
                 resolution,
                 with_noise=source.with_noise,
-                noise_seed=source.noise_seed,
+                noise_seed=_window_noise_seed(source.noise_seed, center, span, resolution) if source.with_noise else 0,
                 with_labels=with_labels,
             )
         except DomainError:

@@ -8,8 +8,8 @@ where ``g`` is a shifted and scaled arctangent penalty with g(0) = 0,
 g(1) = 1, and its inflection point at 1/2, so the penalty climbs
 steepest once a window tips into being predominantly non-double-dot.
 The value is capped at ``FitnessConfig.blocked_fitness``, and windows
-the sandbox refuses score exactly that cap without ever reaching the
-classifier.
+the source refuses (``scans.acquire_with_labels`` says which) score
+exactly that cap without ever reaching the classifier.
 
 The optimizer is a plain two-dimensional Nelder-Mead simplex search on
 Python floats. Every move is ``a + t * (b - a)`` per coordinate: reflect
@@ -25,7 +25,7 @@ decides only where the two could round to different decisions. One
 
 On a stored scan, a classifier with a ``stored_probabilities`` method, as
 both built-in ones have, reads each window where the run's stored-window
-locator, bound once per run, finds it, with no window built. Any other run
+locator, bound once per run, finds it or refuses it, with no window built. Any other run
 measures each window with ``acquire_with_labels`` and classifies it with
 ``probabilities``. Both give the same vector bits, so the same run.
 """

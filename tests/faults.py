@@ -95,15 +95,16 @@ def _json_kind(value) -> str:
     return "number" if type(value) in (int, float) else type(value).__name__
 
 
-def _paths(node, path=()):
-    """The path of every value inside ``node``, depth first."""
+def json_paths(node, path=()):
+    """The path of every value inside ``node``, depth first, each below ``path``."""
     items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
     for key, value in items:
         yield path + (key,)
-        yield from _paths(value, path + (key,))
+        yield from json_paths(value, path + (key,))
 
 
-def _at(node, path):
+def value_at(node, path):
+    """The value at ``path`` inside ``node``."""
     for key in path:
         node = node[key]
     return node
@@ -113,31 +114,37 @@ def file_defect(data, doc: dict, blobs: dict, sizes: dict) -> tuple[dict, tuple[
     """A copy of ``doc``, the JSON of a saved file, with one defect drawn by
     ``data``, and the fields of which the loader's error must name one.
 
-    ``blobs`` maps each base64 field to its dtype, and ``sizes`` each field
-    that gives blobs their lengths to those blobs. The defect is a truncated
-    blob, a blob of another length, a NaN in a float blob or in a number,
-    another value of a size field, or a value of another JSON kind anywhere.
+    ``blobs`` maps each base64 field, or the path of a base64 value inside a
+    field, to its dtype, and ``sizes`` each field that gives blobs their
+    lengths to those blobs. The defect is a truncated blob, a blob of
+    another length, a NaN in a float blob or in a number, another value of
+    a size field, or a value of another JSON kind anywhere; a file without
+    blobs or size fields gets none of their defects.
     """
     doc = copy.deepcopy(doc)
-    defect = data.draw(st.sampled_from(["truncate", "resize", "nan", "shape", "type"]))
+    blobs = {key if isinstance(key, tuple) else (key,): dtype for key, dtype in blobs.items()}
+    kinds = ["truncate", "resize"] * bool(blobs) + ["nan"] + ["shape"] * bool(sizes) + ["type"]
+    defect = data.draw(st.sampled_from(kinds))
     if defect in ("truncate", "resize"):
-        field = data.draw(st.sampled_from(sorted(blobs)))
+        path = data.draw(st.sampled_from(sorted(blobs)))
+        text = value_at(doc, path)
         if defect == "truncate":
-            doc[field] = doc[field][: data.draw(st.integers(0, len(doc[field]) - 1))]
+            text = text[: data.draw(st.integers(0, len(text) - 1))]
         else:
-            n = len(base64.b64decode(doc[field])) // np.dtype(blobs[field]).itemsize
-            doc[field] = encode_blob(np.zeros(data.draw(st.integers(0, n + 3).filter(lambda m: m != n))), blobs[field])
-        return doc, (field,)
+            n = len(base64.b64decode(text)) // np.dtype(blobs[path]).itemsize
+            text = encode_blob(np.zeros(data.draw(st.integers(0, n + 3).filter(lambda m: m != n))), blobs[path])
+        value_at(doc, path[:-1])[path[-1]] = text
+        return doc, (path[0],)
     if defect == "nan":
-        numbers = [path for path in _paths(doc) if _json_kind(_at(doc, path)) == "number"]
-        floats = [(field,) for field, dtype in blobs.items() if dtype == "<f8"]
+        numbers = [path for path in json_paths(doc) if _json_kind(value_at(doc, path)) == "number"]
+        floats = [path for path, dtype in blobs.items() if dtype == "<f8"]
         path = data.draw(st.sampled_from(numbers + floats))
         if path in floats:
-            values = np.frombuffer(base64.b64decode(doc[path[0]]), "<f8").copy()
+            values = np.frombuffer(base64.b64decode(value_at(doc, path)), "<f8").copy()
             values[data.draw(st.integers(0, values.size - 1))] = np.nan
-            _at(doc, path[:-1])[path[-1]] = encode_blob(values, "<f8")
+            value_at(doc, path[:-1])[path[-1]] = encode_blob(values, "<f8")
         else:
-            _at(doc, path[:-1])[path[-1]] = float("nan")
+            value_at(doc, path[:-1])[path[-1]] = float("nan")
         return doc, (path[0],)
     if defect == "shape":
         field = data.draw(st.sampled_from(sorted(sizes)))
@@ -148,7 +155,8 @@ def file_defect(data, doc: dict, blobs: dict, sizes: dict) -> tuple[dict, tuple[
             other = st.integers(-1, 2 * old + 1)
         doc[field] = data.draw(other.filter(lambda value: value != old))
         return doc, (field, *sizes[field])
-    path = data.draw(st.sampled_from(list(_paths(doc))))
-    old = _at(doc, path)
-    _at(doc, path[:-1])[path[-1]] = data.draw(JSON_VALUES.filter(lambda value: _json_kind(value) != _json_kind(old)))
+    path = data.draw(st.sampled_from(list(json_paths(doc))))
+    old = value_at(doc, path)
+    other = JSON_VALUES.filter(lambda value: _json_kind(value) != _json_kind(old))
+    value_at(doc, path[:-1])[path[-1]] = data.draw(other)
     return doc, (path[0],)

@@ -11,7 +11,7 @@ import numpy as np
 import qdtune as q
 from qdtune import classifier as classifier_mod
 from qdtune.grids import DEFAULT_RESOLUTION_MV, DEFAULT_SPAN_MV
-from qdtune.scans import _locate
+from qdtune.scans import _locator
 
 
 def process_scan(scan: q.ScanGrid) -> np.ndarray:
@@ -41,9 +41,5 @@ def count_forward_rows(patch) -> list[int]:
 def stored_windows(source: q.PremeasuredScan, runs) -> set:
     """Each distinct (plan, s1, s2) the runs' measured steps read on a stored
     scan, with the default span and resolution."""
-    return {
-        _locate(source, step.center, DEFAULT_SPAN_MV, DEFAULT_RESOLUTION_MV, q.Sandbox())
-        for run in runs
-        for step in run.steps
-        if not step.blocked
-    }
+    locate = _locator(source, DEFAULT_SPAN_MV, DEFAULT_RESOLUTION_MV, q.Sandbox())
+    return {locate(step.center) for run in runs for step in run.steps if not step.blocked}

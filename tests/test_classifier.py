@@ -517,6 +517,29 @@ def test_a_fuzzed_dataset_file_is_refused_by_name(saved_dataset, data):
     assert any(re.search(rf"\b{name}\b", str(exc.value)) for name in named), (named, str(exc.value))
 
 
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    """The JSON of a saved model, and a path to write variants to."""
+    path = tmp_path_factory.mktemp("model_fuzz") / "model.json"
+    q.save_model(q.init_model(0), path)
+    return json.loads(path.read_text()), path
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_fuzzed_model_file_is_refused_by_name(saved_model, data):
+    """A truncated weight or bias blob, one of another length, a NaN, other
+    layer sizes or a value of another kind: the loader raises
+    ScanFormatError or ScanVersionError naming the field."""
+    doc, path = saved_model
+    blobs = {(field, i): "<f8" for field in ("weights", "biases") for i in range(len(doc[field]))}
+    broken, named = file_defect(data, doc, blobs, {"layer_sizes": ()})
+    path.write_text(json.dumps(broken))
+    with pytest.raises((q.ScanFormatError, q.ScanVersionError)) as exc:
+        q.load_model(path)
+    assert any(re.search(rf"\b{name}\b", str(exc.value)) for name in named), (named, str(exc.value))
+
 def _classify_batch_one(model, values):
     """classify() as it was: a 2-d (1, 900) batch, log-softmax, then p / sum(p)."""
     a = values.reshape(1, -1)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ import qdtune as q
 from qdtune import device
 from qdtune.device import THERMAL_WIDTH_MV, VARIATION_RANGES, _label_codes
 from qdtune.grids import StateLabel
+
+from faults import file_defect
 
 
 class TestStateGeometry:
@@ -333,3 +336,24 @@ class TestDeviceIO:
             value = tuple(value)
         with pytest.raises(q.ConfigurationError, match=f"DeviceParams.{field} "):
             dataclasses.replace(q.reference_device(), **{field: value})
+
+
+@pytest.fixture(scope="module")
+def saved_device(tmp_path_factory):
+    """The JSON of a saved sampled device, and a path to write variants to."""
+    path = tmp_path_factory.mktemp("device_fuzz") / "device.json"
+    q.save_device(q.sample_device(123), path)
+    return json.loads(path.read_text()), path
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_fuzzed_device_file_is_refused_by_name(saved_device, data):
+    """A NaN in any number, or a value of another kind anywhere: the loader
+    raises ScanFormatError or ScanVersionError naming the field."""
+    doc, path = saved_device
+    broken, named = file_defect(data, doc, {}, {})
+    path.write_text(json.dumps(broken))
+    with pytest.raises((q.ScanFormatError, q.ScanVersionError)) as exc:
+        q.load_device(path)
+    assert any(re.search(rf"\b{name}\b", str(exc.value)) for name in named), (named, str(exc.value))

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from qdtune.harness import (
 )
 from qdtune.tuner import POLICIES, TuningRun, TuningStep, Outcome
 
-from faults import on_axes
+from faults import json_paths, on_axes, value_at
 
 
 def fake_run(best, fitness=0.5):
@@ -317,15 +318,15 @@ class TestReportFile:
         doc = json.loads(json.dumps(report.to_json_dict()))
         # One top-level field first, so the 81 run records do not crowd out the rest.
         top = data.draw(st.sampled_from(sorted(doc)))
-        paths = list(_paths(doc[top], (top,)))
+        paths = [(top,), *json_paths(doc[top], (top,))]
         op = data.draw(st.sampled_from(["replace", "drop", "extra"]))
         if op == "extra":
-            path = data.draw(st.sampled_from([p for p in [(), *paths] if isinstance(_at(doc, p), dict)]))
-            _at(doc, path)["zz"] = data.draw(OTHER_VALUES)
+            path = data.draw(st.sampled_from([p for p in [(), *paths] if isinstance(value_at(doc, p), dict)]))
+            value_at(doc, path)["zz"] = data.draw(OTHER_VALUES)
             path += ("zz",)
         else:
             path = data.draw(st.sampled_from(paths))
-            parent, key = _at(doc, path[:-1]), path[-1]
+            parent, key = value_at(doc, path[:-1]), path[-1]
             if op == "drop":
                 del parent[key]
             else:
@@ -363,19 +364,6 @@ def _mutations(value):
         return st.one_of(st.sampled_from(near), OTHER_VALUES)
     return OTHER_VALUES
 
-
-def _paths(node, path=()):
-    """Path of ``node`` and of every value inside it, depth first."""
-    yield path
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, value in items:
-        yield from _paths(value, path + (key,))
-
-
-def _at(node, path):
-    for key in path:
-        node = node[key]
-    return node
 
 
 def _field_name(path) -> str:
@@ -451,6 +439,27 @@ class TestHeatmap:
         assert sum(result.outcome_counts.values()) == result.n_starts
         assert set(result.outcome_counts) <= {"converged", "max_iterations", "aborted"}
         assert "aborted" not in result.outcome_counts
+
+    def test_records_are_the_runs_in_start_order(self, reference_source, oracle):
+        """One record per start, v1 outer, as a report keeps a run; the
+        weights grid and the outcome counts are read from them."""
+        result = q.heatmap(reference_source, oracle, grid_step=40.0)
+        starts = [(a, b) for a in result.v1_starts.tolist() for b in result.v2_starts.tolist()]
+        assert [tuple(record["start"]) for record in result.records] == starts
+        assert result.n_starts == len(result.records) == result.weights.size
+        assert result.weights.ravel().tolist() == [record["weight"] for record in result.records]
+        assert result.outcome_counts == dict(Counter(record["outcome"] for record in result.records))
+        assert {0.0, 1.0} <= set(result.weights.ravel().tolist())
+        run = q.autotune(reference_source, oracle, starts[7], span=(30.0, 30.0), policy=q.FixedSimplex(100.0))
+        assert result.records[7] == {
+            "start": list(starts[7]),
+            "best_center": list(run.best_center()),
+            "iterations": run.iteration_count,
+            "weight": harness_mod.run_weight(
+                run.best_center(), reference_source, (30.0, 30.0), 2.0, q.Sandbox(), harness_mod.SuccessRegions()
+            ),
+            "outcome": run.outcome.kind,
+        }
 
     def test_policy_reach(self):
         assert q.FixedSimplex(75.0).reach == 75.0

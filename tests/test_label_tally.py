@@ -12,7 +12,7 @@ import qdtune as q
 from qdtune import classifier as classifier_mod
 from qdtune.classifier import oracle_table
 from qdtune.grids import SINGLE_DOT_CODES, LabelTally
-from qdtune.scans import _locate
+from qdtune.scans import _locator
 from qdtune.tuner import DEFAULT_FITNESS
 
 RES = 2.0
@@ -55,14 +55,14 @@ def _stored_window(source, rows, cols):
 def _stored(source, center, span, resolution=RES):
     """The oracle's vector of the stored window at ``center``, read where the
     locator finds it."""
-    return ORACLE.stored_probabilities(source, *_locate(source, center, span, resolution, q.Sandbox()))
+    return ORACLE.stored_probabilities(source, *_locator(source, span, resolution, q.Sandbox())(center))
 
 
 def _stored_vector(source, rows, cols):
     """The oracle's vector of the stored window ``rows x cols``, which the
     locator finds at its first pixel."""
     center, span = _window_at(source, rows, cols)
-    _, s1, s2 = _locate(source, center, span, RES, q.Sandbox())
+    _, s1, s2 = _locator(source, span, RES, q.Sandbox())(center)
     assert (s1, s2) == (rows.start, cols.start)
     return _stored(source, center, span)
 
@@ -322,7 +322,8 @@ class TestKeyTable:
     def test_the_table_is_built_when_the_oracle_first_reads_a_shape(self):
         source = _source(_all_codes_raster(np.random.default_rng(9), 10, 10))
         _stored_window(source, slice(2, 5), slice(1, 7))
-        _locate(source, *_window_at(source, slice(2, 5), slice(1, 7)), RES, q.Sandbox())
+        center, span = _window_at(source, slice(2, 5), slice(1, 7))
+        _locator(source, span, RES, q.Sandbox())(center)
         assert not source.tally.tables  # cutting or locating the window builds none
         _stored_vector(source, slice(2, 5), slice(1, 7))
         assert list(source.tally.tables) == [(3, 6)]
@@ -335,7 +336,7 @@ class TestKeyTable:
         seen = 0
         for i in range(n // 2, len(v1) - n // 2 + 1):
             for j in range(n // 2, len(v2) - n // 2 + 1):
-                found = _locate(reference_source, (v1[i], v2[j]), (60.0, 60.0), 2.0, q.Sandbox())
+                found = _locator(reference_source, (60.0, 60.0), 2.0, q.Sandbox())((v1[i], v2[j]))
                 assert found[1:] == (i - n // 2, j - n // 2)
                 _, labels = q.acquire_with_labels(reference_source, (v1[i], v2[j]), (60.0, 60.0), 2.0)
                 counts = np.bincount(labels.labels.ravel(), minlength=5)

@@ -11,7 +11,7 @@ import pytest
 import qdtune as q
 from qdtune import harness as harness_mod
 from qdtune.grids import DEFAULT_RESOLUTION_MV, DEFAULT_SPAN_MV
-from qdtune.scans import _locate
+from qdtune.scans import _locator
 from qdtune.tuner import POLICIES
 
 from faults import on_axes
@@ -122,7 +122,7 @@ class TestKeys:
         again = harness_mod.fitness_landscape(small_source, q.ModelClassifier(q.init_model(1)))
         assert land_b.values.tobytes() == again.values.tobytes()
 
-        found = _locate(small_source, POINT, (60.0, 60.0), 2.0, q.Sandbox())
+        found = _locator(small_source, (60.0, 60.0), 2.0, q.Sandbox())(POINT)
         scan, labels = q.acquire_with_labels(small_source, POINT, (60.0, 60.0), 2.0)
         got = [classifier.stored_probabilities(small_source, *found) for classifier in (a, b)]
         assert [_bits(p) for p in got] == [_bits(c.probabilities(scan, labels)) for c in (a, b)]
@@ -132,8 +132,8 @@ class TestKeys:
         model = q.init_model(0)
         classifier = q.ModelClassifier(model)
         untouched = q.ModelClassifier(q.init_model(0))
-        kept = _locate(small_source, POINT, (60.0, 60.0), 2.0, q.Sandbox())
-        later = _locate(small_source, (330.0, 420.0), (60.0, 60.0), 2.0, q.Sandbox())
+        kept = _locator(small_source, (60.0, 60.0), 2.0, q.Sandbox())(POINT)
+        later = _locator(small_source, (60.0, 60.0), 2.0, q.Sandbox())((330.0, 420.0))
         p = classifier.stored_probabilities(small_source, *kept)
 
         for w, b in zip(model.weights, model.biases):
@@ -180,5 +180,5 @@ class TestKeys:
             run = q.autotune(source, classifier, POINT)
             assert run.outcome == q.Outcome(kind="aborted", cause=cause)
             assert run.iteration_count == 0
-        plan, s1, s2 = _locate(source, POINT, DEFAULT_SPAN_MV, DEFAULT_RESOLUTION_MV, q.Sandbox())
+        plan, s1, s2 = _locator(source, DEFAULT_SPAN_MV, DEFAULT_RESOLUTION_MV, q.Sandbox())(POINT)
         assert (s1, s2) not in classifier._stored_vectors(source, plan)

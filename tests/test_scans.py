@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdtune as q
-from qdtune.scans import SCAN_SUFFIX, Blocked, Sandbox, _crop_start
+from qdtune.scans import SCAN_SUFFIX, Blocked, Sandbox, _nearest
 
 from faults import file_defect, inject_sensor_flip, on_axes, write_one_row_scan
 
@@ -83,6 +84,38 @@ class TestSimulatedAcquire:
         assert labels.shape == scan.shape
         assert isinstance(scan, q.ScanGrid)
 
+
+    @staticmethod
+    def _noise(source, center, span=(60.0, 60.0)):
+        """The noise a noisy source adds to one window: its values less the noiseless ones."""
+        noisy, _ = q.acquire_with_labels(source, center, span, 2.0)
+        clean, _ = q.acquire_with_labels(q.SimulatedDevice(source.params), center, span, 2.0)
+        return noisy.values - clean.values
+
+    @pytest.mark.parametrize(
+        "other",
+        [(420.0, 180.0), (math.nextafter(300.0, math.inf), 300.0), (300.0, 302.0)],
+        ids=["far", "one_float_away", "one_pixel_away"],
+    )
+    def test_distinct_windows_get_independent_noise(self, reference_params, other):
+        source = q.SimulatedDevice(reference_params, with_noise=True, noise_seed=3)
+        a, b = self._noise(source, (300.0, 300.0)), self._noise(source, other)
+        assert np.abs(a).mean() > 0.005 and np.abs(b).mean() > 0.005
+        assert abs(np.corrcoef(a.ravel(), b.ravel())[0, 1]) < 0.15
+
+    def test_one_window_measured_again_keeps_its_bits(self, reference_params):
+        """Whatever was measured before it, and from another source object."""
+        source = q.SimulatedDevice(reference_params, with_noise=True, noise_seed=3)
+        first, _ = q.acquire_with_labels(source, (300.0, 300.0), (60.0, 60.0), 2.0)
+        q.acquire_with_labels(source, (420.0, 180.0), (60.0, 60.0), 2.0)
+        fresh = q.SimulatedDevice(reference_params, with_noise=True, noise_seed=3)
+        again, _ = q.acquire_with_labels(fresh, (300.0, 300.0), (60.0, 60.0), 2.0)
+        assert first.values.tobytes() == again.values.tobytes()
+
+    def test_another_noise_seed_changes_the_noise(self, reference_params):
+        a = self._noise(q.SimulatedDevice(reference_params, with_noise=True, noise_seed=3), (300.0, 300.0))
+        b = self._noise(q.SimulatedDevice(reference_params, with_noise=True, noise_seed=4), (300.0, 300.0))
+        assert abs(np.corrcoef(a.ravel(), b.ravel())[0, 1]) < 0.15
 
 class TestPremeasuredCrop:
     def test_crop_equals_direct_slice(self, reference_scan):
@@ -215,12 +248,11 @@ class TestCropEquivalence:
     @given(
         steps=st.lists(st.floats(1e-13, 1e-9), min_size=1, max_size=40),
         position=st.floats(-0.2, 1.2),
-        count=st.integers(1, 4),
         origin=st.sampled_from([0.0, 1e6]),
         kind=st.sampled_from(["position", "midpoint", "far above", "far below"]),
     )
     @settings(max_examples=300)
-    def test_nearest_pixel_on_uneven_tiny_spacing(self, steps, position, count, origin, kind):
+    def test_nearest_pixel_on_uneven_tiny_spacing(self, steps, position, origin, kind):
         """At a 1e-12 mV spacing the axis check lets each step lie anywhere
         up to 1e-9 mV; near 1e6 mV, where one float step is about 1.2e-10 mV,
         the steps are whole float steps of a 1e-10 mV axis. A center half way
@@ -241,10 +273,7 @@ class TestCropEquivalence:
             center = (float(axis[k]) + float(axis[k + 1])) / 2.0
         else:
             center = 1e20 if kind == "far above" else -1e20
-        start = _crop_start(axis.tolist(), center, count, 1)
-        nearest = int(np.argmin(np.abs(axis - center)))
-        first = nearest - count // 2
-        assert start == (first if 0 <= first and first + count - 1 < axis.size else None)
+        assert _nearest(axis.tolist(), center) == int(np.argmin(np.abs(axis - center)))
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_crops_are_read_only_views(self, stride, reference_source):
@@ -590,7 +619,13 @@ class TestWindowPlan:
             metas.append(scan.meta)
         assert metas[0] is metas[1]  # one metadata object per plan
 
-    def test_a_refused_window_makes_no_plan(self, reference_scan):
+    def test_only_a_non_finite_window_makes_no_plan(self, reference_scan):
+        """A stored window is judged by its pixels, so the plan is worked out
+        even for a window far off the raster, and a bad resolution raises
+        there; a non-finite center or span is refused before it."""
         source = q.PremeasuredScan(*reference_scan)
-        assert isinstance(q.acquire_with_labels(source, (10.0, 330.0), (60.0, 60.0), 3.0), Blocked)
+        for center, span in (((NAN, 330.0), (60.0, 60.0)), ((301.0, 330.0), (INF, 60.0))):
+            assert q.acquire_with_labels(source, center, span, 3.0) == Blocked("window center or span is not finite")
         assert source._plans == {}
+        with pytest.raises(q.UnsupportedResolutionError, match="not an integer multiple"):
+            q.acquire_with_labels(source, (10.0, 330.0), (60.0, 60.0), 3.0)

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qdtune as q
@@ -17,7 +17,7 @@ from qdtune import grids as grids_mod
 from qdtune import harness as harness_mod
 from qdtune import scans as scans_mod
 from qdtune.classifier import oracle_table
-from qdtune.scans import _crop_start, _locate, _locator, _refusal
+from qdtune.scans import _locator
 from qdtune.tuner import POLICIES
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -33,7 +33,7 @@ def _old_route(source, center, span, resolution, sandbox, classifier=q.OracleCla
 
 def _stored_route(source, center, span, resolution, sandbox, classifier=q.OracleClassifier()):
     """What locating the window and reading it where it lies gives."""
-    found = _locate(source, center, span, resolution, sandbox)
+    found = _locator(source, span, resolution, sandbox)(center)
     if isinstance(found, q.Blocked):
         return found
     return classifier.stored_probabilities(source, *found)
@@ -62,8 +62,9 @@ def _assert_same(source, center, span, resolution, sandbox, classifier=q.OracleC
 
 class TestLocator:
     # The stored scan covers 125..525 x 150..550 mV with pixel centers on even
-    # mV, so odd centers tie between two pixels; the grid reaches 15 mV past
-    # the raster on every side, and the sandbox cuts into it on all four.
+    # mV along v1 and odd mV along v2, so odd v1 and even v2 centers tie
+    # between two pixels; the grid reaches 15 mV past the raster on every
+    # side, and the sandbox cuts into it on all four.
     @pytest.mark.parametrize(
         "span, sandbox",
         [
@@ -79,7 +80,7 @@ class TestLocator:
             for c2 in np.arange(135.0, 566.0):
                 center = (float(c1), float(c2))
                 _assert_same(reference_source, center, span, 2.0, sandbox)
-                blocked += isinstance(_locate(reference_source, center, span, 2.0, sandbox), q.Blocked)
+                blocked += isinstance(_locator(reference_source, span, 2.0, sandbox)(center), q.Blocked)
         assert 0 < blocked < 431 * 431
 
     def test_half_mv_and_off_grid_centers(self, reference_source):
@@ -103,9 +104,9 @@ class TestLocator:
         centers = [tuple(c) for c in rng.uniform(100.0, 570.0, size=(300, 2)).tolist()]
         for center in [(10.0, 330.0), *centers]:
             _assert_same(reference_source, center, (60.0, 60.0), 2.0 * stride, q.Sandbox())
-        # A refusal comes before the plan's stride is known, so it is returned as it is.
+        # A window off the raster is refused as such, though it crosses the sandbox too.
         refused = _stored_route(reference_source, (10.0, 330.0), (60.0, 60.0), 2.0 * stride, q.Sandbox())
-        assert refused == q.Blocked("window crosses the sandbox limits")
+        assert refused == q.Blocked("window falls outside the stored raster")
 
     @pytest.mark.parametrize("resolution", [1.0, 3.0, math.nan])
     def test_a_bad_resolution_raises_as_acquisition_does(self, reference_source, resolution):
@@ -128,34 +129,49 @@ def _written_out_test(sandbox, center, span):
 
 
 def _reference_locate(source, center, span, resolution, sandbox):
-    """The one-off locator as first written: every per-run fact worked out
-    again for each window."""
-    if not _written_out_test(sandbox, center, span):
-        return _refusal(center, span)
+    """The stored-window rule written out for one window: the crop's stored
+    indices around ``np.argmin``'s nearest pixel, refused when the center or
+    span is not finite, then when the crop leaves the raster, then when a
+    pixel edge of it (a pixel center and half the window's pixel size)
+    passes a sandbox limit."""
+    if not all(math.isfinite(v) for v in (*center, *span)):
+        return q.Blocked("window center or span is not finite")
     plan = source._window_plan(span, resolution)
-    stride, n1, n2, _ = plan
-    axis1, axis2 = source._axis_floats
-    s1 = _crop_start(axis1, float(center[0]), n1, stride)
-    s2 = _crop_start(axis2, float(center[1]), n2, stride)
-    if s1 is None or s2 is None:
+    stride, n1, n2, meta = plan
+    axes = (source.scan.v1_axis, source.scan.v2_axis)
+    crops = [
+        int(np.argmin(np.abs(axis - c))) - (n * stride) // 2 + stride * np.arange(n)
+        for axis, c, n in zip(axes, center, (n1, n2))
+    ]
+    if any(idx[0] < 0 or idx[-1] >= axis.size for axis, idx in zip(axes, crops)):
         return q.Blocked("window falls outside the stored raster")
-    return plan, s1, s2
+    h = meta.resolution / 2.0
+    for axis, idx, (lo, hi) in zip(axes, crops, (sandbox.v1_range, sandbox.v2_range)):
+        if not (lo <= axis[idx[0]] - h and axis[idx[-1]] + h <= hi):
+            return q.Blocked("window crosses the sandbox limits")
+    return plan, int(crops[0][0]), int(crops[1][0])
 
 
 class TestBoundLocator:
     """One run binds one locator and asks it for every window; it must say
     what locating each window on its own says."""
 
-    SANDBOX = q.Sandbox((180.0, 470.0), (200.0, 505.0))
+    # Pixel centers lie on even mV along v1 and odd mV along v2, so a window's
+    # pixel edges lie on odd mV along v1 at strides 1 and 3, and along v2 at
+    # stride 2: each stride meets a limit exactly on one axis.
+    SANDBOX = q.Sandbox((181.0, 471.0), (201.0, 505.0))
 
     def _centers(self, rng, span):
         (lo1, hi1), (lo2, hi2) = self.SANDBOX.v1_range, self.SANDBOX.v2_range
         half1, half2 = span[0] / 2.0, span[1] / 2.0
         centers = [tuple(c) for c in rng.uniform(100.0, 570.0, size=(300, 2)).tolist()]
-        # Each sandbox edge, exactly and one float inside or outside.
-        for c1, c2 in [(lo1 + half1, 350.0), (hi1 - half1, 350.0), (300.0, lo2 + half2), (301.0, hi2 - half2)]:
-            for toward in (-math.inf, math.inf):
-                centers += [(c1, c2), (math.nextafter(c1, toward), c2), (c1, math.nextafter(c2, toward))]
+        # Across each sandbox edge in half-mV steps, ties included, and one
+        # float either side of each step.
+        for k in np.arange(-8.0, 8.5, 0.5):
+            for c1, c2 in [(lo1 + half1 + k, 350.0), (hi1 - half1 + k, 350.0), (300.0, lo2 + half2 + k),
+                           (301.0, hi2 - half2 + k)]:
+                for toward in (-math.inf, math.inf):
+                    centers += [(c1, c2), (math.nextafter(c1, toward), c2), (c1, math.nextafter(c2, toward))]
         centers += [(bad, 350.0) for bad in NON_FINITE] + [(350.0, bad) for bad in NON_FINITE]
         return centers
 
@@ -167,40 +183,116 @@ class TestBoundLocator:
         results = []
         for center in self._centers(rng, span):
             got = locate(center)
-            assert got == _locate(reference_source, center, span, 2.0 * stride, self.SANDBOX)
+            assert got == _locator(reference_source, span, 2.0 * stride, self.SANDBOX)(center)
             assert got == _reference_locate(reference_source, center, span, 2.0 * stride, self.SANDBOX)
-            results.append(type(got))
-        assert q.Blocked in results and tuple in results
+            results.append(got if type(got) is q.Blocked else tuple)
+        assert set(results) == {
+            tuple, *map(q.Blocked, ("window center or span is not finite", "window falls outside the stored raster",
+                                    "window crosses the sandbox limits"))
+        }
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_reuse_across_a_refusal(self, reference_source, stride):
-        """A refusal before the plan is known, and between two windows after it."""
+        """A refusal of the run's first window, and between two windows after it."""
         centers = [(10.0, 330.0), (301.0, 330.0), (math.nan, 330.0), (520.0, 330.0), (350.0, 401.0)]
         locate = _locator(reference_source, (60.0, 60.0), 2.0 * stride, q.Sandbox())
         got = [locate(center) for center in centers]
-        assert got == [_locate(reference_source, c, (60.0, 60.0), 2.0 * stride, q.Sandbox()) for c in centers]
+        assert got == [_locator(reference_source, (60.0, 60.0), 2.0 * stride, q.Sandbox())(c) for c in centers]
         assert [type(found) for found in got] == [q.Blocked, tuple, q.Blocked, q.Blocked, tuple]
         assert got[1][0] is got[4][0]  # one plan for the run
 
     @pytest.mark.parametrize("resolution", [1.0, 3.0])
-    def test_a_bad_resolution_raises_at_the_first_accepted_window_and_after(self, reference_source, resolution):
+    def test_a_bad_resolution_raises_at_the_first_window_and_after(self, reference_source, resolution):
+        """The plan gives a window its pixels, so it is worked out on the
+        first window, off the raster or not; only a non-finite center is
+        refused before it."""
         locate = _locator(reference_source, (60.0, 60.0), resolution, q.Sandbox())
-        assert locate((10.0, 330.0)) == q.Blocked("window crosses the sandbox limits")
-        for _ in range(2):
+        assert locate((math.nan, 330.0)) == q.Blocked("window center or span is not finite")
+        for center in ((10.0, 330.0), (301.0, 330.0), (10.0, 330.0)):
             with pytest.raises(q.UnsupportedResolutionError):
-                locate((301.0, 330.0))
+                locate(center)
 
-    def test_a_run_whose_start_window_is_refused_aborts_at_the_same_step(self, reference_source, oracle):
-        """At 1 mV/px the start window crosses the sandbox and is recorded as
-        blocked; the next window asks for the plan, which refuses the
-        resolution, so the run aborts after one step, as it did when each
-        window was located on its own (the acquiring route still does)."""
+    def test_a_bad_resolution_aborts_a_run_at_its_first_window(self, reference_source, oracle):
+        """At 1 mV/px the start window asks for the plan, which refuses the
+        resolution, so the run aborts with no step, as on the acquiring
+        route, though the start window crosses the sandbox."""
         got = q.autotune(reference_source, oracle, (465.0, 300.0), resolution=1.0, sandbox=self.SANDBOX)
         expect = q.autotune(reference_source, SpyOracle(), (465.0, 300.0), resolution=1.0, sandbox=self.SANDBOX)
-        assert got.steps == expect.steps == [q.TuningStep((465.0, 300.0), None, 2.0, True)]
+        assert got.steps == expect.steps == []
         cause = "UnsupportedResolutionError: requested 1.0 mV/px is finer than the stored raster (2.0 mV/px)"
         assert got.outcome == expect.outcome == q.Outcome(kind="aborted", cause=cause)
         assert json.dumps(got.to_json_dict()) == json.dumps(expect.to_json_dict())
+
+
+def test_a_crop_past_the_sandbox_is_refused(reference_params):
+    """On a 600 x 600 mV scan, whose pixel centers lie on odd mV, a 60 mV
+    window at (230, 300) mV lies inside a sandbox from 200 mV as requested,
+    but reads v1 pixel centers 199-257 mV, which cover 198-258 mV. It is
+    refused, for tuning and for scoring; at (232, 300) mV it reads 201-259 mV
+    and is accepted."""
+    source = q.PremeasuredScan(*q.render_scan(reference_params, (300.0, 300.0), (600.0, 600.0), 2.0))
+    sandbox = q.Sandbox((200.0, 700.0), (0.0, 600.0))
+    assert sandbox.contains_window((230.0, 300.0), (60.0, 60.0))
+    got = q.acquire_with_labels(source, (230.0, 300.0), (60.0, 60.0), 2.0, sandbox)
+    assert got == q.Blocked("window crosses the sandbox limits")
+    assert harness_mod.ground_truth_dd_fraction(source, (230.0, 300.0), (60.0, 60.0), 2.0, sandbox) is None
+    window, _ = q.acquire_with_labels(source, (232.0, 300.0), (60.0, 60.0), 2.0, sandbox)
+    assert window.v1_axis[[0, -1]].tolist() == [201.0, 259.0]
+    assert harness_mod.ground_truth_dd_fraction(source, (232.0, 300.0), (60.0, 60.0), 2.0, sandbox) is not None
+
+
+def _near(data, edge):
+    """A sandbox limit near ``edge``: up to two floats from it, or up to 40 mV."""
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(-2, 2))
+        for _ in range(abs(k)):
+            edge = math.nextafter(edge, math.copysign(math.inf, k))
+        return edge
+    return edge + data.draw(st.floats(-40.0, 40.0))
+
+
+@given(data=st.data(), stride=st.integers(1, 3), pixels=st.tuples(st.integers(1, 40), st.integers(1, 40)))
+@settings(max_examples=500, deadline=None)
+def test_a_window_is_accepted_exactly_when_its_pixels_lie_on_the_raster_and_in_the_sandbox(
+    reference_source, data, stride, pixels
+):
+    """Windows of any size at strides 1-3, centered anywhere on the study
+    scan or up to 60 mV off it, ties included, in sandboxes with limits a few
+    floats or mV from the window's edges. The crop is written out: the stored
+    pixel nearest the center by ``np.argmin``, ``count * stride // 2`` pixels
+    before it, every ``stride``-th pixel after. The locator refuses it as off
+    the raster, as crossing the sandbox when a pixel center less or plus half
+    the window's pixel size passes a limit, or gives its first pixels."""
+    scan = reference_source.scan
+    resolution = 2.0 * stride
+    span = tuple(n * resolution for n in pixels)
+    center, crops, edges = [], [], []
+    for axis, n, extent in zip((scan.v1_axis, scan.v2_axis), pixels, span):
+        c = float(axis[0]) + data.draw(st.floats(-60.0, float(axis[-1] - axis[0]) + 60.0))
+        if data.draw(st.booleans()):  # half way between two pixel centers
+            c = float(axis[0]) + 2.0 * round((c - float(axis[0])) / 2.0) + 1.0
+        idx = int(np.argmin(np.abs(axis - c))) - (n * stride) // 2 + stride * np.arange(n)
+        on = idx[0] >= 0 and idx[-1] < axis.size
+        center.append(c)
+        crops.append(idx if on else None)
+        if on:
+            edges.append((axis[idx[0]] - resolution / 2.0, axis[idx[-1]] + resolution / 2.0))
+        else:
+            edges.append((c - extent / 2.0, c + extent / 2.0))
+    limits = [(_near(data, lo), _near(data, hi)) for lo, hi in edges]
+    assume(all(lo < hi for lo, hi in limits))
+    sandbox = q.Sandbox(*limits)
+
+    found = _locator(reference_source, span, resolution, sandbox)(tuple(center))
+    if any(idx is None for idx in crops):
+        assert found == q.Blocked("window falls outside the stored raster")
+    elif not all(lo <= e_lo and e_hi <= hi for (lo, hi), (e_lo, e_hi) in zip(limits, edges)):
+        assert found == q.Blocked("window crosses the sandbox limits")
+    else:
+        assert found[1:] == (crops[0][0], crops[1][0])
+        window, _ = q.acquire_with_labels(reference_source, tuple(center), span, resolution, sandbox)
+        assert window.v1_axis.tolist() == scan.v1_axis[crops[0]].tolist()
+        assert window.v2_axis.tolist() == scan.v2_axis[crops[1]].tolist()
 
 
 @given(
@@ -221,7 +313,6 @@ def test_the_sandbox_test_rounds_as_written(lo, width, span, ulps):
         center.append(edge)
     spans = (span, span)
     assert sandbox.contains_window(center, spans) == _written_out_test(sandbox, center, spans)
-    assert sandbox._window_test(spans)(center) == _written_out_test(sandbox, center, spans)
 
 
 def test_a_tuning_step_cannot_be_changed(reference_source, oracle):

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 import qdtune as q
 from qdtune.errors import ConfigurationError
-from qdtune.scans import _locate
+from qdtune.scans import _locator
 from qdtune.tuner import NelderMeadResult, _norm, nelder_mead
 
 
@@ -419,7 +419,7 @@ class TestScoreReuse:
         a = q.FitnessConfig()
         b = q.FitnessConfig(alpha=2.5, cap=False)
         def stored():
-            found = _locate(reference_source, center, (60.0, 60.0), 2.0, q.Sandbox())
+            found = _locator(reference_source, (60.0, 60.0), 2.0, q.Sandbox())(center)
             return q.OracleClassifier().stored_probabilities(reference_source, *found)
 
         p = stored()
