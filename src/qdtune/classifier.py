@@ -24,7 +24,13 @@ On a stored scan a window is fixed by its window plan and its first
 pixel, and its vector does not depend on the stack it was scored in, so a
 ``ModelClassifier`` classifies each stored window once and keeps the
 vector for its later tuning steps and landscapes, as the oracle keeps
-one table per window shape.
+one table per window shape. Each built-in classifier reads a stored
+window in one place, its ``stored_reader(source, plan)``: a function of
+the window's first pixel, bound once per run (``scans._locator``), that
+reads the oracle table's rows, counts strided codes, or reads the model's
+kept vectors and the stored values. The oracle reads no sensor values
+(``OracleClassifier.reads_values``), so a simulated source renders its
+windows' labels alone.
 """
 
 from __future__ import annotations
@@ -432,25 +438,39 @@ def reference_split(samples: list[LabeledSample]) -> tuple[list[LabeledSample], 
 
 
 class OracleClassifier:
-    """Reads the probability vector straight off the ground-truth labels."""
+    """Reads the probability vector straight off the ground-truth labels.
 
-    def probabilities(self, scan: ScanGrid, labels: LabelGrid | None) -> ProbabilityVector:
+    It never reads sensor values, and says so, so that the tuner asks a
+    simulated source for a window's labels alone (``scans.acquire_labels``).
+    """
+
+    reads_values = False
+
+    def probabilities(self, scan: ScanGrid | None, labels: LabelGrid | None) -> ProbabilityVector:
         if labels is None:
             raise ConfigurationError(_NO_LABELS)
         return oracle_probability(labels)
 
-    def stored_probabilities(self, source: PremeasuredScan, plan: tuple, s1: int, s2: int) -> ProbabilityVector:
-        """``probabilities`` of the stored window ``scans._locator`` found, with
-        no window built: read off the oracle table of its shape at stride 1,
-        so windows of equal counts share one object, and counted from its
-        strided codes otherwise. Both count the same integers, and both
-        refuse a source without labels as ``probabilities`` does."""
+    def stored_reader(self, source: PremeasuredScan, plan: tuple):
+        """``read(s1, s2)``: ``probabilities`` of the stored window of ``plan``
+        whose first pixel is ``(s1, s2)``, with no window built. At stride 1 it
+        reads the oracle table of the window's shape, so windows of equal
+        counts share one object; otherwise it counts the window's strided
+        codes. Both count the same integers, and both refuse a source without
+        labels, here, as ``probabilities`` does."""
         stride, n1, n2, _ = plan
         if stride == 1:
-            return oracle_table(source.tally, n1, n2).rows[s1][s2]
+            rows = oracle_table(source.tally, n1, n2).rows
+            return lambda s1, s2: rows[s1][s2]
         if source.labels is None:
             raise ConfigurationError(_NO_LABELS)
-        return _counted_codes(source.labels.labels[_window_slices(plan, s1, s2)])
+        codes = source.labels.labels
+        return lambda s1, s2: _counted_codes(codes[_window_slices(plan, s1, s2)])
+
+    def stored_probabilities(self, source: PremeasuredScan, plan: tuple, s1: int, s2: int) -> ProbabilityVector:
+        """``probabilities`` of the stored window ``scans._locator`` found, as
+        :meth:`stored_reader` reads it."""
+        return self.stored_reader(source, plan)(s1, s2)
 
 
 class ModelClassifier:
@@ -481,16 +501,27 @@ class ModelClassifier:
         ``plan``, by start ``(s1, s2)``; a window is kept once classified."""
         return self._stored.setdefault(source, {}).setdefault(plan, {})
 
-    def stored_probabilities(self, source: PremeasuredScan, plan: tuple, s1: int, s2: int) -> ProbabilityVector:
-        """``probabilities`` of the stored window ``scans._locator`` found, bit
-        for bit, from a view of the stored values: no grid is built. The
-        vector is kept; a window whose classification raises is not."""
+    def stored_reader(self, source: PremeasuredScan, plan: tuple):
+        """``read(s1, s2)``: ``probabilities`` of the stored window of ``plan``
+        whose first pixel is ``(s1, s2)``, bit for bit, from a view of the
+        stored values: no grid is built. The vector is kept; a window whose
+        classification raises is not."""
         vectors = self._stored_vectors(source, plan)
-        p = vectors.get((s1, s2))
-        if p is None:
-            window = source.scan.values[_window_slices(plan, s1, s2)]
-            p = vectors[s1, s2] = self.stack_probabilities(window[None], plan[3])[0]
-        return p
+        values, meta = source.scan.values, plan[3]
+
+        def read(s1: int, s2: int) -> ProbabilityVector:
+            p = vectors.get((s1, s2))
+            if p is None:
+                window = values[_window_slices(plan, s1, s2)]
+                p = vectors[s1, s2] = self.stack_probabilities(window[None], meta)[0]
+            return p
+
+        return read
+
+    def stored_probabilities(self, source: PremeasuredScan, plan: tuple, s1: int, s2: int) -> ProbabilityVector:
+        """``probabilities`` of the stored window ``scans._locator`` found, as
+        :meth:`stored_reader` reads it."""
+        return self.stored_reader(source, plan)(s1, s2)
 
     def stack_probabilities(self, stack: np.ndarray, meta: ScanMeta) -> list[ProbabilityVector]:
         """The probability vector of each window of an (N, n, m) stack of sensor

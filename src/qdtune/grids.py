@@ -2,7 +2,8 @@
 
 Checks run where data enters: every ``ScanGrid`` and ``LabelGrid``
 built by a constructor (``load_scan``, the CLI, a caller's arrays)
-validates its axes, spacing and codes. Data checked already goes through
+validates its axes, spacing and codes, and a ``ScanGrid`` refuses sensor
+values that are not finite. Data checked already goes through
 the trusted constructors :func:`_scan_grid` and :func:`_label_grid`, which
 check nothing: ``render_scan``, which builds its axes and codes itself and
 checks only that the axes strictly increase; the copies a
@@ -131,6 +132,8 @@ class ScanGrid:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2:
             raise ShapeError(f"scan values must be 2-d, got ndim={self.values.ndim}")
+        if not np.isfinite(self.values).all():
+            raise ShapeError("scan 'values' must be finite, not NaN or infinite")
         self.v1_axis = _check_axis("v1_axis", self.v1_axis, self.meta.resolution)
         self.v2_axis = _check_axis("v2_axis", self.v2_axis, self.meta.resolution)
         if self.values.shape != (self.v1_axis.size, self.v2_axis.size):

@@ -17,7 +17,10 @@ experiment runs its starts one after another, in start order; no run
 depends on the runs before it. A model classifier keeps the vector of
 each stored window it classified, so the runs and landscapes of one
 classifier on one stored scan classify each window once, whatever their
-order, with the bits classifying it again gives. A neighborhood report is
+order, with the bits classifying it again gives. Success scoring reads a
+run's final window with the oracle through one locator per stored scan,
+span, resolution and sandbox, bound once; on a simulated device it renders
+the window's labels alone. A neighborhood report is
 built from one record per run, and a loaded report is rebuilt from its
 records, so no report holds a figure its runs do not give.
 """
@@ -31,12 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import device as device_model
 from .classifier import ModelClassifier, OracleClassifier, oracle_probability, oracle_table
-from .errors import ConfigurationError, DomainError, ScanFormatError, ShapeError
+from .errors import ConfigurationError, ScanFormatError, ShapeError
 from .fileio import check_header, checked, encode_blob, write_csv, write_json
 from .grids import DEFAULT_RESOLUTION_MV, DEFAULT_SPAN_MV, pixel_count
-from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, SimulatedDevice, _locator
+from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, SimulatedDevice, _kept_locator, acquire_labels
 from .scans import acquire_with_labels  # noqa: F401  unused; kept as a name perfbench/spans.py wraps
 from .tuner import (
     DEFAULT_FITNESS,
@@ -95,6 +97,13 @@ class SuccessRegions:
         return 0.0
 
 
+def _scoring_reader(source: PremeasuredScan, plan: tuple):
+    """The oracle's stored reader, refused for a scan without labels."""
+    if source.labels is None:
+        raise ConfigurationError("success scoring needs a source with ground-truth labels")
+    return OracleClassifier().stored_reader(source, plan)
+
+
 def ground_truth_dd_fraction(
     source: MeasurementSource,
     center: tuple[float, float],
@@ -104,28 +113,21 @@ def ground_truth_dd_fraction(
 ) -> float | None:
     """Double-dot pixel fraction of one window, or None if it cannot be measured.
 
-    A simulated device gives the window's labels alone, without its sensor
-    values; it refuses the windows ``acquire_with_labels`` refuses. A stored
-    scan's window, of any stride, is where ``scans._locator`` finds it, and
-    is refused as it refuses it, by the pixels it reads; the oracle reads it
-    there with no window built.
+    A simulated device gives the window's labels alone
+    (``scans.acquire_labels``), and refuses the windows
+    ``acquire_with_labels`` refuses. A stored scan's window, of any stride,
+    is where ``scans._locator`` finds it, and is refused as it refuses it,
+    by the pixels it reads; the oracle reads it there with no window built,
+    through the one locator the scan keeps for scoring at that span,
+    resolution and sandbox (``scans._kept_locator``).
     """
     if isinstance(source, SimulatedDevice):
-        if not sandbox.contains_window(center, span):
-            return None
-        try:
-            labels = device_model.render_labels(source.params, center, span, resolution)
-        except DomainError:
-            return None
-        return oracle_probability(labels).p_dd
+        labels = acquire_labels(source, center, span, resolution, sandbox)
+        return None if isinstance(labels, Blocked) else oracle_probability(labels).p_dd
     if not isinstance(source, PremeasuredScan):
         raise ConfigurationError(f"unknown measurement source type {type(source).__name__}")
-    found = _locator(source, span, resolution, sandbox)(center)
-    if isinstance(found, Blocked):
-        return None
-    if source.labels is None:
-        raise ConfigurationError("success scoring needs a source with ground-truth labels")
-    return OracleClassifier().stored_probabilities(source, *found).p_dd
+    found = _kept_locator(source, span, resolution, sandbox, _scoring_reader)(center)
+    return None if isinstance(found, Blocked) else found.p_dd
 
 
 def run_weight(

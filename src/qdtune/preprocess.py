@@ -20,6 +20,8 @@ each window to the same numpy call a lone window gets:
   or ``np.add.reduceat`` adds in another order and is not equal;
 - the resize is one ``_overlap_weights`` product over the stack, for which
   numpy calls BLAS once per window with the arguments a lone window gives;
+  a stack of 30x30 windows skips it, since it would change only the sign
+  of a zero (``process``);
 - per-window peaks are maxima, which are exact.
 
 Sensor values that are not finite are refused on entry with a ShapeError.
@@ -194,6 +196,13 @@ def process(stack: np.ndarray, meta: ScanMeta) -> np.ndarray:
         if len(stack) > 1:
             where = f" in window {int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))} of {len(stack)}"
         raise ShapeError(f"sensor values are not finite: NaN or infinite pixels{where}")
-    images = _resize(_normalize_threshold(_flip_correct(_gradient(stack, meta))))
+    images = _normalize_threshold(_flip_correct(_gradient(stack, meta)))
+    if images.shape[1:] == (IMAGE_SIZE, IMAGE_SIZE):
+        # _overlap_weights(IMAGE_SIZE) is the identity and each window already
+        # lies in [0, 1] with peak 1 or all zeros, so the resize would change
+        # nothing but the sign of a zero: its products turn -0.0 into +0.0.
+        np.add(images, 0.0, out=images)
+    else:
+        images = _resize(images)
     _check_range(images)
     return images

@@ -14,15 +14,20 @@ one bisection of each stored axis. It is refused when it runs off the
 raster or when a pixel edge of it passes a sandbox limit. The locator is
 bound once for the windows of one span and resolution, as a tuning run asks
 for them, with the window plan (stride, pixel counts and metadata) worked
-out on the run's first window and kept while it passes its checks.
-:func:`_window_slices` turns what the locator found into the row and column
-slices of the window. :func:`acquire_with_labels` cuts the located window
-as read-only views of the stored copies, of every stride, checked once when
-the source was built. A built-in classifier reads a located window itself
-(``stored_probabilities``), so tuning runs and success scoring on a stored
-scan build no window at all; a model classifier keeps what it read. A
+out on the run's first window and kept while it passes its checks, and it
+reads each window it finds with a reader bound once for that plan. A
+built-in classifier's ``stored_reader`` is such a reader, so a tuning step
+on a stored scan is one locate and one read, and tuning runs and success
+scoring build no window at all; a model classifier keeps what it read.
+Success scoring keeps its locator on the source, one per span, resolution,
+sandbox and reader (``_kept_locator``), where a tuning run binds its own. The
+plain locator's reader gives the plan and the window's first pixel, which
+:func:`_window_slices` turns into row and column slices, and
+:func:`acquire_with_labels` cuts the window there as read-only views of the
+stored copies, of every stride, checked once when the source was built. A
 simulated window is refused when a corner of the requested window leaves
-the sandbox (``Sandbox.contains_window``).
+the sandbox (``Sandbox.contains_window``); :func:`acquire_labels` renders
+its labels alone, for a classifier that reads no sensor values.
 
 Scan files are a single JSON document: a self-describing header plus
 base64 blobs of little-endian float64 (values, axes) and int8 (labels)
@@ -48,7 +53,7 @@ from .errors import (
     UnsupportedResolutionError,
     check_count,
 )
-from .fileio import check_header, check_written, checked, decode_blob, decode_finite, encode_blob, read_json, write_json
+from .fileio import check_header, check_written, checked, decode_blob, encode_blob, read_json, write_json
 from .grids import (
     ACQUISITION_AXES,
     LabelGrid,
@@ -166,6 +171,7 @@ class PremeasuredScan:
         # The axes as Python floats too, for the nearest-pixel search of each window.
         self._axis_floats = (self.scan.v1_axis.tolist(), self.scan.v2_axis.tolist())
         self._plans: dict[tuple, tuple[int, int, int, ScanMeta]] = {}
+        self._locators: dict[tuple, object] = {}
 
     @cached_property
     def tally(self) -> LabelTally:
@@ -237,6 +243,12 @@ def _nearest(axis: list[float], center: float) -> int:
 _NOT_FINITE = Blocked("window center or span is not finite")
 _CROSSES = Blocked("window crosses the sandbox limits")
 _OFF_RASTER = Blocked("window falls outside the stored raster")
+_OFF_DOMAIN = Blocked("window exceeds the device domain")
+
+
+def _where(source: PremeasuredScan, plan: tuple[int, int, int, ScanMeta]):
+    """The reader of a plain ``_locator``: a window's plan and first pixel."""
+    return lambda s1, s2: (plan, s1, s2)
 
 
 def _locator(
@@ -244,11 +256,15 @@ def _locator(
     span: tuple[float, float],
     resolution: float,
     sandbox: Sandbox,
+    reader=_where,
 ):
-    """``locate(center)``: where the stored window of ``span`` at
-    ``resolution`` around ``center`` lies, without building it, as the
-    window plan (stride, pixel counts along v1 and v2, metadata) and the
-    stored indices of its first pixel along v1 and v2.
+    """``locate(center)``: the stored window of ``span`` at ``resolution``
+    around ``center``, read where it lies by ``reader(source, plan)(s1, s2)``
+    with no window built, or Blocked. ``plan`` is the window plan (stride,
+    pixel counts along v1 and v2, metadata) and ``(s1, s2)`` the stored
+    indices of the window's first pixel; the default reader returns
+    ``(plan, s1, s2)`` itself. A built-in classifier's ``stored_reader`` is
+    such a reader.
 
     The window's pixels alone decide whether it is refused. Along each axis
     its first pixel lies ``count * stride // 2`` stored pixels below the one
@@ -256,32 +272,59 @@ def _locator(
     not finite, then when the window runs off the stored raster, then when a
     pixel edge passes a sandbox limit: the first pixel center less half the
     window's pixel size, or the last one plus it. It raises as
-    ``_window_plan`` does. The plan is worked out on the run's first window
-    and kept once it passes its checks, so a bad request raises on that
-    window and on every later one.
+    ``_window_plan`` does, and as the reader does when it is bound. The plan
+    is worked out on the first finite window and the reader bound on the
+    first window that passes its checks; each is kept once it is made, so a
+    bad request raises on that window and on every later one.
     """
     axis1, axis2 = source._axis_floats
+    last1, last2 = len(axis1) - 1, len(axis2) - 1
     (lo1, hi1), (lo2, hi2) = sandbox.v1_range, sandbox.v2_range
     finite_span, isfinite = math.isfinite(span[0]) and math.isfinite(span[1]), math.isfinite
-    plan = None
+    plan = read = None
+    # Set from the plan: pixels from the nearest one back to the first, from
+    # the first to the last, and half the window's pixel size.
+    back1 = back2 = reach1 = reach2 = h = 0
 
-    def locate(center: tuple[float, float]) -> tuple[tuple[int, int, int, ScanMeta], int, int] | Blocked:
-        nonlocal plan
+    def locate(center: tuple[float, float]):
+        nonlocal plan, read, back1, back2, reach1, reach2, h
         c1, c2 = float(center[0]), float(center[1])
         if not (finite_span and isfinite(c1) and isfinite(c2)):
             return _NOT_FINITE
         if plan is None:
             plan = source._window_plan(span, resolution)
-        stride, n1, n2, meta = plan
-        s1, s2 = _nearest(axis1, c1) - (n1 * stride) // 2, _nearest(axis2, c2) - (n2 * stride) // 2
-        e1, e2 = s1 + stride * (n1 - 1), s2 + stride * (n2 - 1)
-        if s1 < 0 or s2 < 0 or e1 >= len(axis1) or e2 >= len(axis2):
+            stride, n1, n2, meta = plan
+            back1, back2 = (n1 * stride) // 2, (n2 * stride) // 2
+            reach1, reach2 = stride * (n1 - 1), stride * (n2 - 1)
+            h = meta.resolution / 2.0
+        s1, s2 = _nearest(axis1, c1) - back1, _nearest(axis2, c2) - back2
+        e1, e2 = s1 + reach1, s2 + reach2
+        if s1 < 0 or s2 < 0 or e1 > last1 or e2 > last2:
             return _OFF_RASTER
-        h = meta.resolution / 2.0
         if not (lo1 <= axis1[s1] - h and axis1[e1] + h <= hi1 and lo2 <= axis2[s2] - h and axis2[e2] + h <= hi2):
             return _CROSSES
-        return plan, s1, s2
+        if read is None:
+            read = reader(source, plan)
+        return read(s1, s2)
 
+    return locate
+
+
+def _kept_locator(
+    source: PremeasuredScan,
+    span: tuple[float, float],
+    resolution: float,
+    sandbox: Sandbox,
+    reader,
+):
+    """The ``_locator`` of ``source`` for ``span``, ``resolution``, the
+    sandbox's limits and ``reader``, bound on first use and kept on the
+    source. It holds nothing but its window plan and its bound reader, so
+    every later caller gets what a fresh locator gives."""
+    key = (*span, resolution, *sandbox.v1_range, *sandbox.v2_range, reader)
+    locate = source._locators.get(key)
+    if locate is None:
+        locate = source._locators[key] = _locator(source, span, resolution, sandbox, reader)
     return locate
 
 
@@ -339,10 +382,28 @@ def acquire_with_labels(
                 with_labels=with_labels,
             )
         except DomainError:
-            return Blocked("window exceeds the device domain")
+            return _OFF_DOMAIN
         return scan, labels
 
     raise ConfigurationError(f"unknown measurement source type {type(source).__name__}")
+
+
+def acquire_labels(
+    source: SimulatedDevice,
+    center: tuple[float, float],
+    span: tuple[float, float],
+    resolution: float,
+    sandbox: Sandbox = Sandbox(),
+) -> LabelGrid | Blocked:
+    """The labels ``acquire_with_labels`` gives a simulated window, without
+    computing its sensor values (``device.render_labels``); it refuses the
+    same windows, for the same reasons."""
+    if not sandbox.contains_window(center, span):
+        return _CROSSES if all(math.isfinite(v) for v in (*center, *span)) else _NOT_FINITE
+    try:
+        return device_model.render_labels(source.params, center, span, resolution)
+    except DomainError:
+        return _OFF_DOMAIN
 
 
 # --- file format ----------------------------------------------------------
@@ -396,12 +457,12 @@ def load_scan(path) -> tuple[ScanGrid, LabelGrid | None]:
 
     v1 = decode_blob("v1_axis", doc.get("v1_axis"), "<f8", n1)
     v2 = decode_blob("v2_axis", doc.get("v2_axis"), "<f8", n2)
-    values = decode_finite("values", doc.get("values"), n1 * n2).reshape(n1, n2)
+    values = decode_blob("values", doc.get("values"), "<f8", n1 * n2).reshape(n1, n2)
     meta = ScanMeta(resolution=resolution, acquisition_axis=axis_name)
     try:
-        scan = ScanGrid(values, v1, v2, meta)
+        scan = ScanGrid(values, v1, v2, meta)  # refuses NaN or infinite values, naming 'values'
     except ShapeError as exc:
-        raise ScanFormatError(f"scan file is inconsistent: {exc}") from exc
+        raise ScanFormatError(f"scan file holds an invalid scan: {exc}") from exc
     check_written(doc, {"origin_mv": [float(v1[0]), float(v2[0])]})
 
     labels = None

@@ -23,11 +23,14 @@ decides only where the two could round to different decisions. One
 "iteration" is one window measurement, recorded as an immutable
 :class:`TuningStep` named tuple.
 
-On a stored scan, a classifier with a ``stored_probabilities`` method, as
-both built-in ones have, reads each window where the run's stored-window
-locator, bound once per run, finds it or refuses it, with no window built. Any other run
+On a stored scan, a classifier with a ``stored_reader`` method, as both
+built-in ones have, reads each window where the run's stored-window
+locator finds it or refuses it, with no window built: the locator and the
+reader are bound once per run, so a step is one locate and one read. On a
+simulated source a classifier that reads no sensor values, as the oracle,
+gets each window's labels alone (``scans.acquire_labels``). Any other run
 measures each window with ``acquire_with_labels`` and classifies it with
-``probabilities``. Both give the same vector bits, so the same run.
+``probabilities``. Every route gives the same vector bits, so the same run.
 """
 
 from __future__ import annotations
@@ -44,7 +47,16 @@ from .classifier import ProbabilityVector
 from .errors import ConfigurationError, DomainError, QdtuneError, check_count, check_setting
 from .fileio import write_csv, write_json
 from .grids import DEFAULT_RESOLUTION_MV, DEFAULT_SPAN_MV
-from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, _locator, acquire_with_labels
+from .scans import (
+    Blocked,
+    MeasurementSource,
+    PremeasuredScan,
+    Sandbox,
+    SimulatedDevice,
+    _locator,
+    acquire_labels,
+    acquire_with_labels,
+)
 
 TARGET_DOUBLE_DOT = ProbabilityVector(0.0, 0.0, 1.0)
 
@@ -344,6 +356,13 @@ class TuningStep(NamedTuple):
     blocked: bool
 
 
+def _best_center(steps: list[TuningStep]) -> tuple[float, float] | None:
+    """Center of the best-fitness step (earliest on ties); None for no steps."""
+    if not steps:
+        return None
+    return min(steps, key=itemgetter(2))[0]  # the step's fitness, then its center
+
+
 #: The ways a tuning run can end, the values of ``Outcome.kind``.
 OUTCOME_KINDS = ("converged", "max_iterations", "aborted")
 
@@ -370,9 +389,7 @@ class TuningRun:
 
     def best_center(self) -> tuple[float, float] | None:
         """Center of the best-fitness measurement (earliest on ties)."""
-        if not self.steps:
-            return None
-        return min(self.steps, key=itemgetter(2))[0]  # the step's fitness, then its center
+        return _best_center(self.steps)
 
     def to_json_dict(self) -> dict:
         return {
@@ -427,47 +444,54 @@ def autotune(
     without invoking the classifier. Failures inside the acquisition backend or
     the classifier abort the run and are recorded as such. A classifier
     whose ``reads_labels`` attribute is False gets no labels from a
-    simulated source, which then skips computing them; any other classifier
-    gets them. On a stored scan, a classifier with a ``stored_probabilities``
-    method reads each window where the run's one ``scans._locator`` finds
-    it, with no window built; the vectors, and so the run, are the same.
+    simulated source, which then skips computing them, and one whose
+    ``reads_values`` attribute is False, as the oracle's is, gets the labels
+    alone (``scans.acquire_labels``); any other classifier gets both. On a
+    stored scan, a classifier with a ``stored_reader`` method reads each
+    window where the run's one ``scans._locator`` finds it, with no window
+    built: the locator binds the reader on the run's first window that
+    passes its checks, so a step is one locate and one read. The vectors,
+    and so the run, are the same on every route.
     """
     if not sandbox.contains_point(start):
         raise ConfigurationError(f"start point {start} lies outside the sandbox")
 
     steps: list[TuningStep] = []
-    with_labels = getattr(classifier, "reads_labels", True)
-    stored = getattr(classifier, "stored_probabilities", None) if isinstance(source, PremeasuredScan) else None
-    if stored is not None:
-        locate = _locator(source, span, resolution, sandbox)
+    # measure(center): the window's probability vector, or Blocked.
+    if isinstance(source, PremeasuredScan) and hasattr(classifier, "stored_reader"):
+        measure = _locator(source, span, resolution, sandbox, classifier.stored_reader)
+    elif isinstance(source, SimulatedDevice) and not getattr(classifier, "reads_values", True):
+
+        def measure(center: tuple[float, float]) -> ProbabilityVector | Blocked:
+            labels = acquire_labels(source, center, span, resolution, sandbox)
+            return labels if isinstance(labels, Blocked) else classifier.probabilities(None, labels)
+
+    else:
+        with_labels = getattr(classifier, "reads_labels", True)
+
+        def measure(center: tuple[float, float]) -> ProbabilityVector | Blocked:
+            found = acquire_with_labels(source, center, span, resolution, sandbox, with_labels=with_labels)
+            return found if isinstance(found, Blocked) else classifier.probabilities(*found)
+
+    # Steps are built by tuple.__new__: TuningStep's own __new__ is a Python call, once a step.
+    new_step = tuple.__new__
 
     def objective(center: tuple[float, float]) -> float:
-        if stored is None:
-            found = acquire_with_labels(source, center, span, resolution, sandbox, with_labels=with_labels)
-        else:
-            found = locate(center)
-        if isinstance(found, Blocked):
+        p = measure(center)
+        if isinstance(p, Blocked):
             value = fitness_config.blocked_fitness
-            steps.append(TuningStep(center, None, value, True))
+            steps.append(new_step(TuningStep, (center, None, value, True)))
             return value
-        if stored is None:
-            p = classifier.probabilities(*found)
-        else:
-            plan, s1, s2 = found  # unpacked here: a call with *found is slower, once a step
-            p = stored(source, plan, s1, s2)
         value = fitness(p, fitness_config)
-        steps.append(TuningStep(center, p, value, False))
+        steps.append(new_step(TuningStep, (center, p, value, False)))
         return value
 
-    run = TuningRun(
-        start=tuple(start), steps=steps, outcome=Outcome(kind="aborted"), policy_name=policy.name
-    )
     try:
         f0 = objective((float(start[0]), float(start[1])))
         result = nelder_mead(objective, _simplex_vertices(start, policy, f0), term, f0)
     except QdtuneError as exc:
-        run.outcome = Outcome(kind="aborted", cause=f"{type(exc).__name__}: {exc}")
-        return run
-    kind = "max_iterations" if result.reason == "max_iterations" else "converged"
-    run.outcome = Outcome(kind=kind, center=run.best_center())
-    return run
+        outcome = Outcome(kind="aborted", cause=f"{type(exc).__name__}: {exc}")
+    else:
+        kind = "max_iterations" if result.reason == "max_iterations" else "converged"
+        outcome = Outcome(kind=kind, center=_best_center(steps))
+    return TuningRun(start=tuple(start), steps=steps, outcome=outcome, policy_name=policy.name)

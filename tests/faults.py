@@ -3,7 +3,9 @@
 Each scan fault returns a copy of the scan's values with the fault, on the
 same axes and metadata. Together they are the sensor fault matrix a tuning
 run must survive: a flipped sensor sign, stuck rows, saturation, a dead
-(constant) sensor, affine drift, and NaN or infinite pixels.
+(constant) sensor, affine drift, and NaN or infinite pixels. A
+``ScanGrid`` refuses the last, so those come through the trusted
+constructor (:func:`on_axes`).
 :func:`file_defect` draws one defect of a saved file's JSON for the loader
 fuzz tests.
 """
@@ -18,11 +20,18 @@ from hypothesis import strategies as st
 
 import qdtune as q
 from qdtune.fileio import encode_blob
+from qdtune.grids import _scan_grid
 
 
 def on_axes(scan: q.ScanGrid, values: np.ndarray) -> q.ScanGrid:
-    """``values`` on the scan's axes and metadata, through the checking constructor."""
-    return q.ScanGrid(values, scan.v1_axis, scan.v2_axis, scan.meta)
+    """``values`` on the scan's axes and metadata, through the checking
+    constructor when they are finite. That constructor refuses NaN and
+    infinite values (``test_a_scan_grid_refuses_a_non_finite_fault``), so a
+    non-finite fault goes through the trusted one, as a raster that reached
+    the loop unchecked: the loop's own guards must still hold."""
+    if np.isfinite(values).all():
+        return q.ScanGrid(values, scan.v1_axis, scan.v2_axis, scan.meta)
+    return _scan_grid(np.asarray(values, dtype=float), scan.v1_axis, scan.v2_axis, scan.meta)
 
 
 def inject_sensor_flip(scan: q.ScanGrid) -> q.ScanGrid:

@@ -83,6 +83,31 @@ class TestSuccessScoring:
         wide = q.Sandbox((-100.0, 700.0), (-100.0, 700.0))
         assert q.ground_truth_dd_fraction(source, (590.0, 300.0), (60.0, 60.0), 2.0, wide) is None
 
+    def test_an_in_situ_oracle_neighborhood_renders_labels_alone(self, reference_params, monkeypatch, tmp_path):
+        """The oracle reads no sensor values, so a simulated source renders
+        each window's labels alone, for tuning and for scoring; the report
+        and its runs are those of the route that renders whole windows."""
+        source = q.SimulatedDevice(reference_params)
+
+        class WholeWindows:
+            """The oracle with ``probabilities`` alone: it declares nothing,
+            so the tuner renders every window whole."""
+
+            def probabilities(self, scan, labels):
+                assert scan is not None
+                return q.OracleClassifier().probabilities(scan, labels)
+
+        expect = q.neighborhood_experiment(source, WholeWindows(), (350.0, 400.0), q.DynamicSimplex())
+        sensor_calls = []
+        monkeypatch.setattr(q.device, "_sensor_grid", lambda *args: sensor_calls.append(args))
+        got = q.neighborhood_experiment(source, q.OracleClassifier(), (350.0, 400.0), q.DynamicSimplex())
+        assert sensor_calls == []
+        got.save_json(tmp_path / "got.json")
+        expect.save_json(tmp_path / "expect.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "expect.json").read_bytes()
+        assert [run.to_json_dict() for run in got.runs] == [run.to_json_dict() for run in expect.runs]
+        assert sum(run.iteration_count for run in got.runs) > 3 * 81
+
     def test_weights(self):
         regions = q.SuccessRegions()
         assert regions.weight(0.95) == 1.0
@@ -173,6 +198,25 @@ class TestNeighborhood:
         report = q.neighborhood_experiment(reference_source, oracle, (300.0, 330.0), resolution=resolution)
         assert report.outcome_counts == {"aborted": 81}
         assert {run.outcome.cause.split(":")[0] for run in report.runs} == {"UnsupportedResolutionError"}
+
+    @pytest.mark.parametrize("kind", ["oracle", "model"])
+    @pytest.mark.parametrize(
+        "resolution, cause",
+        [
+            (1.0, "requested 1.0 mV/px is finer than the stored raster (2.0 mV/px)"),
+            (3.0, "requested 3.0 mV/px is not an integer multiple of 2.0 mV/px"),
+        ],
+        ids=["finer", "fraction"],
+    )
+    def test_a_bad_resolution_aborts_every_run_at_its_first_window(self, reference_source, kind, resolution, cause):
+        """Each run binds its stored reader lazily, so a resolution the stored
+        raster cannot give aborts every run at its start window with the
+        plan's cause, none before it, and no run is scored."""
+        classifier = q.OracleClassifier() if kind == "oracle" else q.ModelClassifier(q.init_model(0))
+        report = q.neighborhood_experiment(reference_source, classifier, (300.0, 330.0), resolution=resolution)
+        assert report.outcome_counts == {"aborted": 81} and report.n_fail == 81
+        assert {run.outcome.cause for run in report.runs} == {f"UnsupportedResolutionError: {cause}"}
+        assert all(run.steps == [] for run in report.runs)
 
     @pytest.mark.parametrize("resolution", [0.0, -2.0, float("nan"), float("inf")])
     def test_simulated_source_refuses_bad_resolution_before_any_run(

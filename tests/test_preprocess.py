@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdtune as q
+from qdtune import preprocess as preprocess_mod
 from qdtune.grids import _check_axis
 from qdtune.preprocess import (
     IMAGE_SIZE,
@@ -425,6 +426,53 @@ class TestStackedProcess:
         columns = np.ascontiguousarray(views.transpose(0, 2, 1)).transpose(0, 2, 1)
         expect = q.process(np.ascontiguousarray(views), meta).tobytes()
         assert q.process(views, meta).tobytes() == q.process(columns, meta).tobytes() == expect
+
+
+def _products(stack):
+    """``_resize``'s products, clip, peak division and clip on a stack of
+    30x30 windows: the steps ``process`` skips at that size."""
+    weights = _overlap_weights(IMAGE_SIZE)
+    out = weights @ stack @ weights.T
+    out.clip(0.0, 1.0, out=out)
+    for window, peak in zip(out, out.reshape(len(out), -1).max(axis=1).tolist()):
+        if peak > 0.0:
+            window /= peak
+    return out.clip(0.0, 1.0, out=out)
+
+
+class TestDefaultWindowFastPath:
+    @given(
+        count=st.integers(1, 60),
+        axis=st.sampled_from(["v1", "v2"]),
+        seed=st.integers(0, 2**31 - 1),
+        kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=4),
+    )
+    @settings(max_examples=40)
+    def test_a_30x30_stack_gets_the_bits_of_the_products(self, count, axis, seed, kinds):
+        """Skipping the resize at 30x30 gives every image the bytes the
+        products give, signed zeros included: a product turns -0.0 into
+        +0.0, and so does the fast path."""
+        rng = np.random.default_rng(seed)
+        stack = np.stack([_window(kinds[k % len(kinds)], rng, (30, 30), seed + k) for k in range(count)])
+        stack[rng.integers(2, size=count).astype(bool)] *= -1.0
+        meta = q.ScanMeta(2.0, axis)
+        before = _normalize_threshold(_flip_correct(_gradient(stack, meta)))
+        assert q.process(stack, meta).tobytes() == _products(before).tobytes()
+
+    def test_a_negative_zero_before_the_resize_leaves_as_a_positive_zero(self, monkeypatch):
+        """The pipeline's clamps leave no -0.0 for the resize, but were one to
+        reach it, the image would hold +0.0 there, as the products give."""
+        rng = np.random.default_rng(0)
+        stack = rng.uniform(0.0, 1.0, size=(3, 30, 30))
+        stack[:, 4:9] = -0.0
+        stack[1] = -0.0
+        for k in (0, 2):
+            stack[k] /= stack[k].max()  # as the pipeline leaves a window: peak 1, or all zeros
+        expect = _products(stack.copy()).tobytes()
+        monkeypatch.setattr(preprocess_mod, "_normalize_threshold", lambda grad: stack.copy())
+        image = q.process(np.zeros((3, 30, 30)), q.ScanMeta(2.0))
+        assert not np.signbit(image).any()
+        assert image.tobytes() == expect
 
 
 class TestNonFinitePixels:

@@ -519,3 +519,89 @@ class TestGroundTruth:
         # A refused window is unmeasurable before the labels are asked for.
         assert harness_mod.ground_truth_dd_fraction(source, (10.0, 400.0), (60.0, 60.0), resolution) is None
         assert harness_mod.ground_truth_dd_fraction(source, (140.0, 400.0), (60.0, 60.0), resolution) is None
+
+    @pytest.mark.parametrize(
+        "sandbox", [q.Sandbox(), q.Sandbox((150.0, 500.0), (160.0, 540.0))], ids=["default", "narrow"]
+    )
+    def test_a_batch_scores_every_run_as_run_weight_does(self, reference_source, oracle, sandbox):
+        """The scoring locator, bound once per scan, span, resolution and
+        sandbox, gives each run of a batch the weight ``run_weight`` gives it
+        and the weight of its final window acquired afresh. Both sandboxes
+        score the same scan, each with its own locator."""
+        regions = q.SuccessRegions()
+        span = (60.0, 60.0)
+        result = q.heatmap(reference_source, oracle, grid_step=20.0, span=span, sandbox=sandbox)
+        for record in result.records:
+            center = tuple(record["best_center"])
+            found = q.acquire_with_labels(reference_source, center, span, 2.0, sandbox)
+            fresh = None if isinstance(found, q.Blocked) else q.oracle_probability(found[1]).p_dd
+            assert record["weight"] == regions.weight(fresh)
+            assert record["weight"] == harness_mod.run_weight(center, reference_source, span, 2.0, sandbox, regions)
+        assert {0.0, 1.0} <= set(result.weights.ravel().tolist())
+
+
+    def test_scoring_keeps_one_locator_per_span_resolution_and_sandbox(self, reference_scan):
+        """A scan keeps one scoring locator for each span, resolution and set
+        of sandbox limits, equal values spelled alike or not, and every call
+        through it scores as a fresh locator does."""
+        source = q.PremeasuredScan(*reference_scan)
+        narrow = q.Sandbox((150.0, 500.0), (160.0, 540.0))
+        calls = [
+            ((350.0, 400.0), (60.0, 60.0), 2.0, q.Sandbox()),
+            ((350.0, 400.0), [60, 60], 2, q.Sandbox((0, 600), (0, 600))),
+            ((170.0, 400.0), (60.0, 60.0), 2.0, narrow),
+            ((170.0, 400.0), (60.0, 60.0), 2.0, q.Sandbox()),
+            ((350.0, 400.0), (60.0, 60.0), 4.0, narrow),
+        ]
+        for center, span, resolution, sandbox in calls:
+            found = q.acquire_with_labels(source, center, span, resolution, sandbox)
+            expect = None if isinstance(found, q.Blocked) else q.oracle_probability(found[1]).p_dd
+            assert harness_mod.ground_truth_dd_fraction(source, center, span, resolution, sandbox) == expect
+        assert len(source._locators) == 3
+
+
+# A stored scan with a sandbox that cuts into it on every side, the model of
+# the reader test below and the centers it draws: on the raster, between two
+# pixel centers, off it, across the sandbox and not finite.
+_READER_SANDBOX = q.Sandbox((160.0, 490.0), (180.0, 520.0))
+_READER_MODEL = q.ModelClassifier(q.init_model(4))
+_READER_CENTERS = st.one_of(
+    st.tuples(st.integers(100, 550), st.integers(125, 575)).map(lambda c: (float(c[0]), float(c[1]))),
+    st.tuples(st.floats(100.0, 550.0), st.floats(125.0, 575.0)),
+    st.tuples(st.sampled_from([130.0, 160.0, 190.0, 460.0, 490.0, 520.0]), st.floats(150.0, 550.0)),
+    st.tuples(st.floats(125.0, 525.0), st.sampled_from([math.nan, math.inf, 210.0, 490.0])),
+)
+
+
+@given(
+    kind=st.sampled_from(["oracle", "model"]),
+    stride=st.sampled_from([1, 2]),
+    span=st.sampled_from([(60.0, 60.0), (120.0, 120.0), (36.0, 48.0)]),
+    sandbox=st.sampled_from([q.Sandbox(), _READER_SANDBOX]),
+    centers=st.lists(_READER_CENTERS, min_size=1, max_size=8),
+)
+@settings(max_examples=150)
+def test_a_runs_bound_reader_reads_what_stored_probabilities_reads(reference_source, kind, stride, span, sandbox,
+                                                                  centers):
+    """A run's one locator with the classifier's stored reader gives, window
+    after window, the Blocked result of a fresh plain ``_locator`` or the
+    bits ``stored_probabilities`` reads where that locator found the window,
+    or raises what it raises (a model window under 30 px a side); at stride
+    1 the oracle's vector is the table's own object."""
+    classifier = q.OracleClassifier() if kind == "oracle" else _READER_MODEL
+    resolution = 2.0 * stride
+    read = _locator(reference_source, span, resolution, sandbox, classifier.stored_reader)
+    for center in centers:
+        got = _outcome(read, center)
+        found = _locator(reference_source, span, resolution, sandbox)(center)
+        if isinstance(found, q.Blocked):
+            assert got == found
+            continue
+        plan, s1, s2 = found
+        expect = _outcome(classifier.stored_probabilities, reference_source, plan, s1, s2)
+        if not isinstance(expect, q.ProbabilityVector):
+            assert got == expect
+            continue
+        assert _same_bits(got, expect)
+        if kind == "oracle" and stride == 1:
+            assert got is oracle_table(reference_source.tally, plan[1], plan[2]).rows[s1][s2]

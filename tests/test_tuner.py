@@ -292,6 +292,19 @@ class TestAutotune:
         assert run.outcome.cause == "ShapeError: sensor values are not finite: NaN or infinite pixels"
         assert run.iteration_count == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_scan_grid_refuses_a_non_finite_fault(self, reference_scan, bad):
+        """A ScanGrid refuses NaN and infinite values where they enter, naming
+        them, so no stored scan, and no oracle run, is built on them."""
+        scan, _ = reference_scan
+        values = faults.inject_non_finite(scan, bad).values
+        with pytest.raises(q.ShapeError, match="'values' must be finite"):
+            q.ScanGrid(values, scan.v1_axis, scan.v2_axis, scan.meta)
+        one = scan.values.copy()
+        one[57, 101] = bad
+        with pytest.raises(q.ShapeError, match="'values' must be finite"):
+            q.ScanGrid(one, scan.v1_axis, scan.v2_axis, scan.meta)
+
     @pytest.mark.parametrize(
         "inject, aborts",
         [
@@ -326,11 +339,15 @@ class TestAutotune:
             pytest.param(faults.inject_saturation, id="saturation"),
             pytest.param(faults.inject_constant, id="constant"),
             pytest.param(faults.inject_affine_drift, id="affine_drift"),
+            pytest.param(lambda scan: faults.inject_non_finite(scan, np.nan), id="nan"),
+            pytest.param(lambda scan: faults.inject_non_finite(scan, np.inf), id="inf"),
+            pytest.param(lambda scan: faults.inject_non_finite(scan, -np.inf), id="-inf"),
         ],
     )
     def test_sensor_fault_leaves_an_oracle_run_unchanged(self, reference_scan, reference_source, oracle, inject):
         """The oracle reads ground truth, not the sensor: an oracle run on a
-        stored scan with a finite sensor fault is the clean run, step for step."""
+        stored scan with a sensor fault is the clean run, step for step, also
+        on NaN or infinite pixels that reached it unchecked."""
         scan, labels = reference_scan
         faulty = q.PremeasuredScan(inject(scan), labels)
         assert faulty.scan.values.tobytes() != reference_source.scan.values.tobytes()
