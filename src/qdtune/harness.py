@@ -152,8 +152,10 @@ def _run_batch(
 ) -> tuple[list[TuningRun], list[dict]]:
     """One tuning run per start, in start order, and then the record of each
     run: its start, best center, iterations, success weight and outcome kind,
-    as a report file holds it. Every run is tuned before any is scored. A
-    start outside the sandbox raises ConfigurationError before any run."""
+    as a report file holds it. The best center of a run that did not abort is
+    its outcome's center; only an aborted run's is looked up in its steps.
+    Every run is tuned before any is scored. A start outside the sandbox
+    raises ConfigurationError before any run."""
     for start in starts:
         if not sandbox.contains_point(start):
             raise ConfigurationError(f"start {start} lies outside the sandbox; nothing was run")
@@ -170,8 +172,13 @@ def _run_batch(
             "weight": run_weight(center, source, span, resolution, sandbox, regions),
             "outcome": run.outcome.kind,
         }
-        for run, center in zip(runs, map(TuningRun.best_center, runs))
+        for run, center in zip(runs, map(_recorded_center, runs))
     ]
+
+
+def _recorded_center(run: TuningRun) -> tuple[float, float] | None:
+    """``run.best_center()``, read from its outcome unless the run aborted."""
+    return run.best_center() if run.outcome.kind == "aborted" else run.outcome.center
 
 
 @dataclass(eq=False)

@@ -10,7 +10,8 @@ sensor values, the axes and the label codes, and the codes' summed-area
 tally. One locator, ``_locator``, says where a stored window lies, or why
 it is refused, by the pixels the window reads alone. The window lies around
 the stored pixel center nearest its center, the first on a tie, found by
-one bisection of each stored axis. It is refused when it runs off the
+the locator's one nearest-pixel search: a bisection of each stored axis and
+a step down over equal distances. It is refused when it runs off the
 raster or when a pixel edge of it passes a sandbox limit. The locator is
 bound once for the windows of one span and resolution, as a tuning run asks
 for them, with the window plan (stride, pixel counts and metadata) worked
@@ -168,7 +169,7 @@ class PremeasuredScan:
             _check_label_axes(self.scan, self.labels)
             codes = _read_only(self.labels.labels.copy())
             self.labels = _label_grid(codes, self.scan.v1_axis, self.scan.v2_axis)
-        # The axes as Python floats too, for the nearest-pixel search of each window.
+        # The axes as Python floats too, for the locator's nearest-pixel search.
         self._axis_floats = (self.scan.v1_axis.tolist(), self.scan.v2_axis.tolist())
         self._plans: dict[tuple, tuple[int, int, int, ScanMeta]] = {}
         self._locators: dict[tuple, object] = {}
@@ -218,28 +219,6 @@ class PremeasuredScan:
 MeasurementSource = SimulatedDevice | PremeasuredScan
 
 
-def _nearest(axis: list[float], center: float) -> int:
-    """Index of the stored pixel center nearest ``center``, the first one on
-    a tie, as ``np.argmin(np.abs(axis - center))`` picks it; there is no
-    resampling. ``axis`` is a strictly increasing axis as Python floats, and
-    ``center`` is finite."""
-    # The distances fall and then rise along the axis, so the nearest pixel
-    # is the first pixel at or above ``center`` or one below it: step down
-    # while the next lower distance is no larger (equal, after rounding, on
-    # a tiny spacing or far from the axis).
-    i = bisect_left(axis, center)
-    if i == len(axis):
-        i -= 1
-    distance = abs(axis[i] - center)
-    while i:
-        lower = abs(axis[i - 1] - center)
-        if lower > distance:
-            break
-        i -= 1
-        distance = lower
-    return i
-
-
 _NOT_FINITE = Blocked("window center or span is not finite")
 _CROSSES = Blocked("window crosses the sandbox limits")
 _OFF_RASTER = Blocked("window falls outside the stored raster")
@@ -268,14 +247,17 @@ def _locator(
 
     The window's pixels alone decide whether it is refused. Along each axis
     its first pixel lies ``count * stride // 2`` stored pixels below the one
-    nearest ``center``. ``locate`` returns Blocked when the center or span is
-    not finite, then when the window runs off the stored raster, then when a
-    pixel edge passes a sandbox limit: the first pixel center less half the
-    window's pixel size, or the last one plus it. It raises as
-    ``_window_plan`` does, and as the reader does when it is bound. The plan
-    is worked out on the first finite window and the reader bound on the
-    first window that passes its checks; each is kept once it is made, so a
-    bad request raises on that window and on every later one.
+    nearest ``center``, the first on a tie, as ``np.argmin(np.abs(axis -
+    c))`` picks it; ``locate`` finds that pixel itself, by one bisection of
+    the axis as Python floats and a step down. ``locate`` returns Blocked
+    when the center or span is not finite, then when the window runs off
+    the stored raster, then when a pixel edge passes a sandbox limit: the
+    first pixel center less half the window's pixel size, or the last one
+    plus it. It raises as ``_window_plan`` does, and as the reader does
+    when it is bound. The plan is worked out on the first finite window and
+    the reader bound on the first window that passes its checks; each is
+    kept once it is made, so a bad request raises on that window and on
+    every later one.
     """
     axis1, axis2 = source._axis_floats
     last1, last2 = len(axis1) - 1, len(axis2) - 1
@@ -297,7 +279,34 @@ def _locator(
             back1, back2 = (n1 * stride) // 2, (n2 * stride) // 2
             reach1, reach2 = stride * (n1 - 1), stride * (n2 - 1)
             h = meta.resolution / 2.0
-        s1, s2 = _nearest(axis1, c1) - back1, _nearest(axis2, c2) - back2
+        # The stored pixel center nearest each coordinate, the first one on a
+        # tie, as np.argmin(np.abs(axis - c)) picks it. The distances fall and
+        # then rise along an axis, so it is the first pixel at or above the
+        # coordinate or one below it: step down while the next lower distance
+        # is no larger (equal, after rounding, on a tiny spacing or far away).
+        # Every lower pixel lies below the coordinate, so its distance is
+        # ``c - axis[k]``, the bits of ``abs(axis[k] - c)``.
+        i = bisect_left(axis1, c1)
+        if i > last1:
+            i = last1
+        distance = abs(axis1[i] - c1)
+        while i:
+            lower = c1 - axis1[i - 1]
+            if lower > distance:
+                break
+            i -= 1
+            distance = lower
+        j = bisect_left(axis2, c2)
+        if j > last2:
+            j = last2
+        distance = abs(axis2[j] - c2)
+        while j:
+            lower = c2 - axis2[j - 1]
+            if lower > distance:
+                break
+            j -= 1
+            distance = lower
+        s1, s2 = i - back1, j - back2
         e1, e2 = s1 + reach1, s2 + reach2
         if s1 < 0 or s2 < 0 or e1 > last1 or e2 > last2:
             return _OFF_RASTER

@@ -14,14 +14,20 @@ exactly that cap without ever reaching the classifier.
 The optimizer is a plain two-dimensional Nelder-Mead simplex search on
 Python floats. Every move is ``a + t * (b - a)`` per coordinate: reflect
 (t = -1), expand (2) and contract (1/2) from the centroid of the two best
-vertices, shrink (1/2) toward the best. The initial simplex lowers each
-plunger in turn by a step that is either fixed or scaled by the starting
-fitness, and the search stops when the simplex's fitness spread or its
-diameter collapses, or when the evaluation budget runs out. An edge of the
-diameter is measured on Python floats; the BLAS dot of the numpy search
-decides only where the two could round to different decisions. One
-"iteration" is one window measurement, recorded as an immutable
-:class:`TuningStep` named tuple.
+vertices, shrink (1/2) toward the best. The search holds its three
+vertices as local variables, best first, and orders them by swaps decided
+on their float values: a vertex moves ahead of another only on a strictly
+smaller value, so ties keep the order a stable sort keeps. The initial
+simplex lowers each plunger in turn by a step that is either fixed or
+scaled by the starting fitness, and the search stops when the simplex's
+fitness spread or its diameter collapses, or when the evaluation budget
+runs out. An edge of the diameter is measured on Python floats: the first
+edge is decided there when its length lies clearly above the tolerance,
+and the BLAS dot of the numpy search decides only where the two could
+round to different decisions. A vertex or a start that is not two real
+numbers is refused. One "iteration" is one window measurement, recorded
+as an immutable :class:`TuningStep` named tuple; a run's
+:class:`Outcome` holds its best step's center, which the harness reads.
 
 On a stored scan, a classifier with a ``stored_reader`` method, as both
 built-in ones have, reads each window where the run's stored-window
@@ -38,6 +44,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
+from numbers import Real
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -155,7 +163,7 @@ class FixedSimplex:
     def __post_init__(self):
         check_setting(self, "delta")
 
-    @property
+    @cached_property
     def name(self) -> str:
         return f"fixed{self.delta:g}"
 
@@ -245,17 +253,34 @@ class NelderMeadResult:
     reason: str  # fitness_converged | simplex_converged | max_iterations
 
 
-def _vertex_points(simplex) -> list[tuple[float, float]]:
+def _real_pair(pair, what: str) -> tuple[float, float]:
+    """``pair`` as two Python floats; ConfigurationError, naming ``what``,
+    unless it is two real numbers. NaN and infinity pass; a None, a string
+    or a complex number is refused, never converted."""
+    try:
+        x, y = pair
+    except (TypeError, ValueError):
+        x = y = None
+    # isinstance(v, Real) is slow, so a float is let through first.
+    if (isinstance(x, float) or isinstance(x, Real)) and (isinstance(y, float) or isinstance(y, Real)):
+        return float(x), float(y)
+    raise ConfigurationError(f"{what} {pair!r} must be two real numbers")
+
+
+def _vertex_points(simplex) -> tuple[tuple[float, float], tuple[float, float], tuple[float, float]]:
     """The three vertices of a 3x2 ``simplex`` as pairs of Python floats;
-    ConfigurationError, naming its shape, for any other."""
+    ConfigurationError, naming its shape, for any other shape, and naming
+    the vertex for one that is not two real numbers."""
     try:
         (x0, y0), (x1, y1), (x2, y2) = simplex
-        return [(float(x0), float(y0)), (float(x1), float(y1)), (float(x2), float(y2))]
     except (TypeError, ValueError):
-        sim = np.array(simplex, dtype=float)
-    if sim.shape != (3, 2):
-        raise ConfigurationError(f"simplex must be 3 vertices in 2-d, got shape {sim.shape}")
-    return [tuple(vertex) for vertex in sim.tolist()]
+        shape = np.asarray(simplex, dtype=object).shape  # of ragged vertices too
+        raise ConfigurationError(f"simplex must be 3 vertices in 2-d, got shape {shape}") from None
+    return (
+        _real_pair((x0, y0), "simplex vertex 0"),
+        _real_pair((x1, y1), "simplex vertex 1"),
+        _real_pair((x2, y2), "simplex vertex 2"),
+    )
 
 
 def _toward(a: tuple[float, float], b: tuple[float, float], t: float) -> tuple[float, float]:
@@ -274,74 +299,93 @@ def nelder_mead(
     ``start_value`` is the already-known objective value at
     ``simplex[0]``; it is not measured again but still counts against
     the evaluation budget. A NaN value, ``start_value`` included, raises
-    ConfigurationError naming its point. ``simplex`` is any 3x2 array-like;
-    the search holds three ``(value, (x, y))`` vertices of Python floats, in
-    stable order of value.
+    ConfigurationError naming its point. ``simplex`` is any 3x2 array-like
+    of real numbers; the search holds its vertices as ``(x, y)`` pairs of
+    Python floats, in stable order of value.
     """
-    points = _vertex_points(simplex)
+    p0, p1, p2 = _vertex_points(simplex)
 
-    def call(point: tuple[float, float], value: float | None = None) -> tuple[float, tuple[float, float]]:
-        value = float(objective(point) if value is None else value)
-        if value != value:
+    def value(point: tuple[float, float], known: float | None = None) -> float:
+        found = float(objective(point) if known is None else known)
+        if found != found:
             raise ConfigurationError(f"objective value at {point} is NaN")
-        return value, point
+        return found
 
-    vertices = [call(points[0], start_value), call(points[1]), call(points[2])]
+    f0, f1, f2 = value(p0, start_value), value(p1), value(p2)
     used = 3
+    fitness_tolerance, max_iterations = term.fitness_tolerance, term.max_iterations
+    tolerance = term.simplex_size_tolerance
+    above = tolerance * _ABOVE
 
     while True:
-        vertices.sort(key=itemgetter(0))
-        (f_best, best), (f_good, good), (f_worst, worst) = vertices
+        # An insertion sort of three: after a step only the worst vertex, or
+        # after a shrink the last two, can be out of order.
+        if f1 < f0:
+            f0, p0, f1, p1 = f1, p1, f0, p0
+        if f2 < f1:
+            f1, p1, f2, p2 = f2, p2, f1, p1
+            if f1 < f0:
+                f0, p0, f1, p1 = f1, p1, f0, p0
 
-        if f_worst - f_best < term.fitness_tolerance:
+        if f2 - f0 < fitness_tolerance:
             reason = "fitness_converged"
             break
-        # The diameter is below the tolerance when every edge is; most steps
-        # decide that on the first edge.
-        tolerance = term.simplex_size_tolerance
-        if (
-            _shorter(best[0] - good[0], best[1] - good[1], tolerance)
-            and _shorter(best[0] - worst[0], best[1] - worst[1], tolerance)
-            and _shorter(good[0] - worst[0], good[1] - worst[1], tolerance)
+        # The diameter is below the tolerance when every edge is. Most steps
+        # decide that on the first edge, whose float length lies clearly
+        # above the tolerance; ``_shorter`` decides every other case.
+        (x0, y0), (x1, y1), (x2, y2) = p0, p1, p2
+        dx, dy = x0 - x1, y0 - y1
+        squares = dx * dx + dy * dy
+        if not (_SMALLEST_NORMAL <= squares < math.inf and math.sqrt(squares) > above) and (
+            _shorter(dx, dy, tolerance)
+            and _shorter(x0 - x2, y0 - y2, tolerance)
+            and _shorter(x1 - x2, y1 - y2, tolerance)
         ):
             reason = "simplex_converged"
             break
-        if used >= term.max_iterations:
+        if used >= max_iterations:
             reason = "max_iterations"
             break
 
-        budget = term.max_iterations - used
+        budget = max_iterations - used
         # Summed from +0.0, as np.mean does: two -0.0 coordinates give +0.0.
-        centroid = ((0.0 + best[0] + good[0]) / 2.0, (0.0 + best[1] + good[1]) / 2.0)
-        reflected = call(_toward(centroid, worst, -1.0))
+        cx, cy = (0.0 + x0 + x1) / 2.0, (0.0 + y0 + y1) / 2.0
+        # _toward(centroid, worst, -1.0): c + -1.0 * d rounds as c - d does.
+        reflected = (cx - (x2 - cx), cy - (y2 - cy))
+        fr = value(reflected)
         used += 1
 
-        if reflected[0] < f_best and budget >= 2:
-            expanded = call(_toward(centroid, reflected[1], 2.0))
+        if fr < f0 and budget >= 2:
+            expanded = _toward((cx, cy), reflected, 2.0)
+            fe = value(expanded)
             used += 1
-            vertices[2] = expanded if expanded[0] < reflected[0] else reflected
-        elif reflected[0] < f_good:
-            vertices[2] = reflected
+            f2, p2 = (fe, expanded) if fe < fr else (fr, reflected)
+        elif fr < f1:
+            f2, p2 = fr, reflected
         elif budget >= 2:
-            contracted = call(_toward(centroid, reflected[1] if reflected[0] < f_worst else worst, 0.5))
+            contracted = _toward((cx, cy), reflected if fr < f2 else p2, 0.5)
+            fc = value(contracted)
             used += 1
-            if contracted[0] < min(reflected[0], f_worst):
-                vertices[2] = contracted
+            if fc < fr and fc < f2:
+                f2, p2 = fc, contracted
             elif budget >= 4:
-                vertices[1] = call(_toward(best, good, 0.5))
-                vertices[2] = call(_toward(best, worst, 0.5))
+                p1 = _toward(p0, p1, 0.5)
+                f1 = value(p1)
+                p2 = _toward(p0, p2, 0.5)
+                f2 = value(p2)
                 used += 2
             else:
                 reason = "max_iterations"
                 break
         else:
-            if reflected[0] < f_worst:
-                vertices[2] = reflected
+            if fr < f2:
+                f2, p2 = fr, reflected
             reason = "max_iterations"
             break
 
-    # min keeps the first of equal values, as np.argmin does.
-    return NelderMeadResult(best_vertex=min(vertices, key=itemgetter(0))[1], reason=reason)
+    # The best and good vertices are in order here, and the worst one is
+    # first only on a strictly smaller value, as np.argmin picks it.
+    return NelderMeadResult(best_vertex=p2 if f2 < f0 else p0, reason=reason)
 
 
 # --- tuning runs -------------------------------------------------------------
@@ -367,8 +411,10 @@ def _best_center(steps: list[TuningStep]) -> tuple[float, float] | None:
 OUTCOME_KINDS = ("converged", "max_iterations", "aborted")
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
+    """How a run ended, and where its best window is when it did not abort;
+    an immutable record, built by ``tuple.__new__`` in ``autotune``."""
+
     kind: str  # one of OUTCOME_KINDS
     center: tuple[float, float] | None = None
     cause: str | None = None
@@ -451,9 +497,12 @@ def autotune(
     window where the run's one ``scans._locator`` finds it, with no window
     built: the locator binds the reader on the run's first window that
     passes its checks, so a step is one locate and one read. The vectors,
-    and so the run, are the same on every route.
+    and so the run, are the same on every route. A start that is not two
+    real numbers, or lies outside the sandbox, raises ConfigurationError
+    naming it.
     """
-    if not sandbox.contains_point(start):
+    point = _real_pair(start, "start point")
+    if not sandbox.contains_point(point):
         raise ConfigurationError(f"start point {start} lies outside the sandbox")
 
     steps: list[TuningStep] = []
@@ -473,25 +522,26 @@ def autotune(
             found = acquire_with_labels(source, center, span, resolution, sandbox, with_labels=with_labels)
             return found if isinstance(found, Blocked) else classifier.probabilities(*found)
 
-    # Steps are built by tuple.__new__: TuningStep's own __new__ is a Python call, once a step.
-    new_step = tuple.__new__
+    # Steps and the outcome are built by tuple.__new__: a named tuple's own
+    # __new__ is a Python call, once a step.
+    new_record = tuple.__new__
 
     def objective(center: tuple[float, float]) -> float:
         p = measure(center)
         if isinstance(p, Blocked):
             value = fitness_config.blocked_fitness
-            steps.append(new_step(TuningStep, (center, None, value, True)))
+            steps.append(new_record(TuningStep, (center, None, value, True)))
             return value
         value = fitness(p, fitness_config)
-        steps.append(new_step(TuningStep, (center, p, value, False)))
+        steps.append(new_record(TuningStep, (center, p, value, False)))
         return value
 
     try:
-        f0 = objective((float(start[0]), float(start[1])))
-        result = nelder_mead(objective, _simplex_vertices(start, policy, f0), term, f0)
+        f0 = objective(point)
+        result = nelder_mead(objective, _simplex_vertices(point, policy, f0), term, f0)
     except QdtuneError as exc:
-        outcome = Outcome(kind="aborted", cause=f"{type(exc).__name__}: {exc}")
+        outcome = new_record(Outcome, ("aborted", None, f"{type(exc).__name__}: {exc}"))
     else:
         kind = "max_iterations" if result.reason == "max_iterations" else "converged"
-        outcome = Outcome(kind=kind, center=_best_center(steps))
+        outcome = new_record(Outcome, (kind, _best_center(steps), None))
     return TuningRun(start=tuple(start), steps=steps, outcome=outcome, policy_name=policy.name)

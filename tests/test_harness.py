@@ -153,7 +153,9 @@ class TestNeighborhood:
         assert len(report.runs) == 81
         assert report.n_ideal + report.n_close + report.n_fail == 81
 
-    def test_each_run_reads_its_best_center_once(self, reference_source, oracle, monkeypatch):
+    @staticmethod
+    def _counted_best_center(monkeypatch):
+        """The starts of the runs whose ``best_center`` harness calls."""
         calls = []
         best_center = TuningRun.best_center
 
@@ -163,11 +165,42 @@ class TestNeighborhood:
             return best_center(run)
 
         monkeypatch.setattr(TuningRun, "best_center", counted)
+        return calls, best_center
+
+    def test_only_an_aborted_run_reads_its_best_center(self, reference_source, oracle, monkeypatch):
+        """A run that did not abort is recorded at its outcome's center."""
+        calls, best_center = self._counted_best_center(monkeypatch)
         report = q.neighborhood_experiment(reference_source, oracle, (350.0, 400.0), q.FixedSimplex(75.0))
-        assert sorted(calls) == sorted(run.start for run in report.runs)
+        assert calls == []
         assert [r["best_center"] for r in report.run_summaries] == [
             None if c is None else list(c) for c in map(best_center, report.runs)
         ]
+
+    def test_a_run_aborted_after_three_windows_records_its_best_center(self, reference_source, monkeypatch):
+        """The run whose 4th window the classifier fails aborts with three
+        steps; its record holds ``best_center()`` and that center's weight."""
+
+        class FailsOnFourthWindow:
+            def __init__(self):
+                self.windows = 0
+
+            def probabilities(self, scan, labels):
+                self.windows += 1
+                if self.windows == 4:
+                    raise q.ShapeError("the 4th window fails")
+                return q.OracleClassifier().probabilities(scan, labels)
+
+        calls, best_center = self._counted_best_center(monkeypatch)
+        report = q.neighborhood_experiment(reference_source, FailsOnFourthWindow(), (350.0, 400.0))
+        aborted = report.runs[0]
+        assert aborted.outcome == Outcome("aborted", None, "ShapeError: the 4th window fails")
+        assert aborted.iteration_count == 3 and calls == [aborted.start]
+        assert all(run.outcome.kind != "aborted" for run in report.runs[1:])
+        record = report.run_summaries[0]
+        center = best_center(aborted)
+        assert record["best_center"] == list(center)
+        assert record["weight"] == run_weight(center, reference_source, (60.0, 60.0), 2.0, q.Sandbox(), q.SuccessRegions())
+        assert [r["best_center"] for r in report.run_summaries] == [list(best_center(run)) for run in report.runs]
 
     def test_starts_follow_native_raster(self, report, reference_scan):
         scan, _ = reference_scan

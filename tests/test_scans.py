@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdtune as q
-from qdtune.scans import SCAN_SUFFIX, Blocked, Sandbox, _nearest
+from qdtune.scans import SCAN_SUFFIX, Blocked, Sandbox, _locator
 
 from faults import file_defect, inject_sensor_flip, on_axes, write_one_row_scan
 
@@ -257,15 +257,18 @@ class TestCropEquivalence:
         up to 1e-9 mV; near 1e6 mV, where one float step is about 1.2e-10 mV,
         the steps are whole float steps of a 1e-10 mV axis. A center half way
         between two pixels, or 1e20 mV away, where every distance rounds to
-        the same value, gives equal distances. The result must be
-        ``np.argmin``'s first nearest pixel."""
+        the same value, gives equal distances. The first pixel the locator
+        finds for a 1-pixel window there must be ``np.argmin``'s first
+        nearest pixel."""
         if origin == 0.0:
             axis, resolution = np.concatenate([[0.0], np.cumsum(steps)]), 1e-12
         else:
             ulp = np.spacing(origin)
             whole = np.maximum(np.round(np.array(steps) / ulp), 1.0)
             axis, resolution = origin + ulp * np.concatenate([[0.0], np.cumsum(whole)]), 1e-10
-        q.ScanGrid(np.zeros((axis.size, 1)), axis, np.zeros(1), q.ScanMeta(resolution))
+        source = q.PremeasuredScan(q.ScanGrid(np.zeros((axis.size, 1)), axis, np.zeros(1), q.ScanMeta(resolution)))
+        everywhere = Sandbox(v1_range=(-1e21, 1e21), v2_range=(-1e21, 1e21))
+        locate = _locator(source, (resolution, resolution), resolution, everywhere)
         if kind == "position":
             center = float(axis[0]) + position * float(axis[-1] - axis[0])
         elif kind == "midpoint":
@@ -273,7 +276,8 @@ class TestCropEquivalence:
             center = (float(axis[k]) + float(axis[k + 1])) / 2.0
         else:
             center = 1e20 if kind == "far above" else -1e20
-        assert _nearest(axis.tolist(), center) == int(np.argmin(np.abs(axis - center)))
+        _, s1, s2 = locate((center, 0.0))
+        assert (s1, s2) == (int(np.argmin(np.abs(axis - center))), 0)
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_crops_are_read_only_views(self, stride, reference_source):

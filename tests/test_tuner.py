@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdtune as q
-from qdtune.tuner import TARGET_DOUBLE_DOT, nelder_mead
+from qdtune.tuner import TARGET_DOUBLE_DOT, _best_center, nelder_mead
 
 import faults
+from test_tuner_bits import _reference_nelder_mead, _trace
 
 probability_vectors = st.tuples(
     st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)
@@ -176,6 +178,36 @@ class TestNelderMead:
         with pytest.raises(q.ConfigurationError):
             nelder_mead(lambda v: 0.0, np.zeros((4, 2)))
 
+    @pytest.mark.parametrize(
+        "simplex, shape",
+        [([[1.0, 2.0], [3.0, 4.0], [5.0]], (3,)), ([[1.0, 2.0, 3.0]] * 3, (3, 3)), (None, ())],
+        ids=["ragged", "3-d", "none"],
+    )
+    def test_other_shapes_refused_naming_the_shape(self, simplex, shape):
+        with pytest.raises(q.ConfigurationError, match=re.escape(f"simplex must be 3 vertices in 2-d, got shape {shape}")):
+            nelder_mead(lambda v: 0.0, simplex)
+
+    @pytest.mark.parametrize("bad", [None, "1.0", "one", 1j, 2.0 + 0j], ids=["none", "numeric-string", "string", "complex", "real-complex"])
+    @pytest.mark.parametrize("vertex", [0, 2])
+    def test_non_numeric_vertex_refused_naming_it(self, bad, vertex):
+        """A None is not turned into NaN, and a string or a complex number
+        does not escape as a raw ValueError or TypeError."""
+        simplex = [[1.0, 2.0], [0.0, 0.0], [1.0, 3.0]]
+        simplex[vertex][1] = bad
+        calls = []
+        with pytest.raises(q.ConfigurationError) as refused:
+            nelder_mead(lambda v: calls.append(v) or 0.0, simplex)
+        assert str(refused.value) == f"simplex vertex {vertex} {tuple(simplex[vertex])!r} must be two real numbers"
+        assert calls == []
+
+    def test_nan_coordinate_is_evaluated_as_given(self):
+        calls = []
+        simplex = [[1.0, 2.0], [0.0, math.nan], [np.float64(1.0), 3]]
+        res = nelder_mead(lambda v: calls.append(v) or 1.0, simplex)
+        assert res.reason == "fitness_converged"
+        assert calls[0] == (1.0, 2.0) and calls[1][0] == 0.0 and math.isnan(calls[1][1])
+        assert calls[2] == (1.0, 3.0) and all(type(c) is float for point in calls for c in point)
+
     @given(seed=st.integers(0, 500))
     @settings(max_examples=25)
     def test_random_quadratics(self, seed):
@@ -189,6 +221,70 @@ class TestNelderMead:
             q.TerminationConfig(1e-15, 1e-6, 250),
         )
         assert np.linalg.norm(np.array(res.best_vertex) - m) < 1e-3
+
+
+# The values a scripted search is given after the move under test, full of
+# ties, and the value of every point after those.
+_TAIL = [1.0, 2.0, 1.0, 3.0, 2.0, 0.5, 2.0, 0.5, 1.0, 3.0, 1.0, 2.0, 2.0]
+_TIES = {"best": 1.0, "good": 2.0, "worst": 3.0}
+
+
+def _order_case(move, tie):
+    """Values, in evaluation order, of a search from vertices valued 1
+    (best), 2 (good) and 3 (worst) whose ``move`` evaluates a point of the
+    ``tie`` vertex's value first; and the evaluation budget."""
+    t = _TIES[tie]
+    values = {
+        "reflection": [t],  # 1: kept; 2: an outside and 3: an inside contraction follow
+        "expansion": [0.5, t],  # the reflected point is kept
+        "outside contraction": [2.5, t],  # 1, 2: kept; 3: a shrink follows
+        "inside contraction": [3.5, t],  # 1, 2: kept; 3: a shrink follows
+        "shrink": [2.5, 2.6, t, t],  # both shrunk vertices take the value
+        "last reflection": [t],  # the budget ends with this move
+    }[move]
+    return [1.0, 2.0, 3.0, *values, *_TAIL], 4 if move == "last reflection" else 24
+
+
+class TestVertexOrder:
+    """The search keeps its three vertices in the order a stable sort gives
+    them: where a new vertex ties a kept one, it evaluates the numpy
+    search's points, in its order, and returns its result."""
+
+    @staticmethod
+    def _same_as_reference(values, budget, simplex=((300.0, 300.0), (225.0, 300.0), (300.0, 225.0))):
+        term = q.TerminationConfig(1e-9, 1e-9, budget)
+
+        def scripted():
+            remaining = iter(values)
+            return lambda point: next(remaining, 1.0)
+
+        expect = _trace(_reference_nelder_mead, scripted(), np.array(simplex), term)
+        assert _trace(nelder_mead, scripted(), np.array(simplex), term) == expect
+        return expect
+
+    @pytest.mark.parametrize("tie", list(_TIES))
+    @pytest.mark.parametrize(
+        "move", ["reflection", "expansion", "outside contraction", "inside contraction", "shrink", "last reflection"]
+    )
+    def test_a_new_vertex_that_ties_a_kept_one(self, move, tie):
+        values, budget = _order_case(move, tie)
+        points, _, _ = self._same_as_reference(values, budget)
+        assert len(points) >= min(budget, 5)
+
+    @pytest.mark.parametrize(
+        "shrunk", [(3.0, 1.0), (1.0, 3.0), (0.5, 0.5), (3.0, 2.0), (2.0, 1.0)], ids=lambda v: f"{v[0]}-{v[1]}"
+    )
+    def test_shrunk_vertices_in_any_order(self, shrunk):
+        self._same_as_reference([1.0, 2.0, 3.0, 2.5, 2.6, *shrunk, *_TAIL], 24)
+
+    @given(
+        values=st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=3, max_size=30),
+        budget=st.integers(3, 30),
+    )
+    @settings(max_examples=300)
+    def test_values_from_four_levels(self, values, budget):
+        """Every evaluation ties some earlier one."""
+        self._same_as_reference(values, budget)
 
 
 class SpyClassifier:
@@ -248,6 +344,23 @@ class TestAutotune:
     def test_start_outside_sandbox_rejected(self, reference_source, oracle):
         with pytest.raises(q.ConfigurationError):
             q.autotune(reference_source, oracle, (650.0, 300.0))
+
+    @pytest.mark.parametrize(
+        "start",
+        [("300", "300"), (300.0, None), (300.0, 1j), "ab", (300.0,), (300.0, 300.0, 1.0)],
+        ids=["strings", "none", "complex", "one-string", "one-number", "three-numbers"],
+    )
+    @pytest.mark.parametrize("source", ["stored", "simulated"])
+    def test_non_numeric_start_refused_naming_it(self, start, source, reference_source, reference_params, oracle):
+        source = reference_source if source == "stored" else q.SimulatedDevice(reference_params)
+        with pytest.raises(q.ConfigurationError) as refused:
+            q.autotune(source, oracle, start)
+        assert str(refused.value) == f"start point {start!r} must be two real numbers"
+
+    def test_numpy_start_is_tuned_as_floats(self, reference_source, oracle):
+        run = q.autotune(reference_source, oracle, np.array([350, 400]))
+        assert run.steps[0].center == (350.0, 400.0)
+        assert run.outcome == q.autotune(reference_source, oracle, (350.0, 400.0)).outcome
 
     def test_max_iterations_budget(self, reference_source, oracle):
         term = q.TerminationConfig(1e-12, 1e-9, 50)
@@ -360,6 +473,32 @@ class TestAutotune:
         assert run.outcome.kind == "converged"
         assert run.iteration_count == 3
         assert all(s.fitness == 2.0 for s in run.steps)
+
+
+@pytest.fixture(scope="module")
+def untrained_model():
+    return q.ModelClassifier(q.init_model(0))
+
+
+class TestOutcomeCenter:
+    """``autotune`` records where a run ended once, in its outcome, and the
+    harness reads it there: it must be the best step's center."""
+
+    @given(
+        start=st.tuples(st.floats(130.0, 520.0), st.floats(155.0, 545.0)),
+        policy=st.sampled_from(list(q.tuner.POLICIES.values())),
+        route=st.sampled_from(["stored oracle", "stored model", "simulated oracle", "simulated model"]),
+    )
+    @settings(max_examples=60)
+    def test_a_run_that_did_not_abort_ends_at_its_best_step(
+        self, start, policy, route, reference_source, reference_params, oracle, untrained_model
+    ):
+        where, classifier = route.split()
+        source = reference_source if where == "stored" else q.SimulatedDevice(reference_params)
+        run = q.autotune(source, oracle if classifier == "oracle" else untrained_model, start, policy=policy)
+        assert run.outcome.kind != "aborted"
+        assert run.outcome.center == _best_center(run.steps) == run.best_center() is not None
+        assert run.outcome == q.Outcome(run.outcome.kind, run.outcome.center, None)
 
 
 class TestRunSerialization:
