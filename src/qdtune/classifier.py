@@ -26,9 +26,11 @@ pixel, and its vector does not depend on the stack it was scored in, so a
 vector for its later tuning steps and landscapes, as the oracle keeps
 one table per window shape. Each built-in classifier reads a stored
 window in one place, its ``stored_reader(source, plan)``: a function of
-the window's first pixel, bound once per run (``scans._locator``), that
-reads the oracle table's rows, counts strided codes, or reads the model's
-kept vectors and the stored values. The oracle reads no sensor values
+the window's first pixel, bound once by a locator (``scans._locator``),
+that reads the oracle table's rows, counts strided codes, or reads the
+model's kept vectors and the stored values. The oracle's is one plain
+function, so a stored scan keeps its locator for every run
+(``scans._kept_locator``). The oracle reads no sensor values
 (``OracleClassifier.reads_values``), so a simulated source renders its
 windows' labels alone.
 """
@@ -451,13 +453,16 @@ class OracleClassifier:
             raise ConfigurationError(_NO_LABELS)
         return oracle_probability(labels)
 
-    def stored_reader(self, source: PremeasuredScan, plan: tuple):
+    @staticmethod
+    def stored_reader(source: PremeasuredScan, plan: tuple):
         """``read(s1, s2)``: ``probabilities`` of the stored window of ``plan``
         whose first pixel is ``(s1, s2)``, with no window built. At stride 1 it
         reads the oracle table of the window's shape, so windows of equal
         counts share one object; otherwise it counts the window's strided
         codes. Both count the same integers, and both refuse a source without
-        labels, here, as ``probabilities`` does."""
+        labels, here, as ``probabilities`` does. It reads nothing of the
+        instance, so it is one plain function for every oracle, and every
+        oracle shares the locators a stored scan keeps for it."""
         stride, n1, n2, _ = plan
         if stride == 1:
             rows = oracle_table(source.tally, n1, n2).rows

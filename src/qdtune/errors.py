@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the check of settings fields
-that raises them."""
+"""Exception types shared across the package, and the checks of settings
+fields and arguments that raise them."""
 
 import math
 import numbers
@@ -65,3 +65,17 @@ def check_count(where: str, value, sign: str = "positive") -> None:
     integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if not (integral and (value > 0 if sign == "positive" else value >= 0)):
         raise ConfigurationError(f"{where} must be a {sign} integer, got {value!r}")
+
+
+def real_pair(pair, what: str) -> tuple[float, float]:
+    """``pair`` as two Python floats; ConfigurationError, naming ``what`` and
+    ``pair``, unless it is two real numbers. NaN and infinity pass; a None, a
+    string or a complex number is refused, never converted."""
+    try:
+        x, y = pair
+    except (TypeError, ValueError):
+        x = y = None
+    # isinstance(v, Real) is slow, so a float is let through first.
+    if (isinstance(x, float) or isinstance(x, numbers.Real)) and (isinstance(y, float) or isinstance(y, numbers.Real)):
+        return float(x), float(y)
+    raise ConfigurationError(f"{what} {pair!r} must be two real numbers")

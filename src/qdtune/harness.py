@@ -30,12 +30,13 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from numbers import Real
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classifier import ModelClassifier, OracleClassifier, oracle_probability, oracle_table
-from .errors import ConfigurationError, ScanFormatError, ShapeError
+from .errors import ConfigurationError, ScanFormatError, ShapeError, real_pair
 from .fileio import check_header, checked, encode_blob, write_csv, write_json
 from .grids import DEFAULT_RESOLUTION_MV, DEFAULT_SPAN_MV, pixel_count
 from .scans import Blocked, MeasurementSource, PremeasuredScan, Sandbox, SimulatedDevice, _kept_locator, acquire_labels
@@ -323,10 +324,11 @@ def neighborhood_experiment(
     """Tune from every pixel of the 9x9 neighborhood around ``point``.
 
     Start spacing follows the native raster of the source, which on a
-    simulated device is ``resolution``. It must be a positive finite number
-    and the whole neighborhood must lie inside the sandbox; both are
-    checked before any run starts.
+    simulated device is ``resolution``. It must be a positive finite number,
+    ``point`` two real numbers and the whole neighborhood must lie inside
+    the sandbox; each is checked before any run starts.
     """
+    point = real_pair(point, "neighborhood point")
     native = source.scan.meta.resolution if isinstance(source, PremeasuredScan) else resolution
     if not 0.0 < native < math.inf:
         raise ConfigurationError(f"resolution must be a positive finite number of mV, got {resolution}")
@@ -426,14 +428,14 @@ def heatmap(
     largest step plus half a window clear, the high edge half a window.
     Windows are measured at the stored raster's resolution on a scan and
     at ``DEFAULT_RESOLUTION_MV`` on a simulated device. A grid step that is
-    not a positive finite number, a span that is not a whole number of
-    pixels, or a start outside the sandbox raises ConfigurationError before
-    any run.
+    not a positive finite number, a span that is not two real numbers or not
+    a whole number of pixels, or a start outside the sandbox raises
+    ConfigurationError before any run.
     """
     resolution = source.scan.meta.resolution if isinstance(source, PremeasuredScan) else DEFAULT_RESOLUTION_MV
-    if not 0.0 < grid_step < math.inf:
-        raise ConfigurationError(f"grid_step must be a positive finite number of mV, got {grid_step}")
-    for extent in span:
+    if not (isinstance(grid_step, Real) and 0.0 < grid_step < math.inf):
+        raise ConfigurationError(f"grid_step must be a positive finite number of mV, got {grid_step!r}")
+    for extent in real_pair(span, "span"):
         pixel_count(extent, resolution)
 
     (lo1, hi1), (lo2, hi2) = _coverage(source, sandbox)

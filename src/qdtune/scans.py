@@ -13,19 +13,22 @@ the stored pixel center nearest its center, the first on a tie, found by
 the locator's one nearest-pixel search: a bisection of each stored axis and
 a step down over equal distances. It is refused when it runs off the
 raster or when a pixel edge of it passes a sandbox limit. The locator is
-bound once for the windows of one span and resolution, as a tuning run asks
-for them, with the window plan (stride, pixel counts and metadata) worked
-out on the run's first window and kept while it passes its checks, and it
-reads each window it finds with a reader bound once for that plan. A
-built-in classifier's ``stored_reader`` is such a reader, so a tuning step
-on a stored scan is one locate and one read, and tuning runs and success
-scoring build no window at all; a model classifier keeps what it read.
-Success scoring keeps its locator on the source, one per span, resolution,
-sandbox and reader (``_kept_locator``), where a tuning run binds its own. The
-plain locator's reader gives the plan and the window's first pixel, which
-:func:`_window_slices` turns into row and column slices, and
-:func:`acquire_with_labels` cuts the window there as read-only views of the
-stored copies, of every stride, checked once when the source was built. A
+bound once for the windows of one span and resolution, with the window plan
+(stride, pixel counts and metadata) worked out on its first window and kept
+while it passes its checks, and it reads each window it finds with a reader
+bound once for that plan. A built-in classifier's ``stored_reader`` is such
+a reader, so a tuning step on a stored scan is one locate and one read, and
+tuning runs and success scoring build no window at all; a model classifier
+keeps what it read. The scan keeps one locator per span, resolution, sandbox
+and plain function reader (``_kept_locator``) for every tuning run and
+success score that asks for it, so an oracle run, whose reader is one plain
+function, binds nothing; a model's method reader gets a locator of its own
+each run, so the scan never keeps a caller's classifier alive. A span that
+is not two real numbers is refused once, when its locator is bound. The plain locator's reader
+gives the plan and the window's first pixel, which :func:`_window_slices`
+turns into row and column slices, and :func:`acquire_with_labels` cuts the
+window there as read-only views of the stored copies, of every stride,
+checked once when the source was built. A
 simulated window is refused when a corner of the requested window leaves
 the sandbox (``Sandbox.contains_window``); :func:`acquire_labels` renders
 its labels alone, for a classifier that reads no sensor values.
@@ -53,6 +56,7 @@ from .errors import (
     ShapeError,
     UnsupportedResolutionError,
     check_count,
+    real_pair,
 )
 from .fileio import check_header, check_written, checked, decode_blob, encode_blob, read_json, write_json
 from .grids import (
@@ -257,12 +261,14 @@ def _locator(
     when it is bound. The plan is worked out on the first finite window and
     the reader bound on the first window that passes its checks; each is
     kept once it is made, so a bad request raises on that window and on
-    every later one.
+    every later one. A span that is not two real numbers raises
+    ConfigurationError naming it here, before any window.
     """
+    span1, span2 = real_pair(span, "span")
     axis1, axis2 = source._axis_floats
     last1, last2 = len(axis1) - 1, len(axis2) - 1
     (lo1, hi1), (lo2, hi2) = sandbox.v1_range, sandbox.v2_range
-    finite_span, isfinite = math.isfinite(span[0]) and math.isfinite(span[1]), math.isfinite
+    finite_span, isfinite = math.isfinite(span1) and math.isfinite(span2), math.isfinite
     plan = read = None
     # Set from the plan: pixels from the nearest one back to the first, from
     # the first to the last, and half the window's pixel size.
@@ -329,11 +335,24 @@ def _kept_locator(
     """The ``_locator`` of ``source`` for ``span``, ``resolution``, the
     sandbox's limits and ``reader``, bound on first use and kept on the
     source. It holds nothing but its window plan and its bound reader, so
-    every later caller gets what a fresh locator gives."""
-    key = (*span, resolution, *sandbox.v1_range, *sandbox.v2_range, reader)
-    locate = source._locators.get(key)
+    every later caller gets what a fresh locator gives.
+
+    Only a plain function reader, as the oracle's and success scoring's, is
+    kept. A method reader, as a model classifier's, gets a fresh locator,
+    so the source never keeps the method's object alive. A span or
+    resolution that is NaN is not kept either, since its key would never be
+    found again."""
+    if getattr(reader, "__self__", None) is not None:
+        return _locator(source, span, resolution, sandbox, reader)
+    try:
+        key = (*span, resolution, *sandbox.v1_range, *sandbox.v2_range, reader)
+        locate = source._locators.get(key)
+    except TypeError:  # a span that is no pair of hashable values: _locator refuses it
+        return _locator(source, span, resolution, sandbox, reader)
     if locate is None:
-        locate = source._locators[key] = _locator(source, span, resolution, sandbox, reader)
+        locate = _locator(source, span, resolution, sandbox, reader)
+        if all(v == v for v in key[:-1]):
+            source._locators[key] = locate
     return locate
 
 

@@ -25,14 +25,22 @@ runs out. An edge of the diameter is measured on Python floats: the first
 edge is decided there when its length lies clearly above the tolerance,
 and the BLAS dot of the numpy search decides only where the two could
 round to different decisions. A vertex or a start that is not two real
-numbers is refused. One "iteration" is one window measurement, recorded
-as an immutable :class:`TuningStep` named tuple; a run's
-:class:`Outcome` holds its best step's center, which the harness reads.
+numbers is refused, and a simplex that is already a tuple of three float
+pairs is searched as it is. One "iteration" is one window measurement,
+recorded as an immutable :class:`TuningStep` named tuple. A run's :class:`Outcome` holds
+the search's best vertex, which the stable order makes the earliest step
+of lowest fitness, and the harness reads it there. Steps, outcomes, search
+results and runs are named tuples built by ``tuple.__new__``, so a run
+calls no Python ``__init__``.
 
 On a stored scan, a classifier with a ``stored_reader`` method, as both
-built-in ones have, reads each window where the run's stored-window
-locator finds it or refuses it, with no window built: the locator and the
-reader are bound once per run, so a step is one locate and one read. On a
+built-in ones have, reads each window where a stored-window locator finds
+it or refuses it, with no window built, and the locator binds the reader
+once, so a step is one locate and one read. For a plain function reader,
+as the oracle's, the scan keeps one such locator per span, resolution and
+sandbox for every run that asks for it (``scans._kept_locator``), so an
+oracle run binds nothing; a model's method reader gets a locator of its
+own each run, so the scan never keeps a classifier alive. On a
 simulated source a classifier that reads no sensor values, as the oracle,
 gets each window's labels alone (``scans.acquire_labels``). Any other run
 measures each window with ``acquire_with_labels`` and classifies it with
@@ -45,14 +53,13 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Real
 from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .classifier import ProbabilityVector
-from .errors import ConfigurationError, DomainError, QdtuneError, check_count, check_setting
+from .errors import ConfigurationError, DomainError, QdtuneError, check_count, check_setting, real_pair
 from .fileio import write_csv, write_json
 from .grids import DEFAULT_RESOLUTION_MV, DEFAULT_SPAN_MV
 from .scans import (
@@ -61,7 +68,7 @@ from .scans import (
     PremeasuredScan,
     Sandbox,
     SimulatedDevice,
-    _locator,
+    _kept_locator,
     acquire_labels,
     acquire_with_labels,
 )
@@ -247,39 +254,36 @@ class TerminationConfig:
             )
 
 
-@dataclass(eq=False)
-class NelderMeadResult:
+class NelderMeadResult(NamedTuple):
+    """Where a search ended and why; an immutable record, built by
+    ``tuple.__new__`` in ``nelder_mead``. ``best_vertex`` is the earliest
+    evaluated point of lowest value."""
+
     best_vertex: tuple[float, float]
     reason: str  # fitness_converged | simplex_converged | max_iterations
-
-
-def _real_pair(pair, what: str) -> tuple[float, float]:
-    """``pair`` as two Python floats; ConfigurationError, naming ``what``,
-    unless it is two real numbers. NaN and infinity pass; a None, a string
-    or a complex number is refused, never converted."""
-    try:
-        x, y = pair
-    except (TypeError, ValueError):
-        x = y = None
-    # isinstance(v, Real) is slow, so a float is let through first.
-    if (isinstance(x, float) or isinstance(x, Real)) and (isinstance(y, float) or isinstance(y, Real)):
-        return float(x), float(y)
-    raise ConfigurationError(f"{what} {pair!r} must be two real numbers")
 
 
 def _vertex_points(simplex) -> tuple[tuple[float, float], tuple[float, float], tuple[float, float]]:
     """The three vertices of a 3x2 ``simplex`` as pairs of Python floats;
     ConfigurationError, naming its shape, for any other shape, and naming
-    the vertex for one that is not two real numbers."""
+    the vertex for one that is not two real numbers. A tuple of three tuples
+    of two floats, as ``autotune`` builds it, is returned as it is."""
     try:
-        (x0, y0), (x1, y1), (x2, y2) = simplex
+        v0, v1, v2 = simplex
+        (x0, y0), (x1, y1), (x2, y2) = v0, v1, v2
     except (TypeError, ValueError):
         shape = np.asarray(simplex, dtype=object).shape  # of ragged vertices too
         raise ConfigurationError(f"simplex must be 3 vertices in 2-d, got shape {shape}") from None
+    if (
+        type(simplex) is tuple and type(v0) is tuple and type(v1) is tuple and type(v2) is tuple
+        and type(x0) is float and type(y0) is float and type(x1) is float
+        and type(y1) is float and type(x2) is float and type(y2) is float
+    ):
+        return simplex
     return (
-        _real_pair((x0, y0), "simplex vertex 0"),
-        _real_pair((x1, y1), "simplex vertex 1"),
-        _real_pair((x2, y2), "simplex vertex 2"),
+        real_pair((x0, y0), "simplex vertex 0"),
+        real_pair((x1, y1), "simplex vertex 1"),
+        real_pair((x2, y2), "simplex vertex 2"),
     )
 
 
@@ -301,7 +305,8 @@ def nelder_mead(
     the evaluation budget. A NaN value, ``start_value`` included, raises
     ConfigurationError naming its point. ``simplex`` is any 3x2 array-like
     of real numbers; the search holds its vertices as ``(x, y)`` pairs of
-    Python floats, in stable order of value.
+    Python floats, in stable order of value, so the result's best vertex
+    is the earliest evaluated point of lowest value.
     """
     p0, p1, p2 = _vertex_points(simplex)
 
@@ -385,7 +390,7 @@ def nelder_mead(
 
     # The best and good vertices are in order here, and the worst one is
     # first only on a strictly smaller value, as np.argmin picks it.
-    return NelderMeadResult(best_vertex=p2 if f2 < f0 else p0, reason=reason)
+    return tuple.__new__(NelderMeadResult, (p2 if f2 < f0 else p0, reason))
 
 
 # --- tuning runs -------------------------------------------------------------
@@ -420,9 +425,11 @@ class Outcome(NamedTuple):
     cause: str | None = None
 
 
-@dataclass(eq=False)
-class TuningRun:
-    """Full record of one autotuning attempt."""
+class TuningRun(NamedTuple):
+    """Full record of one autotuning attempt: a named tuple, built by
+    ``tuple.__new__`` in ``autotune``. ``start`` is the start point as the
+    two floats ``autotune`` checked, and ``steps`` the run's measurements in
+    order."""
 
     start: tuple[float, float]
     steps: list[TuningStep]
@@ -494,36 +501,44 @@ def autotune(
     ``reads_values`` attribute is False, as the oracle's is, gets the labels
     alone (``scans.acquire_labels``); any other classifier gets both. On a
     stored scan, a classifier with a ``stored_reader`` method reads each
-    window where the run's one ``scans._locator`` finds it, with no window
-    built: the locator binds the reader on the run's first window that
-    passes its checks, so a step is one locate and one read. The vectors,
-    and so the run, are the same on every route. A start that is not two
-    real numbers, or lies outside the sandbox, raises ConfigurationError
-    naming it.
+    window where a locator for the run's span, resolution, sandbox and
+    reader finds it (``scans._kept_locator``), with no window built: the
+    locator binds the reader on the first window that passes its checks,
+    so a step is one locate and one read, and the scan keeps a plain
+    function reader's locator, as the oracle's, for every later run. The
+    vectors, and so the run, are the same on every route. The outcome's
+    center is the search's best vertex, the earliest step of lowest
+    fitness. A start or a span that is not two real numbers, or a start
+    outside the sandbox, raises ConfigurationError naming it, before any
+    window; the run records the start as the two floats checked.
     """
-    point = _real_pair(start, "start point")
+    point = real_pair(start, "start point")
     if not sandbox.contains_point(point):
         raise ConfigurationError(f"start point {start} lies outside the sandbox")
 
     steps: list[TuningStep] = []
     # measure(center): the window's probability vector, or Blocked.
-    if isinstance(source, PremeasuredScan) and hasattr(classifier, "stored_reader"):
-        measure = _locator(source, span, resolution, sandbox, classifier.stored_reader)
+    reader = getattr(classifier, "stored_reader", None) if isinstance(source, PremeasuredScan) else None
+    if reader is not None:
+        # The locator checks the span once, when it is bound.
+        measure = _kept_locator(source, span, resolution, sandbox, reader)
     elif isinstance(source, SimulatedDevice) and not getattr(classifier, "reads_values", True):
+        real_pair(span, "span")
 
         def measure(center: tuple[float, float]) -> ProbabilityVector | Blocked:
             labels = acquire_labels(source, center, span, resolution, sandbox)
             return labels if isinstance(labels, Blocked) else classifier.probabilities(None, labels)
 
     else:
+        real_pair(span, "span")
         with_labels = getattr(classifier, "reads_labels", True)
 
         def measure(center: tuple[float, float]) -> ProbabilityVector | Blocked:
             found = acquire_with_labels(source, center, span, resolution, sandbox, with_labels=with_labels)
             return found if isinstance(found, Blocked) else classifier.probabilities(*found)
 
-    # Steps and the outcome are built by tuple.__new__: a named tuple's own
-    # __new__ is a Python call, once a step.
+    # Steps, the outcome and the run are built by tuple.__new__: a named
+    # tuple's own __new__ is a Python call, once a step.
     new_record = tuple.__new__
 
     def objective(center: tuple[float, float]) -> float:
@@ -543,5 +558,5 @@ def autotune(
         outcome = new_record(Outcome, ("aborted", None, f"{type(exc).__name__}: {exc}"))
     else:
         kind = "max_iterations" if result.reason == "max_iterations" else "converged"
-        outcome = new_record(Outcome, (kind, _best_center(steps), None))
-    return TuningRun(start=tuple(start), steps=steps, outcome=outcome, policy_name=policy.name)
+        outcome = new_record(Outcome, (kind, result.best_vertex, None))
+    return new_record(TuningRun, (point, steps, outcome, policy.name))

@@ -35,6 +35,10 @@ def fake_run(best, fitness=0.5):
     )
 
 
+def _no_run(*args, **kwargs):
+    raise AssertionError("a run was started")
+
+
 class TestSuccessScoring:
     def test_dd_fraction_inside_double_dot(self, reference_source, reference_params):
         frac = q.ground_truth_dd_fraction(reference_source, (300.0, 320.0), (30.0, 30.0), 2.0)
@@ -225,6 +229,21 @@ class TestNeighborhood:
             q.neighborhood_experiment(
                 reference_source, oracle, (595.0, 300.0), q.FixedSimplex(75.0)
             )
+
+    @pytest.mark.parametrize("point", [("350", "400"), None, (350.0,), (350.0, 400.0, 0.0), (350.0, 1j)],
+                             ids=["strings", "none", "one-number", "three-numbers", "complex"])
+    def test_a_point_that_is_not_two_real_numbers_is_refused_before_any_run(
+        self, reference_source, oracle, monkeypatch, point
+    ):
+        monkeypatch.setattr(harness_mod, "autotune", _no_run)
+        with pytest.raises(q.ConfigurationError) as refused:
+            q.neighborhood_experiment(reference_source, oracle, point)
+        assert str(refused.value) == f"neighborhood point {point!r} must be two real numbers"
+
+    def test_an_integer_point_is_the_float_point(self, reference_source, oracle):
+        got = q.neighborhood_experiment(reference_source, oracle, (np.int64(350), 400))
+        expect = q.neighborhood_experiment(reference_source, oracle, (350.0, 400.0))
+        assert json.dumps(got.to_json_dict()) == json.dumps(expect.to_json_dict())
 
     @pytest.mark.parametrize("resolution", [float("nan"), float("inf")])
     def test_non_finite_resolution_aborts_every_run(self, reference_source, oracle, resolution):
@@ -499,6 +518,24 @@ class TestHeatmap:
         monkeypatch.setattr(harness_mod, "autotune", no_run)
         with pytest.raises(q.ConfigurationError, match=r"start \(410.0, 265.0\) lies outside the sandbox; nothing was run"):
             q.heatmap(reference_source, oracle, sandbox=q.Sandbox((0.0, 400.0), (0.0, 600.0)))
+
+    @pytest.mark.parametrize("grid_step", ["10", None, 1j, 0.0, -10.0, float("nan"), float("inf")])
+    def test_a_grid_step_that_is_not_a_positive_finite_number_is_refused_before_any_run(
+        self, reference_source, oracle, monkeypatch, grid_step
+    ):
+        monkeypatch.setattr(harness_mod, "autotune", _no_run)
+        with pytest.raises(q.ConfigurationError) as refused:
+            q.heatmap(reference_source, oracle, grid_step=grid_step)
+        assert str(refused.value) == f"grid_step must be a positive finite number of mV, got {grid_step!r}"
+
+    @pytest.mark.parametrize("span", [("30", "30"), (30.0,), None], ids=["strings", "one-number", "none"])
+    def test_a_span_that_is_not_two_real_numbers_is_refused_before_any_run(
+        self, reference_source, oracle, monkeypatch, span
+    ):
+        monkeypatch.setattr(harness_mod, "autotune", _no_run)
+        with pytest.raises(q.ConfigurationError) as refused:
+            q.heatmap(reference_source, oracle, span=span)
+        assert str(refused.value) == f"span {span!r} must be two real numbers"
 
     def test_model_heatmap_at_the_default_span_records_why_every_run_failed(self, reference_params):
         """A 30 mV window is 15 px at 2 mV/px, too small for the model's

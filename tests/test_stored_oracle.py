@@ -4,8 +4,10 @@ cutting the window and classifying it gets: the same vector bits, the same
 refusal, the same runs, reports and heatmaps. The oracle reads a stride-1
 window off its table and counts a strided window's codes."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -426,6 +428,97 @@ class TestTuningRoute:
         assert json.dumps(got.to_json_dict()) == json.dumps(expect.to_json_dict())
         with pytest.raises(q.ConfigurationError, match=f"^{message}$"):
             source.tally
+
+
+class TestKeptTuningLocator:
+    """A tuning run on a stored scan asks the scan for its kept locator
+    (``scans._kept_locator``): an oracle neighborhood binds one per source
+    and a later one none, a model run binds its own, and the scan never
+    keeps a caller's classifier alive. Runs through a kept locator write
+    what fresh runs write."""
+
+    @staticmethod
+    def _counted_binds(monkeypatch) -> list:
+        """The reader of every ``_locator`` bound from now on."""
+        readers = []
+        bind = scans_mod._locator
+
+        def counted(source, span, resolution, sandbox, reader=scans_mod._where):
+            readers.append(reader)
+            return bind(source, span, resolution, sandbox, reader)
+
+        monkeypatch.setattr(scans_mod, "_locator", counted)
+        return readers
+
+    def test_an_oracle_neighborhood_binds_one_tuning_locator_per_source(self, reference_scan, monkeypatch):
+        readers = self._counted_binds(monkeypatch)
+        first, second = q.PremeasuredScan(*reference_scan), q.PremeasuredScan(*reference_scan)
+        tuning = q.OracleClassifier.stored_reader
+        report = harness_mod.neighborhood_experiment(first, q.OracleClassifier(), (350.0, 400.0), POLICIES["fixed100"])
+        assert report.n_runs == 81 and readers.count(tuning) == 1 and len(readers) == 2  # and one for scoring
+        readers.clear()
+        # Another oracle, point and policy: the same span, resolution and sandbox.
+        harness_mod.neighborhood_experiment(first, q.OracleClassifier(), (250.0, 400.0), POLICIES["dynamic"])
+        assert readers == []
+        harness_mod.neighborhood_experiment(second, q.OracleClassifier(), (350.0, 400.0), POLICIES["fixed100"])
+        assert readers.count(tuning) == 1
+
+    def test_a_model_neighborhood_binds_one_tuning_locator_per_run(self, reference_scan, monkeypatch):
+        """A model's reader is a bound method, so its locator is not kept;
+        the scoring locator is."""
+        readers = self._counted_binds(monkeypatch)
+        source, classifier = q.PremeasuredScan(*reference_scan), q.ModelClassifier(q.init_model(3))
+        report = harness_mod.neighborhood_experiment(source, classifier, (350.0, 400.0), POLICIES["fixed75"])
+        assert report.n_runs == 81 and readers.count(classifier.stored_reader) == 81 and len(readers) == 82
+        readers.clear()
+        harness_mod.neighborhood_experiment(source, classifier, (350.0, 400.0), POLICIES["dynamic"])
+        assert readers.count(classifier.stored_reader) == 81 and len(readers) == 81
+        assert all(getattr(key[-1], "__self__", None) is None for key in source._locators)
+
+    @pytest.mark.parametrize("kind", ["oracle", "model"])
+    def test_a_dropped_classifier_is_freed_while_its_scan_lives(self, reference_scan, kind):
+        source = q.PremeasuredScan(*reference_scan)
+        classifier = q.OracleClassifier() if kind == "oracle" else q.ModelClassifier(q.init_model(0))
+        first = q.autotune(source, classifier, (350.0, 400.0))
+        again = q.autotune(source, classifier, (350.0, 400.0))
+        assert json.dumps(again.to_json_dict()) == json.dumps(first.to_json_dict())
+        dropped = weakref.ref(classifier)
+        del classifier
+        gc.collect()
+        assert dropped() is None
+        later = q.autotune(source, q.OracleClassifier() if kind == "oracle" else q.ModelClassifier(q.init_model(0)),
+                           (350.0, 400.0))
+        assert json.dumps(later.to_json_dict()) == json.dumps(first.to_json_dict())
+
+    @pytest.mark.parametrize("span, resolution", [((math.nan, 60.0), 2.0), ((60.0, 60.0), math.nan)])
+    def test_a_nan_span_or_resolution_keeps_no_locator(self, reference_scan, oracle, span, resolution):
+        """Its key never equals itself, so a kept locator would never be
+        found again and the scan would keep one more each run."""
+        source = q.PremeasuredScan(*reference_scan)
+        for _ in range(3):
+            run = q.autotune(source, oracle, (350.0, 400.0), span=span, resolution=resolution)
+            assert run.outcome.kind == ("converged" if math.isnan(span[0]) else "aborted")
+        assert source._locators == {}
+
+    @pytest.mark.parametrize("where", ["stored", "simulated"])
+    def test_a_model_neighborhood_writes_what_fresh_runs_write(self, reference_scan, reference_params, where):
+        """Each fresh run has a source and a classifier of its own, made in
+        reverse start order, so nothing kept by an earlier run reaches it."""
+        model = q.init_model(3)
+        if where == "stored":
+            fresh_source = lambda: q.PremeasuredScan(*reference_scan)  # noqa: E731
+        else:
+            fresh_source = lambda: q.SimulatedDevice(reference_params)  # noqa: E731
+        policy, span, resolution = POLICIES["fixed75"], (60.0, 60.0), 2.0
+        report = harness_mod.neighborhood_experiment(fresh_source(), q.ModelClassifier(model), (350.0, 400.0), policy)
+        for run, record in reversed(list(zip(report.runs, report.run_summaries))):
+            fresh = q.autotune(fresh_source(), q.ModelClassifier(model), run.start, policy=policy)
+            assert json.dumps(run.to_json_dict()) == json.dumps(fresh.to_json_dict())
+            center = fresh.best_center()
+            weight = harness_mod.run_weight(center, fresh_source(), span, resolution, q.Sandbox(), q.SuccessRegions())
+            assert record == {"start": list(fresh.start), "best_center": list(center),
+                              "iterations": fresh.iteration_count, "weight": weight, "outcome": fresh.outcome.kind}
+        assert report.outcome_counts.get("aborted", 0) == 0
 
 
 class SpyModel:

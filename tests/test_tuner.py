@@ -200,6 +200,18 @@ class TestNelderMead:
         assert str(refused.value) == f"simplex vertex {vertex} {tuple(simplex[vertex])!r} must be two real numbers"
         assert calls == []
 
+    def test_a_tuple_of_float_pairs_is_searched_as_it_is(self):
+        """The simplex ``autotune`` builds skips the conversion; any other
+        spelling of the same numbers gives the same floats."""
+        simplex = ((1.0, 2.0), (0.0, 0.5), (1.0, 3.0))
+        assert q.tuner._vertex_points(simplex) is simplex
+        for spelled in ([[1.0, 2.0], [0.0, 0.5], [1.0, 3.0]], np.array(simplex), ((1, 2.0), (0.0, 0.5), (1.0, 3)),
+                        ((np.float64(1.0), 2.0), (0.0, 0.5), (1.0, 3.0)), (simplex[0], [0.0, 0.5], simplex[2])):
+            points = q.tuner._vertex_points(spelled)
+            assert points == simplex and all(type(c) is float for point in points for c in point)
+        with pytest.raises(q.ConfigurationError, match=re.escape("simplex vertex 1 (0.0, '0.5') must be two real numbers")):
+            q.tuner._vertex_points(((1.0, 2.0), (0.0, "0.5"), (1.0, 3.0)))
+
     def test_nan_coordinate_is_evaluated_as_given(self):
         calls = []
         simplex = [[1.0, 2.0], [0.0, math.nan], [np.float64(1.0), 3]]
@@ -287,6 +299,67 @@ class TestVertexOrder:
         self._same_as_reference(values, budget)
 
 
+def _earliest_lowest(points, values):
+    """The first of ``points`` whose value is the lowest of ``values``."""
+    return points[values.index(min(values))]
+
+
+class TestBestVertex:
+    """``autotune`` records the search's best vertex as its run's best
+    center, so it must be the earliest evaluated point of lowest value, as
+    ``_best_center`` picks it from the steps."""
+
+    SIMPLEX = ((300.0, 300.0), (225.0, 300.0), (300.0, 225.0))
+
+    @staticmethod
+    def _search(values, budget, start_value=None):
+        points = []
+
+        def objective(point):
+            points.append(point)
+            return values[len(points) - 1] if len(points) <= len(values) else 2.0
+
+        term = q.TerminationConfig(1e-9, 1e-9, budget)
+        result = nelder_mead(objective, TestBestVertex.SIMPLEX, term, start_value)
+        if start_value is not None:
+            points.insert(0, TestBestVertex.SIMPLEX[0])
+        measured = [start_value] * (start_value is not None) + values
+        measured += [2.0] * (len(points) - len(measured))
+        return result, points, measured[: len(points)]
+
+    @given(
+        values=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=3, max_size=40),
+        budget=st.integers(3, 40),
+        known=st.booleans(),
+    )
+    @settings(max_examples=400)
+    def test_the_earliest_point_of_lowest_value(self, values, budget, known):
+        """Values from four levels, the blocked 2.0 plateau among them, so
+        most points tie an earlier one; every budget ends some searches in
+        each of their ``max_iterations`` breaks."""
+        start_value = values.pop(0) if known else None
+        result, points, measured = self._search(values, budget, start_value)
+        assert result.best_vertex == _earliest_lowest(points, measured)
+        if result.reason == "max_iterations":
+            assert len(points) <= budget
+
+    @pytest.mark.parametrize(
+        "values, budget",
+        [
+            ([1.0, 1.0, 3.0], 3),  # the budget ends at the top of the loop
+            ([1.0, 1.0, 3.0, 3.5, 3.6], 5),  # after a contraction, with no budget for a shrink
+            ([1.0, 1.0, 3.0, 1.0], 4),  # after a last reflection that ties the best
+            ([2.0, 2.0, 2.0, 2.0], 4),  # on the plateau; the spread converges first
+        ],
+        ids=["loop-top", "contraction", "last-reflection", "plateau"],
+    )
+    def test_each_break_returns_the_earliest_tie(self, values, budget):
+        result, points, measured = self._search(values, budget)
+        assert result.reason == ("fitness_converged" if values[0] == 2.0 else "max_iterations")
+        assert len(points) == (3 if values[0] == 2.0 else budget)
+        assert result.best_vertex == _earliest_lowest(points, measured) == self.SIMPLEX[0]
+
+
 class SpyClassifier:
     """Counts invocations; answers with the oracle."""
 
@@ -361,6 +434,38 @@ class TestAutotune:
         run = q.autotune(reference_source, oracle, np.array([350, 400]))
         assert run.steps[0].center == (350.0, 400.0)
         assert run.outcome == q.autotune(reference_source, oracle, (350.0, 400.0)).outcome
+
+    def test_an_integer_start_is_recorded_and_written_as_floats(self, reference_source, oracle, tmp_path):
+        run = q.autotune(reference_source, oracle, (np.int64(350), np.int64(400)))
+        assert run.start == (350.0, 400.0) and all(type(v) is float for v in run.start)
+        run.save_json(tmp_path / "run.json")
+        assert json.loads((tmp_path / "run.json").read_text())["start"] == [350.0, 400.0]
+        assert '"start": [\n    350.0,\n    400.0\n  ]' in (tmp_path / "run.json").read_text()
+
+    @pytest.mark.parametrize(
+        "span",
+        [(60.0,), ("60", "60"), (60.0, None), None, 60.0, (60.0, 60.0, 60.0), ([60.0], 60.0)],
+        ids=["one-number", "strings", "none-in", "none", "number", "three-numbers", "unhashable"],
+    )
+    @pytest.mark.parametrize("source", ["stored", "simulated"])
+    @pytest.mark.parametrize("kind", ["oracle", "model"])
+    def test_a_span_that_is_not_two_real_numbers_is_refused_naming_it(
+        self, span, source, kind, reference_source, reference_params, oracle, untrained_model
+    ):
+        source = reference_source if source == "stored" else q.SimulatedDevice(reference_params)
+        classifier = oracle if kind == "oracle" else untrained_model
+        with pytest.raises(q.ConfigurationError) as refused:
+            q.autotune(source, classifier, (350.0, 400.0), span=span)
+        assert str(refused.value) == f"span {span!r} must be two real numbers"
+
+    def test_a_stored_span_is_checked_once_per_locator(self, reference_scan, oracle, monkeypatch):
+        source = q.PremeasuredScan(*reference_scan)
+        checks = []
+        check = q.scans.real_pair
+        monkeypatch.setattr(q.scans, "real_pair", lambda *args: checks.append(args) or check(*args))
+        for start in ((350.0, 400.0), (250.0, 400.0), (350.0, 450.0)):
+            q.autotune(source, oracle, start, span=[60, 60])
+        assert checks == [([60, 60], "span")]
 
     def test_max_iterations_budget(self, reference_source, oracle):
         term = q.TerminationConfig(1e-12, 1e-9, 50)
